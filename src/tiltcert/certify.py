@@ -242,11 +242,6 @@ def polytope_vertices(region):
     return sorted(points)
 
 
-def _point_excluded(region, alpha, beta):
-    """True when (alpha, beta) lies on an open facet, hence outside the region."""
-    return any(_bound_is_open(region, n) for n in _tight_bounds(region, alpha, beta))
-
-
 def _certify_affine(factor, region, atom=False):
     """Vertex certificate for an affine factor.  Returns (ok, evidence, candidates).
 

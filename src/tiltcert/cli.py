@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from .certify import Region, default_region
-from .chern import catalog_lookup, load_chern
+from .chern import catalog_lookup, load_chern, quadric_catalog
 from .heart import reduce_candidates, skyscraper_candidates
 from .kernel import RationalInterval, format_rational, parse_rational
 from .suite import verify_all
@@ -26,7 +26,6 @@ from .tilt import (
     nu_zero_alpha_squared,
     twist,
 )
-from .chern import quadric_catalog
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,6 +43,21 @@ def _rational_arg(text):
         return parse_rational(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err))
+
+
+def _bounded_int(lo, hi):
+    """argparse type for an integer size in [lo, hi]."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be between {lo} and {hi}, got {value}")
+        return value
+
+    return parse
 
 
 def _region_arg(text):
@@ -143,13 +157,10 @@ def _cmd_verify(args):
 
 
 def _cmd_subobjects(args):
-    candidates = skyscraper_candidates()
-    reduced = reduce_candidates(candidates)
-    print(f"{len(candidates.vectors)} candidate subobject dimension vectors:")
-    for vec in candidates.vectors:
-        how = reduced.derivation[vec]
-        text = "base" if how == "base" else "; ".join(edge.describe() for edge in how)
-        print(f"  {vec}: {text}")
+    reduced = reduce_candidates(skyscraper_candidates())
+    print(f"{len(reduced.vectors)} candidate subobject dimension vectors:")
+    for line in reduced.derivation_lines():
+        print(f"  {line}")
     return 0
 
 
@@ -225,7 +236,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_slopes)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--max-depth", type=int, default=16)
+    p.add_argument("--max-depth", type=_bounded_int(0, 32), default=16)
     p.add_argument("--region", type=_region_arg, default=None, metavar="blo:bhi,alo:ahi")
     p.add_argument("--json", default=None, metavar="PATH", help="write the JSON report here")
     p.set_defaults(handler=_cmd_verify)
@@ -236,7 +247,7 @@ def _build_parser():
     p = sub.add_parser("bg", help="degree-3 margin scan along the nu = 0 locus")
     p.add_argument("--chern", required=True, metavar="PATH", help="character JSON file")
     p.add_argument("--s", type=_rational_arg, default=Fraction(1, 6))
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--grid", type=_bounded_int(1, 4096), default=16)
     p.add_argument("--region", type=_region_arg, default=None, metavar="blo:bhi,alo:ahi")
     p.set_defaults(handler=_cmd_bg)
 
@@ -253,7 +264,7 @@ def _build_parser():
     pw = plot_sub.add_parser("wall", help="numerical wall contour between two characters")
     pw.add_argument("--chern1", required=True, help="catalog label or JSON path")
     pw.add_argument("--chern2", required=True, help="catalog label or JSON path")
-    pw.add_argument("--grid", type=int, default=64)
+    pw.add_argument("--grid", type=_bounded_int(1, 512), default=64)
     pw.add_argument("--region", type=_region_arg, default=None, metavar="blo:bhi,alo:ahi")
     pw.add_argument("-o", "--out", default="wall.svg")
     pw.set_defaults(handler=_cmd_plot_wall)

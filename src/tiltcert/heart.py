@@ -9,14 +9,24 @@ reduces them to the two base cases via Im Z dominance.
 
 from dataclasses import dataclass
 
-from .chern import QUADRIC, line_bundle_ch, shift, spinor_ch_minus_one
+from .certify import SIDE_LEFT, SIDE_RIGHT
+from .chern import ChernCharacter, quadric_catalog, shift
 from .tilt import central_charge
 
-GENERATOR_LABELS = ("O(-1)[3]", "S(-1)[2]", "O[1]", "O(1)")
-GENERATOR_SHIFTS = (3, 2, 1, 0)
 
-SUBREGION_LEFT = "alpha<=-beta"
-SUBREGION_RIGHT = "alpha>=-beta"
+# (label, character of the shifted object, shift) for each heart generator,
+# in heart order, from the catalog objects that carry a heart shift.
+GENERATORS = tuple(
+    (
+        f"{obj.label}[{obj.heart_shift}]" if obj.heart_shift else obj.label,
+        shift(obj.ch, obj.heart_shift),
+        obj.heart_shift,
+    )
+    for obj in quadric_catalog()
+    if obj.heart_shift is not None
+)
+GENERATOR_LABELS = tuple(label for label, _, _ in GENERATORS)
+
 FULL_REGION = "full"
 
 
@@ -30,7 +40,7 @@ class DimensionVector:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"component {name} must be a nonnegative integer")
 
     def as_tuple(self):
@@ -46,7 +56,7 @@ class DimensionVector:
     def from_json(cls, data):
         if not isinstance(data, (list, tuple)) or len(data) != 4:
             raise ValueError("dimension vector JSON must be [a, b, c, d]")
-        return cls(*(int(x) for x in data))
+        return cls(*data)
 
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.as_tuple()) + ")"
@@ -55,28 +65,16 @@ class DimensionVector:
 SKYSCRAPER_VECTOR = DimensionVector(1, 2, 4, 1)
 
 
-def generator_characters(X=QUADRIC):
-    """Characters of the four shifted generators, in heart order."""
-    plain = (
-        line_bundle_ch(-1, X),
-        spinor_ch_minus_one(X),
-        line_bundle_ch(0, X),
-        line_bundle_ch(1, X),
-    )
-    return tuple(shift(ch, k) for ch, k in zip(plain, GENERATOR_SHIFTS))
-
-
-def heart_ch(v, X=QUADRIC):
+def heart_ch(v):
     """Additive extension: -a*ch(O(-1)) + b*ch(S(-1)) - c*ch(O) + d*ch(O(1))."""
-    gens = generator_characters(X)
-    total = gens[0] * 0
-    for mult, ch in zip(v.as_tuple(), gens):
+    total = ChernCharacter(0, 0, 0, 0)
+    for mult, (_, ch, _) in zip(v.as_tuple(), GENERATORS):
         total = total + mult * ch
     return total
 
 
-def heart_z(v, p, X=QUADRIC):
-    return central_charge(heart_ch(v, X), p, X)
+def heart_z(v, p):
+    return central_charge(heart_ch(v), p)
 
 
 # --- candidate enumeration ---------------------------------------------------
@@ -120,6 +118,15 @@ class CandidateSet:
     vectors: tuple
     bases: tuple
     derivation: dict
+
+    def derivation_lines(self):
+        """One "vector: base" or "vector: edge; edge" line per candidate."""
+        lines = []
+        for vec in self.vectors:
+            how = self.derivation[vec]
+            text = "base" if how == "base" else "; ".join(edge.describe() for edge in how)
+            lines.append(f"{vec}: {text}")
+        return lines
 
 
 class DerivationError(ValueError):
@@ -174,8 +181,8 @@ class ImSignFact:
 
 DEFAULT_SIGN_FACTS = (
     ImSignFact("S(-1)[2]", FULL_REGION, "<0"),
-    ImSignFact("O[1]", SUBREGION_LEFT, "<=0"),
-    ImSignFact("O[1]", SUBREGION_RIGHT, ">=0"),
+    ImSignFact("O[1]", SIDE_LEFT, "<=0"),
+    ImSignFact("O[1]", SIDE_RIGHT, ">=0"),
 )
 
 
@@ -196,23 +203,28 @@ class DominanceEdge:
         return f"{self.base} [{action}] on {self.subregion}"
 
 
-def _edge_for(vec, base, subregion, facts):
-    """Dominance edge base -> vec valid on `subregion`, or None.
+def _allows(label, change, subregion, facts):
+    if change < 0:
+        return any(f.generator == label and f.allows_removal(subregion) for f in facts)
+    return any(f.generator == label and f.allows_addition(subregion) for f in facts)
+
+
+def _edge_for(vec, subregion, facts):
+    """Dominance edge from the first base that reaches vec on `subregion`,
+    or None.
 
     Removing a generator with Im Z <= 0 (or adding one with Im Z >= 0)
     cannot decrease Im Z, so positivity at the base propagates to vec.
     """
-    delta = tuple(x - y for x, y in zip(vec.as_tuple(), base.as_tuple()))
-    for label, change in zip(GENERATOR_LABELS, delta):
-        if change == 0:
-            continue
-        if change < 0:
-            if not any(f.generator == label and f.allows_removal(subregion) for f in facts):
-                return None
-        else:
-            if not any(f.generator == label and f.allows_addition(subregion) for f in facts):
-                return None
-    return DominanceEdge(base=base, delta=delta, subregion=subregion)
+    for base in BASE_VECTORS:
+        delta = tuple(x - y for x, y in zip(vec.as_tuple(), base.as_tuple()))
+        if all(
+            _allows(label, change, subregion, facts)
+            for label, change in zip(GENERATOR_LABELS, delta)
+            if change
+        ):
+            return DominanceEdge(base=base, delta=delta, subregion=subregion)
+    return None
 
 
 def reduce_candidates(cands, sign_facts=DEFAULT_SIGN_FACTS):
@@ -229,21 +241,13 @@ def reduce_candidates(cands, sign_facts=DEFAULT_SIGN_FACTS):
         if vec in BASE_VECTORS:
             derivation[vec] = "base"
             continue
-        full_edge = None
-        for base in BASE_VECTORS:
-            full_edge = _edge_for(vec, base, FULL_REGION, sign_facts)
-            if full_edge is not None:
-                break
+        full_edge = _edge_for(vec, FULL_REGION, sign_facts)
         if full_edge is not None:
             derivation[vec] = (full_edge,)
             continue
         edges = []
-        for subregion in (SUBREGION_LEFT, SUBREGION_RIGHT):
-            edge = None
-            for base in BASE_VECTORS:
-                edge = _edge_for(vec, base, subregion, sign_facts)
-                if edge is not None:
-                    break
+        for subregion in (SIDE_LEFT, SIDE_RIGHT):
+            edge = _edge_for(vec, subregion, sign_facts)
             if edge is None:
                 missing.append((vec, subregion))
             else:

@@ -287,10 +287,10 @@ def poly_parse(text):
     # Normalize to a signed-term list.
     s = s.replace("- ", "-").replace("+ ", "+")
     chunks = s.replace(" ", "").replace("-", "+-").split("+")
+    if s.startswith("-"):
+        chunks = chunks[1:]
     terms = {}
     for chunk in chunks:
-        if not chunk:
-            continue
         sign = 1
         if chunk.startswith("-"):
             sign = -1
@@ -298,7 +298,7 @@ def poly_parse(text):
         m = _TERM_RE.match(chunk)
         if not m or not chunk:
             raise ValueError(f"bad term: {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
         i = int(m.group("ai")) if m.group("ai") else (1 if _has_var(chunk, "a") else 0)
         j = int(m.group("bi")) if m.group("bi") else (1 if _has_var(chunk, "b") else 0)
         if m.group("coeff") is None and i == 0 and j == 0:

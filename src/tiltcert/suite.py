@@ -21,14 +21,12 @@ from .certify import (
     certify_sign,
     default_region,
 )
-from .chern import QUADRIC, quadric_catalog, shift, tensor_line
+from .chern import QUADRIC, line_bundle_ch, quadric_catalog, tensor_line
 from .heart import (
-    BASE_VECTORS,
+    DEFAULT_SIGN_FACTS,
+    GENERATORS,
     DerivationError,
     DimensionVector,
-    GENERATOR_LABELS,
-    GENERATOR_SHIFTS,
-    ImSignFact,
     FULL_REGION,
     heart_ch,
     reduce_candidates,
@@ -38,7 +36,6 @@ from .kernel import BivariatePoly, format_rational, poly_equal, poly_eval, poly_
 from .tilt import (
     TiltParams,
     bg_margin,
-    central_charge,
     cross_polynomial,
     twisted_ch_polynomials,
     z_polynomials,
@@ -54,6 +51,9 @@ def C(x):
 
 
 S_DEFAULT = Fraction(1, 6)
+
+_CATALOG_CH = {obj.label: obj.ch for obj in quadric_catalog()}
+_GENERATOR_CH = {label: ch for label, ch, _ in GENERATORS}
 
 # --- frozen reference closed forms (quadric, s = 1/6) ------------------------
 
@@ -187,24 +187,10 @@ def _certificate_item(name, claim, target_poly, region, max_depth, notes=None):
     )
 
 
-# --- catalog helpers ----------------------------------------------------------
-
-
-def _catalog_map(catalog=None):
-    return {obj.label: obj for obj in (catalog or quadric_catalog())}
-
-
-def _heart_generator_ch(label, catalog=None):
-    """Character of a shifted heart generator like "S(-1)[2]"."""
-    base, _, rest = label.partition("[")
-    k = int(rest.rstrip("]")) if rest else 0
-    return shift(_catalog_map(catalog)[base].ch, k)
-
-
 # --- closed-form identities --------------------------------------------
 
 
-def verify_lemma_computation(catalog=None, reference=None, X=QUADRIC):
+def verify_lemma_computation(reference=None):
     """Symbolic check of every closed form: twisted characters, slopes,
     central charges.  Any mismatch fails, naming the identity."""
     reference = reference or {
@@ -213,12 +199,11 @@ def verify_lemma_computation(catalog=None, reference=None, X=QUADRIC):
         "nu": REFERENCE_NU,
         "z": REFERENCE_Z,
     }
-    objects = _catalog_map(catalog)
     items = []
     component_names = ("ch0", "ch1", "ch2", "ch3")
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
-        ch = objects[label].ch
-        computed = twisted_ch_polynomials(ch, X)
+        ch = _CATALOG_CH[label]
+        computed = twisted_ch_polynomials(ch)
         expected = reference["twisted"][label]
         bad = [
             component_names[k]
@@ -228,8 +213,8 @@ def verify_lemma_computation(catalog=None, reference=None, X=QUADRIC):
         notes = [f"component {name} differs" for name in bad]
         items.append(_identity_item(f"twisted-ch {label}", not bad, notes))
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
-        ch = objects[label].ch
-        _, t1, t2, _ = twisted_ch_polynomials(ch, X)
+        ch = _CATALOG_CH[label]
+        _, t1, t2, _ = twisted_ch_polynomials(ch)
         num, den = reference["mu"][label]
         # mu = t1/(alpha*ch0) must equal num/den: cross-multiplied identity.
         ok = poly_equal(t1 * den, num * (A * ch.ch0))
@@ -240,22 +225,21 @@ def verify_lemma_computation(catalog=None, reference=None, X=QUADRIC):
         ok = poly_equal(nu_num * den, num * nu_den)
         items.append(_identity_item(f"nu {label}", ok))
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
-        ch = objects[label].ch
-        re, im = z_polynomials(ch, S_DEFAULT, X)
+        ch = _CATALOG_CH[label]
+        re, im = z_polynomials(ch, S_DEFAULT)
         re_ref, im_ref = reference["z"][label]
         items.append(_identity_item(f"Z {label} real part", poly_equal(re, re_ref)))
         items.append(_identity_item(f"Z {label} imaginary part", poly_equal(im, im_ref)))
     return Report(_aggregate(items), items)
 
 
-def _structural_items(catalog=None):
-    objects = _catalog_map(catalog)
+def _structural_items():
     alternating = (
-        objects["O(-1)"].ch
-        - 2 * objects["S(-1)"].ch
-        + 4 * objects["O"].ch
-        - objects["O(1)"].ch
-        + objects["k(x)"].ch
+        _CATALOG_CH["O(-1)"]
+        - 2 * _CATALOG_CH["S(-1)"]
+        + 4 * _CATALOG_CH["O"]
+        - _CATALOG_CH["O(1)"]
+        + _CATALOG_CH["k(x)"]
     )
     ok = all(x == 0 for x in alternating.as_tuple())
     items = [
@@ -265,10 +249,10 @@ def _structural_items(catalog=None):
             [] if ok else [f"alternating sum is {alternating}"],
         )
     ]
-    spinor_sum = objects["S(-1)"].ch + objects["S"].ch
-    four_o = 4 * objects["O"].ch
-    tensored = tensor_line(objects["S(-1)"].ch, 1)
-    ok = spinor_sum == four_o and tensored == objects["S"].ch
+    spinor_sum = _CATALOG_CH["S(-1)"] + _CATALOG_CH["S"]
+    four_o = 4 * _CATALOG_CH["O"]
+    tensored = tensor_line(_CATALOG_CH["S(-1)"], 1)
+    ok = spinor_sum == four_o and tensored == _CATALOG_CH["S"]
     items.append(_identity_item("spinor sequence sum", ok))
     return items
 
@@ -354,7 +338,7 @@ def _case_b_claims():
 ORIENTATION_SAMPLE = (Fraction(1, 8), Fraction(-3, 8))
 
 
-def verify_half_plane(region=None, max_depth=16, catalog=None, X=QUADRIC):
+def verify_half_plane(region=None, max_depth=16):
     """Image-of-Z half-plane containment, split by the sign of beta^2-alpha^2.
 
     Case A (alpha >= -beta): real parts of all generator charges are <= 0.
@@ -365,16 +349,16 @@ def verify_half_plane(region=None, max_depth=16, catalog=None, X=QUADRIC):
     items = []
     region_a = region.with_side(SIDE_RIGHT)
     for label, claim in _case_a_claims().items():
-        re_poly, _ = z_polynomials(_heart_generator_ch(label, catalog), S_DEFAULT, X)
+        re_poly, _ = z_polynomials(_GENERATOR_CH[label], S_DEFAULT)
         items.append(
             _certificate_item(f"half-plane A re {label}", claim, re_poly, region_a, max_depth)
         )
     region_b = region.with_side(SIDE_LEFT)
-    axis_ch = _heart_generator_ch("O[1]", catalog)
+    axis_ch = _GENERATOR_CH["O[1]"]
     sample_values = []
     all_nonpos = True
     for label, claim in _case_b_claims().items():
-        cross = cross_polynomial(axis_ch, _heart_generator_ch(label, catalog), S_DEFAULT, X)
+        cross = cross_polynomial(axis_ch, _GENERATOR_CH[label], S_DEFAULT)
         value = poly_eval(cross, *ORIENTATION_SAMPLE)
         sample_values.append(f"cross O[1] x {label} = {format_rational(value)}")
         all_nonpos = all_nonpos and value <= 0
@@ -396,55 +380,37 @@ def verify_half_plane(region=None, max_depth=16, catalog=None, X=QUADRIC):
 # --- skyscraper condition ------------------------------------------------------
 
 
-def _im_cofactor(v, X=QUADRIC):
+def _im_cofactor(v):
     """Im Z(heart_ch(v)) = alpha * cofactor; returns the cofactor."""
-    ch = heart_ch(v, X)
-    d = X.degree
-    _, _, t2, _ = twisted_ch_polynomials(ch, X)
+    ch = heart_ch(v)
+    d = QUADRIC.degree
+    _, _, t2, _ = twisted_ch_polynomials(ch)
     return d * t2 - A**2 * Fraction(d * ch.ch0, 2)
 
 
 def _sign_fact_claims():
-    return {
-        "im sign S(-1)[2]": (
-            FactoredClaim(
-                (
-                    Factor(C(2), ">0", "affine-vertex"),
-                    Factor(A, ">0", "region-atom"),
-                    Factor(B**2 + B - A**2, "<0", "interval-subdivision"),
-                ),
-                "<0",
-            ),
-            None,
-            ImSignFact("S(-1)[2]", FULL_REGION, "<0"),
+    """The factored claim behind each of DEFAULT_SIGN_FACTS, keyed by fact."""
+    s_full, o_left, o_right = DEFAULT_SIGN_FACTS
+    factors = {
+        s_full: (
+            Factor(C(2), ">0", "affine-vertex"),
+            Factor(A, ">0", "region-atom"),
+            Factor(B**2 + B - A**2, "<0", "interval-subdivision"),
         ),
-        "im sign O[1] alpha<=-beta": (
-            FactoredClaim(
-                (
-                    Factor(C(-1), "<0", "affine-vertex"),
-                    Factor(A, ">0", "region-atom"),
-                    Factor(B - A, "<0", "region-atom"),
-                    Factor(A + B, "<=0", "region-atom"),
-                ),
-                "<=0",
-            ),
-            SIDE_LEFT,
-            ImSignFact("O[1]", SIDE_LEFT, "<=0"),
+        o_left: (
+            Factor(C(-1), "<0", "affine-vertex"),
+            Factor(A, ">0", "region-atom"),
+            Factor(B - A, "<0", "region-atom"),
+            Factor(A + B, "<=0", "region-atom"),
         ),
-        "im sign O[1] alpha>=-beta": (
-            FactoredClaim(
-                (
-                    Factor(C(-1), "<0", "affine-vertex"),
-                    Factor(A, ">0", "region-atom"),
-                    Factor(B - A, "<=0", "region-atom"),
-                    Factor(A + B, ">=0", "region-atom"),
-                ),
-                ">=0",
-            ),
-            SIDE_RIGHT,
-            ImSignFact("O[1]", SIDE_RIGHT, ">=0"),
+        o_right: (
+            Factor(C(-1), "<0", "affine-vertex"),
+            Factor(A, ">0", "region-atom"),
+            Factor(B - A, "<=0", "region-atom"),
+            Factor(A + B, ">=0", "region-atom"),
         ),
     }
+    return {fact: FactoredClaim(f, fact.sign) for fact, f in factors.items()}
 
 
 def _base_claims():
@@ -467,14 +433,7 @@ def _base_claims():
     }
 
 
-def _generator_im_poly(label, catalog=None, X=QUADRIC):
-    _, im = z_polynomials(_heart_generator_ch(label, catalog), S_DEFAULT, X)
-    return im
-
-
-def verify_skyscraper_condition(
-    region=None, max_depth=16, catalog=None, reference_table=None, X=QUADRIC
-):
+def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None):
     """Im Z > 0 for every subobject candidate of the skyscraper vector.
 
     Certifies the generator sign facts, both base vectors, the dominance
@@ -486,10 +445,14 @@ def verify_skyscraper_condition(
     items = []
     facts = []
     blocked = []
-    for name, (claim, side, fact) in _sign_fact_claims().items():
-        sub = region.with_side(side) if side else region
-        target = _generator_im_poly(fact.generator, catalog, X)
-        item = _certificate_item(name, claim, target, sub, max_depth)
+    for fact, claim in _sign_fact_claims().items():
+        name = f"im sign {fact.generator}"
+        sub = region
+        if fact.subregion != FULL_REGION:
+            name += f" {fact.subregion}"
+            sub = region.with_side(fact.subregion)
+        _, im = z_polynomials(_GENERATOR_CH[fact.generator], S_DEFAULT)
+        item = _certificate_item(name, claim, im, sub, max_depth)
         items.append(item)
         if item.status == "certified":
             facts.append(fact)
@@ -498,7 +461,7 @@ def verify_skyscraper_condition(
     base_claims = _base_claims()
     for vec_tuple, claim in base_claims.items():
         v = DimensionVector(*vec_tuple)
-        _, im = z_polynomials(heart_ch(v, X), S_DEFAULT, X)
+        _, im = z_polynomials(heart_ch(v), S_DEFAULT)
         notes = []
         if vec_tuple == (0, 1, 0, 1):
             notes.append("Im form derived by additivity, not the quoted table entry")
@@ -510,10 +473,10 @@ def verify_skyscraper_condition(
     # Quoted table entries vs the additivity computation.
     for vec_tuple in ((0, 2, 4, 1), (0, 1, 0, 1)):
         v = DimensionVector(*vec_tuple)
-        _, im = z_polynomials(heart_ch(v, X), S_DEFAULT, X)
+        _, im = z_polynomials(heart_ch(v), S_DEFAULT)
         additive = BivariatePoly()
-        for mult, label in zip(v.as_tuple(), GENERATOR_LABELS):
-            additive = additive + mult * _generator_im_poly(label, catalog, X)
+        for mult, (_, ch, _) in zip(v.as_tuple(), GENERATORS):
+            additive = additive + mult * z_polynomials(ch, S_DEFAULT)[1]
         quoted = reference_table[vec_tuple]
         ok = poly_equal(im, additive)
         notes = []
@@ -530,15 +493,10 @@ def verify_skyscraper_condition(
     candidates = skyscraper_candidates()
     try:
         reduced = reduce_candidates(candidates, tuple(facts))
-        notes = []
-        for vec in reduced.vectors:
-            how = reduced.derivation[vec]
-            if how == "base":
-                notes.append(f"{vec}: base")
-            else:
-                notes.append(f"{vec}: " + "; ".join(edge.describe() for edge in how))
         items.append(
-            ReportItem("skyscraper derivation coverage", "certified", notes=notes)
+            ReportItem(
+                "skyscraper derivation coverage", "certified", notes=reduced.derivation_lines()
+            )
         )
     except DerivationError as err:
         # Coverage is refuted only when a needed sign fact actually failed;
@@ -552,7 +510,7 @@ def verify_skyscraper_condition(
         items.append(ReportItem("skyscraper derivation coverage", status, notes=notes))
     # Belt and suspenders: certify all eleven candidates directly.
     for vec in candidates.vectors:
-        cofactor = _im_cofactor(vec, X)
+        cofactor = _im_cofactor(vec)
         claim = FactoredClaim(
             (
                 Factor(A, ">0", "region-atom"),
@@ -560,7 +518,7 @@ def verify_skyscraper_condition(
             ),
             ">0",
         )
-        _, im = z_polynomials(heart_ch(vec, X), S_DEFAULT, X)
+        _, im = z_polynomials(heart_ch(vec), S_DEFAULT)
         items.append(
             _certificate_item(f"skyscraper direct {vec}", claim, im, region, max_depth)
         )
@@ -570,9 +528,8 @@ def verify_skyscraper_condition(
 # --- mu signs and the degree-3 equality ---------------------------------------
 
 
-def _mu_sign_items(region, max_depth, catalog=None):
+def _mu_sign_items(region, max_depth):
     """Slope signs of the plain generators, via numerator x denominator."""
-    objects = _catalog_map(catalog)
     specs = (
         ("mu sign S(-1)", "S(-1)", "<=0", (Factor(C(-1) - 2 * B, "<=0", "affine-vertex"),)),
         ("mu sign O", "O", ">=0", (Factor(-B, ">=0", "region-atom"),)),
@@ -581,7 +538,7 @@ def _mu_sign_items(region, max_depth, catalog=None):
     )
     items = []
     for name, label, sign, numerator_factors in specs:
-        ch = objects[label].ch
+        ch = _CATALOG_CH[label]
         # sign(mu) = sign(numerator * denominator); denominator alpha*ch0
         # contributes the alpha atom and the rank constant.
         factors = numerator_factors + (
@@ -598,18 +555,16 @@ def _mu_sign_items(region, max_depth, catalog=None):
     return items
 
 
-def _bg_equality_item(catalog=None, X=QUADRIC):
+def _bg_equality_item():
     """bg_margin(O(n), alpha=|n-beta|) vanishes identically at s = 1/6."""
-    from .chern import line_bundle_ch
-
     bad = []
     count = 0
     for n in range(-3, 4):
-        ch = line_bundle_ch(n, X)
+        ch = line_bundle_ch(n)
         for j in range(50):
             beta = Fraction(2 * j + 1, 100) - Fraction(1, 2)
             alpha = abs(n - beta)
-            margin = bg_margin(ch, TiltParams(alpha, beta, S_DEFAULT), X)
+            margin = bg_margin(ch, TiltParams(alpha, beta, S_DEFAULT))
             count += 1
             if margin != 0:
                 bad.append((n, beta, margin))
@@ -620,14 +575,14 @@ def _bg_equality_item(catalog=None, X=QUADRIC):
     return _identity_item("bg line-bundle equality", not bad, notes)
 
 
-def verify_all(max_depth=16, region=None, catalog=None, reference=None, X=QUADRIC):
+def verify_all(max_depth=16, region=None, reference=None):
     """Full verification: structural identities, closed forms, half-plane
     containment, skyscraper positivity, slope signs, degree-3 equality."""
     region = region or default_region()
-    items = list(_structural_items(catalog))
-    items.extend(verify_lemma_computation(catalog, reference, X).items)
-    items.extend(verify_half_plane(region, max_depth, catalog, X).items)
-    items.extend(verify_skyscraper_condition(region, max_depth, catalog, None, X).items)
-    items.extend(_mu_sign_items(region, max_depth, catalog))
-    items.append(_bg_equality_item(catalog, X))
+    items = _structural_items()
+    items.extend(verify_lemma_computation(reference).items)
+    items.extend(verify_half_plane(region, max_depth).items)
+    items.extend(verify_skyscraper_condition(region, max_depth).items)
+    items.extend(_mu_sign_items(region, max_depth))
+    items.append(_bg_equality_item())
     return Report(_aggregate(items), items)

@@ -7,10 +7,8 @@ arithmetic (never floats).
 
 from fractions import Fraction
 
-from .chern import QUADRIC
-from .heart import GENERATOR_LABELS
+from .heart import GENERATORS
 from .kernel import poly_eval
-from .suite import _heart_generator_ch
 from .tilt import central_charge, wall_polynomial
 
 WIDTH = 480
@@ -34,7 +32,7 @@ def _svg_header(width=WIDTH, height=HEIGHT):
     )
 
 
-def emit_zvectors_svg(p, path, X=QUADRIC):
+def emit_zvectors_svg(p, path):
     """Draw Z of the four shifted heart generators as arrows from the origin.
 
     The divider is the boundary line of the half-plane certificate that
@@ -42,8 +40,8 @@ def emit_zvectors_svg(p, path, X=QUADRIC):
     line through Z(O[1]) otherwise.
     """
     charges = []
-    for label in GENERATOR_LABELS:
-        z = central_charge(_heart_generator_ch(label), p, X)
+    for label, ch, _ in GENERATORS:
+        z = central_charge(ch, p)
         charges.append((label, z.re, z.im))
     extent = max(max(abs(re), abs(im)) for _, re, im in charges)
     if extent == 0:
@@ -171,12 +169,12 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
     return segments
 
 
-def emit_wall_svg(v, w, grid, path, box_beta, box_alpha, X=QUADRIC):
+def emit_wall_svg(v, w, grid, path, box_beta, box_alpha):
     """Contour of the numerical wall between v and w over a (beta, alpha) box.
 
     beta runs horizontally, alpha vertically upward.
     """
-    poly = wall_polynomial(v, w, X)
+    poly = wall_polynomial(v, w)
     segments = wall_contour_segments(poly, box_beta, box_alpha, grid)
     span = WIDTH - 2 * MARGIN
 

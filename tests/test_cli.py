@@ -6,6 +6,8 @@ import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
+import pytest
+
 from tiltcert.cli import main, run
 from tiltcert.chern import catalog_lookup
 from tiltcert.suite import verify_all
@@ -95,6 +97,21 @@ def test_verify_max_depth_zero_inconclusive(capsys):
 def test_verify_malformed_region_is_usage_error(capsys):
     assert run(["verify", "--region", "nope"]) == 2
     assert "expected blo:bhi,alo:ahi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-depth", "-1"],
+        ["verify", "--max-depth", "33"],
+        ["bg", "--chern", "unused.json", "--grid", "0"],
+        ["bg", "--chern", "unused.json", "--grid", "-3"],
+        ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "513"],
+    ],
+)
+def test_size_flags_out_of_range_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    assert "must be between" in capsys.readouterr().err
 
 
 def test_subobjects_lists_eleven(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tiltcert.certify import SIDE_LEFT, SIDE_RIGHT
 from tiltcert.chern import ChernCharacter, catalog_lookup, shift
 from tiltcert.heart import (
     BASE_VECTORS,
@@ -11,13 +12,11 @@ from tiltcert.heart import (
     DEFAULT_RULES,
     DerivationError,
     DimensionVector,
+    GENERATORS,
     GENERATOR_LABELS,
     ImSignFact,
     FULL_REGION,
     SKYSCRAPER_VECTOR,
-    SUBREGION_LEFT,
-    SUBREGION_RIGHT,
-    generator_characters,
     heart_ch,
     heart_z,
     reduce_candidates,
@@ -39,8 +38,16 @@ def test_dimension_vector_validation():
     assert v + DimensionVector(1, 1, 0, 0) == DimensionVector(1, 2, 2, 1)
 
 
+def test_dimension_vector_from_json_rejects_non_integers():
+    for bad in (3.7, True, "2"):
+        with pytest.raises(ValueError):
+            DimensionVector.from_json([0, 1, bad, 1])
+
+
 def test_generator_characters_are_shifted_catalog_entries():
-    chars = dict(zip(GENERATOR_LABELS, generator_characters()))
+    assert GENERATOR_LABELS == ("O(-1)[3]", "S(-1)[2]", "O[1]", "O(1)")
+    assert tuple(k for _, _, k in GENERATORS) == (3, 2, 1, 0)
+    chars = {label: ch for label, ch, _ in GENERATORS}
     assert chars["O(-1)[3]"] == shift(catalog_lookup("O(-1)").ch, 3)
     assert chars["S(-1)[2]"] == shift(catalog_lookup("S(-1)").ch, 2)
     assert chars["O[1]"] == shift(catalog_lookup("O").ch, 1)
@@ -55,7 +62,7 @@ def test_heart_ch_skyscraper():
     assert heart_ch(SKYSCRAPER_VECTOR) == catalog_lookup("k(x)").ch
     assert heart_ch(DimensionVector(0, 0, 0, 0)) == ChernCharacter(F(0), F(0), F(0), F(0))
     # single-generator vectors give back the shifted characters
-    chars = generator_characters()
+    chars = [ch for _, ch, _ in GENERATORS]
     units = (
         DimensionVector(1, 0, 0, 0),
         DimensionVector(0, 1, 0, 0),
@@ -109,7 +116,7 @@ def test_reduce_candidates_full_coverage():
     assert not isinstance(full_edge, str)
     assert any(edge.subregion == FULL_REGION for edge in full_edge)
     split = reduced.derivation[DimensionVector(0, 1, 2, 1)]
-    assert {edge.subregion for edge in split} == {SUBREGION_LEFT, SUBREGION_RIGHT}
+    assert {edge.subregion for edge in split} == {SIDE_LEFT, SIDE_RIGHT}
 
 
 def test_reduce_candidates_edge_directions():
@@ -153,13 +160,13 @@ def test_reduce_candidates_with_s_fact_only_covers_s_removals():
 
 def test_im_sign_fact_semantics():
     fact = ImSignFact("S(-1)[2]", FULL_REGION, "<0")
-    assert fact.allows_removal(SUBREGION_LEFT)
-    assert fact.allows_removal(SUBREGION_RIGHT)
-    assert not fact.allows_addition(SUBREGION_LEFT)
-    right_pos = ImSignFact("O[1]", SUBREGION_RIGHT, ">=0")
-    assert right_pos.allows_addition(SUBREGION_RIGHT)
-    assert not right_pos.allows_addition(SUBREGION_LEFT)
-    assert not right_pos.allows_removal(SUBREGION_RIGHT)
+    assert fact.allows_removal(SIDE_LEFT)
+    assert fact.allows_removal(SIDE_RIGHT)
+    assert not fact.allows_addition(SIDE_LEFT)
+    right_pos = ImSignFact("O[1]", SIDE_RIGHT, ">=0")
+    assert right_pos.allows_addition(SIDE_RIGHT)
+    assert not right_pos.allows_addition(SIDE_LEFT)
+    assert not right_pos.allows_removal(SIDE_RIGHT)
 
 
 def test_default_bounds_match_skyscraper():

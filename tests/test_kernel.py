@@ -152,6 +152,12 @@ def test_poly_format_parse_round_trip():
         assert poly_format(poly_parse(text)) == text
 
 
+def test_poly_parse_rejects_malformed():
+    for text in ("", "a+", "+a", "a--b", "1/0*a"):
+        with pytest.raises(ValueError):
+            poly_parse(text)
+
+
 def test_poly_format_canonical_examples():
     assert poly_format(A**2 - B**2) == "a^2 - b^2"
     assert poly_format(Fraction(1, 3) * A * B - 2) == "1/3*a*b - 2"

@@ -1,0 +1,44 @@
+"""Module layering, read from the source: no tiltcert module imports
+another module's private names, and the figure layer does not depend on
+the verification suite."""
+
+import ast
+from pathlib import Path
+
+import tiltcert
+
+PACKAGE = Path(tiltcert.__file__).parent
+
+
+def _tiltcert_imports(path):
+    """(module, name) for each tiltcert import in a source file; name is
+    None when a whole module is imported."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module or ""
+            elif (node.module or "").split(".")[0] == "tiltcert":
+                module = node.module.removeprefix("tiltcert").lstrip(".")
+            else:
+                continue
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("tiltcert."):
+                    yield alias.name.removeprefix("tiltcert."), None
+
+
+def test_no_module_imports_another_modules_private_names():
+    offenders = [
+        f"{path.name} imports {name} from {module}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, name in _tiltcert_imports(path)
+        if name is not None and name.startswith("_") and module != path.stem
+    ]
+    assert offenders == []
+
+
+def test_figures_do_not_import_the_suite():
+    modules = {module for module, _ in _tiltcert_imports(PACKAGE / "svg.py")}
+    assert "suite" not in modules
