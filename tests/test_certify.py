@@ -1,7 +1,10 @@
 """Sign-certification engine: soundness, strictness at boundaries, witnesses."""
 
+import hashlib
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ from tiltcert.certify import (
     certify_sign,
     default_region,
 )
-from tiltcert.kernel import BivariatePoly, RationalInterval, poly_eval
+from tiltcert.kernel import BivariatePoly, RationalInterval, format_rational, poly_eval
 
 F = Fraction
 A = BivariatePoly.alpha()
@@ -347,3 +350,47 @@ def test_tiny_violation_sliver_is_inconclusive_not_misjudged():
     cert = certify_sign(claim, default_region())
     assert cert.status == "inconclusive"
     assert cert.witness is None
+
+
+# --- golden outcomes ---------------------------------------------------------
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _golden_cases():
+    rng = random.Random(0x5EED)
+    regions = (default_region(), default_region(SIDE_LEFT), default_region(SIDE_RIGHT))
+    for trial in range(240):
+        yield _random_claim(rng), regions[trial % 3], 8
+    for side, core in ((SIDE_LEFT, B**2 - A**2), (SIDE_RIGHT, A**2 - B**2)):
+        for target in (">=0", ">0"):
+            claim = FactoredClaim((Factor(core, target, "interval-subdivision"),), target)
+            for depth in (2, 6, 10):
+                yield claim, default_region(side), depth
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import corpus
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    yield from corpus.subdivide_corpus(1)
+
+
+def _outcome_line(cert):
+    witness = "-"
+    if cert.witness is not None:
+        witness = ",".join(format_rational(x) for x in cert.witness)
+    return f"{cert.status} {witness} {cert.boxes} {cert.depth}\n"
+
+
+def test_golden_outcomes():
+    # Pins status, witness, boxes and depth over a fixed claim set, so that
+    # any change to the certifier's arithmetic that moves a decision shows.
+    digest = hashlib.sha256()
+    count = 0
+    for claim, region, depth in _golden_cases():
+        digest.update(_outcome_line(certify_sign(claim, region, max_depth=depth)).encode())
+        count += 1
+    assert count == 240 + 12 + 27
+    assert digest.hexdigest() == (
+        "7a76c1d86f58e553cb62cf124bd9bd277b9aa7d67242d8a91974b1277dd0fb45"
+    )
