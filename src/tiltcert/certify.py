@@ -12,7 +12,11 @@ half-plane alpha <= -beta or alpha >= -beta).  Three factor strategies:
   interval-subdivision
                     general polynomial, recursive bisection; each box is
                     tried with the monomial interval hull first, then with
-                    exact Bernstein coefficients
+                    exact Bernstein coefficients.  Coefficients are formed
+                    from the power basis once, on the root box, and held as
+                    an integer grid (a positive multiple of them); each
+                    split derives its children's grids by midpoint de
+                    Casteljau subdivision, so no box rebuilds them
 
 Soundness contract: status "certified" is only reported when the sign
 holds at every region point; "failed" always carries a witness point in
@@ -36,9 +40,12 @@ from .kernel import (
     RationalInterval,
     bernstein_coefficients,
     format_rational,
+    grid_form,
+    integer_grid,
     poly_eval,
     poly_format,
     poly_interval_eval,
+    split_grid,
 )
 
 SIDE_LEFT = "alpha<=-beta"    # alpha + beta <= 0
@@ -413,57 +420,69 @@ def _face_zero_region_point(region, box_alpha, box_beta, kind, fixed):
     return _cell_region_point(region, box_alpha, box_beta)
 
 
-def _certify_box(factor_poly, strict, region, box_alpha, box_beta, candidates):
+def _certify_box(factor_poly, strict, region, box_alpha, box_beta, candidates, grid):
     """Try to certify factor_poly <(=) 0 on one box.
 
-    Returns "certified", "split" (undecided, bisect further), or
-    "violated" (the factor's sign provably fails at a region point, or at
-    least can never certify on this box)."""
+    grid is an integer Bernstein grid inherited from the parent box (a
+    positive multiple of the coefficients on this box), or None; the grid
+    is computed from the power basis only when none was inherited.
+    Returns (verdict, grid): verdict "certified", "split" (undecided,
+    bisect further), or "violated" (the factor's sign provably fails at a
+    region point, or at least can never certify on this box), and the
+    box's grid, or None when the hull decided the box without it."""
     hull = poly_interval_eval(factor_poly, box_alpha, box_beta)
     if hull.hi < 0 or (not strict and hull.hi <= 0):
-        return "certified"
+        return "certified", None
     if hull.lo > 0 or (strict and hull.lo >= 0):
         # The whole box violates the target; no child can recover.
         for a in (box_alpha.lo, box_alpha.midpoint, box_alpha.hi):
             for b in (box_beta.lo, box_beta.midpoint, box_beta.hi):
                 if region.contains(a, b):
                     candidates.append((a, b))
-                    return "violated"
-        return "violated" if region.side is None else "split"
-    m, n, coeffs = bernstein_coefficients(factor_poly, box_alpha, box_beta)
-    high = max(c for row in coeffs for c in row)
+                    return "violated", None
+        return ("violated" if region.side is None else "split"), None
+    if grid is None:
+        grid = integer_grid(bernstein_coefficients(factor_poly, box_alpha, box_beta)[2])
+    m, n = len(grid) - 1, len(grid[0]) - 1
+    high = max(c for row in grid for c in row)
     if high < 0 or (not strict and high <= 0):
-        return "certified"
+        return "certified", grid
     if high > 0:
         # Corner coefficients are exact values; harvest witness candidates.
         corners = (
-            (coeffs[0][0], box_alpha.lo, box_beta.lo),
-            (coeffs[m][0], box_alpha.hi, box_beta.lo),
-            (coeffs[0][n], box_alpha.lo, box_beta.hi),
-            (coeffs[m][n], box_alpha.hi, box_beta.hi),
+            (grid[0][0], box_alpha.lo, box_beta.lo),
+            (grid[m][0], box_alpha.hi, box_beta.lo),
+            (grid[0][n], box_alpha.lo, box_beta.hi),
+            (grid[m][n], box_alpha.hi, box_beta.hi),
         )
         for value, a, b in corners:
             bad = value > 0 or (strict and value == 0)
             if bad and region.contains(a, b):
                 candidates.append((a, b))
-        return "split"
+        return "split", grid
     # All coefficients <= 0 with max exactly 0 and a strict target: the
     # poly is <= 0 on the box, and any zero inside it lives on a face whose
     # coefficients all vanish.  Certified iff every such face misses the
     # region; a face that meets it is an exact zero of the poly there.
     for kind, fixed, indices in _face_indices(m, n):
-        if all(coeffs[i][j] == 0 for i, j in indices):
+        if all(grid[i][j] == 0 for i, j in indices):
             point = _face_zero_region_point(region, box_alpha, box_beta, kind, fixed)
             if point is None:
                 continue
             if point != _BLOCKED:
                 candidates.append(point)
-            return "violated"
-    return "certified"
+            return "violated", grid
+    return "certified", grid
 
 
 def _certify_interval_factor(factor, region, max_depth):
-    """Bisection loop.  Returns (ok, evidence, candidates, boxes, depth)."""
+    """Bisection loop.  Returns (ok, evidence, candidates, boxes, depth).
+
+    A split box hands each child the matching half of its integer
+    Bernstein grid, so coefficients come from the power basis only on
+    boxes without an inherited grid: the root, and children of boxes the
+    hull decided to split.
+    """
     negate = factor.target in (">0", ">=0")
     poly = -factor.expr if negate else factor.expr
     strict = factor.target in (">0", "<0")
@@ -471,14 +490,16 @@ def _certify_interval_factor(factor, region, max_depth):
     boxes_tested = 0
     deepest = 0
     ok = True
-    stack = [(region.alpha, region.beta, 0)]
+    stack = [(region.alpha, region.beta, 0, None)]
     while stack:
-        box_alpha, box_beta, depth = stack.pop()
+        box_alpha, box_beta, depth, grid = stack.pop()
         if _box_outside_side(region, box_alpha, box_beta):
             continue
         boxes_tested += 1
         deepest = max(deepest, depth)
-        verdict = _certify_box(poly, strict, region, box_alpha, box_beta, candidates)
+        verdict, grid = _certify_box(
+            poly, strict, region, box_alpha, box_beta, candidates, grid
+        )
         if verdict == "certified":
             continue
         if verdict == "violated" or depth >= max_depth:
@@ -487,15 +508,17 @@ def _certify_interval_factor(factor, region, max_depth):
             break
         rel_alpha = box_alpha.width / region.alpha.width
         rel_beta = box_beta.width / region.beta.width
-        if rel_alpha >= rel_beta:
+        axis = 0 if rel_alpha >= rel_beta else 1
+        lo_grid, hi_grid = (None, None) if grid is None else split_grid(grid, axis)
+        if axis == 0:
             lo_half, hi_half = box_alpha.split()
-            children = ((lo_half, box_beta), (hi_half, box_beta))
+            lo_box, hi_box = (lo_half, box_beta), (hi_half, box_beta)
         else:
             lo_half, hi_half = box_beta.split()
-            children = ((box_alpha, lo_half), (box_alpha, hi_half))
-        # Push in reverse so the low half is explored first.
-        for child in reversed(children):
-            stack.append((child[0], child[1], depth + 1))
+            lo_box, hi_box = (box_alpha, lo_half), (box_alpha, hi_half)
+        # Push the high half first so the low half is explored first.
+        stack.append((*hi_box, depth + 1, hi_grid))
+        stack.append((*lo_box, depth + 1, lo_grid))
     evidence = {"kind": "interval-subdivision", "boxes": boxes_tested, "depth": deepest}
     return ok, evidence, candidates, boxes_tested, deepest
 
@@ -518,15 +541,16 @@ def _witness_search(product, overall_sign, region, candidates):
         if _violates(poly_eval(product, *vertex), overall_sign):
             return vertex
     for g in (4, 8, 16, 32):
+        value = grid_form(product, region.alpha, region.beta, g)
+        betas = [region.beta.lo + region.beta.width * Fraction(j, g) for j in range(g + 1)]
         for i in range(g + 1):
             a = region.alpha.lo + region.alpha.width * Fraction(i, g)
-            for j in range(g + 1):
-                b = region.beta.lo + region.beta.width * Fraction(j, g)
+            for j, b in enumerate(betas):
                 point = (a, b)
                 if point in seen or not region.contains(a, b):
                     continue
                 seen.add(point)
-                if _violates(poly_eval(product, a, b), overall_sign):
+                if _violates(value(i, j), overall_sign):
                     return point
     return None
 

@@ -65,9 +65,13 @@ def _region_arg(text):
         beta_part, alpha_part = text.split(",")
         blo, bhi = (parse_rational(x) for x in beta_part.split(":"))
         alo, ahi = (parse_rational(x) for x in alpha_part.split(":"))
-        return RationalInterval(blo, bhi), RationalInterval(alo, ahi)
+        beta_iv, alpha_iv = RationalInterval(blo, bhi), RationalInterval(alo, ahi)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"expected blo:bhi,alo:ahi ({err})")
+    for name, iv in (("beta", beta_iv), ("alpha", alpha_iv)):
+        if iv.width == 0:
+            raise argparse.ArgumentTypeError(f"{name} interval {iv} has zero width")
+    return beta_iv, alpha_iv
 
 
 def _positive_alpha(args):

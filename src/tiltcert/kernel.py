@@ -4,12 +4,18 @@ Everything here is exact.  No floats enter any computation path; decimal
 strings are produced only at the rendering edge (see svg.py).  Polynomials
 live in Q[a, b] where `a` is the tilt parameter alpha and `b` is beta, stored
 as a sparse map (i, j) -> coefficient with zero coefficients dropped.
+
+The certifier's inner loops run on Python ints.  Where only a sign, a zero
+or the position of a maximum matters, a value is carried as an integer
+positive multiple of itself: Bernstein grids (integer_grid, split_grid),
+grid values (grid_form), and the hull sums of poly_interval_eval, which
+divide once at the end and so return the exact rational hull.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 
 RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -55,39 +61,8 @@ class RationalInterval:
     def contains(self, x):
         return self.lo <= x <= self.hi
 
-    def __add__(self, other):
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self):
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        products = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return RationalInterval(min(products), max(products))
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c >= 0:
-            return RationalInterval(self.lo * c, self.hi * c)
-        return RationalInterval(self.hi * c, self.lo * c)
-
     def power(self, n):
-        # Exact hull of {x^n : x in [lo, hi]}; even powers of sign-mixed
-        # intervals clamp the low end at 0 rather than multiplying endpoints.
-        if n < 0:
-            raise ValueError("negative exponent")
-        if n == 0:
-            return RationalInterval(Fraction(1), Fraction(1))
-        if n % 2 == 1:
-            return RationalInterval(self.lo**n, self.hi**n)
-        if self.lo >= 0:
-            return RationalInterval(self.lo**n, self.hi**n)
-        if self.hi <= 0:
-            return RationalInterval(self.hi**n, self.lo**n)
-        return RationalInterval(Fraction(0), max(-self.lo, self.hi) ** n)
+        return RationalInterval(*_power_hull(self.lo, self.hi, n))
 
     def split(self):
         m = self.midpoint
@@ -95,6 +70,20 @@ class RationalInterval:
 
     def __str__(self):
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
+
+
+def _power_hull(lo, hi, n):
+    # Exact hull of {x^n : x in [lo, hi]}; even powers of sign-mixed
+    # intervals clamp the low end at 0 rather than multiplying endpoints.
+    if n < 0:
+        raise ValueError("negative exponent")
+    if n == 0:
+        return 1, 1
+    if n % 2 == 1 or lo >= 0:
+        return lo**n, hi**n
+    if hi <= 0:
+        return hi**n, lo**n
+    return 0, max(-lo, hi) ** n
 
 
 def _term_sort_key(key):
@@ -223,12 +212,87 @@ def poly_interval_eval(p, box_alpha, box_beta):
 
     Sound enclosure: the exact range of p on the box is contained in the
     result.  Each monomial uses the exact power hull, so even powers of
-    sign-mixed intervals do not leak below zero.
+    sign-mixed intervals do not leak below zero.  The sums run on ints:
+    each axis's power hulls are formed once from integer endpoints over a
+    common denominator, and one division at the end gives the exact hull.
     """
-    total = RationalInterval(Fraction(0), Fraction(0))
-    for (i, j), c in p.terms.items():
-        total = total + (box_alpha.power(i) * box_beta.power(j)).scale(c)
-    return total
+    m, n = p.degree_alpha(), p.degree_beta()
+    a_pows, a_dens = _integer_power_hulls(box_alpha, m)
+    b_pows, b_dens = _integer_power_hulls(box_beta, n)
+    scale, terms = _integer_terms(p)
+    lo = hi = 0
+    for (i, j), c in terms:
+        a_lo, a_hi = a_pows[i]
+        b_lo, b_hi = b_pows[j]
+        products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+        k = c * a_dens[m - i] * b_dens[n - j]
+        if k > 0:
+            lo += min(products) * k
+            hi += max(products) * k
+        else:
+            lo += max(products) * k
+            hi += min(products) * k
+    den = scale * a_dens[m] * b_dens[n]
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _integer_terms(p):
+    # (scale, [((i, j), c * scale)]), scale the lcm of the denominators.
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    return scale, [(key, c.numerator * (scale // c.denominator)) for key, c in p.terms.items()]
+
+
+def _integer_endpoints(box):
+    # (lo, hi, den): ints with box == [lo / den, hi / den].
+    den = lcm(box.lo.denominator, box.hi.denominator)
+    return (
+        box.lo.numerator * (den // box.lo.denominator),
+        box.hi.numerator * (den // box.hi.denominator),
+        den,
+    )
+
+
+def _integer_power_hulls(box, d):
+    # Power hulls of box^k, k <= d, as int pairs over den^k; and den^k.
+    lo, hi, den = _integer_endpoints(box)
+    return [_power_hull(lo, hi, k) for k in range(d + 1)], [den**k for k in range(d + 1)]
+
+
+def grid_form(p, box_alpha, box_beta, g):
+    """Integer form of p on the (g + 1) x (g + 1) grid over a box.
+
+    Returns value(i, j), an int equal to p(alpha_i, beta_j) times one
+    positive constant, where alpha_i = alpha.lo + alpha.width * i / g and
+    beta_j = beta.lo + beta.width * j / g.  Signs are therefore exact.  The
+    row of coefficients in beta for each i is built on first use.
+    """
+    m, n = p.degree_alpha(), p.degree_beta()
+    # alpha_i = (a_lo * (g - i) + a_hi * i) / (a_den * g), and likewise beta_j.
+    a_lo, a_hi, a_den = _integer_endpoints(box_alpha)
+    b_lo, b_hi, b_den = _integer_endpoints(box_beta)
+    a_den, b_den = a_den * g, b_den * g
+    # coeffs[l][k]: the a^k b^l coefficient times scale * a_den^(m-k) * b_den^(n-l),
+    # so that value(i, j) = sum coeffs[l][k] * a_num^k * b_num^l is homogeneous.
+    coeffs = [[0] * (m + 1) for _ in range(n + 1)]
+    for (k, l), c in _integer_terms(p)[1]:
+        coeffs[l][k] = c * a_den ** (m - k) * b_den ** (n - l)
+    rows = {}
+
+    def value(i, j):
+        row = rows.get(i)
+        if row is None:
+            a_num = a_lo * (g - i) + a_hi * i
+            row = rows[i] = [_horner(col, a_num) for col in coeffs]
+        return _horner(row, b_lo * (g - j) + b_hi * j)
+
+    return value
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def poly_equal(p, q):
@@ -324,36 +388,79 @@ def bernstein_coefficients(p, box_alpha, box_beta):
       * corner coefficients equal the values of p at the box corners;
       * the coefficients of a face of the box are exactly the sub-grid of
         indices with i in {0}/{m} or j in {0}/{n}, and restrict p to it.
-    Requires a non-degenerate box (positive widths).
+    Requires a non-degenerate box (positive widths).  The certifier calls
+    this once per root box and scales the result with integer_grid; boxes
+    below it inherit their grids through split_grid.
     """
     wa, wb = box_alpha.width, box_beta.width
     if wa <= 0 or wb <= 0:
         raise ValueError("bernstein_coefficients needs a full-dimensional box")
-    # Rebase to the unit square: substitute a -> a0 + wa*u, b -> b0 + wb*v.
-    u = BivariatePoly.alpha() * wa + BivariatePoly.constant(box_alpha.lo)
-    v = BivariatePoly.beta() * wb + BivariatePoly.constant(box_beta.lo)
-    m = p.degree_alpha()
-    n = p.degree_beta()
-    u_pows = [BivariatePoly.constant(1)]
-    for _ in range(m):
-        u_pows.append(u_pows[-1] * u)
-    v_pows = [BivariatePoly.constant(1)]
-    for _ in range(n):
-        v_pows.append(v_pows[-1] * v)
-    q = BivariatePoly()
-    for (i, j), c in p.terms.items():
-        q = q + u_pows[i] * v_pows[j] * c
-    # Power basis on [0,1]^2 -> Bernstein basis of bidegree (m, n).
-    d = [[q.terms.get((k, l), Fraction(0)) for l in range(n + 1)] for k in range(m + 1)]
-    coeffs = []
-    for i in range(m + 1):
-        row = []
-        for j in range(n + 1):
-            acc = Fraction(0)
-            for k in range(i + 1):
-                ck = Fraction(comb(i, k), comb(m, k))
-                for l in range(j + 1):
-                    acc += ck * Fraction(comb(j, l), comb(n, l)) * d[k][l]
-            row.append(acc)
-        coeffs.append(row)
-    return m, n, coeffs
+    m, n = p.degree_alpha(), p.degree_beta()
+    scale, terms = _integer_terms(p)
+    power = [[0] * (n + 1) for _ in range(m + 1)]
+    for (i, j), c in terms:
+        power[i][j] = c
+    # The basis change is a tensor product: convert along alpha for each
+    # power of beta, then along beta for each alpha index, all on ints.
+    a_lo, a_hi, a_den = _integer_endpoints(box_alpha)
+    b_lo, b_hi, b_den = _integer_endpoints(box_beta)
+    columns = [_bernstein_1d(col, a_lo, a_hi, a_den) for col in zip(*power)]
+    rows = [_bernstein_1d(row, b_lo, b_hi, b_den) for row in zip(*columns)]
+    den = scale * factorial(m) * a_den**m * factorial(n) * b_den**n
+    return m, n, [[Fraction(x, den) for x in row] for row in rows]
+
+
+def _bernstein_1d(coeffs, lo, hi, den):
+    # d! den^d times the Bernstein coefficients of sum coeffs[e] x^e on
+    # [lo / den, hi / den]: substitute x = (lo + (hi - lo) u) / den, then
+    # change the basis on [0, 1] with d! C(i, k) / C(d, k) as ints.
+    d = len(coeffs) - 1
+    unit = [
+        (hi - lo) ** k
+        * sum(comb(e, k) * coeffs[e] * lo ** (e - k) * den ** (d - e) for e in range(k, d + 1))
+        for k in range(d + 1)
+    ]
+    return [
+        sum(unit[k] * factorial(i) * factorial(d - k) // factorial(i - k) for k in range(i + 1))
+        for i in range(d + 1)
+    ]
+
+
+def integer_grid(coeffs):
+    """Bernstein coefficients scaled by the lcm of their denominators.
+
+    The result is a positive multiple of coeffs as rows of ints, so every
+    sign, zero and maximum position the certifier reads is unchanged.
+    """
+    scale = lcm(*(c.denominator for row in coeffs for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in coeffs]
+
+
+def split_grid(grid, axis):
+    """Integer Bernstein grids of the two halves of a box.
+
+    grid is a positive multiple of the Bernstein coefficients of a
+    polynomial on a box, rows along alpha as in bernstein_coefficients.
+    axis 0 halves alpha, axis 1 halves beta.  Each half comes back as a
+    positive multiple of the coefficients on its half box: midpoint de
+    Casteljau with sums in place of averages, so the halves are 2^d times
+    the grid's own multiple, d the degree along the split axis.
+    """
+    if axis == 0:
+        lo, hi = split_grid([list(col) for col in zip(*grid)], 1)
+        return [list(row) for row in zip(*lo)], [list(row) for row in zip(*hi)]
+    halves = [_halve(row) for row in grid]
+    return [lo for lo, _ in halves], [hi for _, hi in halves]
+
+
+def _halve(row):
+    # Level r of the de Casteljau triangle holds 2^r times the averages;
+    # its first and last entries are the halves' coefficients r and d - r.
+    d = len(row) - 1
+    lo, hi = [0] * (d + 1), [0] * (d + 1)
+    level = row
+    for r in range(d + 1):
+        lo[r] = level[0] << (d - r)
+        hi[d - r] = level[-1] << (d - r)
+        level = [x + y for x, y in zip(level, level[1:])]
+    return lo, hi

@@ -220,6 +220,17 @@ def test_plot_wall_accepts_character_files(tmp_path, capsys):
     assert len(_svg_elements(out_path, "wall")) > 0
 
 
+@pytest.mark.parametrize(
+    "region, axis", [("0:0,0:1", "beta"), ("0:1,0:0", "alpha")]
+)
+def test_plot_wall_zero_width_region_is_usage_error(region, axis, tmp_path, capsys):
+    out_path = tmp_path / "never.svg"
+    argv = ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--region", region]
+    assert run(argv + ["-o", str(out_path)]) == 2
+    assert f"{axis} interval [0, 0] has zero width" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_plot_wall_coarse_grid_is_input_error(tmp_path, capsys):
     out_path = tmp_path / "never.svg"
     code = main(

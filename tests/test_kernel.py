@@ -2,20 +2,26 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcert.kernel import (
     BivariatePoly,
     RationalInterval,
     bernstein_coefficients,
     format_rational,
+    grid_form,
+    integer_grid,
     parse_rational,
     poly_equal,
     poly_eval,
     poly_format,
     poly_interval_eval,
     poly_parse,
+    split_grid,
 )
 
 A = BivariatePoly.alpha()
@@ -210,3 +216,118 @@ def test_bernstein_sharper_than_monomial_hull():
     assert hull.hi == Fraction(1, 4)
     _, _, grid = bernstein_coefficients(p, box_a, box_b)
     assert max(c for row in grid for c in row) == 0
+
+
+# --- integer kernel against Fraction references ------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), small_rationals, min_size=1, max_size=8
+).map(BivariatePoly)
+intervals = st.builds(
+    lambda lo, width: RationalInterval(lo, lo + width),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8)),
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 8)),
+)
+
+
+def _bernstein_reference(p, box_alpha, box_beta):
+    # Power-basis construction: rebase to the unit square through
+    # BivariatePoly products, then change basis term by term.
+    u = BivariatePoly.alpha() * box_alpha.width + box_alpha.lo
+    v = BivariatePoly.beta() * box_beta.width + box_beta.lo
+    m, n = p.degree_alpha(), p.degree_beta()
+    q = BivariatePoly()
+    for (i, j), c in p.terms.items():
+        q = q + u**i * v**j * c
+    return [
+        [
+            sum(
+                Fraction(comb(i, k), comb(m, k))
+                * Fraction(comb(j, l), comb(n, l))
+                * q.terms.get((k, l), Fraction(0))
+                for k in range(i + 1)
+                for l in range(j + 1)
+            )
+            for j in range(n + 1)
+        ]
+        for i in range(m + 1)
+    ]
+
+
+def _power_hull_reference(iv, k):
+    ends = [iv.lo**k, iv.hi**k]
+    if iv.lo < 0 < iv.hi:
+        ends.append(Fraction(0) ** k)
+    return RationalInterval(min(ends), max(ends))
+
+
+def _hull_reference(p, box_alpha, box_beta):
+    # Sum over terms of the interval product c * [a^i hull] * [b^j hull].
+    lo = hi = Fraction(0)
+    for (i, j), c in p.terms.items():
+        a, b = _power_hull_reference(box_alpha, i), _power_hull_reference(box_beta, j)
+        products = [x * y * c for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+        lo += min(products)
+        hi += max(products)
+    return RationalInterval(lo, hi)
+
+
+def _assert_positive_multiple(grid, coeffs):
+    flat_grid = [x for row in grid for x in row]
+    flat = [c for row in coeffs for c in row]
+    assert len(flat_grid) == len(flat)
+    assert all((x == 0) == (c == 0) for x, c in zip(flat_grid, flat))
+    ratios = {Fraction(x) / c for x, c in zip(flat_grid, flat) if c != 0}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, intervals, intervals)
+def test_bernstein_coefficients_match_power_basis_reference(p, box_a, box_b):
+    m, n, coeffs = bernstein_coefficients(p, box_a, box_b)
+    assert (m, n) == (p.degree_alpha(), p.degree_beta())
+    assert coeffs == _bernstein_reference(p, box_a, box_b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    polys,
+    intervals,
+    intervals,
+    st.permutations([0] * 4 + [1] * 4),
+    st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_split_grid_halves_are_multiples_of_bernstein(p, box_a, box_b, axes, highs):
+    # Four splits along each axis, down one random half at a time.
+    grid = integer_grid(bernstein_coefficients(p, box_a, box_b)[2])
+    for axis, high in zip(axes, highs):
+        halves = split_grid(grid, axis)
+        boxes = box_a.split() if axis == 0 else box_b.split()
+        for half_grid, half in zip(halves, boxes):
+            sub = (half, box_b) if axis == 0 else (box_a, half)
+            _assert_positive_multiple(half_grid, bernstein_coefficients(p, *sub)[2])
+        grid = halves[high]
+        if axis == 0:
+            box_a = boxes[high]
+        else:
+            box_b = boxes[high]
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, intervals, intervals)
+def test_poly_interval_eval_matches_interval_product_reference(p, box_a, box_b):
+    assert poly_interval_eval(p, box_a, box_b) == _hull_reference(p, box_a, box_b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(polys, intervals, intervals)
+def test_grid_form_sign_matches_poly_eval(p, box_a, box_b):
+    for g in (4, 8, 16, 32):
+        value = grid_form(p, box_a, box_b, g)
+        for i in range(g + 1):
+            a = box_a.lo + box_a.width * Fraction(i, g)
+            for j in range(g + 1):
+                exact = poly_eval(p, a, box_b.lo + box_b.width * Fraction(j, g))
+                scaled = value(i, j)
+                assert (scaled > 0) - (scaled < 0) == (exact > 0) - (exact < 0)
