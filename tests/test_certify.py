@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcert.certify import (
     Factor,
@@ -14,8 +16,10 @@ from tiltcert.certify import (
     Region,
     SIDE_LEFT,
     SIDE_RIGHT,
+    _witness_search,
     certify_sign,
     default_region,
+    polytope_vertices,
 )
 from tiltcert.kernel import BivariatePoly, RationalInterval, format_rational, poly_eval
 
@@ -394,3 +398,72 @@ def test_golden_outcomes():
     assert digest.hexdigest() == (
         "7a76c1d86f58e553cb62cf124bd9bd277b9aa7d67242d8a91974b1277dd0fb45"
     )
+
+
+# --- witness search against a Fraction reference -----------------------------
+
+
+def _witness_search_reference(product, overall_sign, region, candidates):
+    # The witness search as a plain Fraction scan: candidates, polytope
+    # vertices, then the 4, 8, 16 and 32 grids point by point, each point
+    # tested with Region.contains and evaluated once.
+    seen = set()
+    grids = (
+        (
+            region.alpha.lo + region.alpha.width * F(i, g),
+            region.beta.lo + region.beta.width * F(j, g),
+        )
+        for g in (4, 8, 16, 32)
+        for i in range(g + 1)
+        for j in range(g + 1)
+    )
+    for point in (*candidates, *polytope_vertices(region), *grids):
+        if point in seen or not region.contains(*point):
+            continue
+        seen.add(point)
+        if violates(poly_eval(product, *point), overall_sign):
+            return point
+    return None
+
+
+# Endpoints with non-dyadic denominators, so grid points and the side line
+# never line up by accident of a power-of-two box.
+endpoints = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7)))
+widths = st.builds(F, st.integers(1, 6), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+@st.composite
+def witness_cases(draw):
+    claim = _random_claim(draw(st.randoms(use_true_random=False)))
+    region = Region(
+        beta=RationalInterval(lo := draw(endpoints), lo + draw(widths)),
+        alpha=RationalInterval(lo := draw(endpoints), lo + draw(widths)),
+        beta_open=(draw(st.booleans()), draw(st.booleans())),
+        alpha_open=(draw(st.booleans()), draw(st.booleans())),
+        side=draw(st.sampled_from((None, SIDE_LEFT, SIDE_RIGHT))),
+    )
+    # Candidates: coarse grid points (which the grid stage meets again)
+    # and points off every grid, some of them outside the region.
+    candidates = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            g = draw(st.sampled_from((4, 8)))
+            i, j = draw(st.integers(0, g)), draw(st.integers(0, g))
+            candidates.append(
+                (
+                    region.alpha.lo + region.alpha.width * F(i, g),
+                    region.beta.lo + region.beta.width * F(j, g),
+                )
+            )
+        else:
+            candidates.append((draw(endpoints), draw(endpoints)))
+    return claim, region, candidates
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_cases())
+def test_witness_search_matches_fraction_reference(case):
+    claim, region, candidates = case
+    product = claim.product()
+    expected = _witness_search_reference(product, claim.overall_sign, region, candidates)
+    assert _witness_search(product, claim.overall_sign, region, candidates) == expected
