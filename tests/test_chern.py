@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcert.chern import (
     ChernCharacter,
@@ -96,6 +98,21 @@ def test_twist_is_group_action():
         b2 = F(rng.randrange(-8, 9), 8)
         assert twist(twist(v, b1), b2) == twist(v, b1 + b2)
         assert twist(v, F(0)) == v
+
+
+rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(ChernCharacter, rationals, rationals, rationals, rationals),
+    rationals,
+    rationals,
+    st.sampled_from((QUADRIC, PROJECTIVE_SPACE)),
+)
+def test_twist_group_action_property(v, x, y, X):
+    assert twist(twist(v, x, X), y, X) == twist(v, x + y, X)
+    assert twist(v, 0, X) == v
 
 
 def test_twist_of_line_bundle_shifts_it():

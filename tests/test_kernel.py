@@ -331,3 +331,9 @@ def test_grid_form_sign_matches_poly_eval(p, box_a, box_b):
                 exact = poly_eval(p, a, box_b.lo + box_b.width * Fraction(j, g))
                 scaled = value(i, j)
                 assert (scaled > 0) - (scaled < 0) == (exact > 0) - (exact < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys)
+def test_poly_parse_inverts_poly_format(p):
+    assert poly_parse(poly_format(p)) == p
