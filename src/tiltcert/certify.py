@@ -40,6 +40,7 @@ from .kernel import (
     RationalInterval,
     bernstein_coefficients,
     format_rational,
+    grid_axis,
     grid_form,
     integer_grid,
     poly_eval,
@@ -528,30 +529,30 @@ def _certify_interval_factor(factor, region, max_depth):
 
 def _witness_search(product, overall_sign, region, candidates):
     seen = set()
-    for point in candidates:
+    for point in (*candidates, *polytope_vertices(region)):
         if point in seen or not region.contains(*point):
             continue
         seen.add(point)
         if _violates(poly_eval(product, *point), overall_sign):
             return point
-    for vertex in polytope_vertices(region):
-        if vertex in seen or not region.contains(*vertex):
-            continue
-        seen.add(vertex)
-        if _violates(poly_eval(product, *vertex), overall_sign):
-            return vertex
+    # Grid points were either seen above or are new; a seen point did not
+    # violate, so scanning it again changes nothing.  On integer indices the
+    # openness flags are index ranges and the side cut is one sign test.
+    side = {None: 0, SIDE_LEFT: -1, SIDE_RIGHT: 1}[region.side]
     for g in (4, 8, 16, 32):
         value = grid_form(product, region.alpha, region.beta, g)
-        betas = [region.beta.lo + region.beta.width * Fraction(j, g) for j in range(g + 1)]
-        for i in range(g + 1):
-            a = region.alpha.lo + region.alpha.width * Fraction(i, g)
-            for j, b in enumerate(betas):
-                point = (a, b)
-                if point in seen or not region.contains(a, b):
-                    continue
-                seen.add(point)
-                if _violates(value(i, j), overall_sign):
-                    return point
+        a_nums, a_den = grid_axis(region.alpha, g)
+        b_nums, b_den = grid_axis(region.beta, g)
+        # alpha_i + beta_j has the sign of a_sums[i] + b_sums[j].
+        a_sums = [x * b_den * side for x in a_nums]
+        b_sums = [y * a_den * side for y in b_nums]
+        j_lo, j_hi = int(region.beta_open[0]), g - region.beta_open[1]
+        for i in range(region.alpha_open[0], g + 1 - region.alpha_open[1]):
+            # Points with i and j both even are the coarser grid's points.
+            fresh = g > 4 and i % 2 == 0
+            for j in range(j_lo | fresh, j_hi + 1, 1 + fresh):
+                if a_sums[i] + b_sums[j] >= 0 and _violates(value(i, j), overall_sign):
+                    return Fraction(a_nums[i], a_den), Fraction(b_nums[j], b_den)
     return None
 
 

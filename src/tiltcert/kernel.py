@@ -8,8 +8,9 @@ as a sparse map (i, j) -> coefficient with zero coefficients dropped.
 The certifier's inner loops run on Python ints.  Where only a sign, a zero
 or the position of a maximum matters, a value is carried as an integer
 positive multiple of itself: Bernstein grids (integer_grid, split_grid),
-grid values (grid_form), and the hull sums of poly_interval_eval, which
-divide once at the end and so return the exact rational hull.
+grid values (grid_form, at the integer grid coordinates of grid_axis), and
+the hull sums of poly_interval_eval, which divide once at the end and so
+return the exact rational hull.
 """
 
 import re
@@ -258,6 +259,16 @@ def _integer_power_hulls(box, d):
     return [_power_hull(lo, hi, k) for k in range(d + 1)], [den**k for k in range(d + 1)]
 
 
+def grid_axis(box, g):
+    """Integer coordinates of the g + 1 grid points on an interval.
+
+    Returns (nums, den): the point lo + width * k / g equals nums[k] / den,
+    with den > 0 the same for every k.
+    """
+    lo, hi, den = _integer_endpoints(box)
+    return [lo * (g - k) + hi * k for k in range(g + 1)], den * g
+
+
 def grid_form(p, box_alpha, box_beta, g):
     """Integer form of p on the (g + 1) x (g + 1) grid over a box.
 
@@ -267,10 +278,9 @@ def grid_form(p, box_alpha, box_beta, g):
     row of coefficients in beta for each i is built on first use.
     """
     m, n = p.degree_alpha(), p.degree_beta()
-    # alpha_i = (a_lo * (g - i) + a_hi * i) / (a_den * g), and likewise beta_j.
-    a_lo, a_hi, a_den = _integer_endpoints(box_alpha)
-    b_lo, b_hi, b_den = _integer_endpoints(box_beta)
-    a_den, b_den = a_den * g, b_den * g
+    # alpha_i = a_nums[i] / a_den and beta_j = b_nums[j] / b_den (grid_axis).
+    a_nums, a_den = grid_axis(box_alpha, g)
+    b_nums, b_den = grid_axis(box_beta, g)
     # coeffs[l][k]: the a^k b^l coefficient times scale * a_den^(m-k) * b_den^(n-l),
     # so that value(i, j) = sum coeffs[l][k] * a_num^k * b_num^l is homogeneous.
     coeffs = [[0] * (m + 1) for _ in range(n + 1)]
@@ -281,9 +291,8 @@ def grid_form(p, box_alpha, box_beta, g):
     def value(i, j):
         row = rows.get(i)
         if row is None:
-            a_num = a_lo * (g - i) + a_hi * i
-            row = rows[i] = [_horner(col, a_num) for col in coeffs]
-        return _horner(row, b_lo * (g - j) + b_hi * j)
+            row = rows[i] = [_horner(col, a_nums[i]) for col in coeffs]
+        return _horner(row, b_nums[j])
 
     return value
 
