@@ -71,6 +71,10 @@ def _region_arg(text):
     for name, iv in (("beta", beta_iv), ("alpha", alpha_iv)):
         if iv.width == 0:
             raise argparse.ArgumentTypeError(f"{name} interval {iv} has zero width")
+    if alpha_iv.lo < 0:
+        raise argparse.ArgumentTypeError(
+            f"alpha interval {alpha_iv} starts below 0 (tilt needs alpha > 0)"
+        )
     return beta_iv, alpha_iv
 
 

@@ -231,6 +231,21 @@ def test_plot_wall_zero_width_region_is_usage_error(region, axis, tmp_path, caps
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["plot", "wall", "--chern1", "O", "--chern2", "O(1)"],
+    ],
+)
+def test_negative_alpha_region_is_usage_error(argv, tmp_path, capsys):
+    out_path = tmp_path / "never.svg"
+    extra = ["-o", str(out_path)] if argv[0] == "plot" else []
+    assert run(argv + ["--region", "0:1,-1:0"] + extra) == 2
+    assert "alpha interval [-1, 0] starts below 0" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_plot_wall_coarse_grid_is_input_error(tmp_path, capsys):
     out_path = tmp_path / "never.svg"
     code = main(
