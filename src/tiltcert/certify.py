@@ -24,6 +24,17 @@ the region where the product's target sign is violated by re-evaluation;
 anything the engine cannot settle within its depth budget is
 "inconclusive", never guessed.
 
+Witness search (claims that did not certify), first violating point wins:
+the candidates the factor strategies collected, then the polytope
+vertices, then the 4, 8, 16 and 32 grids over the region box, by
+increasing alpha index, then beta index.  The grids run on integer
+indices: openness flags become index ranges, the side cut is one sign
+test on integer grid coordinates, and each finer grid visits only its new
+points (those with an odd index), because the points of the grid before
+it were already scanned.  Every point skipped this way was evaluated
+earlier without violating the claim, so the witness is the one a scan of
+every grid point in that order would return.
+
 Strictness on open boundaries: a certificate for a strict sign must rule
 out zeros inside the region.  At vertices, a zero value is acceptable
 only when the zero set lies on an open-flagged facet.  On boxes, if all
@@ -535,20 +546,21 @@ def _witness_search(product, overall_sign, region, candidates):
         seen.add(point)
         if _violates(poly_eval(product, *point), overall_sign):
             return point
-    # Grid points were either seen above or are new; a seen point did not
-    # violate, so scanning it again changes nothing.  On integer indices the
-    # openness flags are index ranges and the side cut is one sign test.
+    # A grid point seen above did not violate, so scanning it again changes
+    # nothing.  On integer indices the openness flags are index ranges and
+    # the side cut is one sign test.
     side = {None: 0, SIDE_LEFT: -1, SIDE_RIGHT: 1}[region.side]
     for g in (4, 8, 16, 32):
         value = grid_form(product, region.alpha, region.beta, g)
         a_nums, a_den = grid_axis(region.alpha, g)
         b_nums, b_den = grid_axis(region.beta, g)
-        # alpha_i + beta_j has the sign of a_sums[i] + b_sums[j].
+        # side * (alpha_i + beta_j) has the sign of a_sums[i] + b_sums[j].
         a_sums = [x * b_den * side for x in a_nums]
         b_sums = [y * a_den * side for y in b_nums]
         j_lo, j_hi = int(region.beta_open[0]), g - region.beta_open[1]
         for i in range(region.alpha_open[0], g + 1 - region.alpha_open[1]):
-            # Points with i and j both even are the coarser grid's points.
+            # Points with i and j both even are the coarser grid's points, so
+            # an even row of a finer grid visits odd j only.
             fresh = g > 4 and i % 2 == 0
             for j in range(j_lo | fresh, j_hi + 1, 1 + fresh):
                 if a_sums[i] + b_sums[j] >= 0 and _violates(value(i, j), overall_sign):
