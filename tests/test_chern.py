@@ -85,21 +85,6 @@ def test_spinor_identities():
     assert tensor_line(table["S(-1)"], 1) == table["S"]
 
 
-def test_twist_is_group_action():
-    rng = random.Random(11)
-    for _ in range(50):
-        v = ChernCharacter(
-            F(rng.randrange(-3, 4)),
-            F(rng.randrange(-6, 7), 2),
-            F(rng.randrange(-6, 7), 3),
-            F(rng.randrange(-6, 7), 6),
-        )
-        b1 = F(rng.randrange(-8, 9), 8)
-        b2 = F(rng.randrange(-8, 9), 8)
-        assert twist(twist(v, b1), b2) == twist(v, b1 + b2)
-        assert twist(v, F(0)) == v
-
-
 rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
 
 
@@ -110,7 +95,7 @@ rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
     rationals,
     st.sampled_from((QUADRIC, PROJECTIVE_SPACE)),
 )
-def test_twist_group_action_property(v, x, y, X):
+def test_twist_is_group_action(v, x, y, X):
     assert twist(twist(v, x, X), y, X) == twist(v, x + y, X)
     assert twist(v, 0, X) == v
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltcert.kernel import (
@@ -134,28 +134,6 @@ def test_poly_interval_eval_sound():
             b = box_b.lo + Fraction(rng.randrange(0, 33), 32) * box_b.width
             value = poly_eval(p, a, b)
             assert hull.lo <= value <= hull.hi
-
-
-def test_poly_format_parse_round_trip():
-    rng = random.Random(5150)
-    samples = [
-        A**2 - B**2,
-        BivariatePoly(),
-        BivariatePoly.constant(Fraction(-7, 3)),
-        Fraction(1, 3) * A * B - 2,
-        B**3 - B + Fraction(5, 6),
-    ]
-    for _ in range(30):
-        coeffs = {}
-        for _ in range(rng.randrange(1, 5)):
-            coeffs[(rng.randrange(0, 3), rng.randrange(0, 3))] = Fraction(
-                rng.randrange(-8, 9), rng.randrange(1, 6)
-            )
-        samples.append(BivariatePoly(coeffs))
-    for p in samples:
-        text = poly_format(p)
-        assert poly_equal(poly_parse(text), p)
-        assert poly_format(poly_parse(text)) == text
 
 
 def test_poly_parse_rejects_malformed():
@@ -335,5 +313,12 @@ def test_grid_form_sign_matches_poly_eval(p, box_a, box_b):
 
 @settings(max_examples=300, deadline=None)
 @given(polys)
-def test_poly_parse_inverts_poly_format(p):
-    assert poly_parse(poly_format(p)) == p
+@example(A**2 - B**2)
+@example(BivariatePoly())
+@example(BivariatePoly.constant(Fraction(-7, 3)))
+@example(Fraction(1, 3) * A * B - 2)
+@example(B**3 - B + Fraction(5, 6))
+def test_poly_format_parse_round_trip(p):
+    text = poly_format(p)
+    assert poly_parse(text) == p
+    assert poly_format(poly_parse(text)) == text
