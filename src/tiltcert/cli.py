@@ -8,9 +8,10 @@ failure or inconclusive, 2 usage or input errors.
 import argparse
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
-from .certify import Region, default_region
+from .certify import default_region
 from .chern import catalog_lookup, load_chern, quadric_catalog
 from .heart import reduce_candidates, skyscraper_candidates
 from .kernel import RationalInterval, format_rational, parse_rational
@@ -85,21 +86,16 @@ def _positive_alpha(args):
     return True
 
 
-def _load_character(path, flag):
-    try:
-        ch, _ = load_chern(path)
-        return ch
-    except (OSError, ValueError, KeyError) as err:
-        print(f"{flag}: cannot load character from {path!r} ({err})", file=sys.stderr)
-        return None
-
-
 def _resolve_character(text, flag):
     """Catalog label or a JSON file path."""
     obj = catalog_lookup(text)
     if obj is not None:
         return obj.ch
-    return _load_character(text, flag)
+    try:
+        return load_chern(text)[0]
+    except (OSError, ValueError, KeyError) as err:
+        print(f"{flag}: cannot load character from {text!r} ({err})", file=sys.stderr)
+        return None
 
 
 def _cmd_catalog(args):
@@ -130,16 +126,11 @@ def _cmd_slopes(args):
 
 
 def _region_from_args(args):
+    """--region's box with default_region()'s openness, or default_region()."""
     if args.region is None:
         return default_region()
     beta_iv, alpha_iv = args.region
-    return Region(
-        beta=beta_iv,
-        alpha=alpha_iv,
-        beta_open=(False, False),
-        alpha_open=(True, True),
-        side=None,
-    )
+    return replace(default_region(), beta=beta_iv, alpha=alpha_iv)
 
 
 def _cmd_verify(args):
@@ -173,13 +164,10 @@ def _cmd_subobjects(args):
 
 
 def _cmd_bg(args):
-    ch = _load_character(args.chern, "--chern")
+    ch = _resolve_character(args.chern, "--chern")
     if ch is None:
         return 2
-    if args.region is not None:
-        beta_iv, _ = args.region
-    else:
-        beta_iv = RationalInterval(Fraction(-1, 2), Fraction(0))
+    beta_iv = _region_from_args(args).beta
     margins = []
     for i in range(args.grid + 1):
         beta = beta_iv.lo + Fraction(i, args.grid) * beta_iv.width
@@ -216,12 +204,8 @@ def _cmd_plot_wall(args):
     w = _resolve_character(args.chern2, "--chern2")
     if w is None:
         return 2
-    if args.region is not None:
-        beta_iv, alpha_iv = args.region
-    else:
-        beta_iv = RationalInterval(Fraction(-1, 2), Fraction(0))
-        alpha_iv = RationalInterval(Fraction(0), Fraction(1, 3))
-    emit_wall_svg(v, w, args.grid, args.out, beta_iv, alpha_iv)
+    region = _region_from_args(args)
+    emit_wall_svg(v, w, args.grid, args.out, region.beta, region.alpha)
     print(f"wrote {args.out}")
     return 0
 
@@ -253,7 +237,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_subobjects)
 
     p = sub.add_parser("bg", help="degree-3 margin scan along the nu = 0 locus")
-    p.add_argument("--chern", required=True, metavar="PATH", help="character JSON file")
+    p.add_argument("--chern", required=True, help="catalog label or JSON path")
     p.add_argument("--s", type=_rational_arg, default=Fraction(1, 6))
     p.add_argument("--grid", type=_bounded_int(1, 4096), default=16)
     p.add_argument("--region", type=_region_arg, default=None, metavar="blo:bhi,alo:ahi")

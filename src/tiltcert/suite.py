@@ -21,7 +21,7 @@ from .certify import (
     certify_sign,
     default_region,
 )
-from .chern import QUADRIC, line_bundle_ch, quadric_catalog, tensor_line
+from .chern import QUADRIC, ChernCharacter, line_bundle_ch, quadric_catalog, tensor_line
 from .heart import (
     DEFAULT_SIGN_FACTS,
     GENERATORS,
@@ -556,23 +556,37 @@ def _mu_sign_items(region, max_depth):
 
 
 def _bg_equality_item():
-    """bg_margin(O(n), alpha=|n-beta|) vanishes identically at s = 1/6."""
-    bad = []
-    count = 0
-    for n in range(-3, 4):
-        ch = line_bundle_ch(n)
-        for j in range(50):
-            beta = Fraction(2 * j + 1, 100) - Fraction(1, 2)
-            alpha = abs(n - beta)
-            margin = bg_margin(ch, TiltParams(alpha, beta, S_DEFAULT))
-            count += 1
-            if margin != 0:
-                bad.append((n, beta, margin))
-    notes = [f"{count} grid points, margin exactly 0 at each"]
-    if bad:
-        n, beta, margin = bad[0]
-        notes = [f"margin {format_rational(margin)} at n={n}, beta={format_rational(beta)}"]
-    return _identity_item("bg line-bundle equality", not bad, notes)
+    """bg_margin(O(n), alpha=|n-beta|) vanishes identically at s = 1/6.
+
+    One identity in Q[n, beta], n carried in the first variable slot:
+    ch(O(n)) = twist(O, -n) = sum_k (-n)^k w_k, w_k the b^k coefficients of
+    twisted_ch_polynomials(O), and twisting is linear in the character.
+    With alpha^2 = (n - beta)^2 the margin s*d*alpha^2*ch1 - ch3 must be 0.
+    A nonzero margin is nonzero on a grid one wider than its degrees
+    (beta = j + 1/2 keeps alpha > 0); the note names the first such point.
+    """
+    o_twisted = twisted_ch_polynomials(_CATALOG_CH["O"])
+    margin = BivariatePoly()
+    for k in range(4):
+        w = ChernCharacter(*(t.terms.get((0, k), 0) for t in o_twisted))
+        _, t1, _, t3 = twisted_ch_polynomials(w)
+        margin = margin + (-A) ** k * ((A - B) ** 2 * t1 * (S_DEFAULT * QUADRIC.degree) - t3)
+    notes = ["margin s*d*(n-beta)^2*ch1 - ch3 of O(n) is 0 in Q[n, beta]"]
+    if not margin.is_zero():
+        n, beta = next(
+            (n, beta)
+            for n in range(margin.degree_alpha() + 1)
+            for beta in (Fraction(2 * j + 1, 2) for j in range(margin.degree_beta() + 1))
+            if poly_eval(margin, n, beta) != 0
+        )
+        pointwise = bg_margin(line_bundle_ch(n), TiltParams(abs(n - beta), beta, S_DEFAULT))
+        notes = [
+            f"margin {format_rational(poly_eval(margin, n, beta))} at n={n}, "
+            f"beta={format_rational(beta)}",
+            f"margin polynomial in (a, b) = (n, beta): {poly_format(margin)}",
+            f"bg_margin (pointwise chern.twist) reads {format_rational(pointwise)} there",
+        ]
+    return _identity_item("bg line-bundle equality", margin.is_zero(), notes)
 
 
 def verify_all(max_depth=16, region=None, reference=None):

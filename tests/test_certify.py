@@ -302,34 +302,6 @@ def _random_claim(rng):
     return FactoredClaim(tuple(factors), overall)
 
 
-def test_randomized_soundness():
-    rng = random.Random(0xC0FFEE)
-    regions = (default_region(), default_region(SIDE_LEFT), default_region(SIDE_RIGHT))
-    grid = 24
-    for trial in range(80):
-        claim = _random_claim(rng)
-        region = regions[trial % 3]
-        cert = certify_sign(claim, region, max_depth=8)
-        product = claim.product()
-        if cert.status == "certified":
-            for i in range(grid + 1):
-                alpha = region.alpha.lo + F(i, grid) * region.alpha.width
-                for j in range(grid + 1):
-                    beta = region.beta.lo + F(j, grid) * region.beta.width
-                    if not region.contains(alpha, beta):
-                        continue
-                    value = poly_eval(product, alpha, beta)
-                    assert not violates(value, claim.overall_sign), (
-                        f"trial {trial}: certified claim violated at "
-                        f"({alpha}, {beta})"
-                    )
-        elif cert.status == "failed":
-            alpha, beta = cert.witness
-            assert region.contains(alpha, beta)
-            value = poly_eval(product, alpha, beta)
-            assert violates(value, claim.overall_sign)
-
-
 def test_witness_found_before_any_subdivision():
     # A claim refuted by the deterministic witness search never spends boxes.
     claim = FactoredClaim(
@@ -433,15 +405,20 @@ widths = st.builds(F, st.integers(1, 6), st.sampled_from((1, 2, 3, 5, 7)))
 
 
 @st.composite
-def witness_cases(draw):
-    claim = _random_claim(draw(st.randoms(use_true_random=False)))
-    region = Region(
+def regions(draw):
+    return Region(
         beta=RationalInterval(lo := draw(endpoints), lo + draw(widths)),
         alpha=RationalInterval(lo := draw(endpoints), lo + draw(widths)),
         beta_open=(draw(st.booleans()), draw(st.booleans())),
         alpha_open=(draw(st.booleans()), draw(st.booleans())),
         side=draw(st.sampled_from((None, SIDE_LEFT, SIDE_RIGHT))),
     )
+
+
+@st.composite
+def witness_cases(draw):
+    claim = _random_claim(draw(st.randoms(use_true_random=False)))
+    region = draw(regions())
     # Candidates: coarse grid points (which the grid stage meets again)
     # and points off every grid, some of them outside the region.
     candidates = []
@@ -467,3 +444,32 @@ def test_witness_search_matches_fraction_reference(case):
     product = claim.product()
     expected = _witness_search_reference(product, claim.overall_sign, region, candidates)
     assert _witness_search(product, claim.overall_sign, region, candidates) == expected
+
+
+# --- three-valued soundness against an exact grid ----------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.one_of(st.sampled_from([default_region(side) for side in (None, SIDE_LEFT, SIDE_RIGHT)]), regions()),
+)
+def test_randomized_soundness(rng, region):
+    # certified: the claimed sign holds at every exact grid point of the
+    # region.  failed: the witness lies in the region and violates it.
+    claim = _random_claim(rng)
+    cert = certify_sign(claim, region, max_depth=8)
+    product = claim.product()
+    if cert.status == "certified":
+        grid = 24
+        for i in range(grid + 1):
+            alpha = region.alpha.lo + F(i, grid) * region.alpha.width
+            for j in range(grid + 1):
+                beta = region.beta.lo + F(j, grid) * region.beta.width
+                if region.contains(alpha, beta):
+                    assert not violates(poly_eval(product, alpha, beta), claim.overall_sign)
+    elif cert.status == "failed":
+        assert region.contains(*cert.witness)
+        assert violates(poly_eval(product, *cert.witness), claim.overall_sign)
+    else:
+        assert cert.status == "inconclusive" and cert.witness is None

@@ -141,6 +141,15 @@ def test_bg_scan_line_bundle_margin_zero(tmp_path, capsys):
     assert out.count("margin = 0") >= 8
 
 
+def test_bg_accepts_catalog_labels(capsys):
+    assert main(["bg", "--chern", "O(1)", "--grid", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "minimum margin = 0" in out
+    assert out.count("margin = 0") >= 8
+    assert main(["bg", "--chern", "k(x)", "--grid", "4"]) == 0
+    assert "no admissible points in the scan" in capsys.readouterr().out
+
+
 def test_bg_scan_without_locus(tmp_path, capsys):
     path = _write_character(tmp_path, "k(x)")
     assert main(["bg", "--chern", path, "--grid", "4"]) == 0

@@ -163,27 +163,6 @@ def test_bernstein_corner_coefficients_are_corner_values():
         assert coeffs[i][j] == poly_eval(p, a, b)
 
 
-def test_bernstein_encloses_range():
-    rng = random.Random(424242)
-    for _ in range(25):
-        coeffs = {}
-        for _ in range(rng.randrange(1, 6)):
-            coeffs[(rng.randrange(0, 4), rng.randrange(0, 4))] = Fraction(
-                rng.randrange(-6, 7), rng.randrange(1, 5)
-            )
-        p = BivariatePoly(coeffs)
-        box_a = RationalInterval(Fraction(0), Fraction(1, 2))
-        box_b = RationalInterval(Fraction(-1, 2), Fraction(1, 4))
-        _, _, grid = bernstein_coefficients(p, box_a, box_b)
-        flat = [c for row in grid for c in row]
-        lo, hi = min(flat), max(flat)
-        for _ in range(10):
-            a = box_a.lo + Fraction(rng.randrange(0, 17), 16) * box_a.width
-            b = box_b.lo + Fraction(rng.randrange(0, 17), 16) * box_b.width
-            value = poly_eval(p, a, b)
-            assert lo <= value <= hi
-
-
 def test_bernstein_sharper_than_monomial_hull():
     # The Bernstein enclosure of b^2 + b - a^2 on the working box reaches
     # only to 0 from below, where the monomial hull sticks out to +1/4.
@@ -202,6 +181,7 @@ small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 polys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), small_rationals, min_size=1, max_size=8
 ).map(BivariatePoly)
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=48)
 intervals = st.builds(
     lambda lo, width: RationalInterval(lo, lo + width),
     st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8)),
@@ -290,6 +270,21 @@ def test_split_grid_halves_are_multiples_of_bernstein(p, box_a, box_b, axes, hig
             box_a = boxes[high]
         else:
             box_b = boxes[high]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys,
+    intervals,
+    intervals,
+    st.lists(st.tuples(unit_fractions, unit_fractions), min_size=1, max_size=10),
+)
+def test_bernstein_encloses_range(p, box_a, box_b, offsets):
+    flat = [c for row in bernstein_coefficients(p, box_a, box_b)[2] for c in row]
+    lo, hi = min(flat), max(flat)
+    for s, t in offsets:
+        value = poly_eval(p, box_a.lo + s * box_a.width, box_b.lo + t * box_b.width)
+        assert lo <= value <= hi
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,8 +10,17 @@ region (failed, with concrete witnesses).
 import json
 from fractions import Fraction as F
 
+from tiltcert import suite
 from tiltcert.certify import Region, default_region, SIDE_LEFT, SIDE_RIGHT
-from tiltcert.kernel import BivariatePoly, RationalInterval, poly_eval
+from tiltcert.chern import QUADRIC, line_bundle_ch
+from tiltcert.kernel import (
+    BivariatePoly,
+    RationalInterval,
+    format_rational,
+    parse_rational,
+    poly_eval,
+)
+from tiltcert.tilt import TiltParams, bg_margin, twisted_ch_polynomials
 from tiltcert.suite import (
     ORIENTATION_SAMPLE,
     REFERENCE_MU,
@@ -189,8 +198,51 @@ def test_mu_sign_and_bg_notes():
         in items["mu sign O"].notes
     )
     assert items["bg line-bundle equality"].notes == [
-        "350 grid points, margin exactly 0 at each"
+        "margin s*d*(n-beta)^2*ch1 - ch3 of O(n) is 0 in Q[n, beta]"
     ]
+
+
+def _bg_failure_point(note):
+    # "margin X at n=N, beta=B" -> (X, N, B)
+    head, point = note.split(" at ")
+    n_text, beta_text = point.split(", ")
+    return (
+        parse_rational(head.removeprefix("margin ")),
+        int(n_text.removeprefix("n=")),
+        parse_rational(beta_text.removeprefix("beta=")),
+    )
+
+
+def test_bg_item_fails_on_wrong_s(monkeypatch):
+    monkeypatch.setattr(suite, "S_DEFAULT", F(1, 5))
+    report = verify_all()
+    item = _by_name(report)["bg line-bundle equality"]
+    assert item.status == "failed" and report.status == "failed"
+    value, n, beta = _bg_failure_point(item.notes[0])
+    margin = bg_margin(line_bundle_ch(n), TiltParams(abs(n - beta), beta, F(1, 5)))
+    assert margin == value != 0
+    assert item.notes[2] == f"bg_margin (pointwise chern.twist) reads {format_rational(value)} there"
+
+
+def test_bg_item_fails_on_perturbed_twisted_ch3(monkeypatch):
+    # A fault in the ch2 term of the twisted degree: invisible on O, whose
+    # ch2 is 0, so only a check that carries O(n) for every n can see it.
+    def perturbed(v, X=QUADRIC):
+        t0, t1, t2, t3 = twisted_ch_polynomials(v, X)
+        return t0, t1, t2, t3 - B * v.ch2
+
+    monkeypatch.setattr(suite, "twisted_ch_polynomials", perturbed)
+    report = verify_all()
+    item = _by_name(report)["bg line-bundle equality"]
+    assert item.status == "failed" and report.status == "failed"
+    value, n, beta = _bg_failure_point(item.notes[0])
+    _, t1, _, t3 = perturbed(line_bundle_ch(n))
+    alpha_squared = (n - beta) ** 2
+    margin = F(1, 6) * 2 * alpha_squared * poly_eval(t1, 0, beta) - poly_eval(t3, 0, beta)
+    assert margin == value != 0
+    # The pointwise path (chern.twist) is untouched, so it still reads 0.
+    assert bg_margin(line_bundle_ch(n), TiltParams(abs(n - beta), beta)) == 0
+    assert item.notes[2] == "bg_margin (pointwise chern.twist) reads 0 there"
 
 
 def test_derivation_coverage_notes_all_eleven():

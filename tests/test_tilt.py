@@ -292,12 +292,12 @@ def test_cross_polynomial_is_bilinear_determinant():
 
 
 def test_twisted_polys_match_pointwise_twist():
-    rng = random.Random(88)
+    # Both sides are polynomials of degree <= 3 in beta (twist's formula is
+    # cubic in beta), so agreement at 4 distinct beta is the identity.
     for label in ("O(-1)", "O", "O(1)", "S(-1)", "k(x)"):
         polys = twisted_ch_polynomials(obj(label))
-        for _ in range(20):
-            beta = F(rng.randrange(-20, 21), 12)
+        assert all(p.degree_alpha() == 0 and p.degree_beta() <= 3 for p in polys)
+        for beta in (F(-1), F(0), F(1, 3), F(2)):
             t = twist(obj(label), beta)
-            alpha = F(1, 7)  # twisted characters do not involve alpha
-            values = tuple(poly_eval(p, alpha, beta) for p in polys)
+            values = tuple(poly_eval(p, 0, beta) for p in polys)
             assert values == (t.ch0, t.ch1, t.ch2, t.ch3)
