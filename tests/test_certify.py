@@ -452,7 +452,10 @@ def test_witness_search_matches_fraction_reference(case):
 @settings(max_examples=80, deadline=None)
 @given(
     st.randoms(use_true_random=False),
-    st.one_of(st.sampled_from([default_region(side) for side in (None, SIDE_LEFT, SIDE_RIGHT)]), regions()),
+    st.one_of(
+        st.sampled_from([default_region(side) for side in (None, SIDE_LEFT, SIDE_RIGHT)]),
+        regions(),
+    ),
 )
 def test_randomized_soundness(rng, region):
     # certified: the claimed sign holds at every exact grid point of the

@@ -225,8 +225,8 @@ def test_bg_item_fails_on_wrong_s(monkeypatch):
 
 
 def test_bg_item_fails_on_perturbed_twisted_ch3(monkeypatch):
-    # A fault in the ch2 term of the twisted degree: invisible on O, whose
-    # ch2 is 0, so only a check that carries O(n) for every n can see it.
+    # A fault in the ch2 term of the twisted ch3: invisible on O, whose ch2
+    # is 0, so only a check that carries O(n) for every n can see it.
     def perturbed(v, X=QUADRIC):
         t0, t1, t2, t3 = twisted_ch_polynomials(v, X)
         return t0, t1, t2, t3 - B * v.ch2
@@ -238,7 +238,8 @@ def test_bg_item_fails_on_perturbed_twisted_ch3(monkeypatch):
     value, n, beta = _bg_failure_point(item.notes[0])
     _, t1, _, t3 = perturbed(line_bundle_ch(n))
     alpha_squared = (n - beta) ** 2
-    margin = F(1, 6) * 2 * alpha_squared * poly_eval(t1, 0, beta) - poly_eval(t3, 0, beta)
+    s_d = F(1, 6) * QUADRIC.degree
+    margin = s_d * alpha_squared * poly_eval(t1, 0, beta) - poly_eval(t3, 0, beta)
     assert margin == value != 0
     # The pointwise path (chern.twist) is untouched, so it still reads 0.
     assert bg_margin(line_bundle_ch(n), TiltParams(abs(n - beta), beta)) == 0
