@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -218,6 +219,36 @@ def test_interval_side_dependence_stays_inconclusive():
     assert cert.status == "certified"
 
 
+def test_one_point_side_region():
+    # The side line meets the box only at its corner (2/5, -2/5), so the
+    # region is that one point, where (a + b)(1 + a^2) is exactly 0.
+    region = Region(
+        beta=RationalInterval(F(-2, 5), F(3, 5)),
+        alpha=RationalInterval(F(2, 5), F(17, 5)),
+        beta_open=(False, True),
+        side=SIDE_LEFT,
+    )
+    expr = (A + B) * (ONE + A**2)
+    strict = FactoredClaim((Factor(expr, ">0", "interval-subdivision"),), ">0")
+    cert = certify_sign(strict, region)
+    assert cert.status == "failed"
+    assert cert.witness == (F(2, 5), F(-2, 5))
+    weak = FactoredClaim((Factor(expr, ">=0", "interval-subdivision"),), ">=0")
+    assert certify_sign(weak, region).status == "certified"
+
+
+def test_collapsed_edge_takes_its_point_openness():
+    # On alpha >= -beta the alpha = 0 edge of the default box shrinks to the
+    # point (0, 0), the only zero of a^2 + b^2: the claim stands or falls
+    # with the openness of alpha-lo.
+    claim = FactoredClaim((Factor(A**2 + B**2, ">0", "interval-subdivision"),), ">0")
+    closed = replace(default_region(SIDE_RIGHT), alpha_open=(False, True))
+    cert = certify_sign(claim, closed)
+    assert cert.status == "failed"
+    assert cert.witness == (0, 0)
+    assert certify_sign(claim, default_region(SIDE_RIGHT)).status == "certified"
+
+
 def test_max_depth_zero_is_inconclusive():
     claim = FactoredClaim(
         (Factor(B**2 + B - A**2, "<0", "interval-subdivision"),), "<0"
@@ -369,6 +400,21 @@ def test_golden_outcomes():
     assert count == 240 + 12 + 27
     assert digest.hexdigest() == (
         "7a76c1d86f58e553cb62cf124bd9bd277b9aa7d67242d8a91974b1277dd0fb45"
+    )
+
+
+def test_golden_outcomes_without_side():
+    # The golden claims on regions without a side cut, pinned on their own:
+    # how side-cut regions are certified must not move any of these.
+    digest = hashlib.sha256()
+    count = 0
+    for claim, region, depth in _golden_cases():
+        if region.side is None:
+            digest.update(_outcome_line(certify_sign(claim, region, max_depth=depth)).encode())
+            count += 1
+    assert count == 80 + 9
+    assert digest.hexdigest() == (
+        "1870e494fac12b86b6bc8da1c0c5e1b7d8d5da07602853ff3900889cdd4d903c"
     )
 
 
