@@ -10,13 +10,25 @@ half-plane alpha <= -beta or alpha >= -beta).  Three factor strategies:
                     polytope (box cut by the side line); affine functions
                     attain extrema at vertices
   interval-subdivision
-                    general polynomial, recursive bisection; each box is
-                    tried with the monomial interval hull first, then with
-                    exact Bernstein coefficients.  Coefficients are formed
-                    from the power basis once, on the root box, and held as
-                    an integer grid (a positive multiple of them); each
-                    split derives its children's grids by midpoint de
-                    Casteljau subdivision, so no box rebuilds them
+                    general polynomial, recursive bisection of each side
+                    piece (below); each box is tried with the monomial
+                    interval hull first, then with exact Bernstein
+                    coefficients.  Coefficients are formed from the power
+                    basis once, on a piece's root box, and held as an
+                    integer grid (a positive multiple of them); each split
+                    derives its children's grids by midpoint de Casteljau
+                    subdivision, so no box rebuilds them
+
+Side pieces: the side line never crosses a box.  A side-cut region is
+split into at most two plain boxes in the closed half-plane and one
+slanted piece along the line, {alpha in [a0, a1], lo <= beta <= hi} with
+lo or hi equal to -alpha, which is bisected as the unit box in (alpha, t)
+with beta = lo + t * (hi - lo) substituted into the factor.  Membership of
+a piece point is asked of the region at its (alpha, beta), so cuts between
+pieces, the side line and an edge that collapses to one point (hi = lo)
+inherit the region's openness.  A region without a side is its own piece;
+one that the line meets only in a corner is that point, and the factor is
+evaluated there.
 
 Soundness contract: status "certified" is only reported when the sign
 holds at every region point; "failed" always carries a witness point in
@@ -40,7 +52,7 @@ out zeros inside the region.  At vertices, a zero value is acceptable
 only when the zero set lies on an open-flagged facet.  On boxes, if all
 Bernstein coefficients are <= 0 then any interior zero forces an
 identically-zero coefficient face, so strictness reduces to checking
-that every all-zero face misses the region's relative interior.
+that the relative interior of every all-zero face misses the region.
 """
 
 from dataclasses import dataclass
@@ -58,6 +70,7 @@ from .kernel import (
     poly_format,
     poly_interval_eval,
     split_grid,
+    substitute,
 )
 
 SIDE_LEFT = "alpha<=-beta"    # alpha + beta <= 0
@@ -317,142 +330,136 @@ def _certify_affine(factor, region, atom=False):
     return False, evidence, candidates
 
 
-# --- box reasoning -----------------------------------------------------------
+# --- side pieces -------------------------------------------------------------
 
 
-def _box_outside_side(region, box_alpha, box_beta):
+@dataclass(frozen=True)
+class Piece:
+    """A plain box of a region, in coordinates (alpha, t).
+
+    lift is beta as a polynomial in (alpha, t), or None where t is beta
+    itself.  Membership asks the original region at the lifted point, so
+    the side line, the cuts between pieces and an edge the lift collapses
+    to one point all take their openness from the region.
+    """
+
+    region: Region
+    alpha: RationalInterval
+    t: RationalInterval
+    lift: BivariatePoly | None = None
+
+    def point(self, alpha, t):
+        """The region point (alpha, beta) at piece coordinates (alpha, t)."""
+        return (alpha, t) if self.lift is None else (alpha, poly_eval(self.lift, alpha, t))
+
+    def contains(self, alpha, t):
+        return (
+            self.alpha.contains(alpha)
+            and self.t.contains(t)
+            and self.region.contains(*self.point(alpha, t))
+        )
+
+
+def side_pieces(region):
+    """Plain pieces whose union is the region, none crossed by the side line.
+
+    A region without a side is its own piece.  A side-cut region splits
+    into at most two boxes that lie in the closed half-plane, plus one
+    slanted piece along the line: alpha in [a0, a1] and beta between a
+    constant and -alpha, lifted from the unit box in (alpha, t) by
+    beta = lo + t * (hi - lo).  Pieces without area are dropped, so a
+    region that the line meets in one corner (or not at all) has none.
+    """
+    if region.side is None:
+        return (Piece(region, region.alpha, region.beta),)
+    a_lo, a_hi = region.alpha.lo, region.alpha.hi
+    b_lo, b_hi = region.beta.lo, region.beta.hi
+    a, t = BivariatePoly.alpha(), BivariatePoly.beta()
     if region.side == SIDE_LEFT:
-        return box_alpha.lo + box_beta.lo > 0
-    if region.side == SIDE_RIGHT:
-        return box_alpha.hi + box_beta.hi < 0
-    return False
+        # beta <= -alpha holds on the whole width below beta = c and on the
+        # whole height left of alpha = d; the triangle under the line remains.
+        c = min(max(-a_hi, b_lo), b_hi)
+        d = min(max(-b_hi, a_lo), a_hi)
+        boxes = ((a_lo, a_hi, b_lo, c), (a_lo, d, c, b_hi))
+        slant = (d, min(a_hi, -c), c + t * (-a - c))
+    else:
+        # beta >= -alpha: the mirror image, above beta = c and right of alpha = d.
+        c = min(max(-a_lo, b_lo), b_hi)
+        d = min(max(-b_lo, a_lo), a_hi)
+        boxes = ((a_lo, a_hi, c, b_hi), (d, a_hi, b_lo, c))
+        slant = (max(a_lo, -c), d, -a + t * (c + a))
+    pieces = [
+        Piece(region, RationalInterval(x0, x1), RationalInterval(y0, y1))
+        for x0, x1, y0, y1 in boxes
+        if x0 < x1 and y0 < y1
+    ]
+    if slant[0] < slant[1]:
+        pieces.append(Piece(region, RationalInterval(*slant[:2]), RationalInterval(0, 1), slant[2]))
+    return tuple(pieces)
+
+
+# --- box reasoning -----------------------------------------------------------
 
 
 def _face_indices(m, n):
     """Geometric faces of a box as Bernstein index predicates.
 
-    Yields (face kind, fixed axes, index set) for 4 corners, 4 edges,
-    and the full cell, in a fixed order.
+    Yields (fixed axes, index set) for 4 corners, 4 edges, and the full
+    cell, in a fixed order.
     """
-    yield ("corner", ("alpha-lo", "beta-lo"), [(0, 0)])
-    yield ("corner", ("alpha-hi", "beta-lo"), [(m, 0)])
-    yield ("corner", ("alpha-lo", "beta-hi"), [(0, n)])
-    yield ("corner", ("alpha-hi", "beta-hi"), [(m, n)])
-    yield ("edge", ("alpha-lo",), [(0, j) for j in range(n + 1)])
-    yield ("edge", ("alpha-hi",), [(m, j) for j in range(n + 1)])
-    yield ("edge", ("beta-lo",), [(i, 0) for i in range(m + 1)])
-    yield ("edge", ("beta-hi",), [(i, n) for i in range(m + 1)])
-    yield ("cell", (), [(i, j) for i in range(m + 1) for j in range(n + 1)])
+    yield ("alpha-lo", "beta-lo"), [(0, 0)]
+    yield ("alpha-hi", "beta-lo"), [(m, 0)]
+    yield ("alpha-lo", "beta-hi"), [(0, n)]
+    yield ("alpha-hi", "beta-hi"), [(m, n)]
+    yield ("alpha-lo",), [(0, j) for j in range(n + 1)]
+    yield ("alpha-hi",), [(m, j) for j in range(n + 1)]
+    yield ("beta-lo",), [(i, 0) for i in range(m + 1)]
+    yield ("beta-hi",), [(i, n) for i in range(m + 1)]
+    yield (), [(i, j) for i in range(m + 1) for j in range(n + 1)]
 
 
-_BLOCKED = "blocked"
+def _face_center(box_alpha, box_beta, fixed):
+    """The centre of a box face: a corner, an edge midpoint or the box centre.
 
-
-def _edge_region_point(region, fixed_axis, fixed_val, free_box):
-    """Exact: a region point in the open edge {fixed_axis = fixed_val} x
-    (free_box.lo, free_box.hi), or None if the intersection is empty.
-
-    The free range is open, so region bounds on the free axis never bind
-    (the box sits inside the region box); only the fixed coordinate's
-    openness flags and the side constraint can cut the edge.
+    The side line crosses no piece, so along the relative interior of a
+    face every region bound is tight everywhere or nowhere: the face meets
+    the region exactly when its centre lies in it.
     """
-    alpha_fixed = fixed_axis == "alpha"
-    axis_box = region.alpha if alpha_fixed else region.beta
-    axis_open = region.alpha_open if alpha_fixed else region.beta_open
-    if (fixed_val == axis_box.lo and axis_open[0]) or (
-        fixed_val == axis_box.hi and axis_open[1]
-    ):
-        return None
-    lo, hi = free_box.lo, free_box.hi
-    # Side constraint, written as a closed bound on the free coordinate.
-    if region.side == SIDE_LEFT:
-        # free <= -fixed_val
-        cap = -fixed_val
-        if cap <= lo:
-            return None
-        hi = min(hi, cap) if cap < hi else hi
-    elif region.side == SIDE_RIGHT:
-        # free >= -fixed_val
-        floor_ = -fixed_val
-        if floor_ >= hi:
-            return None
-        lo = max(lo, floor_) if floor_ > lo else lo
-    point_free = (lo + hi) / 2
-    point = (fixed_val, point_free) if alpha_fixed else (point_free, fixed_val)
-    if not region.contains(*point):
-        return _BLOCKED
-    return point
+
+    def coordinate(box, axis):
+        if f"{axis}-lo" in fixed:
+            return box.lo
+        return box.hi if f"{axis}-hi" in fixed else box.midpoint
+
+    return coordinate(box_alpha, "alpha"), coordinate(box_beta, "beta")
 
 
-def _cell_region_point(region, box_alpha, box_beta):
-    """Exact: a region point in the open box, or None if the side constraint
-    excludes it entirely (region box bounds cannot bind in the interior)."""
-    low_sum = box_alpha.lo + box_beta.lo
-    high_sum = box_alpha.hi + box_beta.hi
-    if region.side == SIDE_LEFT and low_sum >= 0:
-        return None
-    if region.side == SIDE_RIGHT and high_sum <= 0:
-        return None
-    center = (box_alpha.midpoint, box_beta.midpoint)
-    if region.contains(*center):
-        return center
-    # The center fails only by the side cut; slide along the main diagonal
-    # to a point whose alpha+beta sits strictly inside the allowed side.
-    if region.side == SIDE_LEFT:
-        target = low_sum / 2
-    else:
-        target = high_sum / 2
-    t = (target - low_sum) / (high_sum - low_sum)
-    point = (
-        box_alpha.lo + box_alpha.width * t,
-        box_beta.lo + box_beta.width * t,
-    )
-    if not region.contains(*point):
-        return _BLOCKED
-    return point
-
-
-def _face_zero_region_point(region, box_alpha, box_beta, kind, fixed):
-    """A region point in the relative interior of a box face.
-
-    Returns a point, None (provably empty intersection), or _BLOCKED as a
-    defensive fallback that still prevents certification.
-    """
-    if kind == "corner":
-        a = box_alpha.lo if "alpha-lo" in fixed else box_alpha.hi
-        b = box_beta.lo if "beta-lo" in fixed else box_beta.hi
-        return (a, b) if region.contains(a, b) else None
-    if kind == "edge":
-        axis = fixed[0]
-        if axis.startswith("alpha"):
-            fixed_val = box_alpha.lo if axis == "alpha-lo" else box_alpha.hi
-            return _edge_region_point(region, "alpha", fixed_val, box_beta)
-        fixed_val = box_beta.lo if axis == "beta-lo" else box_beta.hi
-        return _edge_region_point(region, "beta", fixed_val, box_alpha)
-    return _cell_region_point(region, box_alpha, box_beta)
-
-
-def _certify_box(factor_poly, strict, region, box_alpha, box_beta, candidates, grid):
-    """Try to certify factor_poly <(=) 0 on one box.
+def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, grid):
+    """Try to certify factor_poly <(=) 0 on one box of a piece.
 
     grid is an integer Bernstein grid inherited from the parent box (a
     positive multiple of the coefficients on this box), or None; the grid
     is computed from the power basis only when none was inherited.
     Returns (verdict, grid): verdict "certified", "split" (undecided,
     bisect further), or "violated" (the factor's sign provably fails at a
-    region point, or at least can never certify on this box), and the
-    box's grid, or None when the hull decided the box without it."""
+    piece point, or at least can never certify on this box), and the
+    box's grid, or None when the hull decided the box without it.
+    Candidates are appended in piece coordinates."""
     hull = poly_interval_eval(factor_poly, box_alpha, box_beta)
     if hull.hi < 0 or (not strict and hull.hi <= 0):
         return "certified", None
     if hull.lo > 0 or (strict and hull.lo >= 0):
-        # The whole box violates the target; no child can recover.
-        for a in (box_alpha.lo, box_alpha.midpoint, box_alpha.hi):
-            for b in (box_beta.lo, box_beta.midpoint, box_beta.hi):
-                if region.contains(a, b):
-                    candidates.append((a, b))
-                    return "violated", None
-        return ("violated" if region.side is None else "split"), None
+        # The whole box violates the target; no child can recover.  The box
+        # centre, at the latest, is a piece point.
+        candidates.append(
+            next(
+                (a, b)
+                for a in (box_alpha.lo, box_alpha.midpoint, box_alpha.hi)
+                for b in (box_beta.lo, box_beta.midpoint, box_beta.hi)
+                if piece.contains(a, b)
+            )
+        )
+        return "violated", None
     if grid is None:
         grid = integer_grid(bernstein_coefficients(factor_poly, box_alpha, box_beta)[2])
     m, n = len(grid) - 1, len(grid[0]) - 1
@@ -469,31 +476,31 @@ def _certify_box(factor_poly, strict, region, box_alpha, box_beta, candidates, g
         )
         for value, a, b in corners:
             bad = value > 0 or (strict and value == 0)
-            if bad and region.contains(a, b):
+            if bad and piece.contains(a, b):
                 candidates.append((a, b))
         return "split", grid
     # All coefficients <= 0 with max exactly 0 and a strict target: the
     # poly is <= 0 on the box, and any zero inside it lives on a face whose
     # coefficients all vanish.  Certified iff every such face misses the
-    # region; a face that meets it is an exact zero of the poly there.
-    for kind, fixed, indices in _face_indices(m, n):
+    # piece; a face that meets it is an exact zero of the poly there.
+    for fixed, indices in _face_indices(m, n):
         if all(grid[i][j] == 0 for i, j in indices):
-            point = _face_zero_region_point(region, box_alpha, box_beta, kind, fixed)
-            if point is None:
-                continue
-            if point != _BLOCKED:
+            point = _face_center(box_alpha, box_beta, fixed)
+            if piece.contains(*point):
                 candidates.append(point)
-            return "violated", grid
+                return "violated", grid
     return "certified", grid
 
 
 def _certify_interval_factor(factor, region, max_depth):
-    """Bisection loop.  Returns (ok, evidence, candidates, boxes, depth).
+    """Bisection loop over the side pieces.  Returns (ok, evidence,
+    candidates, boxes, depth).
 
-    A split box hands each child the matching half of its integer
-    Bernstein grid, so coefficients come from the power basis only on
-    boxes without an inherited grid: the root, and children of boxes the
-    hull decided to split.
+    A slanted piece certifies the factor composed with its lift; its
+    candidates map back to (alpha, beta).  A split box hands each child
+    the matching half of its integer Bernstein grid, so coefficients come
+    from the power basis only on boxes without an inherited grid: the
+    roots, and children of boxes the hull decided to split.
     """
     negate = factor.target in (">0", ">=0")
     poly = -factor.expr if negate else factor.expr
@@ -501,36 +508,48 @@ def _certify_interval_factor(factor, region, max_depth):
     candidates = []
     boxes_tested = 0
     deepest = 0
-    ok = True
-    stack = [(region.alpha, region.beta, 0, None)]
-    while stack:
-        box_alpha, box_beta, depth, grid = stack.pop()
-        if _box_outside_side(region, box_alpha, box_beta):
-            continue
-        boxes_tested += 1
-        deepest = max(deepest, depth)
-        verdict, grid = _certify_box(
-            poly, strict, region, box_alpha, box_beta, candidates, grid
-        )
-        if verdict == "certified":
-            continue
-        if verdict == "violated" or depth >= max_depth:
-            # Certification is off the table; skip the remaining queue.
-            ok = False
+    pieces = side_pieces(region)
+    if not pieces:
+        # The side line meets the box in one corner or not at all: the
+        # region is that one point, or empty.
+        for point in polytope_vertices(region):
+            value = poly_eval(poly, *point)
+            if (value > 0 or (strict and value == 0)) and region.contains(*point):
+                candidates.append(point)
+    ok = not candidates
+    for piece in pieces:
+        piece_poly = poly if piece.lift is None else substitute(poly, piece.lift)
+        found = []
+        stack = [(piece.alpha, piece.t, 0, None)]
+        while stack:
+            box_alpha, box_beta, depth, grid = stack.pop()
+            boxes_tested += 1
+            deepest = max(deepest, depth)
+            verdict, grid = _certify_box(
+                piece_poly, strict, piece, box_alpha, box_beta, found, grid
+            )
+            if verdict == "certified":
+                continue
+            if verdict == "violated" or depth >= max_depth:
+                # Certification is off the table; skip the remaining queue.
+                ok = False
+                break
+            rel_alpha = box_alpha.width / piece.alpha.width
+            rel_beta = box_beta.width / piece.t.width
+            axis = 0 if rel_alpha >= rel_beta else 1
+            lo_grid, hi_grid = (None, None) if grid is None else split_grid(grid, axis)
+            if axis == 0:
+                lo_half, hi_half = box_alpha.split()
+                lo_box, hi_box = (lo_half, box_beta), (hi_half, box_beta)
+            else:
+                lo_half, hi_half = box_beta.split()
+                lo_box, hi_box = (box_alpha, lo_half), (box_alpha, hi_half)
+            # Push the high half first so the low half is explored first.
+            stack.append((*hi_box, depth + 1, hi_grid))
+            stack.append((*lo_box, depth + 1, lo_grid))
+        candidates.extend(piece.point(*p) for p in found)
+        if not ok:
             break
-        rel_alpha = box_alpha.width / region.alpha.width
-        rel_beta = box_beta.width / region.beta.width
-        axis = 0 if rel_alpha >= rel_beta else 1
-        lo_grid, hi_grid = (None, None) if grid is None else split_grid(grid, axis)
-        if axis == 0:
-            lo_half, hi_half = box_alpha.split()
-            lo_box, hi_box = (lo_half, box_beta), (hi_half, box_beta)
-        else:
-            lo_half, hi_half = box_beta.split()
-            lo_box, hi_box = (box_alpha, lo_half), (box_alpha, hi_half)
-        # Push the high half first so the low half is explored first.
-        stack.append((*hi_box, depth + 1, hi_grid))
-        stack.append((*lo_box, depth + 1, lo_grid))
     evidence = {"kind": "interval-subdivision", "boxes": boxes_tested, "depth": deepest}
     return ok, evidence, candidates, boxes_tested, deepest
 

@@ -208,6 +208,17 @@ def poly_eval(p, alpha, beta):
     return total
 
 
+def substitute(p, beta):
+    """p(a, beta(a, b)): composition in the beta slot, by Horner in beta."""
+    rows = {}
+    for (i, j), c in p.terms.items():
+        rows.setdefault(j, {})[(i, 0)] = c
+    out = BivariatePoly()
+    for j in range(p.degree_beta(), -1, -1):
+        out = out * beta + BivariatePoly(rows.get(j))
+    return out
+
+
 def poly_interval_eval(p, box_alpha, box_beta):
     """Monomial-hull interval extension of p over a box.
 

@@ -3,10 +3,12 @@ construction on the quadric, as machine-checkable report items.
 
 Items come in two flavors.  Identity items compare computed polynomials
 against frozen reference closed forms with poly_equal (exact, symbolic).
-Certificate items run the sign-certification engine on factored claims;
-each one first checks that the factored product equals the polynomial it
-claims to bound, so a drifting formula can never be masked by a valid
-certificate for something else.
+Certificate items are (target, sign, region) rows: the target is the
+polynomial the fact is about (a real part, cross product or Im Z computed
+from the Chern characters, or a slope's numerator x denominator), and the
+engine certifies it as one interval-subdivision factor, so the
+certificate is always about the computed polynomial itself.  Regions on
+one side of alpha = -beta go through the engine's side pieces.
 """
 
 import json
@@ -23,10 +25,10 @@ from .certify import (
 )
 from .chern import QUADRIC, ChernCharacter, line_bundle_ch, quadric_catalog, tensor_line
 from .heart import (
+    BASE_VECTORS,
     DEFAULT_SIGN_FACTS,
     GENERATORS,
     DerivationError,
-    DimensionVector,
     FULL_REGION,
     heart_ch,
     reduce_candidates,
@@ -43,7 +45,6 @@ from .tilt import (
 
 A = BivariatePoly.alpha()
 B = BivariatePoly.beta()
-ONE = BivariatePoly.constant(1)
 
 
 def C(x):
@@ -166,15 +167,9 @@ def _identity_item(name, ok, notes=None):
     )
 
 
-def _certificate_item(name, claim, target_poly, region, max_depth, notes=None):
-    """Run a factored claim whose product must equal target_poly."""
-    notes = list(notes or [])
-    if target_poly is not None and not poly_equal(claim.product(), target_poly):
-        notes.append(
-            f"factored product {poly_format(claim.product())} "
-            f"does not match target {poly_format(target_poly)}"
-        )
-        return ReportItem(name=name, status="failed", notes=notes)
+def _certificate_item(name, target, sign, region, max_depth, notes=()):
+    """Certify `target sign` on the region as one interval-subdivision factor."""
+    claim = FactoredClaim((Factor(target, sign, "interval-subdivision"),), sign)
     cert = certify_sign(claim, region, max_depth)
     return ReportItem(
         name=name,
@@ -183,7 +178,7 @@ def _certificate_item(name, claim, target_poly, region, max_depth, notes=None):
         witness=cert.witness,
         boxes=cert.boxes,
         depth=cert.depth,
-        notes=notes + cert.notes,
+        notes=list(notes) + cert.notes,
     )
 
 
@@ -260,81 +255,6 @@ def _structural_items():
 # --- half-plane certificates ---------------------------------------------------
 
 
-def _case_a_claims():
-    """Re Z <= 0 for the shifted generators on alpha >= -beta."""
-    third = Fraction(1, 3)
-    return {
-        "O(1)": FactoredClaim(
-            (
-                Factor(C(third), ">0", "affine-vertex"),
-                Factor(ONE - B - A, ">0", "affine-vertex"),
-                Factor(ONE - B + A, ">0", "affine-vertex"),
-                Factor(B - ONE, "<0", "affine-vertex"),
-            ),
-            "<=0",
-        ),
-        "O[1]": FactoredClaim(
-            (
-                Factor(C(-third), "<0", "affine-vertex"),
-                Factor(B, "<=0", "region-atom"),
-                Factor(B - A, "<=0", "region-atom"),
-                Factor(A + B, ">=0", "region-atom"),
-            ),
-            "<=0",
-        ),
-        "S(-1)[2]": FactoredClaim(
-            (
-                Factor(C(Fraction(1, 6)), ">0", "affine-vertex"),
-                Factor(2 * B + ONE, ">=0", "affine-vertex"),
-                Factor(2 * B**2 + 2 * B - ONE - 2 * A**2, "<0", "interval-subdivision"),
-            ),
-            "<=0",
-        ),
-        "O(-1)[3]": FactoredClaim(
-            (
-                Factor(C(-third), "<0", "affine-vertex"),
-                Factor(ONE + B - A, ">0", "affine-vertex"),
-                Factor(ONE + B + A, ">0", "affine-vertex"),
-                Factor(B + ONE, ">0", "affine-vertex"),
-            ),
-            "<=0",
-        ),
-    }
-
-
-def _case_b_claims():
-    """cross(Z(O[1]), Z(g)) <= 0 for the generators on alpha <= -beta."""
-    third = Fraction(1, 3)
-    side_atoms = (
-        Factor(A, ">0", "region-atom"),
-        Factor(B - A, "<0", "region-atom"),
-        Factor(A + B, "<=0", "region-atom"),
-    )
-    return {
-        "O(1)": FactoredClaim(
-            (Factor(C(-third), "<0", "affine-vertex"), *side_atoms,
-             Factor(ONE - B - A, ">0", "affine-vertex"),
-             Factor(ONE - B + A, ">0", "affine-vertex")),
-            "<=0",
-        ),
-        "O[1]": FactoredClaim(
-            (Factor(BivariatePoly(), "<=0", "interval-subdivision"),),
-            "<=0",
-        ),
-        "S(-1)[2]": FactoredClaim(
-            (Factor(C(Fraction(1, 6)), ">0", "affine-vertex"), *side_atoms,
-             Factor(2 * B**2 - 2 * A**2 - ONE, "<0", "interval-subdivision")),
-            "<=0",
-        ),
-        "O(-1)[3]": FactoredClaim(
-            (Factor(C(-third), "<0", "affine-vertex"), *side_atoms,
-             Factor(ONE + B - A, ">0", "affine-vertex"),
-             Factor(ONE + B + A, ">0", "affine-vertex")),
-            "<=0",
-        ),
-    }
-
-
 ORIENTATION_SAMPLE = (Fraction(1, 8), Fraction(-3, 8))
 
 
@@ -347,23 +267,24 @@ def verify_half_plane(region=None, max_depth=16):
     """
     region = region or default_region()
     items = []
+    # Report order: O(1), O[1], S(-1)[2], O(-1)[3].
     region_a = region.with_side(SIDE_RIGHT)
-    for label, claim in _case_a_claims().items():
-        re_poly, _ = z_polynomials(_GENERATOR_CH[label], S_DEFAULT)
+    for label, ch, _ in reversed(GENERATORS):
+        re_poly, _ = z_polynomials(ch, S_DEFAULT)
         items.append(
-            _certificate_item(f"half-plane A re {label}", claim, re_poly, region_a, max_depth)
+            _certificate_item(f"half-plane A re {label}", re_poly, "<=0", region_a, max_depth)
         )
     region_b = region.with_side(SIDE_LEFT)
     axis_ch = _GENERATOR_CH["O[1]"]
     sample_values = []
     all_nonpos = True
-    for label, claim in _case_b_claims().items():
-        cross = cross_polynomial(axis_ch, _GENERATOR_CH[label], S_DEFAULT)
+    for label, ch, _ in reversed(GENERATORS):
+        cross = cross_polynomial(axis_ch, ch, S_DEFAULT)
         value = poly_eval(cross, *ORIENTATION_SAMPLE)
         sample_values.append(f"cross O[1] x {label} = {format_rational(value)}")
         all_nonpos = all_nonpos and value <= 0
         items.append(
-            _certificate_item(f"half-plane B cross {label}", claim, cross, region_b, max_depth)
+            _certificate_item(f"half-plane B cross {label}", cross, "<=0", region_b, max_depth)
         )
     orientation = _identity_item(
         "half-plane B orientation",
@@ -380,59 +301,6 @@ def verify_half_plane(region=None, max_depth=16):
 # --- skyscraper condition ------------------------------------------------------
 
 
-def _im_cofactor(v):
-    """Im Z(heart_ch(v)) = alpha * cofactor; returns the cofactor."""
-    ch = heart_ch(v)
-    d = QUADRIC.degree
-    _, _, t2, _ = twisted_ch_polynomials(ch)
-    return d * t2 - A**2 * Fraction(d * ch.ch0, 2)
-
-
-def _sign_fact_claims():
-    """The factored claim behind each of DEFAULT_SIGN_FACTS, keyed by fact."""
-    s_full, o_left, o_right = DEFAULT_SIGN_FACTS
-    factors = {
-        s_full: (
-            Factor(C(2), ">0", "affine-vertex"),
-            Factor(A, ">0", "region-atom"),
-            Factor(B**2 + B - A**2, "<0", "interval-subdivision"),
-        ),
-        o_left: (
-            Factor(C(-1), "<0", "affine-vertex"),
-            Factor(A, ">0", "region-atom"),
-            Factor(B - A, "<0", "region-atom"),
-            Factor(A + B, "<=0", "region-atom"),
-        ),
-        o_right: (
-            Factor(C(-1), "<0", "affine-vertex"),
-            Factor(A, ">0", "region-atom"),
-            Factor(B - A, "<=0", "region-atom"),
-            Factor(A + B, ">=0", "region-atom"),
-        ),
-    }
-    return {fact: FactoredClaim(f, fact.sign) for fact, f in factors.items()}
-
-
-def _base_claims():
-    return {
-        (0, 2, 4, 1): FactoredClaim(
-            (
-                Factor(A, ">0", "region-atom"),
-                Factor(ONE + B - A, ">0", "affine-vertex"),
-                Factor(ONE + B + A, ">0", "affine-vertex"),
-            ),
-            ">0",
-        ),
-        (0, 1, 0, 1): FactoredClaim(
-            (
-                Factor(A, ">0", "region-atom"),
-                Factor(ONE + 3 * B**2 - 3 * A**2, ">0", "interval-subdivision"),
-            ),
-            ">0",
-        ),
-    }
-
-
 def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None):
     """Im Z > 0 for every subobject candidate of the skyscraper vector.
 
@@ -445,39 +313,32 @@ def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None)
     items = []
     facts = []
     blocked = []
-    for fact, claim in _sign_fact_claims().items():
+    for fact in DEFAULT_SIGN_FACTS:
         name = f"im sign {fact.generator}"
         sub = region
         if fact.subregion != FULL_REGION:
             name += f" {fact.subregion}"
             sub = region.with_side(fact.subregion)
         _, im = z_polynomials(_GENERATOR_CH[fact.generator], S_DEFAULT)
-        item = _certificate_item(name, claim, im, sub, max_depth)
+        item = _certificate_item(name, im, fact.sign, sub, max_depth)
         items.append(item)
         if item.status == "certified":
             facts.append(fact)
         else:
             blocked.append((name, item.status))
-    base_claims = _base_claims()
-    for vec_tuple, claim in base_claims.items():
-        v = DimensionVector(*vec_tuple)
+    for v in BASE_VECTORS:
         _, im = z_polynomials(heart_ch(v), S_DEFAULT)
         notes = []
-        if vec_tuple == (0, 1, 0, 1):
+        if v.as_tuple() == (0, 1, 0, 1):
             notes.append("Im form derived by additivity, not the quoted table entry")
-        items.append(
-            _certificate_item(
-                f"skyscraper base {v}", claim, im, region, max_depth, notes
-            )
-        )
+        items.append(_certificate_item(f"skyscraper base {v}", im, ">0", region, max_depth, notes))
     # Quoted table entries vs the additivity computation.
-    for vec_tuple in ((0, 2, 4, 1), (0, 1, 0, 1)):
-        v = DimensionVector(*vec_tuple)
+    for v in BASE_VECTORS:
         _, im = z_polynomials(heart_ch(v), S_DEFAULT)
         additive = BivariatePoly()
         for mult, (_, ch, _) in zip(v.as_tuple(), GENERATORS):
             additive = additive + mult * z_polynomials(ch, S_DEFAULT)[1]
-        quoted = reference_table[vec_tuple]
+        quoted = reference_table[v.as_tuple()]
         ok = poly_equal(im, additive)
         notes = []
         if not poly_equal(quoted, additive):
@@ -486,7 +347,7 @@ def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None)
                 f"additivity result {poly_format(additive)}; "
                 "both are positive on the region"
             )
-            if vec_tuple != (0, 1, 0, 1):
+            if v.as_tuple() != (0, 1, 0, 1):
                 ok = False
         items.append(_identity_item(f"skyscraper table {v}", ok, notes))
     # Dominance derivation of the remaining nine candidates.
@@ -510,18 +371,8 @@ def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None)
         items.append(ReportItem("skyscraper derivation coverage", status, notes=notes))
     # Belt and suspenders: certify all eleven candidates directly.
     for vec in candidates.vectors:
-        cofactor = _im_cofactor(vec)
-        claim = FactoredClaim(
-            (
-                Factor(A, ">0", "region-atom"),
-                Factor(cofactor, ">0", "interval-subdivision"),
-            ),
-            ">0",
-        )
         _, im = z_polynomials(heart_ch(vec), S_DEFAULT)
-        items.append(
-            _certificate_item(f"skyscraper direct {vec}", claim, im, region, max_depth)
-        )
+        items.append(_certificate_item(f"skyscraper direct {vec}", im, ">0", region, max_depth))
     return Report(_aggregate(items), items)
 
 
@@ -530,28 +381,17 @@ def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None)
 
 def _mu_sign_items(region, max_depth):
     """Slope signs of the plain generators, via numerator x denominator."""
-    specs = (
-        ("mu sign S(-1)", "S(-1)", "<=0", (Factor(C(-1) - 2 * B, "<=0", "affine-vertex"),)),
-        ("mu sign O", "O", ">=0", (Factor(-B, ">=0", "region-atom"),)),
-        ("mu sign O(-1)", "O(-1)", "<0", (Factor(C(-1) - B, "<0", "affine-vertex"),)),
-        ("mu sign O(1)", "O(1)", ">0", (Factor(ONE - B, ">0", "affine-vertex"),)),
-    )
     items = []
-    for name, label, sign, numerator_factors in specs:
+    for label, sign in (("S(-1)", "<=0"), ("O", ">=0"), ("O(-1)", "<0"), ("O(1)", ">0")):
         ch = _CATALOG_CH[label]
-        # sign(mu) = sign(numerator * denominator); denominator alpha*ch0
-        # contributes the alpha atom and the rank constant.
-        factors = numerator_factors + (
-            Factor(C(ch.ch0), ">0", "affine-vertex"),
-            Factor(A, ">0", "region-atom"),
-        )
-        claim = FactoredClaim(factors, sign)
+        # sign(mu) = sign(numerator * denominator), the denominator alpha*ch0.
         _, t1, _, _ = twisted_ch_polynomials(ch)
-        target = t1 * ch.ch0 * A
         notes = ["slope sign certified as numerator x denominator"]
         if label == "O":
             notes.append("mu(O) = -beta/alpha is nonnegative on beta <= 0")
-        items.append(_certificate_item(name, claim, target, region, max_depth, notes))
+        items.append(
+            _certificate_item(f"mu sign {label}", t1 * ch.ch0 * A, sign, region, max_depth, notes)
+        )
     return items
 
 

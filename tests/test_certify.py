@@ -21,6 +21,7 @@ from tiltcert.certify import (
     certify_sign,
     default_region,
     polytope_vertices,
+    side_pieces,
 )
 from tiltcert.kernel import BivariatePoly, RationalInterval, format_rational, poly_eval
 
@@ -198,19 +199,19 @@ def test_side_constraint_vertex_logic():
     assert certify_sign(claim, default_region(SIDE_RIGHT)).status == "certified"
 
 
-def test_interval_side_dependence_stays_inconclusive():
-    # beta^2 - alpha^2 >= 0 holds exactly on the left subregion, but the
-    # interval strategy works on axis-aligned boxes only; every box that
-    # straddles the alpha = -beta diagonal contains points of both signs, so
-    # the claim can never certify and -- because it is true -- can never fail
-    # either.  Soundness demands inconclusive with no witness, at any depth.
-    claim = FactoredClaim(
-        (Factor(B**2 - A**2, ">=0", "interval-subdivision"),), ">=0"
-    )
-    for depth in (2, 12):
-        cert = certify_sign(claim, default_region(SIDE_LEFT), max_depth=depth)
-        assert cert.status == "inconclusive"
-        assert cert.witness is None
+def test_interval_side_dependence_certifies_on_pieces():
+    # beta^2 - alpha^2 >= 0 holds exactly on the left subregion (and its
+    # negation on the right), with equality along the side line.  The side
+    # pieces never straddle the line, so both certify; the strict versions
+    # fail on the line itself.
+    for side, core in ((SIDE_LEFT, B**2 - A**2), (SIDE_RIGHT, A**2 - B**2)):
+        weak = FactoredClaim((Factor(core, ">=0", "interval-subdivision"),), ">=0")
+        strict = FactoredClaim((Factor(core, ">0", "interval-subdivision"),), ">0")
+        for depth in (2, 12):
+            assert certify_sign(weak, default_region(side), max_depth=depth).status == "certified"
+            cert = certify_sign(strict, default_region(side), max_depth=depth)
+            assert cert.status == "failed"
+            assert cert.witness == (F(1, 6), F(-1, 6))
     # the same inequality weakened to hold on the full region does certify
     weaker = FactoredClaim(
         (Factor(F(1, 4) - (A + B) ** 2, ">=0", "interval-subdivision"),), ">=0"
@@ -247,6 +248,42 @@ def test_collapsed_edge_takes_its_point_openness():
     assert cert.status == "failed"
     assert cert.witness == (0, 0)
     assert certify_sign(claim, default_region(SIDE_RIGHT)).status == "certified"
+
+
+def test_acute_corner_on_an_open_bound():
+    # The side line leaves the box through its corner (0, 0), where beta-hi
+    # is open although both piece edges meeting there are closed: the one
+    # zero of a^2 + b^2 lies outside the region.
+    region = Region(
+        beta=RationalInterval(F(-1), F(0)),
+        alpha=RationalInterval(F(0), F(1)),
+        beta_open=(False, True),
+        side=SIDE_LEFT,
+    )
+    claim = FactoredClaim((Factor(A**2 + B**2, ">0", "interval-subdivision"),), ">0")
+    assert certify_sign(claim, region).status == "certified"
+    closed = replace(region, beta_open=(False, False))
+    cert = certify_sign(claim, closed)
+    assert cert.status == "failed" and cert.witness == (0, 0)
+
+
+def test_side_pieces_of_the_default_regions():
+    # No side: the region itself.  alpha <= -beta: the box under beta = -1/3
+    # and the triangle above it.  alpha >= -beta: the triangle alone, whose
+    # alpha = 0 edge collapses to the point (0, 0).
+    (plain,) = side_pieces(default_region())
+    assert (plain.alpha, plain.t, plain.lift) == (
+        default_region().alpha,
+        default_region().beta,
+        None,
+    )
+    box, slant = side_pieces(default_region(SIDE_LEFT))
+    assert box.t == RationalInterval(F(-1, 2), F(-1, 3)) and box.lift is None
+    assert slant.alpha == RationalInterval(0, F(1, 3))
+    assert slant.lift == -F(1, 3) + B * (F(1, 3) - A)
+    (slant,) = side_pieces(default_region(SIDE_RIGHT))
+    assert slant.lift == -A + B * A
+    assert slant.point(F(0), F(1, 2)) == (0, 0)
 
 
 def test_max_depth_zero_is_inconclusive():
@@ -399,7 +436,7 @@ def test_golden_outcomes():
         count += 1
     assert count == 240 + 12 + 27
     assert digest.hexdigest() == (
-        "7a76c1d86f58e553cb62cf124bd9bd277b9aa7d67242d8a91974b1277dd0fb45"
+        "7876802078cd5e6776e50987c08f2992c5c85aec0d52964ea6964d553412318b"
     )
 
 
@@ -452,13 +489,69 @@ widths = st.builds(F, st.integers(1, 6), st.sampled_from((1, 2, 3, 5, 7)))
 
 @st.composite
 def regions(draw):
+    beta = RationalInterval(lo := draw(endpoints), lo + draw(widths))
+    alpha = RationalInterval(lo := draw(endpoints), lo + draw(widths))
+    # Most draws slide the alpha interval so that one box corner lies on
+    # alpha = -beta: the side line then leaves the box through that corner,
+    # or meets the region only there.
+    corner = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    if corner is not None:
+        shift = -(alpha.lo, alpha.hi)[corner % 2] - (beta.lo, beta.hi)[corner // 2]
+        alpha = RationalInterval(alpha.lo + shift, alpha.hi + shift)
     return Region(
-        beta=RationalInterval(lo := draw(endpoints), lo + draw(widths)),
-        alpha=RationalInterval(lo := draw(endpoints), lo + draw(widths)),
+        beta=beta,
+        alpha=alpha,
         beta_open=(draw(st.booleans()), draw(st.booleans())),
         alpha_open=(draw(st.booleans()), draw(st.booleans())),
         side=draw(st.sampled_from((None, SIDE_LEFT, SIDE_RIGHT))),
     )
+
+
+def _preimage(piece, alpha, beta):
+    """(alpha, t) with piece.point(alpha, t) == (alpha, beta), or None."""
+    if piece.lift is None:
+        return alpha, beta
+    lo, hi = (poly_eval(piece.lift, alpha, t) for t in (0, 1))
+    if lo == hi:
+        return (alpha, F(1, 2)) if beta == lo else None
+    return alpha, (beta - lo) / (hi - lo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regions())
+def test_side_pieces_cover_the_region_exactly(region):
+    pieces = side_pieces(region)
+    # Each piece lies in the closed region: the lift of its box is the hull
+    # of its lifted corners.
+    closure = replace(region, alpha_open=(False, False), beta_open=(False, False))
+    for piece in pieces:
+        assert piece.alpha.width > 0 and piece.t.width > 0
+        for a in (piece.alpha.lo, piece.alpha.hi):
+            for t in (piece.t.lo, piece.t.hi):
+                assert closure.contains(*piece.point(a, t))
+    # Test points: a grid of the box, the side line, the polytope vertices,
+    # and the corners and edge midpoints of every piece, which lie on the
+    # cuts between pieces and on collapsed edges.
+    g = 6
+    points = set(polytope_vertices(region))
+    for i in range(g + 1):
+        alpha = region.alpha.lo + region.alpha.width * F(i, g)
+        points.add((alpha, -alpha))
+        points.update((alpha, region.beta.lo + region.beta.width * F(j, g)) for j in range(g + 1))
+    for piece in pieces:
+        for a in (piece.alpha.lo, piece.alpha.midpoint, piece.alpha.hi):
+            points.update(piece.point(a, t) for t in (piece.t.lo, piece.t.midpoint, piece.t.hi))
+    if not pieces:
+        # Then the region is one polytope vertex at most, which the
+        # certifier checks on its own.
+        vertices = polytope_vertices(region)
+        assert len(vertices) <= 1
+        assert all(point in vertices for point in points if region.contains(*point))
+        return
+    for alpha, beta in points:
+        preimages = [(piece, _preimage(piece, alpha, beta)) for piece in pieces]
+        covered = any(pre is not None and piece.contains(*pre) for piece, pre in preimages)
+        assert covered == region.contains(alpha, beta)
 
 
 @st.composite

@@ -22,6 +22,7 @@ from tiltcert.kernel import (
     poly_interval_eval,
     poly_parse,
     split_grid,
+    substitute,
 )
 
 A = BivariatePoly.alpha()
@@ -291,6 +292,17 @@ def test_bernstein_encloses_range(p, box_a, box_b, offsets):
 @given(polys, intervals, intervals)
 def test_poly_interval_eval_matches_interval_product_reference(p, box_a, box_b):
     assert poly_interval_eval(p, box_a, box_b) == _hull_reference(p, box_a, box_b)
+
+
+maps = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_rationals, max_size=4
+).map(BivariatePoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, maps, small_rationals, small_rationals)
+def test_substitute_composes_in_the_beta_slot(p, q, a, t):
+    assert poly_eval(substitute(p, q), a, t) == poly_eval(p, a, poly_eval(q, a, t))
 
 
 @settings(max_examples=15, deadline=None)
