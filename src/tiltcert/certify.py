@@ -19,16 +19,11 @@ half-plane alpha <= -beta or alpha >= -beta).  Three factor strategies:
                     derives its children's grids by midpoint de Casteljau
                     subdivision, so no box rebuilds them
 
-Side pieces: the side line never crosses a box.  A side-cut region is
-split into at most two plain boxes in the closed half-plane and one
-slanted piece along the line, {alpha in [a0, a1], lo <= beta <= hi} with
-lo or hi equal to -alpha, which is bisected as the unit box in (alpha, t)
-with beta = lo + t * (hi - lo) substituted into the factor.  Membership of
-a piece point is asked of the region at its (alpha, beta), so cuts between
-pieces, the side line and an edge that collapses to one point (hi = lo)
-inherit the region's openness.  A region without a side is its own piece;
-one that the line meets only in a corner is that point, and the factor is
-evaluated there.
+Side pieces: no box the bisection tries is crossed by the side line.  A
+side-cut region splits into at most two boxes in the closed half-plane
+and one slanted piece along the line, {alpha in [a0, a1], lo <= beta <=
+hi} with lo or hi equal to -alpha, bisected as the unit box in (alpha, t)
+with beta = lo + t * (hi - lo) substituted into the factor (side_pieces).
 
 Soundness contract: status "certified" is only reported when the sign
 holds at every region point; "failed" always carries a witness point in
@@ -393,8 +388,9 @@ def side_pieces(region):
         for x0, x1, y0, y1 in boxes
         if x0 < x1 and y0 < y1
     ]
-    if slant[0] < slant[1]:
-        pieces.append(Piece(region, RationalInterval(*slant[:2]), RationalInterval(0, 1), slant[2]))
+    a0, a1, lift = slant
+    if a0 < a1:
+        pieces.append(Piece(region, RationalInterval(a0, a1), RationalInterval(0, 1), lift))
     return tuple(pieces)
 
 

@@ -209,14 +209,26 @@ def poly_eval(p, alpha, beta):
 
 
 def substitute(p, beta):
-    """p(a, beta(a, b)): composition in the beta slot, by Horner in beta."""
-    rows = {}
-    for (i, j), c in p.terms.items():
-        rows.setdefault(j, {})[(i, 0)] = c
-    out = BivariatePoly()
-    for j in range(p.degree_beta(), -1, -1):
-        out = out * beta + BivariatePoly(rows.get(j))
-    return out
+    """p(a, beta(a, b)): composition in the beta slot.
+
+    Horner in beta on ints: with p = sum_j r_j(a) b^j / scale and
+    beta = q / den, the sum of r_j * q^j * den^(n - j) over j is
+    scale * den^n times the result.
+    """
+    n = p.degree_beta()
+    scale, terms = _integer_terms(p)
+    den, q = _integer_terms(beta)
+    rows = [{} for _ in range(n + 1)]
+    for (i, j), c in terms:
+        rows[j][(i, 0)] = c * den ** (n - j)
+    acc = {}
+    for row in reversed(rows):
+        for (i1, j1), c1 in acc.items():
+            for (i2, j2), c2 in q:
+                key = (i1 + i2, j1 + j2)
+                row[key] = row.get(key, 0) + c1 * c2
+        acc = row
+    return BivariatePoly({key: Fraction(c, scale * den**n) for key, c in acc.items()})
 
 
 def poly_interval_eval(p, box_alpha, box_beta):

@@ -3,12 +3,9 @@ construction on the quadric, as machine-checkable report items.
 
 Items come in two flavors.  Identity items compare computed polynomials
 against frozen reference closed forms with poly_equal (exact, symbolic).
-Certificate items are (target, sign, region) rows: the target is the
-polynomial the fact is about (a real part, cross product or Im Z computed
-from the Chern characters, or a slope's numerator x denominator), and the
-engine certifies it as one interval-subdivision factor, so the
-certificate is always about the computed polynomial itself.  Regions on
-one side of alpha = -beta go through the engine's side pieces.
+Certificate items are (target, sign, region) rows: the engine certifies
+the computed polynomial itself (a real part, cross product, Im Z, or a
+slope's numerator x denominator) as one interval-subdivision factor.
 """
 
 import json
