@@ -333,9 +333,9 @@ class Piece:
     """A plain box of a region, in coordinates (alpha, t).
 
     lift is beta as a polynomial in (alpha, t), or None where t is beta
-    itself.  Membership asks the original region at the lifted point, so
-    the side line, the cuts between pieces and an edge the lift collapses
-    to one point all take their openness from the region.
+    itself.  Membership of a point of the box asks the original region at
+    the lifted point, so the side line, the cuts between pieces and an
+    edge the lift collapses to one point all take their openness from it.
     """
 
     region: Region
@@ -348,11 +348,7 @@ class Piece:
         return (alpha, t) if self.lift is None else (alpha, poly_eval(self.lift, alpha, t))
 
     def contains(self, alpha, t):
-        return (
-            self.alpha.contains(alpha)
-            and self.t.contains(t)
-            and self.region.contains(*self.point(alpha, t))
-        )
+        return self.region.contains(*self.point(alpha, t))
 
 
 def side_pieces(region):
@@ -397,37 +393,25 @@ def side_pieces(region):
 # --- box reasoning -----------------------------------------------------------
 
 
-def _face_indices(m, n):
-    """Geometric faces of a box as Bernstein index predicates.
+def _faces(m, n, box_alpha, box_beta):
+    """Geometric faces of a box as (centre, Bernstein index set).
 
-    Yields (fixed axes, index set) for 4 corners, 4 edges, and the full
-    cell, in a fixed order.
-    """
-    yield ("alpha-lo", "beta-lo"), [(0, 0)]
-    yield ("alpha-hi", "beta-lo"), [(m, 0)]
-    yield ("alpha-lo", "beta-hi"), [(0, n)]
-    yield ("alpha-hi", "beta-hi"), [(m, n)]
-    yield ("alpha-lo",), [(0, j) for j in range(n + 1)]
-    yield ("alpha-hi",), [(m, j) for j in range(n + 1)]
-    yield ("beta-lo",), [(i, 0) for i in range(m + 1)]
-    yield ("beta-hi",), [(i, n) for i in range(m + 1)]
-    yield (), [(i, j) for i in range(m + 1) for j in range(n + 1)]
-
-
-def _face_center(box_alpha, box_beta, fixed):
-    """The centre of a box face: a corner, an edge midpoint or the box centre.
-
+    Yields the 4 corners, 4 edges, and the full cell, in a fixed order.
     The side line crosses no piece, so along the relative interior of a
     face every region bound is tight everywhere or nowhere: the face meets
     the region exactly when its centre lies in it.
     """
-
-    def coordinate(box, axis):
-        if f"{axis}-lo" in fixed:
-            return box.lo
-        return box.hi if f"{axis}-hi" in fixed else box.midpoint
-
-    return coordinate(box_alpha, "alpha"), coordinate(box_beta, "beta")
+    a_lo, a_mid, a_hi = box_alpha.lo, box_alpha.midpoint, box_alpha.hi
+    b_lo, b_mid, b_hi = box_beta.lo, box_beta.midpoint, box_beta.hi
+    yield (a_lo, b_lo), [(0, 0)]
+    yield (a_hi, b_lo), [(m, 0)]
+    yield (a_lo, b_hi), [(0, n)]
+    yield (a_hi, b_hi), [(m, n)]
+    yield (a_lo, b_mid), [(0, j) for j in range(n + 1)]
+    yield (a_hi, b_mid), [(m, j) for j in range(n + 1)]
+    yield (a_mid, b_lo), [(i, 0) for i in range(m + 1)]
+    yield (a_mid, b_hi), [(i, n) for i in range(m + 1)]
+    yield (a_mid, b_mid), [(i, j) for i in range(m + 1) for j in range(n + 1)]
 
 
 def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, grid):
@@ -479,12 +463,10 @@ def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, gr
     # poly is <= 0 on the box, and any zero inside it lives on a face whose
     # coefficients all vanish.  Certified iff every such face misses the
     # piece; a face that meets it is an exact zero of the poly there.
-    for fixed, indices in _face_indices(m, n):
-        if all(grid[i][j] == 0 for i, j in indices):
-            point = _face_center(box_alpha, box_beta, fixed)
-            if piece.contains(*point):
-                candidates.append(point)
-                return "violated", grid
+    for center, indices in _faces(m, n, box_alpha, box_beta):
+        if all(grid[i][j] == 0 for i, j in indices) and piece.contains(*center):
+            candidates.append(center)
+            return "violated", grid
     return "certified", grid
 
 

@@ -550,7 +550,13 @@ def test_side_pieces_cover_the_region_exactly(region):
         return
     for alpha, beta in points:
         preimages = [(piece, _preimage(piece, alpha, beta)) for piece in pieces]
-        covered = any(pre is not None and piece.contains(*pre) for piece, pre in preimages)
+        covered = any(
+            pre is not None
+            and piece.alpha.contains(pre[0])
+            and piece.t.contains(pre[1])
+            and piece.contains(*pre)
+            for piece, pre in preimages
+        )
         assert covered == region.contains(alpha, beta)
 
 
