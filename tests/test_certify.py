@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiltcert.certify import (
@@ -594,6 +594,28 @@ def test_witness_search_matches_fraction_reference(case):
 # --- three-valued soundness against an exact grid ----------------------------
 
 
+def _assert_sound(claim, region, cert):
+    # certified: the claimed sign holds at every exact grid point of the
+    # region and at its polytope vertices.  failed: the witness lies in the
+    # region and violates it.
+    product = claim.product()
+    if cert.status == "certified":
+        grid = 24
+        points = set(polytope_vertices(region))
+        for i in range(grid + 1):
+            alpha = region.alpha.lo + F(i, grid) * region.alpha.width
+            for j in range(grid + 1):
+                points.add((alpha, region.beta.lo + F(j, grid) * region.beta.width))
+        for alpha, beta in points:
+            if region.contains(alpha, beta):
+                assert not violates(poly_eval(product, alpha, beta), claim.overall_sign)
+    elif cert.status == "failed":
+        assert region.contains(*cert.witness)
+        assert violates(poly_eval(product, *cert.witness), claim.overall_sign)
+    else:
+        assert cert.status == "inconclusive" and cert.witness is None
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.randoms(use_true_random=False),
@@ -603,21 +625,23 @@ def test_witness_search_matches_fraction_reference(case):
     ),
 )
 def test_randomized_soundness(rng, region):
-    # certified: the claimed sign holds at every exact grid point of the
-    # region.  failed: the witness lies in the region and violates it.
     claim = _random_claim(rng)
-    cert = certify_sign(claim, region, max_depth=8)
-    product = claim.product()
-    if cert.status == "certified":
-        grid = 24
-        for i in range(grid + 1):
-            alpha = region.alpha.lo + F(i, grid) * region.alpha.width
-            for j in range(grid + 1):
-                beta = region.beta.lo + F(j, grid) * region.beta.width
-                if region.contains(alpha, beta):
-                    assert not violates(poly_eval(product, alpha, beta), claim.overall_sign)
-    elif cert.status == "failed":
-        assert region.contains(*cert.witness)
-        assert violates(poly_eval(product, *cert.witness), claim.overall_sign)
-    else:
-        assert cert.status == "inconclusive" and cert.witness is None
+    _assert_sound(claim, region, certify_sign(claim, region, max_depth=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(regions(), st.data())
+def test_soundness_with_a_zero_on_the_boundary(region, data):
+    # Claims that vanish at a vertex of the region's polytope, or on the box
+    # lines through it: the zeros that one-point regions, collapsed edges
+    # and the zero-face test have to judge, and random claims almost never
+    # have.
+    vertices = polytope_vertices(region)
+    assume(vertices)
+    a0, b0 = data.draw(st.sampled_from(vertices))
+    expr = data.draw(
+        st.sampled_from(((A - a0) ** 2 + (B - b0) ** 2, (A - a0) ** 2, (B - b0) ** 2))
+    )
+    target = data.draw(st.sampled_from((">0", ">=0")))
+    claim = FactoredClaim((Factor(expr, target, "interval-subdivision"),), target)
+    _assert_sound(claim, region, certify_sign(claim, region, max_depth=8))
