@@ -17,6 +17,7 @@ from tiltcert.certify import (
     Region,
     SIDE_LEFT,
     SIDE_RIGHT,
+    _violates,
     _witness_search,
     certify_sign,
     default_region,
@@ -94,6 +95,49 @@ def test_claim_sign_composition():
         FactoredClaim((), ">0")
     claim = FactoredClaim((f_pos, f_neg), "<=0")
     assert poly_eval(claim.product(), F(1, 4), F(-1, 2)) == F(-1, 8)
+
+
+# The values each target admits, as signs: the truth table that target
+# decoding, factor composition and violation tests must all agree with.
+ADMITS = {">0": {1}, ">=0": {0, 1}, "<0": {-1}, "<=0": {-1, 0}}
+
+
+def test_violates_matches_truth_table():
+    expected = {
+        ">0": (True, True, False),
+        ">=0": (True, False, False),
+        "<0": (False, True, True),
+        "<=0": (False, False, True),
+    }
+    for sign, row in expected.items():
+        assert tuple(_violates(value, sign) for value in (-1, 0, 1)) == row
+        assert row == tuple(value not in ADMITS[sign] for value in (-1, 0, 1))
+
+
+def test_claim_acceptance_matches_truth_table():
+    # A claim is accepted exactly when every sign its factors' product can
+    # take is admitted by the overall sign.
+    targets = tuple(ADMITS)
+    combos = [(t,) for t in targets]
+    combos += [c + (t,) for c in combos for t in targets]
+    combos += [c + (t,) for c in combos if len(c) == 2 for t in targets]
+    assert len(combos) == 4 + 16 + 64
+    accepted = 0
+    for combo in combos:
+        products = {1}
+        for target in combo:
+            products = {p * v for p in products for v in ADMITS[target]}
+        factors = tuple(Factor(A, target, "region-atom") for target in combo)
+        for overall in targets:
+            if products <= ADMITS[overall]:
+                FactoredClaim(factors, overall)
+                accepted += 1
+            else:
+                with pytest.raises(ValueError):
+                    FactoredClaim(factors, overall)
+    # Each combination admits its implied sign, and a strict one its
+    # non-strict weakening too.
+    assert accepted == 84 + sum(all(t in (">0", "<0") for t in c) for c in combos)
 
 
 def test_affine_vertex_certified():
@@ -589,6 +633,77 @@ def test_witness_search_matches_fraction_reference(case):
     product = claim.product()
     expected = _witness_search_reference(product, claim.overall_sign, region, candidates)
     assert _witness_search(product, claim.overall_sign, region, candidates) == expected
+
+
+# --- affine zero sets against the tight-bound reference ----------------------
+
+
+def _affine_reference(factor, region):
+    # The vertex rule for affine factors as a set of tight bounds: a strict
+    # target with a zero minimum certifies iff some open-flagged bound is
+    # tight at every zero vertex.  Returns (ok, candidates, by_open_bound).
+    verts = polytope_vertices(region)
+    orient = 1 if factor.target in (">0", ">=0") else -1
+    strict = factor.target in (">0", "<0")
+    values = [orient * poly_eval(factor.expr, *v) for v in verts]
+    candidates = [
+        v for v, x in zip(verts, values) if (x < 0 or (strict and x == 0)) and region.contains(*v)
+    ]
+    if not verts or min(values) > 0 or (min(values) == 0 and not strict):
+        return True, candidates, False
+    if min(values) < 0 or factor.expr.is_zero():
+        return False, candidates, False
+
+    def tight(a, b):
+        bounds = {
+            "alpha-lo": (a == region.alpha.lo, region.alpha_open[0]),
+            "alpha-hi": (a == region.alpha.hi, region.alpha_open[1]),
+            "beta-lo": (b == region.beta.lo, region.beta_open[0]),
+            "beta-hi": (b == region.beta.hi, region.beta_open[1]),
+            "side": (region.side is not None and a + b == 0, False),
+        }
+        return {name for name, (hit, is_open) in bounds.items() if hit and is_open}
+
+    shared = set.intersection(*(tight(*v) for v, x in zip(verts, values) if x == 0))
+    return bool(shared), candidates, bool(shared)
+
+
+@st.composite
+def planted_affine(draw):
+    # An affine expression through a drawn polytope vertex in a drawn
+    # direction, or through two distinct vertices: the latter vanishes on a
+    # box edge, the side line or a diagonal of the polytope.
+    region = draw(regions())
+    vertices = polytope_vertices(region)
+    assume(vertices)
+    a0, b0 = draw(st.sampled_from(vertices))
+    others = [v for v in vertices if v != (a0, b0)]
+    if others and draw(st.booleans()):
+        a1, b1 = draw(st.sampled_from(others))
+        du, dv = b1 - b0, a0 - a1
+    else:
+        du, dv = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        assume(du or dv)
+    scale = draw(st.sampled_from((1, -1, F(1, 3), -3)))
+    return region, scale * (du * (A - a0) + dv * (B - b0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_affine())
+def test_affine_zero_set_matches_tight_bound_reference(case):
+    region, expr = case
+    for strategy in ("affine-vertex", "region-atom"):
+        for target in (">0", ">=0", "<0", "<=0"):
+            factor = Factor(expr, target, strategy)
+            cert = certify_sign(FactoredClaim((factor,), target), region)
+            ok, candidates, by_open_bound = _affine_reference(factor, region)
+            witness = None if ok else _witness_search(expr, target, region, candidates)
+            status = "certified" if ok else "failed" if witness else "inconclusive"
+            assert (cert.status, cert.witness) == (status, witness)
+            (outcome,) = cert.factors
+            assert outcome.status == ("certified" if ok else "not-certified")
+            assert outcome.evidence["kind"] == strategy
+            assert ("strictness" in outcome.evidence) == by_open_bound
 
 
 # --- three-valued soundness against an exact grid ----------------------------

@@ -2,6 +2,7 @@
 contract (0 certified / 1 not certified / 2 usage or input error), negative
 rational flag parsing, JSON report files, and the emitted SVG figures."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
@@ -92,6 +93,41 @@ def test_verify_max_depth_zero_inconclusive(capsys):
     assert "aggregate: inconclusive" in out
     assert "note: subdivision disabled" in out
     assert "[failed]" not in out
+
+
+# The bytes of the reports and figures that users diff across releases.
+BYTE_CONTRACTS = [
+    (
+        ["verify", "--json"],
+        "ea96726fe586d93367ca50944768beb256b0e97bc376b7a47dc61a3a3301e3f2",
+    ),
+    (
+        ["verify", "--region", "-1/2:1/2,0:1/3", "--json"],
+        "fee46923b8df7f3788d160040576dcfbb76b4db797c35a6884fc112b9d25f469",
+    ),
+    (
+        ["verify", "--max-depth", "0", "--json"],
+        "33f45ae1ffdae99dae237aa3356513026e97c860d5a51b9a10407f97993552fd",
+    ),
+    (
+        ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--region", "0:1,0:3/5",
+         "--grid", "32", "-o"],
+        "3495f09aa782b41b9f2a41f6f0317d6dcca5f2d150c506fff3a215646cbb3c6f",
+    ),
+    (
+        ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--region", "0:1,0:3/5",
+         "--grid", "64", "-o"],
+        "21da040bd2a3f1af38a268f6244d2a8490bb0fcb7433fb241744334ffce0fdbe",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", BYTE_CONTRACTS)
+def test_output_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    out_path = tmp_path / "out"
+    main(argv + [str(out_path)])
+    capsys.readouterr()
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_verify_malformed_region_is_usage_error(capsys):
