@@ -43,11 +43,13 @@ earlier without violating the claim, so the witness is the one a scan of
 every grid point in that order would return.
 
 Strictness on open boundaries: a certificate for a strict sign must rule
-out zeros inside the region.  At vertices, a zero value is acceptable
-only when the zero set lies on an open-flagged facet.  On boxes, if all
-Bernstein coefficients are <= 0 then any interior zero forces an
-identically-zero coefficient face, so strictness reduces to checking
-that the relative interior of every all-zero face misses the region.
+out zeros inside the region.  Vertices and boxes share one rule.  Where
+the factor is >= 0 (after orientation) with minimum exactly 0, its zeros
+fill a face: for an affine factor, the face of the polytope spanned by
+its zero vertices; on a box whose Bernstein coefficients are all <= 0,
+any face whose coefficients all vanish.  No region bound crosses the
+relative interior of such a face, so the face misses the region exactly
+when its centre does.
 """
 
 from dataclasses import dataclass
@@ -71,7 +73,10 @@ from .kernel import (
 SIDE_LEFT = "alpha<=-beta"    # alpha + beta <= 0
 SIDE_RIGHT = "alpha>=-beta"   # alpha + beta >= 0
 
-TARGETS = (">0", ">=0", "<0", "<=0")
+# target -> (orientation, strict): v meets it iff orientation * v > 0, or
+# >= 0 when not strict.
+_SIGN_PARTS = {">0": (1, True), ">=0": (1, False), "<0": (-1, True), "<=0": (-1, False)}
+TARGETS = tuple(_SIGN_PARTS)
 STRATEGIES = ("affine-vertex", "interval-subdivision", "region-atom")
 
 
@@ -139,8 +144,7 @@ class Factor:
     strategy: str
 
     def __post_init__(self):
-        if self.target not in TARGETS:
-            raise ValueError(f"bad target {self.target!r}")
+        sign_parts(self.target)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"bad strategy {self.strategy!r}")
         if self.strategy != "interval-subdivision" and self.expr.total_degree() > 1:
@@ -156,26 +160,14 @@ class FactoredClaim:
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("claim needs at least one factor")
-        if self.overall_sign not in TARGETS:
-            raise ValueError(f"bad overall sign {self.overall_sign!r}")
-        polarity = 1
-        strict = True
+        orient, strict = 1, True
         for f in self.factors:
-            if f.target in ("<0", "<=0"):
-                polarity = -polarity
-            if f.target in (">=0", "<=0"):
-                strict = False
-        implied = {1: (">0" if strict else ">=0"), -1: ("<0" if strict else "<=0")}[polarity]
-        compatible = {
-            ">0": (">0",),
-            ">=0": (">0", ">=0"),
-            "<0": ("<0",),
-            "<=0": ("<0", "<=0"),
-        }
-        if implied not in compatible[self.overall_sign]:
-            raise ValueError(
-                f"factor signs imply {implied}, incompatible with overall {self.overall_sign}"
-            )
+            f_orient, f_strict = sign_parts(f.target)
+            orient, strict = orient * f_orient, strict and f_strict
+        want_orient, want_strict = sign_parts(self.overall_sign)
+        if orient != want_orient or (want_strict and not strict):
+            targets = ", ".join(f.target for f in self.factors)
+            raise ValueError(f"factor signs {targets} do not imply {self.overall_sign}")
 
     def product(self):
         out = BivariatePoly.constant(1)
@@ -212,44 +204,21 @@ class SignCertificate:
     notes: list
 
 
-def _violates(value, sign):
-    if sign == ">0":
-        return value <= 0
-    if sign == ">=0":
-        return value < 0
-    if sign == "<0":
-        return value >= 0
-    return value > 0
+def sign_parts(sign):
+    """Decode a target sign into (orientation, strict)."""
+    try:
+        return _SIGN_PARTS[sign]
+    except KeyError:
+        raise ValueError(f"bad target {sign!r}") from None
+
+
+def _violates(value, orient, strict):
+    """Whether value breaks the target that sign_parts decoded."""
+    value *= orient
+    return value < 0 or (strict and value == 0)
 
 
 # --- vertex reasoning --------------------------------------------------------
-
-_BOUND_NAMES = ("alpha-lo", "alpha-hi", "beta-lo", "beta-hi", "side")
-
-
-def _tight_bounds(region, alpha, beta):
-    tight = set()
-    if alpha == region.alpha.lo:
-        tight.add("alpha-lo")
-    if alpha == region.alpha.hi:
-        tight.add("alpha-hi")
-    if beta == region.beta.lo:
-        tight.add("beta-lo")
-    if beta == region.beta.hi:
-        tight.add("beta-hi")
-    if region.side is not None and alpha + beta == 0:
-        tight.add("side")
-    return frozenset(tight)
-
-
-def _bound_is_open(region, name):
-    return {
-        "alpha-lo": region.alpha_open[0],
-        "alpha-hi": region.alpha_open[1],
-        "beta-lo": region.beta_open[0],
-        "beta-hi": region.beta_open[1],
-        "side": False,
-    }[name]
 
 
 def polytope_vertices(region):
@@ -269,60 +238,40 @@ def polytope_vertices(region):
     return sorted(points)
 
 
-def _certify_affine(factor, region, atom=False):
+def _certify_affine(factor, region):
     """Vertex certificate for an affine factor.  Returns (ok, evidence, candidates).
 
-    candidates are closure points where the factor's own sign fails; they
+    candidates are region vertices where the factor's own sign fails; they
     feed the claim-level witness search.
     """
     verts = polytope_vertices(region)
-    orient = 1 if factor.target in (">0", ">=0") else -1
-    strict = factor.target in (">0", "<0")
-    rows = []
-    zero_verts = []
-    low = None
-    candidates = []
-    for a, b in verts:
-        value = poly_eval(factor.expr, a, b)
-        rows.append(
-            {
-                "alpha": format_rational(a),
-                "beta": format_rational(b),
-                "value": format_rational(value),
-            }
-        )
-        oriented = orient * value
-        if low is None or oriented < low:
-            low = oriented
-        if oriented < 0 or (strict and oriented == 0):
-            if region.contains(a, b):
-                candidates.append((a, b))
-        if oriented == 0:
-            zero_verts.append((a, b))
-    evidence = {"kind": "region-atom" if atom else "affine-vertex", "vertices": rows}
+    values = [poly_eval(factor.expr, a, b) for a, b in verts]
+    evidence = {
+        "kind": factor.strategy,
+        "vertices": [
+            {"alpha": format_rational(a), "beta": format_rational(b), "value": format_rational(x)}
+            for (a, b), x in zip(verts, values)
+        ],
+    }
     if not verts:
         evidence["note"] = "region polytope is empty"
         return True, evidence, []
-    if low > 0:
-        return True, evidence, candidates
-    if low < 0:
+    orient, strict = sign_parts(factor.target)
+    candidates = [
+        v for v, x in zip(verts, values) if _violates(x, orient, strict) and region.contains(*v)
+    ]
+    low = min(orient * x for x in values)
+    if low != 0 or not strict:
+        return low >= 0, evidence, candidates
+    # Strict target with minimum exactly 0: the zero set meets the closed
+    # polytope in the face spanned by the zero vertices.
+    zeros = [v for v, x in zip(verts, values) if x == 0]
+    centre = tuple(sum(axis) / len(zeros) for axis in zip(*zeros))
+    if region.contains(*centre):
         return False, evidence, candidates
-    # Minimum is exactly zero; non-strict targets pass outright.
-    if not strict:
-        return True, evidence, candidates
-    if factor.expr.is_zero():
-        return False, evidence, candidates
-    # Strict target: the zero set meets the closed polytope exactly in the
-    # convex hull of the zero vertices; it misses the open region iff some
-    # open-flagged bound is tight at all of them.
-    shared = frozenset(_BOUND_NAMES)
-    for a, b in zero_verts:
-        shared &= _tight_bounds(region, a, b)
-    open_shared = sorted(n for n in shared if _bound_is_open(region, n))
-    if open_shared:
-        evidence["strictness"] = f"zero set lies on open bound {open_shared[0]}"
-        return True, evidence, candidates
-    return False, evidence, candidates
+    alpha, beta = (format_rational(x) for x in centre)
+    evidence["strictness"] = f"zero face centre alpha = {alpha}, beta = {beta} lies outside the region"
+    return True, evidence, candidates
 
 
 # --- side pieces -------------------------------------------------------------
@@ -417,14 +366,14 @@ def _faces(m, n, box_alpha, box_beta):
 def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, grid):
     """Try to certify factor_poly <(=) 0 on one box of a piece.
 
-    grid is an integer Bernstein grid inherited from the parent box (a
-    positive multiple of the coefficients on this box), or None; the grid
-    is computed from the power basis only when none was inherited.
+    grid is the integer Bernstein grid inherited from the parent box (a
+    positive multiple of the coefficients on this box), or None on a
+    piece's root box, where it is computed from the power basis.
     Returns (verdict, grid): verdict "certified", "split" (undecided,
     bisect further), or "violated" (the factor's sign provably fails at a
     piece point, or at least can never certify on this box), and the
-    box's grid, or None when the hull decided the box without it.
-    Candidates are appended in piece coordinates."""
+    box's grid, or None when the hull decided the box without it; a
+    split always carries its grid.  Candidates are appended in piece coordinates."""
     hull = poly_interval_eval(factor_poly, box_alpha, box_beta)
     if hull.hi < 0 or (not strict and hull.hi <= 0):
         return "certified", None
@@ -455,8 +404,7 @@ def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, gr
             (grid[m][n], box_alpha.hi, box_beta.hi),
         )
         for value, a, b in corners:
-            bad = value > 0 or (strict and value == 0)
-            if bad and piece.contains(a, b):
+            if _violates(value, -1, strict) and piece.contains(a, b):
                 candidates.append((a, b))
         return "split", grid
     # All coefficients <= 0 with max exactly 0 and a strict target: the
@@ -477,12 +425,10 @@ def _certify_interval_factor(factor, region, max_depth):
     A slanted piece certifies the factor composed with its lift; its
     candidates map back to (alpha, beta).  A split box hands each child
     the matching half of its integer Bernstein grid, so coefficients come
-    from the power basis only on boxes without an inherited grid: the
-    roots, and children of boxes the hull decided to split.
+    from the power basis only on the pieces' root boxes.
     """
-    negate = factor.target in (">0", ">=0")
-    poly = -factor.expr if negate else factor.expr
-    strict = factor.target in (">0", "<0")
+    orient, strict = sign_parts(factor.target)
+    poly = -factor.expr if orient > 0 else factor.expr
     candidates = []
     boxes_tested = 0
     deepest = 0
@@ -491,8 +437,7 @@ def _certify_interval_factor(factor, region, max_depth):
         # The side line meets the box in one corner or not at all: the
         # region is that one point, or empty.
         for point in polytope_vertices(region):
-            value = poly_eval(poly, *point)
-            if (value > 0 or (strict and value == 0)) and region.contains(*point):
+            if _violates(poly_eval(poly, *point), -1, strict) and region.contains(*point):
                 candidates.append(point)
     ok = not candidates
     for piece in pieces:
@@ -515,7 +460,7 @@ def _certify_interval_factor(factor, region, max_depth):
             rel_alpha = box_alpha.width / piece.alpha.width
             rel_beta = box_beta.width / piece.t.width
             axis = 0 if rel_alpha >= rel_beta else 1
-            lo_grid, hi_grid = (None, None) if grid is None else split_grid(grid, axis)
+            lo_grid, hi_grid = split_grid(grid, axis)
             if axis == 0:
                 lo_half, hi_half = box_alpha.split()
                 lo_box, hi_box = (lo_half, box_beta), (hi_half, box_beta)
@@ -536,12 +481,13 @@ def _certify_interval_factor(factor, region, max_depth):
 
 
 def _witness_search(product, overall_sign, region, candidates):
+    orient, strict = sign_parts(overall_sign)
     seen = set()
     for point in (*candidates, *polytope_vertices(region)):
         if point in seen or not region.contains(*point):
             continue
         seen.add(point)
-        if _violates(poly_eval(product, *point), overall_sign):
+        if _violates(poly_eval(product, *point), orient, strict):
             return point
     # A grid point seen above did not violate, so scanning it again changes
     # nothing.  On integer indices the openness flags are index ranges and
@@ -560,7 +506,7 @@ def _witness_search(product, overall_sign, region, candidates):
             # an even row of a finer grid visits odd j only.
             fresh = g > 4 and i % 2 == 0
             for j in range(j_lo | fresh, j_hi + 1, 1 + fresh):
-                if a_sums[i] + b_sums[j] >= 0 and _violates(value(i, j), overall_sign):
+                if a_sums[i] + b_sums[j] >= 0 and _violates(value(i, j), orient, strict):
                     return Fraction(a_nums[i], a_den), Fraction(b_nums[j], b_den)
     return None
 
@@ -590,9 +536,7 @@ def certify_sign(claim, region, max_depth=16):
                     factor, region, max_depth
                 )
         else:
-            ok, evidence, cand = _certify_affine(
-                factor, region, atom=factor.strategy == "region-atom"
-            )
+            ok, evidence, cand = _certify_affine(factor, region)
             nboxes, depth = 0, 0
         total_boxes += nboxes
         deepest = max(deepest, depth)

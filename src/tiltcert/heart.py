@@ -9,7 +9,7 @@ reduces them to the two base cases via Im Z dominance.
 
 from dataclasses import dataclass
 
-from .certify import SIDE_LEFT, SIDE_RIGHT
+from .certify import SIDE_LEFT, SIDE_RIGHT, sign_parts
 from .chern import ChernCharacter, quadric_catalog, shift
 from .tilt import central_charge
 
@@ -173,10 +173,10 @@ class ImSignFact:
     sign: str  # one of <0, <=0, >0, >=0
 
     def allows_removal(self, subregion):
-        return self.sign in ("<0", "<=0") and self.subregion in (FULL_REGION, subregion)
+        return sign_parts(self.sign)[0] < 0 and self.subregion in (FULL_REGION, subregion)
 
     def allows_addition(self, subregion):
-        return self.sign in (">0", ">=0") and self.subregion in (FULL_REGION, subregion)
+        return sign_parts(self.sign)[0] > 0 and self.subregion in (FULL_REGION, subregion)
 
 
 DEFAULT_SIGN_FACTS = (

@@ -23,6 +23,7 @@ from tiltcert.certify import (
     default_region,
     polytope_vertices,
     side_pieces,
+    sign_parts,
 )
 from tiltcert.kernel import BivariatePoly, RationalInterval, format_rational, poly_eval
 
@@ -110,7 +111,7 @@ def test_violates_matches_truth_table():
         "<=0": (False, False, True),
     }
     for sign, row in expected.items():
-        assert tuple(_violates(value, sign) for value in (-1, 0, 1)) == row
+        assert tuple(_violates(value, *sign_parts(sign)) for value in (-1, 0, 1)) == row
         assert row == tuple(value not in ADMITS[sign] for value in (-1, 0, 1))
 
 
