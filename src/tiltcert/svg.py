@@ -8,7 +8,7 @@ arithmetic (never floats).
 from fractions import Fraction
 
 from .heart import GENERATORS
-from .kernel import poly_eval
+from .kernel import grid_form, poly_eval
 from .tilt import central_charge, wall_polynomial
 
 WIDTH = 480
@@ -119,7 +119,7 @@ def _edge_point(edge, corners, values):
     (which_a, which_b) = ((0, 1), (1, 2), (3, 2), (0, 3))[edge]
     (xa, ya), va = corners[which_a], values[which_a]
     (xb, yb), vb = corners[which_b], values[which_b]
-    t = va / (va - vb)
+    t = Fraction(va, va - vb)
     return xa + t * (xb - xa), ya + t * (yb - ya)
 
 
@@ -127,7 +127,9 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
     """Exact marching squares for the zero set of poly over the box.
 
     Returns segments as ((beta, alpha), (beta, alpha)) rational pairs.
-    Sign class is value >= 0, so a grid of exact zeros yields no segments
+    Grid values come from kernel.grid_form: ints, one positive multiple of
+    the values of poly, so signs and crossing points are exact.  Sign
+    class is value >= 0, so a grid of exact zeros yields no segments
     only when nothing crosses; the identically-zero polynomial gives an
     all-positive grid and hence an empty contour.
     """
@@ -135,7 +137,8 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
         raise ValueError("grid must be at least 16")
     betas = [box_beta.lo + Fraction(i, grid) * box_beta.width for i in range(grid + 1)]
     alphas = [box_alpha.lo + Fraction(j, grid) * box_alpha.width for j in range(grid + 1)]
-    values = [[poly_eval(poly, a, b) for a in alphas] for b in betas]
+    value = grid_form(poly, box_alpha, box_beta, grid)
+    values = [[value(j, i) for j in range(grid + 1)] for i in range(grid + 1)]
     segments = []
     for i in range(grid):
         for j in range(grid):
