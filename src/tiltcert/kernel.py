@@ -366,48 +366,38 @@ def poly_format(p):
     return " ".join(parts)
 
 
+# One term as poly_format writes it: a coefficient, a monomial, or both,
+# joined by '*'; a '*' is always followed by a variable.
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?)\*?)?"
-    r"(?:a(?:\^(?P<ai>\d+))?)?"
-    r"(?:\*?b(?:\^(?P<bi>\d+))?)?$"
+    r"(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?=[ab])|$))?"
+    r"(?P<a>a(?:\^(?P<ai>\d+))?)?"
+    r"(?:(?(a)\*)(?P<b>b(?:\^(?P<bi>\d+))?))?"
 )
 
 
 def poly_parse(text):
-    """Parse the canonical text form back into a BivariatePoly."""
+    """Parse the canonical text form back into a BivariatePoly.
+
+    Terms are separated by ' + ' and ' - ' exactly as poly_format writes
+    them, with an optional leading '-'; any other spacing is an error.
+    """
     s = text.strip()
     if s == "0":
         return BivariatePoly()
-    if not s:
-        raise ValueError("empty polynomial text")
-    # Normalize to a signed-term list.
-    s = s.replace("- ", "-").replace("+ ", "+")
-    chunks = s.replace(" ", "").replace("-", "+-").split("+")
-    if s.startswith("-"):
-        chunks = chunks[1:]
+    negative = s.startswith("-")
+    chunks = re.split(r" ([+-]) ", s[negative:])
+    signs = [-1 if negative else 1] + [1 if op == "+" else -1 for op in chunks[1::2]]
     terms = {}
-    for chunk in chunks:
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        m = _TERM_RE.match(chunk)
-        if not m or not chunk:
+    for sign, chunk in zip(signs, chunks[::2]):
+        m = _TERM_RE.fullmatch(chunk)
+        if not chunk or not m:
             raise ValueError(f"bad term: {chunk!r}")
         coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        i = int(m.group("ai")) if m.group("ai") else (1 if _has_var(chunk, "a") else 0)
-        j = int(m.group("bi")) if m.group("bi") else (1 if _has_var(chunk, "b") else 0)
-        if m.group("coeff") is None and i == 0 and j == 0:
-            raise ValueError(f"bad term: {chunk!r}")
+        i = int(m.group("ai") or 1) if m.group("a") else 0
+        j = int(m.group("bi") or 1) if m.group("b") else 0
         key = (i, j)
         terms[key] = terms.get(key, Fraction(0)) + sign * coeff
     return BivariatePoly(terms)
-
-
-def _has_var(chunk, name):
-    # 'a' may only appear as the variable (coefficients are numeric), so a
-    # bare membership test is enough.
-    return name in chunk
 
 
 def bernstein_coefficients(p, box_alpha, box_beta):

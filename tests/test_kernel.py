@@ -138,7 +138,7 @@ def test_poly_interval_eval_sound():
 
 
 def test_poly_parse_rejects_malformed():
-    for text in ("", "a+", "+a", "a--b", "1/0*a"):
+    for text in ("", "a+", "+a", "a--b", "1/0*a", "1 2", "a b", "1 /2", "3*"):
         with pytest.raises(ValueError):
             poly_parse(text)
 
