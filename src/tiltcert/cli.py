@@ -18,6 +18,7 @@ from .kernel import RationalInterval, format_rational, parse_rational
 from .suite import verify_all
 from .svg import emit_wall_svg, emit_zvectors_svg
 from .tilt import (
+    S_DEFAULT,
     TiltParams,
     bg_margin_from_squared,
     central_charge,
@@ -223,7 +224,7 @@ def _build_parser():
     p = sub.add_parser("slopes", help="slopes and central charge at a point")
     p.add_argument("--alpha", type=_rational_arg, required=True)
     p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--s", type=_rational_arg, default=Fraction(1, 6))
+    p.add_argument("--s", type=_rational_arg, default=S_DEFAULT)
     p.add_argument("--object", required=True, help="catalog label, e.g. S-1 or O(1)")
     p.set_defaults(handler=_cmd_slopes)
 
@@ -238,7 +239,7 @@ def _build_parser():
 
     p = sub.add_parser("bg", help="degree-3 margin scan along the nu = 0 locus")
     p.add_argument("--chern", required=True, help="catalog label or JSON path")
-    p.add_argument("--s", type=_rational_arg, default=Fraction(1, 6))
+    p.add_argument("--s", type=_rational_arg, default=S_DEFAULT)
     p.add_argument("--grid", type=_bounded_int(1, 4096), default=16)
     p.add_argument("--region", type=_region_arg, default=None, metavar="blo:bhi,alo:ahi")
     p.set_defaults(handler=_cmd_bg)
@@ -249,7 +250,7 @@ def _build_parser():
     pz = plot_sub.add_parser("zvectors", help="central-charge arrows at a point")
     pz.add_argument("--alpha", type=_rational_arg, required=True)
     pz.add_argument("--beta", type=_rational_arg, required=True)
-    pz.add_argument("--s", type=_rational_arg, default=Fraction(1, 6))
+    pz.add_argument("--s", type=_rational_arg, default=S_DEFAULT)
     pz.add_argument("-o", "--out", default="zvectors.svg")
     pz.set_defaults(handler=_cmd_plot_zvectors)
 

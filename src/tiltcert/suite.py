@@ -33,6 +33,7 @@ from .heart import (
 )
 from .kernel import BivariatePoly, format_rational, poly_equal, poly_eval, poly_format
 from .tilt import (
+    S_DEFAULT,
     TiltParams,
     bg_margin,
     cross_polynomial,
@@ -47,8 +48,6 @@ B = BivariatePoly.beta()
 def C(x):
     return BivariatePoly.constant(Fraction(x))
 
-
-S_DEFAULT = Fraction(1, 6)
 
 _CATALOG_CH = {obj.label: obj.ch for obj in quadric_catalog()}
 _GENERATOR_CH = {label: ch for label, ch, _ in GENERATORS}

@@ -16,12 +16,15 @@ from fractions import Fraction
 from .chern import QUADRIC, twist
 from .kernel import BivariatePoly, format_rational, poly_eval
 
+# Default of the parameter s in Z and in the degree-3 margin.
+S_DEFAULT = Fraction(1, 6)
+
 
 @dataclass(frozen=True)
 class TiltParams:
     alpha: Fraction
     beta: Fraction
-    s: Fraction = Fraction(1, 6)
+    s: Fraction = S_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -112,7 +115,7 @@ def twisted_ch_polynomials(v, X=QUADRIC):
     )
 
 
-def z_polynomials(v, s=Fraction(1, 6), X=QUADRIC):
+def z_polynomials(v, s=S_DEFAULT, X=QUADRIC):
     """(Re, Im) of the central charge as polynomials in (a, b)."""
     a = BivariatePoly.alpha()
     d = X.degree
@@ -126,7 +129,7 @@ def z_value(re_poly, im_poly, alpha, beta):
     return ComplexRational(poly_eval(re_poly, alpha, beta), poly_eval(im_poly, alpha, beta))
 
 
-def cross_polynomial(v, w, s=Fraction(1, 6), X=QUADRIC):
+def cross_polynomial(v, w, s=S_DEFAULT, X=QUADRIC):
     """Cross product Re Z(v)*Im Z(w) - Im Z(v)*Re Z(w) as a polynomial.
 
     Its sign tells which side of the ray through Z(v) the vector Z(w)
@@ -146,7 +149,7 @@ def bg_margin(v, p, X=QUADRIC):
     return bg_margin_from_squared(v, p.alpha**2, p.beta, p.s, X)
 
 
-def bg_margin_from_squared(v, alpha_squared, beta, s=Fraction(1, 6), X=QUADRIC):
+def bg_margin_from_squared(v, alpha_squared, beta, s=S_DEFAULT, X=QUADRIC):
     """Degree-3 margin as a function of alpha^2.
 
     The margin only sees alpha through its square, so the nu = 0 locus
