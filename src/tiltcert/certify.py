@@ -270,7 +270,7 @@ def _certify_affine(factor, region):
     if region.contains(*centre):
         return False, evidence, candidates
     alpha, beta = (format_rational(x) for x in centre)
-    evidence["strictness"] = f"zero face centre alpha = {alpha}, beta = {beta} lies outside the region"
+    evidence["strictness"] = f"zero face centre ({alpha}, {beta}) is outside the region"
     return True, evidence, candidates
 
 

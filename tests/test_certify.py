@@ -203,9 +203,14 @@ def test_zero_polynomial_claims():
 
 
 def test_strict_atom_on_open_bound():
-    # alpha > 0: zero vertices lie on the open alpha-lo facet only.
+    # alpha > 0: zero vertices lie on the open alpha-lo facet only, and so
+    # does the centre of the face they span.
     claim = FactoredClaim((Factor(A, ">0", "region-atom"),), ">0")
-    assert certify_sign(claim, default_region()).status == "certified"
+    cert = certify_sign(claim, default_region())
+    assert cert.status == "certified"
+    assert cert.factors[0].evidence["strictness"] == (
+        "zero face centre (0, -1/4) is outside the region"
+    )
     # -beta >= 0: zero at closed beta-hi is fine nonstrictly ...
     claim = FactoredClaim((Factor(-B, ">=0", "region-atom"),), ">=0")
     assert certify_sign(claim, default_region()).status == "certified"
@@ -281,6 +286,22 @@ def test_one_point_side_region():
     assert cert.witness == (F(2, 5), F(-2, 5))
     weak = FactoredClaim((Factor(expr, ">=0", "interval-subdivision"),), ">=0")
     assert certify_sign(weak, region).status == "certified"
+
+
+def test_zero_affine_factor_follows_the_face_rule():
+    # The zero polynomial vanishes on the whole polytope, the face spanned by
+    # all its vertices: a strict sign fails on a full region, and holds
+    # vacuously on a one-point region whose point is excluded.
+    zero = FactoredClaim((Factor(BivariatePoly(), ">0", "affine-vertex"),), ">0")
+    assert certify_sign(zero, default_region()).status == "failed"
+    empty = Region(
+        beta=RationalInterval(F(-2, 5), F(3, 5)),
+        alpha=RationalInterval(F(2, 5), F(17, 5)),
+        beta_open=(True, False),
+        side=SIDE_LEFT,
+    )
+    assert polytope_vertices(empty) == [(F(2, 5), F(-2, 5))]
+    assert certify_sign(zero, empty).status == "certified"
 
 
 def test_collapsed_edge_takes_its_point_openness():
