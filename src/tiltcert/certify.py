@@ -76,7 +76,6 @@ SIDE_RIGHT = "alpha>=-beta"   # alpha + beta >= 0
 # target -> (orientation, strict): v meets it iff orientation * v > 0, or
 # >= 0 when not strict.
 _SIGN_PARTS = {">0": (1, True), ">=0": (1, False), "<0": (-1, True), "<=0": (-1, False)}
-TARGETS = tuple(_SIGN_PARTS)
 STRATEGIES = ("affine-vertex", "interval-subdivision", "region-atom")
 
 
