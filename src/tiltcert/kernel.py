@@ -378,26 +378,28 @@ _TERM_RE = re.compile(
 def poly_parse(text):
     """Parse the canonical text form back into a BivariatePoly.
 
-    Terms are separated by ' + ' and ' - ' exactly as poly_format writes
-    them, with an optional leading '-'; any other spacing is an error.
+    Accepts exactly what poly_format writes: terms separated by ' + ' and
+    ' - ' with an optional leading '-', and nothing that formats back to
+    other text (no '^0' or '^1', no zero or unit coefficients, no repeated
+    or out-of-order monomials, no other spacing).
     """
-    s = text.strip()
-    if s == "0":
-        return BivariatePoly()
-    negative = s.startswith("-")
-    chunks = re.split(r" ([+-]) ", s[negative:])
+    negative = text.startswith("-")
+    chunks = re.split(r" ([+-]) ", text[negative:])
     signs = [-1 if negative else 1] + [1 if op == "+" else -1 for op in chunks[1::2]]
     terms = {}
     for sign, chunk in zip(signs, chunks[::2]):
         m = _TERM_RE.fullmatch(chunk)
-        if not chunk or not m:
+        if not m:
             raise ValueError(f"bad term: {chunk!r}")
         coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
         i = int(m.group("ai") or 1) if m.group("a") else 0
         j = int(m.group("bi") or 1) if m.group("b") else 0
         key = (i, j)
         terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    return BivariatePoly(terms)
+    p = BivariatePoly(terms)
+    if poly_format(p) != text:
+        raise ValueError(f"not in canonical form: {text!r}")
+    return p
 
 
 def bernstein_coefficients(p, box_alpha, box_beta):

@@ -138,7 +138,11 @@ def test_poly_interval_eval_sound():
 
 
 def test_poly_parse_rejects_malformed():
-    for text in ("", "a+", "+a", "a--b", "1/0*a", "1 2", "a b", "1 /2", "3*"):
+    for text in ("", "a+", "+a", "a--b", "1/0*a", "1 2", "a b", "1 /2", "3*", " a", "a "):
+        with pytest.raises(ValueError):
+            poly_parse(text)
+    # Well-formed terms that poly_format never writes.
+    for text in ("a^0", "a^1", "a^01", "0*a", "2 + 3", "a - a", "b + a", "1*a", "2/4*a", "-0"):
         with pytest.raises(ValueError):
             poly_parse(text)
 
