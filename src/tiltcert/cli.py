@@ -80,13 +80,6 @@ def _region_arg(text):
     return beta_iv, alpha_iv
 
 
-def _positive_alpha(args):
-    if args.alpha <= 0:
-        print("--alpha: must be positive", file=sys.stderr)
-        return False
-    return True
-
-
 def _resolve_character(text, flag):
     """Catalog label or a JSON file path."""
     obj = catalog_lookup(text)
@@ -111,8 +104,6 @@ def _cmd_slopes(args):
     obj = catalog_lookup(args.object)
     if obj is None:
         print(f"--object: unknown label {args.object!r}", file=sys.stderr)
-        return 2
-    if not _positive_alpha(args):
         return 2
     p = TiltParams(args.alpha, args.beta, args.s)
     twisted = twist(obj.ch, p.beta)
@@ -190,8 +181,6 @@ def _cmd_bg(args):
 
 
 def _cmd_plot_zvectors(args):
-    if not _positive_alpha(args):
-        return 2
     p = TiltParams(args.alpha, args.beta, args.s)
     emit_zvectors_svg(p, args.out)
     print(f"wrote {args.out}")

@@ -50,9 +50,13 @@ def test_slopes_unknown_object_is_usage_error(capsys):
     assert "unknown label" in capsys.readouterr().err
 
 
-def test_slopes_rejects_nonpositive_alpha(capsys):
+def test_slopes_rejects_nonpositive_alpha(tmp_path, capsys):
     assert main(["slopes", "--object", "O", "--alpha", "0", "--beta", "0"]) == 2
     assert "must be positive" in capsys.readouterr().err
+    out = tmp_path / "z.svg"
+    assert main(["plot", "zvectors", "--alpha", "0", "--beta", "0", "--out", str(out)]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_default_certified(capsys):
