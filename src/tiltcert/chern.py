@@ -1,9 +1,9 @@
-"""Chern characters on Picard-rank-1 threefolds, numeric and twisted.
+"""Chern characters on the smooth quadric threefold, numeric and twisted.
 
 Coordinates: ch0 is the rank, ch1 and ch2 are coefficients of H and H^2,
 and ch3 is the rational degree of the 0-cycle (point-class coefficient,
 already an intersection number).  The mixed normalization keeps central
-charges dimensionless; the ambient degree d = H^3 enters exactly where
+charges dimensionless; the degree d = H^3 = DEGREE enters exactly where
 an H^3 is produced, so twisting threads d through the ch3 component.
 """
 
@@ -14,20 +14,8 @@ from fractions import Fraction
 from .kernel import format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class Threefold:
-    """Ambient smooth threefold with Pic = Z*H and degree d = H^3 > 0."""
-
-    name: str
-    degree: int
-
-    def __post_init__(self):
-        if self.degree <= 0:
-            raise ValueError("degree H^3 must be positive")
-
-
-QUADRIC = Threefold("quadric threefold", 2)
-PROJECTIVE_SPACE = Threefold("projective 3-space", 1)
+# Degree d = H^3 of the quadric threefold, Pic = Z*H.
+DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -87,20 +75,20 @@ def load_chern(path):
     return ChernCharacter.from_json_dict(data), data.get("name")
 
 
-def line_bundle_ch(n, X=QUADRIC):
+def line_bundle_ch(n):
     """ch(O(nH)) = (1, n, n^2/2, n^3*d/6); the d lands in the degree slot."""
     n = Fraction(n)
-    return ChernCharacter(Fraction(1), n, n * n / 2, n**3 * X.degree / 6)
+    return ChernCharacter(Fraction(1), n, n * n / 2, n**3 * DEGREE / 6)
 
 
-def twist(v, beta, X=QUADRIC):
+def twist(v, beta):
     """Twisted character e^{-beta*H} * ch.
 
     ch1, ch2 transform with plain H-coordinate arithmetic; the ch3 slot is
     a degree, so every product that lands in H^3 picks up d.
     """
     beta = Fraction(beta)
-    d = X.degree
+    d = DEGREE
     r, c1, c2, c3 = v.as_tuple()
     return ChernCharacter(
         r,
@@ -110,9 +98,9 @@ def twist(v, beta, X=QUADRIC):
     )
 
 
-def tensor_line(v, n, X=QUADRIC):
+def tensor_line(v, n):
     """ch(E(nH)) = e^{nH} * ch(E); same arithmetic as twist with beta = -n."""
-    return twist(v, -Fraction(n), X)
+    return twist(v, -Fraction(n))
 
 
 def shift(v, k):
@@ -128,12 +116,12 @@ class CatalogObject:
     mu_stable: bool
 
 
-def spinor_ch_minus_one(X=QUADRIC):
+def spinor_ch_minus_one():
     # Rank-2 spinor bundle twisted down once.  Forced by the short exact
     # sequence 0 -> S(-1) -> O^4 -> S -> 0 with S = S(-1) tensor O(1):
     # solving ch(S(-1)) + tensor_line(ch(S(-1)), 1) = 4*ch(O) gives
     # (2, -1, 0, d/12).
-    return ChernCharacter(2, -1, 0, Fraction(X.degree, 12))
+    return ChernCharacter(2, -1, 0, Fraction(DEGREE, 12))
 
 
 def _skyscraper():

@@ -3,8 +3,8 @@
 The heart is generated by O(-1)[3], S(-1)[2], O[1], O(1); an object is
 recorded by its multiplicity vector (a, b, c, d) against those simple
 generators.  This module enumerates the subobject candidates for the
-skyscraper vector (1, 2, 4, 1) from declarative constraint rules and
-reduces them to the two base cases via Im Z dominance.
+skyscraper vector (1, 2, 4, 1) and reduces them to the two base cases
+via Im Z dominance.
 """
 
 from dataclasses import dataclass
@@ -78,40 +78,6 @@ def heart_z(v, p):
 
 
 # --- candidate enumeration ---------------------------------------------------
-#
-# The constraint rules are data so a test can drop one and watch the
-# candidate set grow.
-
-@dataclass(frozen=True)
-class ComponentBound:
-    component: str
-    maximum: int
-
-
-@dataclass(frozen=True)
-class ComponentEquals:
-    component: str
-    value: int
-
-
-@dataclass(frozen=True)
-class ComponentImplication:
-    if_component: str
-    if_value: int
-    then_component: str
-    then_value: int
-
-
-DEFAULT_BOUNDS = tuple(
-    ComponentBound(name, getattr(SKYSCRAPER_VECTOR, name)) for name in ("a", "b", "c", "d")
-)
-
-DEFAULT_RULES = (
-    ComponentEquals("d", 1),
-    ComponentEquals("a", 0),
-    ComponentImplication("b", 2, "c", 4),
-)
-
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -133,32 +99,16 @@ class DerivationError(ValueError):
     """The supplied sign facts do not cover every candidate on every side."""
 
 
-def _admits(vec, rules):
-    for rule in rules:
-        if isinstance(rule, ComponentEquals):
-            if getattr(vec, rule.component) != rule.value:
-                return False
-        elif isinstance(rule, ComponentImplication):
-            if getattr(vec, rule.if_component) == rule.if_value:
-                if getattr(vec, rule.then_component) != rule.then_value:
-                    return False
-        else:
-            raise TypeError(f"unknown rule {rule!r}")
-    return True
-
-
-def skyscraper_candidates(rules=DEFAULT_RULES, bounds=DEFAULT_BOUNDS):
-    """All proper-subobject dimension vectors admitted by the rules."""
-    limit = {bound.component: bound.maximum for bound in bounds}
-    vectors = []
-    for a in range(limit["a"] + 1):
-        for b in range(limit["b"] + 1):
-            for c in range(limit["c"] + 1):
-                for d in range(limit["d"] + 1):
-                    vec = DimensionVector(a, b, c, d)
-                    if _admits(vec, rules):
-                        vectors.append(vec)
-    return CandidateSet(vectors=tuple(vectors), bases=(), derivation={})
+def skyscraper_candidates():
+    """The proper-subobject dimension vectors of SKYSCRAPER_VECTOR, in
+    lexicographic order: a = 0, d = 1, and c = 4 whenever b = 2."""
+    vectors = tuple(
+        DimensionVector(0, b, c, 1)
+        for b in range(SKYSCRAPER_VECTOR.b + 1)
+        for c in range(SKYSCRAPER_VECTOR.c + 1)
+        if b != 2 or c == 4
+    )
+    return CandidateSet(vectors=vectors, bases=(), derivation={})
 
 
 BASE_VECTORS = (DimensionVector(0, 2, 4, 1), DimensionVector(0, 1, 0, 1))
@@ -171,6 +121,11 @@ class ImSignFact:
     generator: str
     subregion: str
     sign: str  # one of <0, <=0, >0, >=0
+
+    def __post_init__(self):
+        sign_parts(self.sign)
+        if self.subregion not in (FULL_REGION, SIDE_LEFT, SIDE_RIGHT):
+            raise ValueError(f"bad subregion {self.subregion!r}")
 
     def allows_removal(self, subregion):
         return sign_parts(self.sign)[0] < 0 and self.subregion in (FULL_REGION, subregion)

@@ -20,7 +20,7 @@ from .certify import (
     certify_sign,
     default_region,
 )
-from .chern import QUADRIC, ChernCharacter, line_bundle_ch, quadric_catalog, tensor_line
+from .chern import DEGREE, ChernCharacter, line_bundle_ch, quadric_catalog, tensor_line
 from .heart import (
     BASE_VECTORS,
     DEFAULT_SIGN_FACTS,
@@ -181,21 +181,15 @@ def _certificate_item(name, target, sign, region, max_depth, notes=()):
 # --- closed-form identities --------------------------------------------
 
 
-def verify_lemma_computation(reference=None):
+def verify_lemma_computation():
     """Symbolic check of every closed form: twisted characters, slopes,
     central charges.  Any mismatch fails, naming the identity."""
-    reference = reference or {
-        "twisted": REFERENCE_TWISTED,
-        "mu": REFERENCE_MU,
-        "nu": REFERENCE_NU,
-        "z": REFERENCE_Z,
-    }
     items = []
     component_names = ("ch0", "ch1", "ch2", "ch3")
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
         ch = _CATALOG_CH[label]
         computed = twisted_ch_polynomials(ch)
-        expected = reference["twisted"][label]
+        expected = REFERENCE_TWISTED[label]
         bad = [
             component_names[k]
             for k in range(4)
@@ -206,19 +200,19 @@ def verify_lemma_computation(reference=None):
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
         ch = _CATALOG_CH[label]
         _, t1, t2, _ = twisted_ch_polynomials(ch)
-        num, den = reference["mu"][label]
+        num, den = REFERENCE_MU[label]
         # mu = t1/(alpha*ch0) must equal num/den: cross-multiplied identity.
         ok = poly_equal(t1 * den, num * (A * ch.ch0))
         items.append(_identity_item(f"mu {label}", ok))
         nu_num = t2 - A**2 * Fraction(ch.ch0, 2)
         nu_den = A * t1
-        num, den = reference["nu"][label]
+        num, den = REFERENCE_NU[label]
         ok = poly_equal(nu_num * den, num * nu_den)
         items.append(_identity_item(f"nu {label}", ok))
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
         ch = _CATALOG_CH[label]
         re, im = z_polynomials(ch, S_DEFAULT)
-        re_ref, im_ref = reference["z"][label]
+        re_ref, im_ref = REFERENCE_Z[label]
         items.append(_identity_item(f"Z {label} real part", poly_equal(re, re_ref)))
         items.append(_identity_item(f"Z {label} imaginary part", poly_equal(im, im_ref)))
     return Report(_aggregate(items), items)
@@ -297,7 +291,7 @@ def verify_half_plane(region=None, max_depth=16):
 # --- skyscraper condition ------------------------------------------------------
 
 
-def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None):
+def verify_skyscraper_condition(region=None, max_depth=16):
     """Im Z > 0 for every subobject candidate of the skyscraper vector.
 
     Certifies the generator sign facts, both base vectors, the dominance
@@ -305,7 +299,6 @@ def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None)
     (redundantly) all eleven candidates directly.
     """
     region = region or default_region()
-    reference_table = reference_table or REFERENCE_TABLE_IM
     items = []
     facts = []
     blocked = []
@@ -334,7 +327,7 @@ def verify_skyscraper_condition(region=None, max_depth=16, reference_table=None)
         additive = BivariatePoly()
         for mult, (_, ch, _) in zip(v.as_tuple(), GENERATORS):
             additive = additive + mult * z_polynomials(ch, S_DEFAULT)[1]
-        quoted = reference_table[v.as_tuple()]
+        quoted = REFERENCE_TABLE_IM[v.as_tuple()]
         ok = poly_equal(im, additive)
         notes = []
         if not poly_equal(quoted, additive):
@@ -406,7 +399,7 @@ def _bg_equality_item():
     for k in range(4):
         w = ChernCharacter(*(t.terms.get((0, k), 0) for t in o_twisted))
         _, t1, _, t3 = twisted_ch_polynomials(w)
-        margin = margin + (-A) ** k * ((A - B) ** 2 * t1 * (S_DEFAULT * QUADRIC.degree) - t3)
+        margin = margin + (-A) ** k * ((A - B) ** 2 * t1 * (S_DEFAULT * DEGREE) - t3)
     notes = ["margin s*d*(n-beta)^2*ch1 - ch3 of O(n) is 0 in Q[n, beta]"]
     if not margin.is_zero():
         n, beta = next(
@@ -425,12 +418,12 @@ def _bg_equality_item():
     return _identity_item("bg line-bundle equality", margin.is_zero(), notes)
 
 
-def verify_all(max_depth=16, region=None, reference=None):
+def verify_all(max_depth=16, region=None):
     """Full verification: structural identities, closed forms, half-plane
     containment, skyscraper positivity, slope signs, degree-3 equality."""
     region = region or default_region()
     items = _structural_items()
-    items.extend(verify_lemma_computation(reference).items)
+    items.extend(verify_lemma_computation().items)
     items.extend(verify_half_plane(region, max_depth).items)
     items.extend(verify_skyscraper_condition(region, max_depth).items)
     items.extend(_mu_sign_items(region, max_depth))

@@ -24,11 +24,11 @@ def decimal6(x):
     return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
-def _svg_header(width=WIDTH, height=HEIGHT):
+def _svg_header():
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
+        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
     )
 
 

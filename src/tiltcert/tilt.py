@@ -13,7 +13,7 @@ symbolically (BivariatePoly in a = alpha, b = beta).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import QUADRIC, twist
+from .chern import DEGREE, twist
 from .kernel import BivariatePoly, format_rational, poly_eval
 
 # Default of the parameter s in Z and in the degree-3 margin.
@@ -74,54 +74,52 @@ class ComplexRational:
         return f"({format_rational(self.re)}, {format_rational(self.im)})"
 
 
-def mu(v, p, X=QUADRIC):
+def mu(v, p):
     if v.ch0 == 0:
         return INFINITE_SLOPE
     return ExtendedSlope.finite((v.ch1 - p.beta * v.ch0) / (p.alpha * v.ch0))
 
 
-def nu(v, p, X=QUADRIC):
-    t = twist(v, p.beta, X)
+def nu(v, p):
+    t = twist(v, p.beta)
     if t.ch1 == 0:
         return INFINITE_SLOPE
     return ExtendedSlope.finite((t.ch2 - p.alpha**2 * v.ch0 / 2) / (p.alpha * t.ch1))
 
 
-def central_charge(v, p, X=QUADRIC):
-    d = X.degree
-    t = twist(v, p.beta, X)
-    re = -t.ch3 + p.s * d * p.alpha**2 * t.ch1
-    im = d * p.alpha * t.ch2 - d * p.alpha**3 * v.ch0 / 2
+def central_charge(v, p):
+    t = twist(v, p.beta)
+    re = -t.ch3 + p.s * DEGREE * p.alpha**2 * t.ch1
+    im = DEGREE * p.alpha * t.ch2 - DEGREE * p.alpha**3 * v.ch0 / 2
     return ComplexRational(re, im)
 
 
-def lambda_slope(v, p, X=QUADRIC):
-    z = central_charge(v, p, X)
+def lambda_slope(v, p):
+    z = central_charge(v, p)
     if z.im == 0:
         return INFINITE_SLOPE
     return ExtendedSlope.finite(-z.re / z.im)
 
 
-def twisted_ch_polynomials(v, X=QUADRIC):
+def twisted_ch_polynomials(v):
     """The four components of twist(v, b) as polynomials in b."""
     b = BivariatePoly.beta()
-    d = X.degree
     c0, c1, c2, c3 = (BivariatePoly.constant(c) for c in v.as_tuple())
     return (
         c0,
         c1 - b * v.ch0,
         c2 - b * v.ch1 + b**2 * Fraction(v.ch0, 2),
-        c3 - b * (d * v.ch2) + b**2 * (Fraction(d, 2) * v.ch1) - b**3 * (Fraction(d, 6) * v.ch0),
+        c3 - b * (DEGREE * v.ch2) + b**2 * (Fraction(DEGREE, 2) * v.ch1)
+        - b**3 * (Fraction(DEGREE, 6) * v.ch0),
     )
 
 
-def z_polynomials(v, s=S_DEFAULT, X=QUADRIC):
+def z_polynomials(v, s=S_DEFAULT):
     """(Re, Im) of the central charge as polynomials in (a, b)."""
     a = BivariatePoly.alpha()
-    d = X.degree
-    _, t1, t2, t3 = twisted_ch_polynomials(v, X)
-    re = -t3 + a**2 * t1 * (Fraction(s) * d)
-    im = a * t2 * d - a**3 * Fraction(d * v.ch0, 2)
+    _, t1, t2, t3 = twisted_ch_polynomials(v)
+    re = -t3 + a**2 * t1 * (Fraction(s) * DEGREE)
+    im = a * t2 * DEGREE - a**3 * Fraction(DEGREE * v.ch0, 2)
     return re, im
 
 
@@ -129,38 +127,37 @@ def z_value(re_poly, im_poly, alpha, beta):
     return ComplexRational(poly_eval(re_poly, alpha, beta), poly_eval(im_poly, alpha, beta))
 
 
-def cross_polynomial(v, w, s=S_DEFAULT, X=QUADRIC):
+def cross_polynomial(v, w, s=S_DEFAULT):
     """Cross product Re Z(v)*Im Z(w) - Im Z(v)*Re Z(w) as a polynomial.
 
     Its sign tells which side of the ray through Z(v) the vector Z(w)
     lies on; antisymmetric in (v, w).
     """
-    re_v, im_v = z_polynomials(v, s, X)
-    re_w, im_w = z_polynomials(w, s, X)
+    re_v, im_v = z_polynomials(v, s)
+    re_w, im_w = z_polynomials(w, s)
     return re_v * im_w - im_v * re_w
 
 
-def bg_margin(v, p, X=QUADRIC):
+def bg_margin(v, p):
     """Margin s*omega^2*ch1^B - ch3^B of the degree-3 inequality.
 
     Nonnegative at nu = 0 for s = 1/6 (strict for s > 1/6) is the
     conjectural inequality this toolkit probes; equals Re Z by design.
     """
-    return bg_margin_from_squared(v, p.alpha**2, p.beta, p.s, X)
+    return bg_margin_from_squared(v, p.alpha**2, p.beta, p.s)
 
 
-def bg_margin_from_squared(v, alpha_squared, beta, s=S_DEFAULT, X=QUADRIC):
+def bg_margin_from_squared(v, alpha_squared, beta, s=S_DEFAULT):
     """Degree-3 margin as a function of alpha^2.
 
     The margin only sees alpha through its square, so the nu = 0 locus
     (where alpha^2 is rational but alpha usually is not) stays exact.
     """
-    d = X.degree
-    t = twist(v, Fraction(beta), X)
-    return Fraction(s) * d * Fraction(alpha_squared) * t.ch1 - t.ch3
+    t = twist(v, Fraction(beta))
+    return Fraction(s) * DEGREE * Fraction(alpha_squared) * t.ch1 - t.ch3
 
 
-def nu_zero_alpha_squared(v, beta, X=QUADRIC):
+def nu_zero_alpha_squared(v, beta):
     """Solve nu(v) = 0 for alpha^2 at fixed beta.
 
     Returns 2*b_B/ch0, which may be <= 0 (no real locus at this beta),
@@ -168,18 +165,18 @@ def nu_zero_alpha_squared(v, beta, X=QUADRIC):
     """
     if v.ch0 == 0:
         return None
-    t = twist(v, Fraction(beta), X)
+    t = twist(v, Fraction(beta))
     return 2 * t.ch2 / v.ch0
 
 
-def wall_polynomial(v, w, X=QUADRIC):
+def wall_polynomial(v, w):
     """Implicit curve W(a, b) = 0 where nu(v) = nu(w) (away from poles).
 
     W = (b_B(v) - a^2*ch0(v)/2)*a_B(w) - (b_B(w) - a^2*ch0(w)/2)*a_B(v).
     """
     a = BivariatePoly.alpha()
-    _, t1v, t2v, _ = twisted_ch_polynomials(v, X)
-    _, t1w, t2w, _ = twisted_ch_polynomials(w, X)
+    _, t1v, t2v, _ = twisted_ch_polynomials(v)
+    _, t1w, t2w, _ = twisted_ch_polynomials(w)
     num_v = t2v - a**2 * Fraction(v.ch0, 2)
     num_w = t2w - a**2 * Fraction(w.ch0, 2)
     return num_v * t1w - num_w * t1v

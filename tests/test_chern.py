@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltcert.chern import (
+    DEGREE,
     ChernCharacter,
-    PROJECTIVE_SPACE,
-    QUADRIC,
-    Threefold,
     catalog_lookup,
     line_bundle_ch,
     load_chern,
@@ -30,20 +28,12 @@ def ch(c0, c1, c2, c3):
     return ChernCharacter(F(c0), F(c1), F(c2), F(c3))
 
 
-def test_threefold_validation():
-    assert QUADRIC.degree == 2
-    assert PROJECTIVE_SPACE.degree == 1
-    with pytest.raises(ValueError):
-        Threefold("bad", 0)
-
-
 def test_line_bundle_values():
+    assert DEGREE == 2
     assert line_bundle_ch(0) == ch(1, 0, 0, 0)
     assert line_bundle_ch(1) == ch(1, 1, F(1, 2), F(1, 3))
     assert line_bundle_ch(-1) == ch(1, -1, F(1, 2), F(-1, 3))
     assert line_bundle_ch(2) == ch(1, 2, 2, F(8, 3))
-    # degree-1 ambient: top term n^3/6
-    assert line_bundle_ch(1, PROJECTIVE_SPACE) == ch(1, 1, F(1, 2), F(1, 6))
 
 
 def test_catalog_frozen_values():
@@ -79,7 +69,7 @@ def test_resolution_alternating_sum():
 
 
 def test_spinor_identities():
-    assert spinor_ch_minus_one(QUADRIC) == ch(2, -1, 0, F(1, 6))
+    assert spinor_ch_minus_one() == ch(2, -1, 0, F(1, 6))
     table = {obj.label: obj.ch for obj in quadric_catalog()}
     assert table["S(-1)"] + table["S"] == 4 * table["O"]
     assert tensor_line(table["S(-1)"], 1) == table["S"]
@@ -93,11 +83,10 @@ rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
     st.builds(ChernCharacter, rationals, rationals, rationals, rationals),
     rationals,
     rationals,
-    st.sampled_from((QUADRIC, PROJECTIVE_SPACE)),
 )
-def test_twist_is_group_action(v, x, y, X):
-    assert twist(twist(v, x, X), y, X) == twist(v, x + y, X)
-    assert twist(v, 0, X) == v
+def test_twist_is_group_action(v, x, y):
+    assert twist(twist(v, x), y) == twist(v, x + y)
+    assert twist(v, 0) == v
 
 
 def test_twist_of_line_bundle_shifts_it():

@@ -8,8 +8,6 @@ from tiltcert.certify import SIDE_LEFT, SIDE_RIGHT
 from tiltcert.chern import ChernCharacter, catalog_lookup, shift
 from tiltcert.heart import (
     BASE_VECTORS,
-    DEFAULT_BOUNDS,
-    DEFAULT_RULES,
     DerivationError,
     DimensionVector,
     GENERATORS,
@@ -97,13 +95,6 @@ def test_candidate_enumeration_default():
     assert list(cands.vectors) == sorted(cands.vectors, key=lambda v: v.as_tuple())
 
 
-def test_candidate_enumeration_rule_toggles():
-    no_a = tuple(r for r in DEFAULT_RULES if not (getattr(r, "component", None) == "a"))
-    assert len(skyscraper_candidates(rules=no_a).vectors) == 22
-    no_impl = tuple(r for r in DEFAULT_RULES if not hasattr(r, "if_component"))
-    assert len(skyscraper_candidates(rules=no_impl).vectors) == 15
-
-
 def test_reduce_candidates_full_coverage():
     cands = skyscraper_candidates()
     reduced = reduce_candidates(cands)
@@ -167,8 +158,7 @@ def test_im_sign_fact_semantics():
     assert right_pos.allows_addition(SIDE_RIGHT)
     assert not right_pos.allows_addition(SIDE_LEFT)
     assert not right_pos.allows_removal(SIDE_RIGHT)
-
-
-def test_default_bounds_match_skyscraper():
-    limits = {bound.component: bound.maximum for bound in DEFAULT_BOUNDS}
-    assert limits == {"a": 1, "b": 2, "c": 4, "d": 1}
+    with pytest.raises(ValueError, match="bad target"):
+        ImSignFact("O[1]", SIDE_LEFT, "!=0")
+    with pytest.raises(ValueError, match="bad subregion"):
+        ImSignFact("O[1]", "left", "<=0")

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 from tiltcert import suite
 from tiltcert.certify import Region, default_region, SIDE_LEFT, SIDE_RIGHT
-from tiltcert.chern import QUADRIC, line_bundle_ch
+from tiltcert.chern import DEGREE, line_bundle_ch
 from tiltcert.kernel import (
     BivariatePoly,
     RationalInterval,
@@ -23,8 +23,6 @@ from tiltcert.kernel import (
 from tiltcert.tilt import TiltParams, bg_margin, twisted_ch_polynomials
 from tiltcert.suite import (
     ORIENTATION_SAMPLE,
-    REFERENCE_MU,
-    REFERENCE_NU,
     REFERENCE_TABLE_IM,
     REFERENCE_TWISTED,
     REFERENCE_Z,
@@ -227,8 +225,8 @@ def test_bg_item_fails_on_wrong_s(monkeypatch):
 def test_bg_item_fails_on_perturbed_twisted_ch3(monkeypatch):
     # A fault in the ch2 term of the twisted ch3: invisible on O, whose ch2
     # is 0, so only a check that carries O(n) for every n can see it.
-    def perturbed(v, X=QUADRIC):
-        t0, t1, t2, t3 = twisted_ch_polynomials(v, X)
+    def perturbed(v):
+        t0, t1, t2, t3 = twisted_ch_polynomials(v)
         return t0, t1, t2, t3 - B * v.ch2
 
     monkeypatch.setattr(suite, "twisted_ch_polynomials", perturbed)
@@ -238,7 +236,7 @@ def test_bg_item_fails_on_perturbed_twisted_ch3(monkeypatch):
     value, n, beta = _bg_failure_point(item.notes[0])
     _, t1, _, t3 = perturbed(line_bundle_ch(n))
     alpha_squared = (n - beta) ** 2
-    s_d = F(1, 6) * QUADRIC.degree
+    s_d = F(1, 6) * DEGREE
     margin = s_d * alpha_squared * poly_eval(t1, 0, beta) - poly_eval(t3, 0, beta)
     assert margin == value != 0
     # The pointwise path (chern.twist) is untouched, so it still reads 0.
@@ -273,16 +271,10 @@ def test_derivation_coverage_notes_all_eleven():
     )
 
 
-def test_wrong_z_reference_fails_named_item():
-    reference = {
-        "twisted": REFERENCE_TWISTED,
-        "mu": REFERENCE_MU,
-        "nu": REFERENCE_NU,
-        "z": dict(REFERENCE_Z),
-    }
-    re_ref, im_ref = reference["z"]["S(-1)"]
-    reference["z"]["S(-1)"] = (re_ref + C(F(1, 7)), im_ref)
-    report = verify_all(reference=reference)
+def test_wrong_z_reference_fails_named_item(monkeypatch):
+    re_ref, im_ref = REFERENCE_Z["S(-1)"]
+    monkeypatch.setitem(REFERENCE_Z, "S(-1)", (re_ref + C(F(1, 7)), im_ref))
+    report = verify_all()
     assert report.status == "failed"
     items = _by_name(report)
     assert items["Z S(-1) real part"].status == "failed"
@@ -295,26 +287,20 @@ def test_wrong_z_reference_fails_named_item():
     assert all(item.status == "certified" for item in untouched)
 
 
-def test_wrong_twisted_reference_names_component():
-    reference = {
-        "twisted": dict(REFERENCE_TWISTED),
-        "mu": REFERENCE_MU,
-        "nu": REFERENCE_NU,
-        "z": REFERENCE_Z,
-    }
-    t0, t1, t2, t3 = reference["twisted"]["O"]
-    reference["twisted"]["O"] = (t0, t1, t2 + C(F(1, 5)), t3)
-    items = _by_name(verify_lemma_computation(reference=reference))
+def test_wrong_twisted_reference_names_component(monkeypatch):
+    t0, t1, t2, t3 = REFERENCE_TWISTED["O"]
+    monkeypatch.setitem(REFERENCE_TWISTED, "O", (t0, t1, t2 + C(F(1, 5)), t3))
+    items = _by_name(verify_lemma_computation())
     bad = items["twisted-ch O"]
     assert bad.status == "failed"
     assert bad.notes == ["component ch2 differs"]
     assert items["twisted-ch S(-1)"].status == "certified"
 
 
-def test_wrong_table_reference_fails_table_item():
-    table = dict(REFERENCE_TABLE_IM)
-    table[(0, 2, 4, 1)] = table[(0, 2, 4, 1)] + A
-    report = verify_skyscraper_condition(reference_table=table)
+def test_wrong_table_reference_fails_table_item(monkeypatch):
+    quoted = REFERENCE_TABLE_IM[(0, 2, 4, 1)]
+    monkeypatch.setitem(REFERENCE_TABLE_IM, (0, 2, 4, 1), quoted + A)
+    report = verify_skyscraper_condition()
     items = _by_name(report)
     assert items["skyscraper table (0,2,4,1)"].status == "failed"
     assert report.status == "failed"
