@@ -1,6 +1,7 @@
 """Module layering, read from the source: no tiltcert module imports
-another module's private names, and the figure layer does not depend on
-the verification suite."""
+another module's private names, the figure layer does not depend on the
+verification suite, and the package's __all__ lists exactly what its
+__init__ imports."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,14 @@ def test_no_module_imports_another_modules_private_names():
 def test_figures_do_not_import_the_suite():
     modules = {module for module, _ in _tiltcert_imports(PACKAGE / "svg.py")}
     assert "suite" not in modules
+
+
+def test_package_exports_match_its_imports():
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert [name for name in tiltcert.__all__ if not hasattr(tiltcert, name)] == []
+    assert sorted(imported - set(tiltcert.__all__)) == []
