@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import format_rational, parse_rational
+from .kernel import as_fraction, format_rational, parse_rational
 
 
 # Degree d = H^3 of the quadric threefold, Pic = Z*H.
@@ -27,7 +27,7 @@ class ChernCharacter:
 
     def __post_init__(self):
         for field in ("ch0", "ch1", "ch2", "ch3"):
-            object.__setattr__(self, field, Fraction(getattr(self, field)))
+            object.__setattr__(self, field, as_fraction(getattr(self, field)))
 
     def as_tuple(self):
         return (self.ch0, self.ch1, self.ch2, self.ch3)
@@ -42,7 +42,7 @@ class ChernCharacter:
         return ChernCharacter(*(-x for x in self.as_tuple()))
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = as_fraction(scalar)
         return ChernCharacter(*(x * scalar for x in self.as_tuple()))
 
     __rmul__ = __mul__

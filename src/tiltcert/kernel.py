@@ -31,6 +31,19 @@ def parse_rational(text):
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
+def as_fraction(x):
+    """x as a Fraction, returned as is when it already is one.
+
+    Floats are refused: they are never exact, and Fraction(0.1) would
+    silently store the binary approximation of 0.1.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"not an exact value: {x!r}")
+    return Fraction(x)
+
+
 def format_rational(q):
     q = Fraction(q)
     if q.denominator == 1:
@@ -100,8 +113,8 @@ class BivariatePoly:
     def __init__(self, terms=None):
         clean = {}
         for (i, j), c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            c = as_fraction(c)
+            if c:
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term {(i, j)}")
                 clean[(int(i), int(j))] = c
@@ -109,15 +122,15 @@ class BivariatePoly:
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def alpha(cls):
-        return cls({(1, 0): Fraction(1)})
+        return cls({(1, 0): 1})
 
     @classmethod
     def beta(cls):
-        return cls({(0, 1): Fraction(1)})
+        return cls({(0, 1): 1})
 
     def is_zero(self):
         return not self.terms
@@ -154,7 +167,7 @@ class BivariatePoly:
             return NotImplemented
         merged = dict(self.terms)
         for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
+            merged[key] = merged.get(key, 0) + c
         return BivariatePoly(merged)
 
     __radd__ = __add__
@@ -179,7 +192,7 @@ class BivariatePoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return BivariatePoly(out)
 
     __rmul__ = __mul__

@@ -299,6 +299,7 @@ def verify_skyscraper_condition(region=None, max_depth=16):
     (redundantly) all eleven candidates directly.
     """
     region = region or default_region()
+    generator_im = {label: z_polynomials(ch, S_DEFAULT)[1] for label, ch, _ in GENERATORS}
     items = []
     facts = []
     blocked = []
@@ -308,25 +309,23 @@ def verify_skyscraper_condition(region=None, max_depth=16):
         if fact.subregion != FULL_REGION:
             name += f" {fact.subregion}"
             sub = region.with_side(fact.subregion)
-        _, im = z_polynomials(_GENERATOR_CH[fact.generator], S_DEFAULT)
-        item = _certificate_item(name, im, fact.sign, sub, max_depth)
+        item = _certificate_item(name, generator_im[fact.generator], fact.sign, sub, max_depth)
         items.append(item)
         if item.status == "certified":
             facts.append(fact)
         else:
             blocked.append((name, item.status))
-    for v in BASE_VECTORS:
-        _, im = z_polynomials(heart_ch(v), S_DEFAULT)
+    base_im = [z_polynomials(heart_ch(v), S_DEFAULT)[1] for v in BASE_VECTORS]
+    for v, im in zip(BASE_VECTORS, base_im):
         notes = []
         if v.as_tuple() == (0, 1, 0, 1):
             notes.append("Im form derived by additivity, not the quoted table entry")
         items.append(_certificate_item(f"skyscraper base {v}", im, ">0", region, max_depth, notes))
     # Quoted table entries vs the additivity computation.
-    for v in BASE_VECTORS:
-        _, im = z_polynomials(heart_ch(v), S_DEFAULT)
+    for v, im in zip(BASE_VECTORS, base_im):
         additive = BivariatePoly()
-        for mult, (_, ch, _) in zip(v.as_tuple(), GENERATORS):
-            additive = additive + mult * z_polynomials(ch, S_DEFAULT)[1]
+        for mult, (label, _, _) in zip(v.as_tuple(), GENERATORS):
+            additive = additive + mult * generator_im[label]
         quoted = REFERENCE_TABLE_IM[v.as_tuple()]
         ok = poly_equal(im, additive)
         notes = []

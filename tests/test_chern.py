@@ -126,6 +126,16 @@ def test_arithmetic_and_equality():
     assert -v == ch(-1, -2, F(-1, 2), F(-1, 3))
 
 
+def test_float_values_are_refused():
+    # Fraction(0.1) would store the binary approximation of 0.1.
+    with pytest.raises(TypeError):
+        ChernCharacter(1, 0.1, 0, 0)
+    with pytest.raises(TypeError):
+        ch(1, 0, 0, 0) * 0.5
+    v = ChernCharacter(1, 2, F(1, 2), 0)
+    assert all(type(x) is Fraction for x in v.as_tuple())
+
+
 def test_json_round_trip(tmp_path):
     v = ch(2, -1, 0, F(1, 6))
     data = v.to_json_dict()

@@ -147,6 +147,18 @@ def test_poly_parse_rejects_malformed():
             poly_parse(text)
 
 
+def test_float_values_are_refused():
+    # Fraction(0.1) would store 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError):
+        BivariatePoly({(0, 0): 0.1})
+    with pytest.raises(TypeError):
+        BivariatePoly.constant(0.5)
+    with pytest.raises(TypeError):
+        A + 0.5
+    with pytest.raises(TypeError):
+        0.5 * A
+
+
 def test_poly_format_canonical_examples():
     assert poly_format(A**2 - B**2) == "a^2 - b^2"
     assert poly_format(Fraction(1, 3) * A * B - 2) == "1/3*a*b - 2"
@@ -333,3 +345,24 @@ def test_poly_format_parse_round_trip(p):
     text = poly_format(p)
     assert poly_parse(text) == p
     assert poly_format(poly_parse(text)) == text
+
+
+# Coefficients as __init__ receives them from callers: ints, zeros, Fractions.
+raw_values = st.one_of(st.integers(-3, 3), small_rationals)
+mixed_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), raw_values, max_size=6
+).map(BivariatePoly)
+
+
+def _assert_normalized(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(type(i) is int and type(j) is int for i, j in p.terms)
+    assert poly_parse(poly_format(p)) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_polys, mixed_polys, st.integers(-3, 3), maps)
+def test_arithmetic_stores_only_nonzero_fractions(p, q, k, beta):
+    for r in (p, p + q, p - q, p * q, p - p, p + k, k - p, k * p, -p, p**2,
+              substitute(p, beta)):
+        _assert_normalized(r)

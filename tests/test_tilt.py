@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tiltcert.chern import ChernCharacter, catalog_lookup, line_bundle_ch, shift, twist
+from tiltcert.chern import DEGREE, ChernCharacter, catalog_lookup, line_bundle_ch, shift, twist
 from tiltcert.kernel import BivariatePoly, poly_equal, poly_eval
 from tiltcert.tilt import (
     INFINITE_SLOPE,
@@ -301,3 +303,51 @@ def test_twisted_polys_match_pointwise_twist():
             t = twist(obj(label), beta)
             values = tuple(poly_eval(p, 0, beta) for p in polys)
             assert values == (t.ch0, t.ch1, t.ch2, t.ch3)
+
+
+def _twisted_by_products(v):
+    # Reference built by BivariatePoly products, not from the coefficient table.
+    b = BivariatePoly.beta()
+    c0, c1, c2, c3 = (BivariatePoly.constant(c) for c in v.as_tuple())
+    return (
+        c0,
+        c1 - b * v.ch0,
+        c2 - b * v.ch1 + b**2 * F(v.ch0, 2),
+        c3 - b * (DEGREE * v.ch2) + b**2 * (F(DEGREE, 2) * v.ch1)
+        - b**3 * (F(DEGREE, 6) * v.ch0),
+    )
+
+
+def _z_by_products(v, s):
+    a = BivariatePoly.alpha()
+    _, t1, t2, t3 = _twisted_by_products(v)
+    re = -t3 + a**2 * t1 * (F(s) * DEGREE)
+    im = a * t2 * DEGREE - a**3 * F(DEGREE * v.ch0, 2)
+    return re, im
+
+
+rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+characters = st.builds(ChernCharacter, st.just(F(0)) | rationals, rationals, rationals, rationals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(characters, rationals)
+@example(ChernCharacter(0, 0, 0, 0), F(1, 6))
+@example(ChernCharacter(0, 1, F(-1, 2), F(1, 3)), F(0))
+@example(ChernCharacter(2, -1, 0, F(1, 6)), F(1, 6))
+def test_closed_forms_match_product_chain_and_pointwise(v, s):
+    twisted = twisted_ch_polynomials(v)
+    re_poly, im_poly = z_polynomials(v, s)
+    assert all(poly_equal(p, q) for p, q in zip(twisted, _twisted_by_products(v)))
+    re_ref, im_ref = _z_by_products(v, s)
+    assert poly_equal(re_poly, re_ref) and poly_equal(im_poly, im_ref)
+    # Degrees are <= 3 in each variable, so 4 x 4 grid agreement is identity.
+    for beta in (F(-1), F(0), F(1, 3), F(2)):
+        t = twist(v, beta)
+        assert tuple(poly_eval(p, 0, beta) for p in twisted) == t.as_tuple()
+        for alpha in (F(1, 4), F(1, 2), F(1), F(3)):
+            z = central_charge(v, TiltParams(alpha, beta, s))
+            assert (poly_eval(re_poly, alpha, beta), poly_eval(im_poly, alpha, beta)) == (
+                z.re,
+                z.im,
+            )
