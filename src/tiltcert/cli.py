@@ -16,7 +16,7 @@ from .chern import catalog_lookup, load_chern, quadric_catalog
 from .heart import reduce_candidates, skyscraper_candidates
 from .kernel import RationalInterval, format_rational, parse_rational
 from .suite import verify_all
-from .svg import emit_wall_svg, emit_zvectors_svg
+from .svg import MIN_GRID, emit_wall_svg, emit_zvectors_svg
 from .tilt import (
     S_DEFAULT,
     TiltParams,
@@ -246,7 +246,7 @@ def _build_parser():
     pw = plot_sub.add_parser("wall", help="numerical wall contour between two characters")
     pw.add_argument("--chern1", required=True, help="catalog label or JSON path")
     pw.add_argument("--chern2", required=True, help="catalog label or JSON path")
-    pw.add_argument("--grid", type=_bounded_int(1, 512), default=64)
+    pw.add_argument("--grid", type=_bounded_int(MIN_GRID, 512), default=64)
     pw.add_argument("--region", type=_region_arg, default=None, metavar="blo:bhi,alo:ahi")
     pw.add_argument("-o", "--out", default="wall.svg")
     pw.set_defaults(handler=_cmd_plot_wall)

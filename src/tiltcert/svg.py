@@ -14,6 +14,8 @@ from .tilt import central_charge, wall_polynomial
 WIDTH = 480
 HEIGHT = 480
 MARGIN = 40
+# Fewest grid divisions a wall contour is drawn on (plot wall --grid).
+MIN_GRID = 16
 
 
 def decimal6(x):
@@ -133,8 +135,8 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
     only when nothing crosses; the identically-zero polynomial gives an
     all-positive grid and hence an empty contour.
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID}")
     betas = [box_beta.lo + Fraction(i, grid) * box_beta.width for i in range(grid + 1)]
     alphas = [box_alpha.lo + Fraction(j, grid) * box_alpha.width for j in range(grid + 1)]
     value = grid_form(poly, box_alpha, box_beta, grid)

@@ -297,9 +297,9 @@ def test_negative_alpha_region_is_usage_error(argv, tmp_path, capsys):
 
 def test_plot_wall_coarse_grid_is_input_error(tmp_path, capsys):
     out_path = tmp_path / "never.svg"
-    code = main(
+    code = run(
         ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "8", "-o", str(out_path)]
     )
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "must be between 16 and 512, got 8" in capsys.readouterr().err
     assert not out_path.exists()
