@@ -14,8 +14,9 @@ half-plane alpha <= -beta or alpha >= -beta).  Three factor strategies:
                     piece (below); each box is tried with the monomial
                     interval hull first, then with exact Bernstein
                     coefficients.  Coefficients are formed from the power
-                    basis once, on a piece's root box, and held as an
-                    integer grid (a positive multiple of them); each split
+                    basis once, on a piece's root box, as the integer grid
+                    of bernstein_coefficients' (den, grid) (a positive
+                    multiple of them; den is not needed); each split
                     derives its children's grids by midpoint de Casteljau
                     subdivision, so no box rebuilds them
 
@@ -62,7 +63,6 @@ from .kernel import (
     format_rational,
     grid_axis,
     grid_form,
-    integer_grid,
     poly_eval,
     poly_format,
     poly_interval_eval,
@@ -389,7 +389,7 @@ def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, gr
         )
         return "violated", None
     if grid is None:
-        grid = integer_grid(bernstein_coefficients(factor_poly, box_alpha, box_beta)[2])
+        grid = bernstein_coefficients(factor_poly, box_alpha, box_beta)[1]
     m, n = len(grid) - 1, len(grid[0]) - 1
     high = max(c for row in grid for c in row)
     if high < 0 or (not strict and high <= 0):

@@ -77,8 +77,8 @@ def load_chern(path):
 
 def line_bundle_ch(n):
     """ch(O(nH)) = (1, n, n^2/2, n^3*d/6); the d lands in the degree slot."""
-    n = Fraction(n)
-    return ChernCharacter(Fraction(1), n, n * n / 2, n**3 * DEGREE / 6)
+    n = as_fraction(n)
+    return ChernCharacter(1, n, n * n / 2, n**3 * DEGREE / 6)
 
 
 def twist(v, beta):
@@ -87,7 +87,7 @@ def twist(v, beta):
     ch1, ch2 transform with plain H-coordinate arithmetic; the ch3 slot is
     a degree, so every product that lands in H^3 picks up d.
     """
-    beta = Fraction(beta)
+    beta = as_fraction(beta)
     d = DEGREE
     r, c1, c2, c3 = v.as_tuple()
     return ChernCharacter(
@@ -100,7 +100,7 @@ def twist(v, beta):
 
 def tensor_line(v, n):
     """ch(E(nH)) = e^{nH} * ch(E); same arithmetic as twist with beta = -n."""
-    return twist(v, -Fraction(n))
+    return twist(v, -as_fraction(n))
 
 
 def shift(v, k):

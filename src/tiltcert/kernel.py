@@ -7,16 +7,17 @@ as a sparse map (i, j) -> coefficient with zero coefficients dropped.
 
 The certifier's inner loops run on Python ints.  Where only a sign, a zero
 or the position of a maximum matters, a value is carried as an integer
-positive multiple of itself: Bernstein grids (integer_grid, split_grid),
-grid values (grid_form, at the integer grid coordinates of grid_axis), and
-the hull sums of poly_interval_eval, which divide once at the end and so
-return the exact rational hull.
+positive multiple of itself: Bernstein grids (bernstein_coefficients
+returns (den, grid) with grid / den the exact coefficients and
+gcd(den, *grid) == 1; split_grid), grid values (grid_form, at the integer
+grid coordinates of grid_axis), and the hull sums of poly_interval_eval,
+which divide once at the end and so return the exact rational hull.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import gcd, lcm
 
 RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -45,7 +46,7 @@ def as_fraction(x):
 
 
 def format_rational(q):
-    q = Fraction(q)
+    q = as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -59,8 +60,8 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", as_fraction(self.lo))
+        object.__setattr__(self, "hi", as_fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
 
@@ -214,7 +215,7 @@ class BivariatePoly:
 
 def poly_eval(p, alpha, beta):
     """Exact value of p at a rational point."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     total = Fraction(0)
     for (i, j), c in p.terms.items():
         total += c * alpha**i * beta**j
@@ -416,21 +417,23 @@ def poly_parse(text):
 
 
 def bernstein_coefficients(p, box_alpha, box_beta):
-    """Tensor Bernstein coefficients of p on a box.
+    """Tensor Bernstein coefficients of p on a box, on ints.
 
-    Returns (m, n, coeffs) where coeffs[i][j], 0 <= i <= m, 0 <= j <= n,
-    are the coefficients in the Bernstein basis of bidegree (m, n) on the
-    box (alpha direction first).  Key properties used by the certifier:
-      * p on the box lies in [min coeffs, max coeffs];
-      * corner coefficients equal the values of p at the box corners;
-      * the coefficients of a face of the box are exactly the sub-grid of
+    Returns (den, grid): grid[i][j], 0 <= i <= m, 0 <= j <= n, are ints and
+    grid[i][j] / den is the coefficient of p in the Bernstein basis of
+    bidegree (m, n) = (degree in alpha, degree in beta) on the box (alpha
+    direction first).  den > 0 and gcd(den, *grid) == 1, so grid is the
+    primitive integer positive multiple of the coefficients.  Key
+    properties used by the certifier:
+      * p on the box lies in [min grid, max grid] / den;
+      * corner entries are den times the values of p at the box corners;
+      * the entries of a face of the box are exactly the sub-grid of
         indices with i in {0}/{m} or j in {0}/{n}, and restrict p to it.
     Requires a non-degenerate box (positive widths).  The certifier calls
-    this once per root box and scales the result with integer_grid; boxes
-    below it inherit their grids through split_grid.
+    this once per root box; boxes below it inherit their grids through
+    split_grid.
     """
-    wa, wb = box_alpha.width, box_beta.width
-    if wa <= 0 or wb <= 0:
+    if box_alpha.width <= 0 or box_beta.width <= 0:
         raise ValueError("bernstein_coefficients needs a full-dimensional box")
     m, n = p.degree_alpha(), p.degree_beta()
     scale, terms = _integer_terms(p)
@@ -438,39 +441,41 @@ def bernstein_coefficients(p, box_alpha, box_beta):
     for (i, j), c in terms:
         power[i][j] = c
     # The basis change is a tensor product: convert along alpha for each
-    # power of beta, then along beta for each alpha index, all on ints.
-    a_lo, a_hi, a_den = _integer_endpoints(box_alpha)
-    b_lo, b_hi, b_den = _integer_endpoints(box_beta)
-    columns = [_bernstein_1d(col, a_lo, a_hi, a_den) for col in zip(*power)]
-    rows = [_bernstein_1d(row, b_lo, b_hi, b_den) for row in zip(*columns)]
-    den = scale * factorial(m) * a_den**m * factorial(n) * b_den**n
-    return m, n, [[Fraction(x, den) for x in row] for row in rows]
+    # power of beta, then along beta for each alpha index.
+    columns, a_multiple = _bernstein_1d(zip(*power), m, box_alpha)
+    rows, b_multiple = _bernstein_1d(zip(*columns), n, box_beta)
+    den = scale * a_multiple * b_multiple
+    g = gcd(den, *(x for row in rows for x in row))
+    return den // g, [[x // g for x in row] for row in rows]
 
 
-def _bernstein_1d(coeffs, lo, hi, den):
-    # d! den^d times the Bernstein coefficients of sum coeffs[e] x^e on
-    # [lo / den, hi / den]: substitute x = (lo + (hi - lo) u) / den, then
-    # change the basis on [0, 1] with d! C(i, k) / C(d, k) as ints.
-    d = len(coeffs) - 1
-    unit = [
-        (hi - lo) ** k
-        * sum(comb(e, k) * coeffs[e] * lo ** (e - k) * den ** (d - e) for e in range(k, d + 1))
-        for k in range(d + 1)
-    ]
-    return [
-        sum(unit[k] * factorial(i) * factorial(d - k) // factorial(i - k) for k in range(i + 1))
-        for i in range(d + 1)
-    ]
-
-
-def integer_grid(coeffs):
-    """Bernstein coefficients scaled by the lcm of their denominators.
-
-    The result is a positive multiple of coeffs as rows of ints, so every
-    sign, zero and maximum position the certifier reads is unchanged.
-    """
-    scale = lcm(*(c.denominator for row in coeffs for c in row))
-    return [[c.numerator * (scale // c.denominator) for c in row] for row in coeffs]
+def _bernstein_1d(rows, d, box):
+    # Each row c of d + 1 power coefficients (c[e] of x^e) to d! den^d times
+    # its Bernstein coefficients on box = [lo / den, hi / den]; also returns
+    # d! den^d.  With x = (lo + w u) / den, w = hi - lo: scale c[e] by
+    # den^(d - e), Taylor-shift by lo, weight the u^k entry by
+    # w^k k! (d - k)!, then sum with binomials, since
+    # d! C(i, k) / C(d, k) = C(i, k) k! (d - k)!.
+    lo, hi, den = _integer_endpoints(box)
+    w = hi - lo
+    up, down, den_powers = [1] * (d + 1), [1] * (d + 1), [1] * (d + 1)
+    for k in range(1, d + 1):
+        up[k] = up[k - 1] * k * w  # k! w^k
+        down[d - k] = down[d - k + 1] * k  # down[e] = (d - e)!
+        den_powers[d - k] = den_powers[d - k + 1] * den  # den^(d - e)
+    weights = [x * y for x, y in zip(up, down)]
+    out = []
+    for row in rows:
+        c = [x * y for x, y in zip(row, den_powers)]
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                c[k] += lo * c[k + 1]
+        c = [x * y for x, y in zip(c, weights)]
+        for i in range(d):
+            for k in range(d, i, -1):
+                c[k] += c[k - 1]
+        out.append(c)
+    return out, down[0] * den_powers[0]
 
 
 def split_grid(grid, axis):

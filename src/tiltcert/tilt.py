@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import DEGREE, twist
-from .kernel import BivariatePoly, format_rational, poly_eval
+from .kernel import BivariatePoly, as_fraction, format_rational, poly_eval
 
 # Default of the parameter s in Z and in the degree-3 margin.
 S_DEFAULT = Fraction(1, 6)
@@ -27,9 +27,9 @@ class TiltParams:
     s: Fraction = S_DEFAULT
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "s", Fraction(self.s))
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
+        object.__setattr__(self, "beta", as_fraction(self.beta))
+        object.__setattr__(self, "s", as_fraction(self.s))
         if self.alpha <= 0:
             raise ValueError("tilt parameter alpha must be positive")
 
@@ -42,7 +42,7 @@ class ExtendedSlope:
 
     @classmethod
     def finite(cls, q):
-        return cls(Fraction(q))
+        return cls(as_fraction(q))
 
     @property
     def is_infinite(self):
@@ -61,8 +61,8 @@ class ComplexRational:
     im: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        object.__setattr__(self, "re", as_fraction(self.re))
+        object.__setattr__(self, "im", as_fraction(self.im))
 
     def __add__(self, other):
         return ComplexRational(self.re + other.re, self.im + other.im)
@@ -124,7 +124,7 @@ def z_polynomials(v, s=S_DEFAULT):
     term, so the two dicts are written out without polynomial products.
     """
     _, t1, t2, t3 = twisted_ch_polynomials(v)
-    sd = Fraction(s) * DEGREE
+    sd = as_fraction(s) * DEGREE
     re = {(0, j): -c for (_, j), c in t3.terms.items()}
     re.update(((2, j), sd * c) for (_, j), c in t1.terms.items())
     im = {(1, j): DEGREE * c for (_, j), c in t2.terms.items()}
@@ -162,8 +162,8 @@ def bg_margin_from_squared(v, alpha_squared, beta, s=S_DEFAULT):
     The margin only sees alpha through its square, so the nu = 0 locus
     (where alpha^2 is rational but alpha usually is not) stays exact.
     """
-    t = twist(v, Fraction(beta))
-    return Fraction(s) * DEGREE * Fraction(alpha_squared) * t.ch1 - t.ch3
+    t = twist(v, beta)
+    return as_fraction(s) * DEGREE * as_fraction(alpha_squared) * t.ch1 - t.ch3
 
 
 def nu_zero_alpha_squared(v, beta):
@@ -174,7 +174,7 @@ def nu_zero_alpha_squared(v, beta):
     """
     if v.ch0 == 0:
         return None
-    t = twist(v, Fraction(beta))
+    t = twist(v, beta)
     return 2 * t.ch2 / v.ch0
 
 

@@ -132,6 +132,10 @@ def test_float_values_are_refused():
         ChernCharacter(1, 0.1, 0, 0)
     with pytest.raises(TypeError):
         ch(1, 0, 0, 0) * 0.5
+    with pytest.raises(TypeError):
+        twist(ch(1, 0, 0, 0), 0.5)
+    with pytest.raises(TypeError):
+        line_bundle_ch(0.5)
     v = ChernCharacter(1, 2, F(1, 2), 0)
     assert all(type(x) is Fraction for x in v.as_tuple())
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +14,6 @@ from tiltcert.kernel import (
     bernstein_coefficients,
     format_rational,
     grid_form,
-    integer_grid,
     parse_rational,
     poly_equal,
     poly_eval,
@@ -157,6 +156,16 @@ def test_float_values_are_refused():
         A + 0.5
     with pytest.raises(TypeError):
         0.5 * A
+    with pytest.raises(TypeError):
+        RationalInterval(0.1, 1)
+    with pytest.raises(TypeError):
+        RationalInterval(0, 0.5)
+    with pytest.raises(TypeError):
+        poly_eval(A, 0.5, 0)
+    with pytest.raises(TypeError):
+        format_rational(0.5)
+    iv = RationalInterval(0, Fraction(1, 2))
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
 
 
 def test_poly_format_canonical_examples():
@@ -169,7 +178,8 @@ def test_bernstein_corner_coefficients_are_corner_values():
     p = (1 + B) ** 2 - A**2 + Fraction(1, 3) * A * B
     box_a = RationalInterval(Fraction(0), Fraction(1, 3))
     box_b = RationalInterval(Fraction(-1, 2), Fraction(0))
-    m, n, coeffs = bernstein_coefficients(p, box_a, box_b)
+    den, grid = bernstein_coefficients(p, box_a, box_b)
+    m, n = len(grid) - 1, len(grid[0]) - 1
     corners = {
         (0, 0): (box_a.lo, box_b.lo),
         (m, 0): (box_a.hi, box_b.lo),
@@ -177,7 +187,7 @@ def test_bernstein_corner_coefficients_are_corner_values():
         (m, n): (box_a.hi, box_b.hi),
     }
     for (i, j), (a, b) in corners.items():
-        assert coeffs[i][j] == poly_eval(p, a, b)
+        assert Fraction(grid[i][j], den) == poly_eval(p, a, b)
 
 
 def test_bernstein_sharper_than_monomial_hull():
@@ -188,8 +198,18 @@ def test_bernstein_sharper_than_monomial_hull():
     box_b = RationalInterval(Fraction(-1, 2), Fraction(0))
     hull = poly_interval_eval(p, box_a, box_b)
     assert hull.hi == Fraction(1, 4)
-    _, _, grid = bernstein_coefficients(p, box_a, box_b)
+    _, grid = bernstein_coefficients(p, box_a, box_b)
     assert max(c for row in grid for c in row) == 0
+
+
+def test_bernstein_coefficients_refuse_a_zero_width_box():
+    p = B**2 + B - A**2
+    point = RationalInterval(Fraction(1, 3), Fraction(1, 3))
+    box = RationalInterval(Fraction(0), Fraction(1, 3))
+    with pytest.raises(ValueError):
+        bernstein_coefficients(p, point, box)
+    with pytest.raises(ValueError):
+        bernstein_coefficients(p, box, point)
 
 
 # --- integer kernel against Fraction references ------------------------------
@@ -260,9 +280,41 @@ def _assert_positive_multiple(grid, coeffs):
 @settings(max_examples=60, deadline=None)
 @given(polys, intervals, intervals)
 def test_bernstein_coefficients_match_power_basis_reference(p, box_a, box_b):
-    m, n, coeffs = bernstein_coefficients(p, box_a, box_b)
-    assert (m, n) == (p.degree_alpha(), p.degree_beta())
-    assert coeffs == _bernstein_reference(p, box_a, box_b)
+    den, grid = bernstein_coefficients(p, box_a, box_b)
+    assert (len(grid) - 1, len(grid[0]) - 1) == (p.degree_alpha(), p.degree_beta())
+    assert [[Fraction(x, den) for x in row] for row in grid] == _bernstein_reference(
+        p, box_a, box_b
+    )
+
+
+# Bidegrees up to (8, 8), the zero polynomial among them, on boxes whose
+# low ends are negative, zero or positive.
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)), small_rationals, max_size=10
+).map(BivariatePoly)
+signed_intervals = st.builds(
+    lambda lo, width: RationalInterval(lo, lo + width),
+    st.one_of(
+        st.builds(Fraction, st.integers(-12, -1), st.integers(1, 8)),
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(1, 12), st.integers(1, 8)),
+    ),
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 8)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, signed_intervals, signed_intervals)
+@example(BivariatePoly(), RationalInterval(-1, 1), RationalInterval(0, 1))
+@example(BivariatePoly.constant(Fraction(-7, 3)), RationalInterval(1, 2), RationalInterval(-3, 0))
+@example(BivariatePoly.constant(6), RationalInterval(0, Fraction(1, 3)), RationalInterval(2, 5))
+def test_bernstein_grid_is_the_primitive_integer_form(p, box_a, box_b):
+    den, grid = bernstein_coefficients(p, box_a, box_b)
+    assert den > 0
+    assert gcd(den, *(x for row in grid for x in row)) == 1
+    assert [[Fraction(x, den) for x in row] for row in grid] == _bernstein_reference(
+        p, box_a, box_b
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,13 +327,13 @@ def test_bernstein_coefficients_match_power_basis_reference(p, box_a, box_b):
 )
 def test_split_grid_halves_are_multiples_of_bernstein(p, box_a, box_b, axes, highs):
     # Four splits along each axis, down one random half at a time.
-    grid = integer_grid(bernstein_coefficients(p, box_a, box_b)[2])
+    grid = bernstein_coefficients(p, box_a, box_b)[1]
     for axis, high in zip(axes, highs):
         halves = split_grid(grid, axis)
         boxes = box_a.split() if axis == 0 else box_b.split()
         for half_grid, half in zip(halves, boxes):
             sub = (half, box_b) if axis == 0 else (box_a, half)
-            _assert_positive_multiple(half_grid, bernstein_coefficients(p, *sub)[2])
+            _assert_positive_multiple(half_grid, bernstein_coefficients(p, *sub)[1])
         grid = halves[high]
         if axis == 0:
             box_a = boxes[high]
@@ -297,7 +349,8 @@ def test_split_grid_halves_are_multiples_of_bernstein(p, box_a, box_b, axes, hig
     st.lists(st.tuples(unit_fractions, unit_fractions), min_size=1, max_size=10),
 )
 def test_bernstein_encloses_range(p, box_a, box_b, offsets):
-    flat = [c for row in bernstein_coefficients(p, box_a, box_b)[2] for c in row]
+    den, grid = bernstein_coefficients(p, box_a, box_b)
+    flat = [Fraction(x, den) for row in grid for x in row]
     lo, hi = min(flat), max(flat)
     for s, t in offsets:
         value = poly_eval(p, box_a.lo + s * box_a.width, box_b.lo + t * box_b.width)

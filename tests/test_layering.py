@@ -1,9 +1,10 @@
 """Module layering, read from the source: no tiltcert module imports
 another module's private names, the figure layer does not depend on the
-verification suite, and the package's __all__ lists exactly what its
-__init__ imports."""
+verification suite, the package's __all__ lists exactly what its
+__init__ imports, and nothing outside the standard library is imported."""
 
 import ast
+import sys
 from pathlib import Path
 
 import tiltcert
@@ -54,3 +55,19 @@ def test_package_exports_match_its_imports():
     }
     assert [name for name in tiltcert.__all__ if not hasattr(tiltcert, name)] == []
     assert sorted(imported - set(tiltcert.__all__)) == []
+
+
+def test_package_imports_only_the_standard_library():
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module))
+    offenders = [
+        f"{name} imports {module}"
+        for name, module in sorted(imported)
+        if module.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert imported and offenders == []

@@ -16,6 +16,8 @@ from tiltcert.chern import DEGREE, ChernCharacter, catalog_lookup, line_bundle_c
 from tiltcert.kernel import BivariatePoly, poly_equal, poly_eval
 from tiltcert.tilt import (
     INFINITE_SLOPE,
+    ComplexRational,
+    ExtendedSlope,
     TiltParams,
     bg_margin,
     bg_margin_from_squared,
@@ -56,6 +58,24 @@ def test_params_validation():
         TiltParams(F(-1, 4), F(0))
     p = TiltParams(F(1, 4), F(-1, 2))
     assert p.s == F(1, 6)
+
+
+def test_float_values_are_refused():
+    # Fraction(0.1) would store 3602879701896397/36028797018963968.
+    for build in (
+        lambda: TiltParams(0.1, 0),
+        lambda: TiltParams(1, 0.5),
+        lambda: TiltParams(1, 0, 0.5),
+        lambda: ComplexRational(0.5, 0),
+        lambda: ComplexRational(0, 0.5),
+        lambda: ExtendedSlope.finite(0.5),
+        lambda: bg_margin_from_squared(obj("O"), 0.25, 0),
+        lambda: z_polynomials(obj("O"), 0.5),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    p = TiltParams(1, F(1, 2))
+    assert all(type(x) is Fraction for x in (p.alpha, p.beta, p.s))
 
 
 def test_mu_values_and_infinity():
