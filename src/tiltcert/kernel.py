@@ -433,7 +433,7 @@ def bernstein_coefficients(p, box_alpha, box_beta):
     this once per root box; boxes below it inherit their grids through
     split_grid.
     """
-    if box_alpha.width <= 0 or box_beta.width <= 0:
+    if box_alpha.hi <= box_alpha.lo or box_beta.hi <= box_beta.lo:
         raise ValueError("bernstein_coefficients needs a full-dimensional box")
     m, n = p.degree_alpha(), p.degree_beta()
     scale, terms = _integer_terms(p)
