@@ -14,9 +14,9 @@ half-plane alpha <= -beta or alpha >= -beta).  Three factor strategies:
                     piece (below); each box is tried with the monomial
                     interval hull first, then with exact Bernstein
                     coefficients.  Coefficients are formed from the power
-                    basis once, on a piece's root box, as the integer grid
-                    of bernstein_coefficients' (den, grid) (a positive
-                    multiple of them; den is not needed); each split
+                    basis once, on a piece's root box, and held as the
+                    integer grid of bernstein_coefficients' (den, grid), a
+                    positive multiple of them (signs need no den); each split
                     derives its children's grids by midpoint de Casteljau
                     subdivision, so no box rebuilds them
 

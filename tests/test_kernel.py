@@ -277,16 +277,6 @@ def _assert_positive_multiple(grid, coeffs):
     assert len(ratios) <= 1 and all(r > 0 for r in ratios)
 
 
-@settings(max_examples=60, deadline=None)
-@given(polys, intervals, intervals)
-def test_bernstein_coefficients_match_power_basis_reference(p, box_a, box_b):
-    den, grid = bernstein_coefficients(p, box_a, box_b)
-    assert (len(grid) - 1, len(grid[0]) - 1) == (p.degree_alpha(), p.degree_beta())
-    assert [[Fraction(x, den) for x in row] for row in grid] == _bernstein_reference(
-        p, box_a, box_b
-    )
-
-
 # Bidegrees up to (8, 8), the zero polynomial among them, on boxes whose
 # low ends are negative, zero or positive.
 wide_polys = st.dictionaries(
@@ -308,10 +298,12 @@ signed_intervals = st.builds(
 @example(BivariatePoly(), RationalInterval(-1, 1), RationalInterval(0, 1))
 @example(BivariatePoly.constant(Fraction(-7, 3)), RationalInterval(1, 2), RationalInterval(-3, 0))
 @example(BivariatePoly.constant(6), RationalInterval(0, Fraction(1, 3)), RationalInterval(2, 5))
-def test_bernstein_grid_is_the_primitive_integer_form(p, box_a, box_b):
+def test_bernstein_coefficients_match_power_basis_reference(p, box_a, box_b):
+    # The grid is the primitive integer form of the exact coefficients.
     den, grid = bernstein_coefficients(p, box_a, box_b)
     assert den > 0
     assert gcd(den, *(x for row in grid for x in row)) == 1
+    assert (len(grid) - 1, len(grid[0]) - 1) == (p.degree_alpha(), p.degree_beta())
     assert [[Fraction(x, den) for x in row] for row in grid] == _bernstein_reference(
         p, box_a, box_b
     )
