@@ -148,9 +148,9 @@ def _cmd_verify(args):
 
 
 def _cmd_subobjects(args):
-    reduced = reduce_candidates(skyscraper_candidates())
-    print(f"{len(reduced.vectors)} candidate subobject dimension vectors:")
-    for line in reduced.derivation_lines():
+    lines = reduce_candidates(skyscraper_candidates())
+    print(f"{len(lines)} candidate subobject dimension vectors:")
+    for line in lines:
         print(f"  {line}")
     return 0
 

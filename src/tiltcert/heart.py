@@ -4,14 +4,15 @@ The heart is generated by O(-1)[3], S(-1)[2], O[1], O(1); an object is
 recorded by its multiplicity vector (a, b, c, d) against those simple
 generators.  This module enumerates the subobject candidates for the
 skyscraper vector (1, 2, 4, 1) and reduces them to the two base cases
-via Im Z dominance.
+via Im Z dominance.  The reduction is text: one "vec: base" or
+"vec: edge[; edge]" line per candidate, where an edge reads
+"base [remove n x G, add m x H] on subregion".
 """
 
 from dataclasses import dataclass
 
 from .certify import SIDE_LEFT, SIDE_RIGHT, sign_parts
 from .chern import ChernCharacter, quadric_catalog, shift
-from .tilt import central_charge
 
 
 # (label, character of the shifted object, shift) for each heart generator,
@@ -26,6 +27,8 @@ GENERATORS = tuple(
     if obj.heart_shift is not None
 )
 GENERATOR_LABELS = tuple(label for label, _, _ in GENERATORS)
+# One row per Chern component, holding that component of each generator.
+_GENERATOR_ROWS = tuple(zip(*(ch.as_tuple() for _, ch, _ in GENERATORS)))
 
 FULL_REGION = "full"
 
@@ -49,15 +52,6 @@ class DimensionVector:
     def __add__(self, other):
         return DimensionVector(*(x + y for x, y in zip(self.as_tuple(), other.as_tuple())))
 
-    def to_json(self):
-        return list(self.as_tuple())
-
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, (list, tuple)) or len(data) != 4:
-            raise ValueError("dimension vector JSON must be [a, b, c, d]")
-        return cls(*data)
-
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.as_tuple()) + ")"
 
@@ -67,32 +61,11 @@ SKYSCRAPER_VECTOR = DimensionVector(1, 2, 4, 1)
 
 def heart_ch(v):
     """Additive extension: -a*ch(O(-1)) + b*ch(S(-1)) - c*ch(O) + d*ch(O(1))."""
-    total = ChernCharacter(0, 0, 0, 0)
-    for mult, (_, ch, _) in zip(v.as_tuple(), GENERATORS):
-        total = total + mult * ch
-    return total
-
-
-def heart_z(v, p):
-    return central_charge(heart_ch(v), p)
+    mults = v.as_tuple()
+    return ChernCharacter(*(sum(m * x for m, x in zip(mults, row)) for row in _GENERATOR_ROWS))
 
 
 # --- candidate enumeration ---------------------------------------------------
-
-@dataclass(frozen=True)
-class CandidateSet:
-    vectors: tuple
-    bases: tuple
-    derivation: dict
-
-    def derivation_lines(self):
-        """One "vector: base" or "vector: edge; edge" line per candidate."""
-        lines = []
-        for vec in self.vectors:
-            how = self.derivation[vec]
-            text = "base" if how == "base" else "; ".join(edge.describe() for edge in how)
-            lines.append(f"{vec}: {text}")
-        return lines
 
 
 class DerivationError(ValueError):
@@ -102,13 +75,12 @@ class DerivationError(ValueError):
 def skyscraper_candidates():
     """The proper-subobject dimension vectors of SKYSCRAPER_VECTOR, in
     lexicographic order: a = 0, d = 1, and c = 4 whenever b = 2."""
-    vectors = tuple(
+    return tuple(
         DimensionVector(0, b, c, 1)
         for b in range(SKYSCRAPER_VECTOR.b + 1)
         for c in range(SKYSCRAPER_VECTOR.c + 1)
         if b != 2 or c == 4
     )
-    return CandidateSet(vectors=vectors, bases=(), derivation={})
 
 
 BASE_VECTORS = (DimensionVector(0, 2, 4, 1), DimensionVector(0, 1, 0, 1))
@@ -123,15 +95,16 @@ class ImSignFact:
     sign: str  # one of <0, <=0, >0, >=0
 
     def __post_init__(self):
+        if self.generator not in GENERATOR_LABELS:
+            raise ValueError(f"bad generator {self.generator!r}")
         sign_parts(self.sign)
         if self.subregion not in (FULL_REGION, SIDE_LEFT, SIDE_RIGHT):
             raise ValueError(f"bad subregion {self.subregion!r}")
 
-    def allows_removal(self, subregion):
-        return sign_parts(self.sign)[0] < 0 and self.subregion in (FULL_REGION, subregion)
-
-    def allows_addition(self, subregion):
-        return sign_parts(self.sign)[0] > 0 and self.subregion in (FULL_REGION, subregion)
+    def allows(self, change, subregion):
+        """Whether adding `change` copies of the generator (removing them,
+        when negative) cannot decrease Im Z on `subregion`."""
+        return sign_parts(self.sign)[0] * change > 0 and self.subregion in (FULL_REGION, subregion)
 
 
 DEFAULT_SIGN_FACTS = (
@@ -141,74 +114,58 @@ DEFAULT_SIGN_FACTS = (
 )
 
 
-@dataclass(frozen=True)
-class DominanceEdge:
-    base: DimensionVector
-    delta: tuple  # signed multiplicities against GENERATOR_LABELS
-    subregion: str
-
-    def describe(self):
-        moves = []
-        for label, change in zip(GENERATOR_LABELS, self.delta):
-            if change > 0:
-                moves.append(f"add {change} x {label}")
-            elif change < 0:
-                moves.append(f"remove {-change} x {label}")
-        action = ", ".join(moves) if moves else "identity"
-        return f"{self.base} [{action}] on {self.subregion}"
-
-
-def _allows(label, change, subregion, facts):
-    if change < 0:
-        return any(f.generator == label and f.allows_removal(subregion) for f in facts)
-    return any(f.generator == label and f.allows_addition(subregion) for f in facts)
-
-
-def _edge_for(vec, subregion, facts):
-    """Dominance edge from the first base that reaches vec on `subregion`,
-    or None.
+def _edge(vec, subregion, facts):
+    """The dominance edge from the first base that reaches vec on
+    `subregion`, as text, or None.
 
     Removing a generator with Im Z <= 0 (or adding one with Im Z >= 0)
     cannot decrease Im Z, so positivity at the base propagates to vec.
     """
     for base in BASE_VECTORS:
-        delta = tuple(x - y for x, y in zip(vec.as_tuple(), base.as_tuple()))
+        moves = [
+            (label, x - y)
+            for label, x, y in zip(GENERATOR_LABELS, vec.as_tuple(), base.as_tuple())
+            if x != y
+        ]
         if all(
-            _allows(label, change, subregion, facts)
-            for label, change in zip(GENERATOR_LABELS, delta)
-            if change
+            any(f.generator == label and f.allows(change, subregion) for f in facts)
+            for label, change in moves
         ):
-            return DominanceEdge(base=base, delta=delta, subregion=subregion)
+            text = ", ".join(
+                f"add {change} x {label}" if change > 0 else f"remove {-change} x {label}"
+                for label, change in moves
+            )
+            return f"{base} [{text}] on {subregion}"
     return None
 
 
-def reduce_candidates(cands, sign_facts=DEFAULT_SIGN_FACTS):
+def reduce_candidates(vectors, sign_facts=DEFAULT_SIGN_FACTS):
     """Derive every candidate from the base set {(0,2,4,1), (0,1,0,1)}.
 
-    Each non-base vector gets either one edge valid on the full region or
-    one edge per subregion of the alpha = -beta split.  Raises
-    DerivationError when the supplied facts leave a (vector, subregion)
-    pair underived.
+    Returns one line per vector, in order: "vec: base" for a base vector,
+    "vec: edge" for one edge valid on the full region, or
+    "vec: left edge; right edge" for one edge per subregion of the
+    alpha = -beta split.  Raises DerivationError when the supplied facts
+    leave a (vector, subregion) pair underived.
     """
-    derivation = {}
+    lines = []
     missing = []
-    for vec in cands.vectors:
+    for vec in vectors:
         if vec in BASE_VECTORS:
-            derivation[vec] = "base"
+            lines.append(f"{vec}: base")
             continue
-        full_edge = _edge_for(vec, FULL_REGION, sign_facts)
-        if full_edge is not None:
-            derivation[vec] = (full_edge,)
+        edge = _edge(vec, FULL_REGION, sign_facts)
+        if edge is not None:
+            lines.append(f"{vec}: {edge}")
             continue
         edges = []
         for subregion in (SIDE_LEFT, SIDE_RIGHT):
-            edge = _edge_for(vec, subregion, sign_facts)
+            edge = _edge(vec, subregion, sign_facts)
             if edge is None:
-                missing.append((vec, subregion))
+                missing.append(f"{vec} on {subregion}")
             else:
                 edges.append(edge)
-        derivation[vec] = tuple(edges)
+        lines.append(f"{vec}: " + "; ".join(edges))
     if missing:
-        gaps = "; ".join(f"{vec} on {side}" for vec, side in missing)
-        raise DerivationError(f"sign facts do not cover: {gaps}")
-    return CandidateSet(vectors=cands.vectors, bases=BASE_VECTORS, derivation=derivation)
+        raise DerivationError(f"sign facts do not cover: {'; '.join(missing)}")
+    return lines

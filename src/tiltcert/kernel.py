@@ -116,9 +116,11 @@ class BivariatePoly:
         for (i, j), c in (terms or {}).items():
             c = as_fraction(c)
             if c:
+                if type(i) is not int or type(j) is not int:
+                    raise TypeError(f"exponents must be ints in term {(i, j)}")
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term {(i, j)}")
-                clean[(int(i), int(j))] = c
+                clean[(i, j)] = c
         self.terms = clean
 
     @classmethod

@@ -341,12 +341,8 @@ def verify_skyscraper_condition(region=None, max_depth=16):
     # Dominance derivation of the remaining nine candidates.
     candidates = skyscraper_candidates()
     try:
-        reduced = reduce_candidates(candidates, tuple(facts))
-        items.append(
-            ReportItem(
-                "skyscraper derivation coverage", "certified", notes=reduced.derivation_lines()
-            )
-        )
+        notes = reduce_candidates(candidates, tuple(facts))
+        items.append(ReportItem("skyscraper derivation coverage", "certified", notes=notes))
     except DerivationError as err:
         # Coverage is refuted only when a needed sign fact actually failed;
         # a merely-inconclusive fact leaves coverage undetermined.
@@ -358,7 +354,7 @@ def verify_skyscraper_condition(region=None, max_depth=16):
             status = "failed"
         items.append(ReportItem("skyscraper derivation coverage", status, notes=notes))
     # Belt and suspenders: certify all eleven candidates directly.
-    for vec in candidates.vectors:
+    for vec in candidates:
         _, im = z_polynomials(heart_ch(vec), S_DEFAULT)
         items.append(_certificate_item(f"skyscraper direct {vec}", im, ">0", region, max_depth))
     return Report(_aggregate(items), items)

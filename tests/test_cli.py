@@ -165,6 +165,14 @@ def test_subobjects_lists_eleven(capsys):
     assert any("remove 2 x S(-1)[2]" in line for line in lines)
 
 
+def test_subobjects_prints_the_suite_coverage_notes(capsys):
+    assert main(["subobjects"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    item = next(i for i in verify_all().items if i.name == "skyscraper derivation coverage")
+    assert header == f"{len(item.notes)} candidate subobject dimension vectors:"
+    assert lines == ["  " + note for note in item.notes]
+
+
 def _write_character(tmp_path, label, name="probe.json"):
     path = tmp_path / name
     payload = catalog_lookup(label).ch.to_json_dict()

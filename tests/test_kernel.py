@@ -152,6 +152,10 @@ def test_float_values_are_refused():
         BivariatePoly({(0, 0): 0.1})
     with pytest.raises(TypeError):
         BivariatePoly.constant(0.5)
+    # int(1.5) would store a; exponents are ints, and a bool is not one.
+    for key in ((1.5, 0), (0, Fraction(1)), (True, 0)):
+        with pytest.raises(TypeError):
+            BivariatePoly({key: 1})
     with pytest.raises(TypeError):
         A + 0.5
     with pytest.raises(TypeError):

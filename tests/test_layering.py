@@ -1,7 +1,8 @@
 """Module layering, read from the source: no tiltcert module imports
 another module's private names, the figure layer does not depend on the
-verification suite, the package's __all__ lists exactly what its
-__init__ imports, and nothing outside the standard library is imported."""
+verification suite, the heart imports only chern and certify, the
+package's __all__ lists exactly what its __init__ imports, and nothing
+outside the standard library is imported."""
 
 import ast
 import sys
@@ -44,6 +45,11 @@ def test_no_module_imports_another_modules_private_names():
 def test_figures_do_not_import_the_suite():
     modules = {module for module, _ in _tiltcert_imports(PACKAGE / "svg.py")}
     assert "suite" not in modules
+
+
+def test_heart_imports_only_chern_and_certify():
+    modules = {module for module, _ in _tiltcert_imports(PACKAGE / "heart.py")}
+    assert modules == {"chern", "certify"}
 
 
 def test_package_exports_match_its_imports():
