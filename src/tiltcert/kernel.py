@@ -114,12 +114,12 @@ class BivariatePoly:
     def __init__(self, terms=None):
         clean = {}
         for (i, j), c in (terms or {}).items():
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"exponents must be ints in term {(i, j)}")
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in term {(i, j)}")
             c = as_fraction(c)
             if c:
-                if type(i) is not int or type(j) is not int:
-                    raise TypeError(f"exponents must be ints in term {(i, j)}")
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in term {(i, j)}")
                 clean[(i, j)] = c
         self.terms = clean
 

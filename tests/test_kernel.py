@@ -154,8 +154,11 @@ def test_float_values_are_refused():
         BivariatePoly.constant(0.5)
     # int(1.5) would store a; exponents are ints, and a bool is not one.
     for key in ((1.5, 0), (0, Fraction(1)), (True, 0)):
-        with pytest.raises(TypeError):
-            BivariatePoly({key: 1})
+        for c in (1, 0):
+            with pytest.raises(TypeError):
+                BivariatePoly({key: c})
+    with pytest.raises(ValueError, match="negative exponent"):
+        BivariatePoly({(-1, 0): 1})
     with pytest.raises(TypeError):
         A + 0.5
     with pytest.raises(TypeError):
