@@ -521,6 +521,29 @@ def test_golden_outcomes_without_side():
     )
 
 
+def _product_claim(claim):
+    """The claim as one interval-subdivision factor: its product."""
+    sign = claim.overall_sign
+    return FactoredClaim((Factor(claim.product(), sign, "interval-subdivision"),), sign)
+
+
+def test_golden_product_outcomes():
+    # Pins status and witness of every golden claim certified as its
+    # product, the one polynomial the claim is about.  Boxes and depth are
+    # left out: they follow the bisection's stopping rule, not the claim.
+    digest = hashlib.sha256()
+    count = 0
+    for claim, region, depth in _golden_cases():
+        cert = certify_sign(_product_claim(claim), region, max_depth=depth)
+        status, witness, _, _ = _outcome_line(cert).split()
+        digest.update(f"{status} {witness}\n".encode())
+        count += 1
+    assert count == 240 + 12 + 27
+    assert digest.hexdigest() == (
+        "53ba072309dd346a88227bee7471b42bdac3cf8984caab9ac2e7642527034dda"
+    )
+
+
 # --- witness search against a Fraction reference -----------------------------
 
 
