@@ -2,29 +2,31 @@
 
 A claim asserts a sign for a product of polynomial factors over a region
 (a rational box with per-endpoint openness flags, optionally cut by the
-half-plane alpha <= -beta or alpha >= -beta).  Three factor strategies:
+half-plane alpha <= -beta or alpha >= -beta).  The certifier reads only
+the claim's product and its overall sign: the factors, their targets and
+their strategies are checked when the claim is built, and select no code.
 
-  region-atom       affine expression whose sign is forced by the region
-                    bounds / side constraint themselves (alpha > 0, ...)
-  affine-vertex     affine expression checked at the vertices of the
-                    polytope (box cut by the side line); affine functions
-                    attain extrema at vertices
-  interval-subdivision
-                    general polynomial, recursive bisection of each side
-                    piece (below); each box is tried with the monomial
-                    interval hull first, then with exact Bernstein
-                    coefficients.  Coefficients are formed from the power
-                    basis once, on a piece's root box, and held as the
-                    integer grid of bernstein_coefficients' (den, grid), a
-                    positive multiple of them (signs need no den); each split
-                    derives its children's grids by midpoint de Casteljau
-                    subdivision, so no box rebuilds them
+One engine decides every claim: recursive bisection of each side piece
+(below).  Each box is tried with the monomial interval hull first, then
+with exact Bernstein coefficients.  Coefficients are formed from the power
+basis once, on a piece's root box, and held as the integer grid of
+bernstein_coefficients' (den, grid), a positive multiple of them (signs
+need no den); each split derives its children's grids by midpoint de
+Casteljau subdivision, so no box rebuilds them.
 
 Side pieces: no box the bisection tries is crossed by the side line.  A
 side-cut region splits into at most two boxes in the closed half-plane
 and one slanted piece along the line, {alpha in [a0, a1], lo <= beta <=
 hi} with lo or hi equal to -alpha, bisected as the unit box in (alpha, t)
-with beta = lo + t * (hi - lo) substituted into the factor (side_pieces).
+with beta = lo + t * (hi - lo) substituted into the product (side_pieces).
+A region that the side line meets in one corner is that point, checked
+on its own.
+
+Stopping rule: the bisection stops at the first box that yields a piece
+point where the product breaks its sign: a box the hull shows violated
+(a point of it), a Bernstein corner coefficient that violates (the
+corner), or a face of exact zeros that meets the piece under a strict
+sign (its centre).  That point is the claim's witness.
 
 Soundness contract: status "certified" is only reported when the sign
 holds at every region point; "failed" always carries a witness point in
@@ -33,24 +35,22 @@ anything the engine cannot settle within its depth budget is
 "inconclusive", never guessed.
 
 Witness search (claims that did not certify), first violating point wins:
-the candidates the factor strategies collected, then the polytope
-vertices, then the 4, 8, 16 and 32 grids over the region box, by
-increasing alpha index, then beta index.  The grids run on integer
-indices: openness flags become index ranges, the side cut is one sign
-test on integer grid coordinates, and each finer grid visits only its new
-points (those with an odd index), because the points of the grid before
-it were already scanned.  Every point skipped this way was evaluated
-earlier without violating the claim, so the witness is the one a scan of
-every grid point in that order would return.
+the point the bisection stopped at, then the polytope vertices, then the
+4, 8, 16 and 32 grids over the region box, by increasing alpha index,
+then beta index.  The grids run on integer indices: openness flags become
+index ranges, the side cut is one sign test on integer grid coordinates,
+and each finer grid visits only its new points (those with an odd index),
+because the points of the grid before it were already scanned.  Every
+point skipped this way was evaluated earlier without violating the claim,
+so the witness is the one a scan of every grid point in that order would
+return.
 
 Strictness on open boundaries: a certificate for a strict sign must rule
-out zeros inside the region.  Vertices and boxes share one rule.  Where
-the factor is >= 0 (after orientation) with minimum exactly 0, its zeros
-fill a face: for an affine factor, the face of the polytope spanned by
-its zero vertices; on a box whose Bernstein coefficients are all <= 0,
-any face whose coefficients all vanish.  No region bound crosses the
-relative interior of such a face, so the face misses the region exactly
-when its centre does.
+out zeros inside the region.  On a box whose Bernstein coefficients are
+all <= 0 (after orientation) with maximum exactly 0, the product's zeros
+in the box lie on faces whose coefficients all vanish.  No region bound
+crosses the relative interior of such a face, so the face misses the
+region exactly when its centre does.
 """
 
 from dataclasses import dataclass
@@ -138,6 +138,10 @@ def default_region(side=None):
 
 @dataclass(frozen=True)
 class Factor:
+    """One factor of a claim.  The target and the strategy are checked on
+    construction, but select no code: certify_sign reads the claim's
+    product and overall sign only."""
+
     expr: BivariatePoly
     target: str
     strategy: str
@@ -152,6 +156,9 @@ class Factor:
 
 @dataclass(frozen=True)
 class FactoredClaim:
+    """overall_sign claimed for the product of the factors.  The factor
+    targets must imply it, which is checked on construction."""
+
     factors: tuple
     overall_sign: str
 
@@ -169,34 +176,16 @@ class FactoredClaim:
             raise ValueError(f"factor signs {targets} do not imply {self.overall_sign}")
 
     def product(self):
-        out = BivariatePoly.constant(1)
-        for f in self.factors:
+        out = self.factors[0].expr
+        for f in self.factors[1:]:
             out = out * f.expr
         return out
 
 
 @dataclass
-class FactorOutcome:
-    expr: str
-    target: str
-    strategy: str
-    status: str
-    evidence: dict
-
-    def to_json_dict(self):
-        return {
-            "expr": self.expr,
-            "target": self.target,
-            "strategy": self.strategy,
-            "status": self.status,
-            "evidence": self.evidence,
-        }
-
-
-@dataclass
 class SignCertificate:
     status: str
-    factors: list
+    evidence: dict
     witness: tuple | None
     boxes: int
     depth: int
@@ -235,42 +224,6 @@ def polytope_vertices(region):
             if region.alpha.contains(-b):
                 points.add((-b, b))
     return sorted(points)
-
-
-def _certify_affine(factor, region):
-    """Vertex certificate for an affine factor.  Returns (ok, evidence, candidates).
-
-    candidates are region vertices where the factor's own sign fails; they
-    feed the claim-level witness search.
-    """
-    verts = polytope_vertices(region)
-    values = [poly_eval(factor.expr, a, b) for a, b in verts]
-    evidence = {
-        "kind": factor.strategy,
-        "vertices": [
-            {"alpha": format_rational(a), "beta": format_rational(b), "value": format_rational(x)}
-            for (a, b), x in zip(verts, values)
-        ],
-    }
-    if not verts:
-        evidence["note"] = "region polytope is empty"
-        return True, evidence, []
-    orient, strict = sign_parts(factor.target)
-    candidates = [
-        v for v, x in zip(verts, values) if _violates(x, orient, strict) and region.contains(*v)
-    ]
-    low = min(orient * x for x in values)
-    if low != 0 or not strict:
-        return low >= 0, evidence, candidates
-    # Strict target with minimum exactly 0: the zero set meets the closed
-    # polytope in the face spanned by the zero vertices.
-    zeros = [v for v, x in zip(verts, values) if x == 0]
-    centre = tuple(sum(axis) / len(zeros) for axis in zip(*zeros))
-    if region.contains(*centre):
-        return False, evidence, candidates
-    alpha, beta = (format_rational(x) for x in centre)
-    evidence["strictness"] = f"zero face centre ({alpha}, {beta}) is outside the region"
-    return True, evidence, candidates
 
 
 # --- side pieces -------------------------------------------------------------
@@ -362,18 +315,18 @@ def _faces(m, n, box_alpha, box_beta):
     yield (a_mid, b_mid), [(i, j) for i in range(m + 1) for j in range(n + 1)]
 
 
-def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, grid):
-    """Try to certify factor_poly <(=) 0 on one box of a piece.
+def _certify_box(poly, strict, piece, box_alpha, box_beta, candidates, grid):
+    """Try to certify poly <(=) 0 on one box of a piece.
 
     grid is the integer Bernstein grid inherited from the parent box (a
     positive multiple of the coefficients on this box), or None on a
     piece's root box, where it is computed from the power basis.
     Returns (verdict, grid): verdict "certified", "split" (undecided,
-    bisect further), or "violated" (the factor's sign provably fails at a
-    piece point, or at least can never certify on this box), and the
-    box's grid, or None when the hull decided the box without it; a
-    split always carries its grid.  Candidates are appended in piece coordinates."""
-    hull = poly_interval_eval(factor_poly, box_alpha, box_beta)
+    bisect further), or "violated" (the sign fails at a piece point of
+    the box, which is appended to candidates in piece coordinates), and
+    the box's grid, or None when the hull decided the box without it; a
+    split always carries its grid."""
+    hull = poly_interval_eval(poly, box_alpha, box_beta)
     if hull.hi < 0 or (not strict and hull.hi <= 0):
         return "certified", None
     if hull.lo > 0 or (strict and hull.lo >= 0):
@@ -389,13 +342,14 @@ def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, gr
         )
         return "violated", None
     if grid is None:
-        grid = bernstein_coefficients(factor_poly, box_alpha, box_beta)[1]
+        grid = bernstein_coefficients(poly, box_alpha, box_beta)[1]
     m, n = len(grid) - 1, len(grid[0]) - 1
     high = max(c for row in grid for c in row)
     if high < 0 or (not strict and high <= 0):
         return "certified", grid
     if high > 0:
-        # Corner coefficients are exact values; harvest witness candidates.
+        # Corner coefficients are exact values: a violating one in the
+        # piece is a witness, and no split can certify the box.
         corners = (
             (grid[0][0], box_alpha.lo, box_beta.lo),
             (grid[m][0], box_alpha.hi, box_beta.lo),
@@ -405,6 +359,7 @@ def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, gr
         for value, a, b in corners:
             if _violates(value, -1, strict) and piece.contains(a, b):
                 candidates.append((a, b))
+                return "violated", grid
         return "split", grid
     # All coefficients <= 0 with max exactly 0 and a strict target: the
     # poly is <= 0 on the box, and any zero inside it lives on a face whose
@@ -417,17 +372,17 @@ def _certify_box(factor_poly, strict, piece, box_alpha, box_beta, candidates, gr
     return "certified", grid
 
 
-def _certify_interval_factor(factor, region, max_depth):
-    """Bisection loop over the side pieces.  Returns (ok, evidence,
-    candidates, boxes, depth).
+def _certify_interval_factor(poly, orient, strict, region, max_depth):
+    """Bisection loop over the side pieces for the sign that sign_parts
+    decoded as (orient, strict).  Returns (ok, candidates, boxes, depth).
 
-    A slanted piece certifies the factor composed with its lift; its
-    candidates map back to (alpha, beta).  A split box hands each child
-    the matching half of its integer Bernstein grid, so coefficients come
-    from the power basis only on the pieces' root boxes.
+    A slanted piece certifies poly composed with its lift; its candidates
+    map back to (alpha, beta).  A split box hands each child the matching
+    half of its integer Bernstein grid, so coefficients come from the
+    power basis only on the pieces' root boxes.
     """
-    orient, strict = sign_parts(factor.target)
-    poly = -factor.expr if orient > 0 else factor.expr
+    if orient > 0:
+        poly = -poly
     candidates = []
     boxes_tested = 0
     deepest = 0
@@ -472,8 +427,7 @@ def _certify_interval_factor(factor, region, max_depth):
         candidates.extend(piece.point(*p) for p in found)
         if not ok:
             break
-    evidence = {"kind": "interval-subdivision", "boxes": boxes_tested, "depth": deepest}
-    return ok, evidence, candidates, boxes_tested, deepest
+    return ok, candidates, boxes_tested, deepest
 
 
 # --- witness search ----------------------------------------------------------
@@ -511,48 +465,23 @@ def _witness_search(product, overall_sign, region, candidates):
 
 
 def certify_sign(claim, region, max_depth=16):
-    """Certify, refute (with witness), or give up on a factored sign claim."""
-    outcomes = []
-    candidates = []
+    """Certify, refute (with witness), or give up on the sign of a claim's
+    product; max_depth < 1 skips the bisection."""
+    product = claim.product()
+    orient, strict = sign_parts(claim.overall_sign)
+    evidence = {"kind": "interval-subdivision"}
     notes = []
-    total_boxes = 0
-    deepest = 0
-    all_ok = True
-    for factor in claim.factors:
-        if factor.strategy == "interval-subdivision":
-            if max_depth < 1:
-                ok, evidence = False, {
-                    "kind": "interval-subdivision",
-                    "note": "subdivision disabled (max_depth < 1)",
-                }
-                cand, nboxes, depth = [], 0, 0
-                notes.append(
-                    "subdivision disabled (max_depth < 1) for factor "
-                    + poly_format(factor.expr)
-                )
-            else:
-                ok, evidence, cand, nboxes, depth = _certify_interval_factor(
-                    factor, region, max_depth
-                )
-        else:
-            ok, evidence, cand = _certify_affine(factor, region)
-            nboxes, depth = 0, 0
-        total_boxes += nboxes
-        deepest = max(deepest, depth)
-        candidates.extend(cand)
-        all_ok = all_ok and ok
-        outcomes.append(
-            FactorOutcome(
-                expr=poly_format(factor.expr),
-                target=factor.target,
-                strategy=factor.strategy,
-                status="certified" if ok else "not-certified",
-                evidence=evidence,
-            )
+    if max_depth < 1:
+        ok, candidates, boxes, depth = False, [], 0, 0
+        evidence["note"] = "subdivision disabled (max_depth < 1)"
+        notes.append(f"{evidence['note']} for factor {poly_format(product)}")
+    else:
+        ok, candidates, boxes, depth = _certify_interval_factor(
+            product, orient, strict, region, max_depth
         )
-    if all_ok:
-        return SignCertificate("certified", outcomes, None, total_boxes, deepest, notes)
-    witness = _witness_search(claim.product(), claim.overall_sign, region, candidates)
-    if witness is not None:
-        return SignCertificate("failed", outcomes, witness, total_boxes, deepest, notes)
-    return SignCertificate("inconclusive", outcomes, None, total_boxes, deepest, notes)
+        evidence.update(boxes=boxes, depth=depth)
+    if ok:
+        return SignCertificate("certified", evidence, None, boxes, depth, notes)
+    witness = _witness_search(product, claim.overall_sign, region, candidates)
+    status = "inconclusive" if witness is None else "failed"
+    return SignCertificate(status, evidence, witness, boxes, depth, notes)

@@ -164,13 +164,21 @@ def _identity_item(name, ok, notes=None):
 
 
 def _certificate_item(name, target, sign, region, max_depth, notes=()):
-    """Certify `target sign` on the region as one interval-subdivision factor."""
+    """Certify `target sign` on the region; the report lists the claim as
+    its one interval-subdivision factor, with the certificate's evidence."""
     claim = FactoredClaim((Factor(target, sign, "interval-subdivision"),), sign)
     cert = certify_sign(claim, region, max_depth)
+    factor = {
+        "expr": poly_format(target),
+        "target": sign,
+        "strategy": "interval-subdivision",
+        "status": "certified" if cert.status == "certified" else "not-certified",
+        "evidence": cert.evidence,
+    }
     return ReportItem(
         name=name,
         status=cert.status,
-        factors=[f.to_json_dict() for f in cert.factors],
+        factors=[factor],
         witness=cert.witness,
         boxes=cert.boxes,
         depth=cert.depth,

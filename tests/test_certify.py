@@ -25,7 +25,13 @@ from tiltcert.certify import (
     side_pieces,
     sign_parts,
 )
-from tiltcert.kernel import BivariatePoly, RationalInterval, format_rational, poly_eval
+from tiltcert.kernel import (
+    BivariatePoly,
+    RationalInterval,
+    format_rational,
+    poly_eval,
+    poly_interval_eval,
+)
 
 F = Fraction
 A = BivariatePoly.alpha()
@@ -142,16 +148,17 @@ def test_claim_acceptance_matches_truth_table():
 
 
 def test_affine_vertex_certified():
+    # The strategy selects no code: the product is bisected like any other.
+    # The hull of an affine claim is exact on a box, here its minimum 1/6
+    # at the vertex (alpha, beta) = (1/3, -1/2), so the root box decides it.
     claim = FactoredClaim((Factor(ONE + B - A, ">0", "affine-vertex"),), ">0")
-    cert = certify_sign(claim, default_region())
+    region = default_region()
+    cert = certify_sign(claim, region)
     assert cert.status == "certified"
-    assert cert.boxes == 0 and cert.depth == 0
-    assert cert.factors[0].evidence["kind"] == "affine-vertex"
-    # minimum over the polytope is 1/6 at (alpha, beta) = (1/3, -1/2)
-    vertices = cert.factors[0].evidence["vertices"]
-    values = [Fraction(v["value"]) for v in vertices]
-    assert min(values) == F(1, 6)
-    assert {"alpha": "1/3", "beta": "-1/2", "value": "1/6"} in vertices
+    assert cert.boxes == 1 and cert.depth == 0
+    assert cert.evidence == {"kind": "interval-subdivision", "boxes": 1, "depth": 0}
+    assert poly_interval_eval(claim.product(), region.alpha, region.beta).lo == F(1, 6)
+    assert poly_eval(claim.product(), F(1, 3), F(-1, 2)) == F(1, 6)
 
 
 def test_interval_hull_certifies_at_root():
@@ -203,14 +210,14 @@ def test_zero_polynomial_claims():
 
 
 def test_strict_atom_on_open_bound():
-    # alpha > 0: zero vertices lie on the open alpha-lo facet only, and so
-    # does the centre of the face they span.
+    # alpha > 0: the zeros of alpha on the root box fill its alpha = 0
+    # edge, whose centre (0, -1/4) lies on the open alpha-lo facet, so the
+    # zero-face rule certifies the root box without a split.
     claim = FactoredClaim((Factor(A, ">0", "region-atom"),), ">0")
     cert = certify_sign(claim, default_region())
     assert cert.status == "certified"
-    assert cert.factors[0].evidence["strictness"] == (
-        "zero face centre (0, -1/4) is outside the region"
-    )
+    assert cert.boxes == 1 and cert.depth == 0
+    assert not default_region().contains(F(0), F(-1, 4))
     # -beta >= 0: zero at closed beta-hi is fine nonstrictly ...
     claim = FactoredClaim((Factor(-B, ">=0", "region-atom"),), ">=0")
     assert certify_sign(claim, default_region()).status == "certified"
@@ -359,7 +366,7 @@ def test_max_depth_zero_is_inconclusive():
     cert = certify_sign(claim, default_region(), max_depth=0)
     assert cert.status == "inconclusive"
     assert any("subdivision disabled" in note for note in cert.notes)
-    assert cert.factors[0].evidence.get("note", "").startswith("subdivision disabled")
+    assert cert.evidence.get("note", "").startswith("subdivision disabled")
 
 
 def test_determinism():
@@ -437,29 +444,53 @@ def _random_claim(rng):
 
 
 def test_witness_found_before_any_subdivision():
-    # A claim refuted by the deterministic witness search never spends boxes.
+    # The bisection stops at the first box that yields a violating point.
+    # With alpha closed, the root box's Bernstein corner (0, -1/2) breaks
+    # alpha - 1/4 > 0, so no box is split.
     claim = FactoredClaim(
         (Factor(A - F(1, 4), ">0", "affine-vertex"),), ">0"
     )
-    cert = certify_sign(claim, default_region())
-    assert cert.status == "failed"
-    assert cert.boxes == 0
-    alpha, beta = cert.witness
+    closed = replace(default_region(), alpha_open=(False, False))
+    cert = certify_sign(claim, closed)
+    assert (cert.status, cert.witness) == ("failed", (0, F(-1, 2)))
+    assert cert.boxes == 1 and cert.depth == 0
+    # On the open strip that corner is excluded: the root box splits once,
+    # and its low half, violated as a whole, ends the bisection.
     region = default_region()
+    cert = certify_sign(claim, region)
+    assert cert.status == "failed"
+    assert cert.boxes == 2 and cert.depth == 1
+    alpha, beta = cert.witness
     assert region.contains(alpha, beta)
     assert alpha - F(1, 4) <= 0
 
 
-def test_tiny_violation_sliver_is_inconclusive_not_misjudged():
-    # alpha - 1/100 > 0 is false (violated only on a thin sliver the witness
-    # grids never sample), and true on too little of the box to certify: the
-    # sound outcome is inconclusive, never a bogus certificate.
+def test_tiny_violation_sliver_fails_inside_the_sliver():
+    # alpha - 1/100 > 0 is false only on the thin sliver 0 < alpha <= 1/100,
+    # which no witness grid point hits; the bisection reaches it and stops
+    # at a point of it, never at a bogus certificate.
     claim = FactoredClaim(
         (Factor(A - F(1, 100), ">0", "affine-vertex"),), ">0"
     )
-    cert = certify_sign(claim, default_region())
-    assert cert.status == "inconclusive"
-    assert cert.witness is None
+    region = default_region()
+    cert = certify_sign(claim, region)
+    assert cert.status == "failed"
+    alpha, beta = cert.witness
+    assert 0 < alpha <= F(1, 100)
+    assert region.contains(alpha, beta)
+    assert violates(poly_eval(claim.product(), alpha, beta), ">0")
+
+
+def test_false_only_at_irrational_points_is_inconclusive():
+    # (alpha^2 - 1/50)^2 > 0 fails only on alpha = 1/sqrt(50): no rational
+    # point violates it, so no depth may certify or refute it.
+    expr = (A**2 - F(1, 50)) ** 2
+    claim = FactoredClaim((Factor(expr, ">0", "interval-subdivision"),), ">0")
+    for region in (default_region(), default_region(SIDE_LEFT)):
+        for depth in (8, 16):
+            cert = certify_sign(claim, region, max_depth=depth)
+            assert cert.status == "inconclusive"
+            assert cert.witness is None
 
 
 # --- golden outcomes ---------------------------------------------------------
@@ -495,14 +526,19 @@ def _outcome_line(cert):
 def test_golden_outcomes():
     # Pins status, witness, boxes and depth over a fixed claim set, so that
     # any change to the certifier's arithmetic that moves a decision shows.
+    # A claim is its product: certifying the product as one factor gives the
+    # same outcome.
     digest = hashlib.sha256()
     count = 0
     for claim, region, depth in _golden_cases():
-        digest.update(_outcome_line(certify_sign(claim, region, max_depth=depth)).encode())
+        line = _outcome_line(certify_sign(claim, region, max_depth=depth))
+        product_cert = certify_sign(_product_claim(claim), region, max_depth=depth)
+        assert _outcome_line(product_cert) == line
+        digest.update(line.encode())
         count += 1
     assert count == 240 + 12 + 27
     assert digest.hexdigest() == (
-        "7876802078cd5e6776e50987c08f2992c5c85aec0d52964ea6964d553412318b"
+        "e4247496c4b14d028ed656a13153b00ceb7f6c32ae4b00e0b10900365c6cabc5"
     )
 
 
@@ -517,7 +553,7 @@ def test_golden_outcomes_without_side():
             count += 1
     assert count == 80 + 9
     assert digest.hexdigest() == (
-        "1870e494fac12b86b6bc8da1c0c5e1b7d8d5da07602853ff3900889cdd4d903c"
+        "72335ecafa47a4aaddecaf44487472d196c84dbab9878a5e7561578eeae04631"
     )
 
 
@@ -686,7 +722,7 @@ def test_witness_search_matches_fraction_reference(case):
 def _affine_reference(factor, region):
     # The vertex rule for affine factors as a set of tight bounds: a strict
     # target with a zero minimum certifies iff some open-flagged bound is
-    # tight at every zero vertex.  Returns (ok, candidates, by_open_bound).
+    # tight at every zero vertex.  Returns (ok, candidates).
     verts = polytope_vertices(region)
     orient = 1 if factor.target in (">0", ">=0") else -1
     strict = factor.target in (">0", "<0")
@@ -695,9 +731,9 @@ def _affine_reference(factor, region):
         v for v, x in zip(verts, values) if (x < 0 or (strict and x == 0)) and region.contains(*v)
     ]
     if not verts or min(values) > 0 or (min(values) == 0 and not strict):
-        return True, candidates, False
+        return True, candidates
     if min(values) < 0 or factor.expr.is_zero():
-        return False, candidates, False
+        return False, candidates
 
     def tight(a, b):
         bounds = {
@@ -710,7 +746,7 @@ def _affine_reference(factor, region):
         return {name for name, (hit, is_open) in bounds.items() if hit and is_open}
 
     shared = set.intersection(*(tight(*v) for v, x in zip(verts, values) if x == 0))
-    return bool(shared), candidates, bool(shared)
+    return bool(shared), candidates
 
 
 @st.composite
@@ -736,19 +772,21 @@ def planted_affine(draw):
 @settings(max_examples=150, deadline=None)
 @given(planted_affine())
 def test_affine_zero_set_matches_tight_bound_reference(case):
+    # The bisection certifies an affine claim exactly when the vertex rule
+    # does.  Where the reference finds a witness the claim fails too, maybe
+    # at another point; it may also fail where the reference's vertices and
+    # grids find no witness.
     region, expr = case
-    for strategy in ("affine-vertex", "region-atom"):
-        for target in (">0", ">=0", "<0", "<=0"):
-            factor = Factor(expr, target, strategy)
-            cert = certify_sign(FactoredClaim((factor,), target), region)
-            ok, candidates, by_open_bound = _affine_reference(factor, region)
-            witness = None if ok else _witness_search(expr, target, region, candidates)
-            status = "certified" if ok else "failed" if witness else "inconclusive"
-            assert (cert.status, cert.witness) == (status, witness)
-            (outcome,) = cert.factors
-            assert outcome.status == ("certified" if ok else "not-certified")
-            assert outcome.evidence["kind"] == strategy
-            assert ("strictness" in outcome.evidence) == by_open_bound
+    for target in (">0", ">=0", "<0", "<=0"):
+        factor = Factor(expr, target, "affine-vertex")
+        cert = certify_sign(FactoredClaim((factor,), target), region)
+        ok, candidates = _affine_reference(factor, region)
+        witness = None if ok else _witness_search(expr, target, region, candidates)
+        status = "certified" if ok else "failed" if witness else "inconclusive"
+        assert cert.status == status or (status, cert.status) == ("inconclusive", "failed")
+        if cert.status == "failed":
+            assert region.contains(*cert.witness)
+            assert violates(poly_eval(expr, *cert.witness), target)
 
 
 # --- three-valued soundness against an exact grid ----------------------------

@@ -107,7 +107,7 @@ BYTE_CONTRACTS = [
     ),
     (
         ["verify", "--region", "-1/2:1/2,0:1/3", "--json"],
-        "fee46923b8df7f3788d160040576dcfbb76b4db797c35a6884fc112b9d25f469",
+        "933743967ef79d63ad83b93cec648bd759bbcbc6c3459fbd1878808c130ebfde",
     ),
     (
         ["verify", "--max-depth", "0", "--json"],
