@@ -323,14 +323,18 @@ def verify_skyscraper_condition(region=None, max_depth=16):
             facts.append(fact)
         else:
             blocked.append((name, item.status))
-    base_im = [z_polynomials(heart_ch(v), S_DEFAULT)[1] for v in BASE_VECTORS]
-    for v, im in zip(BASE_VECTORS, base_im):
+    # Each candidate's Im Z, built once: the base vectors are candidates too.
+    candidates = skyscraper_candidates()
+    candidate_im = {vec: z_polynomials(heart_ch(vec), S_DEFAULT)[1] for vec in candidates}
+    for v in BASE_VECTORS:
         notes = []
         if v.as_tuple() == (0, 1, 0, 1):
             notes.append("Im form derived by additivity, not the quoted table entry")
+        im = candidate_im[v]
         items.append(_certificate_item(f"skyscraper base {v}", im, ">0", region, max_depth, notes))
     # Quoted table entries vs the additivity computation.
-    for v, im in zip(BASE_VECTORS, base_im):
+    for v in BASE_VECTORS:
+        im = candidate_im[v]
         additive = BivariatePoly()
         for mult, (label, _, _) in zip(v.as_tuple(), GENERATORS):
             additive = additive + mult * generator_im[label]
@@ -347,7 +351,6 @@ def verify_skyscraper_condition(region=None, max_depth=16):
                 ok = False
         items.append(_identity_item(f"skyscraper table {v}", ok, notes))
     # Dominance derivation of the remaining nine candidates.
-    candidates = skyscraper_candidates()
     try:
         notes = reduce_candidates(candidates, tuple(facts))
         items.append(ReportItem("skyscraper derivation coverage", "certified", notes=notes))
@@ -362,8 +365,7 @@ def verify_skyscraper_condition(region=None, max_depth=16):
             status = "failed"
         items.append(ReportItem("skyscraper derivation coverage", status, notes=notes))
     # Belt and suspenders: certify all eleven candidates directly.
-    for vec in candidates:
-        _, im = z_polynomials(heart_ch(vec), S_DEFAULT)
+    for vec, im in candidate_im.items():
         items.append(_certificate_item(f"skyscraper direct {vec}", im, ">0", region, max_depth))
     return Report(_aggregate(items), items)
 
