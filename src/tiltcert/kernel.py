@@ -76,9 +76,6 @@ class RationalInterval:
     def contains(self, x):
         return self.lo <= x <= self.hi
 
-    def power(self, n):
-        return RationalInterval(*_power_hull(self.lo, self.hi, n))
-
     def split(self):
         m = self.midpoint
         return RationalInterval(self.lo, m), RationalInterval(m, self.hi)

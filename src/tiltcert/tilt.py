@@ -64,12 +64,6 @@ class ComplexRational:
         object.__setattr__(self, "re", as_fraction(self.re))
         object.__setattr__(self, "im", as_fraction(self.im))
 
-    def __add__(self, other):
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
     def __str__(self):
         return f"({format_rational(self.re)}, {format_rational(self.im)})"
 

@@ -57,11 +57,12 @@ def test_interval_basic():
 
 
 def test_interval_power_even_clamps_at_zero():
-    iv = RationalInterval(Fraction(-2), Fraction(1))
-    sq = iv.power(2)
-    assert sq.lo == 0 and sq.hi == 4
-    cube = iv.power(3)
-    assert cube.lo == -8 and cube.hi == 1
+    # beta in [-2, 1] straddles 0: beta^2 is [0, 4], not the [-2, 4] that
+    # endpoint products give; odd powers keep the endpoint order.
+    alpha = RationalInterval(Fraction(0), Fraction(1))
+    beta = RationalInterval(Fraction(-2), Fraction(1))
+    assert poly_interval_eval(B**2, alpha, beta) == RationalInterval(Fraction(0), Fraction(4))
+    assert poly_interval_eval(B**3, alpha, beta) == RationalInterval(Fraction(-8), Fraction(1))
 
 
 def test_interval_split():
