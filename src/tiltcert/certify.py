@@ -474,6 +474,7 @@ def certify_sign(claim, region, max_depth=16):
     if max_depth < 1:
         ok, candidates, boxes, depth = False, [], 0, 0
         evidence["note"] = "subdivision disabled (max_depth < 1)"
+        # The wording is part of the `verify --max-depth 0` report's bytes.
         notes.append(f"{evidence['note']} for factor {poly_format(product)}")
     else:
         ok, candidates, boxes, depth = _certify_interval_factor(
