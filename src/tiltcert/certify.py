@@ -7,12 +7,11 @@ the claim's product and its overall sign: the factors, their targets and
 their strategies are checked when the claim is built, and select no code.
 
 One engine decides every claim: recursive bisection of each side piece
-(below).  Each box is tried with the monomial interval hull first, then
-with exact Bernstein coefficients.  Coefficients are formed from the power
-basis once, on a piece's root box, and held as the integer grid of
-bernstein_coefficients' (den, grid), a positive multiple of them (signs
-need no den); each split derives its children's grids by midpoint de
-Casteljau subdivision, so no box rebuilds them.
+(below), each box decided by its Bernstein coefficients alone.
+Coefficients are formed from the power basis once, on a piece's root box,
+as the integer grid of bernstein_coefficients' (den, grid), a positive
+multiple of them (signs need no den); each split derives its children's
+grids by midpoint de Casteljau subdivision, so no box rebuilds them.
 
 Side pieces: no box the bisection tries is crossed by the side line.  A
 side-cut region splits into at most two boxes in the closed half-plane
@@ -20,13 +19,15 @@ and one slanted piece along the line, {alpha in [a0, a1], lo <= beta <=
 hi} with lo or hi equal to -alpha, bisected as the unit box in (alpha, t)
 with beta = lo + t * (hi - lo) substituted into the product (side_pieces).
 A region that the side line meets in one corner is that point, checked
-on its own.
+on its own.  Pieces are also cut at alpha = 0 and t = 0, so each box
+coordinate keeps one sign; there a monomial's Bernstein coefficients are
+averages of products of endpoint values, inside its range, so Bernstein
+decides every box the monomial hull (kernel.poly_interval_eval) would.
 
 Stopping rule: the bisection stops at the first box that yields a piece
-point where the product breaks its sign: a box the hull shows violated
-(a point of it), a Bernstein corner coefficient that violates (the
-corner), or a face of exact zeros that meets the piece under a strict
-sign (its centre).  That point is the claim's witness.
+point where the product breaks its sign: a violating Bernstein corner
+coefficient (the corner), or a face of exact zeros that meets the piece
+under a strict sign (its centre).  That point is the claim's witness.
 
 Soundness contract: status "certified" is only reported when the sign
 holds at every region point; "failed" always carries a witness point in
@@ -65,7 +66,7 @@ from .kernel import (
     grid_form,
     poly_eval,
     poly_format,
-    poly_interval_eval,
+    poly_interval_eval,  # uncalled: bench/tracing.py patches this name here
     split_grid,
     substitute,
 )
@@ -261,34 +262,39 @@ def side_pieces(region):
     constant and -alpha, lifted from the unit box in (alpha, t) by
     beta = lo + t * (hi - lo).  Pieces without area are dropped, so a
     region that the line meets in one corner (or not at all) has none.
+    Each piece is then cut where alpha or t crosses 0.
     """
-    if region.side is None:
-        return (Piece(region, region.alpha, region.beta),)
     a_lo, a_hi = region.alpha.lo, region.alpha.hi
     b_lo, b_hi = region.beta.lo, region.beta.hi
     a, t = BivariatePoly.alpha(), BivariatePoly.beta()
-    if region.side == SIDE_LEFT:
+    # (alpha range, t range, lift): plain boxes, then the slanted piece.
+    if region.side is None:
+        pieces = ((a_lo, a_hi, b_lo, b_hi, None),)
+    elif region.side == SIDE_LEFT:
         # beta <= -alpha holds on the whole width below beta = c and on the
         # whole height left of alpha = d; the triangle under the line remains.
         c = min(max(-a_hi, b_lo), b_hi)
         d = min(max(-b_hi, a_lo), a_hi)
-        boxes = ((a_lo, a_hi, b_lo, c), (a_lo, d, c, b_hi))
-        slant = (d, min(a_hi, -c), c + t * (-a - c))
+        slant = (d, min(a_hi, -c), 0, 1, c + t * (-a - c))
+        pieces = ((a_lo, a_hi, b_lo, c, None), (a_lo, d, c, b_hi, None), slant)
     else:
         # beta >= -alpha: the mirror image, above beta = c and right of alpha = d.
         c = min(max(-a_lo, b_lo), b_hi)
         d = min(max(-b_lo, a_lo), a_hi)
-        boxes = ((a_lo, a_hi, c, b_hi), (d, a_hi, b_lo, c))
-        slant = (max(a_lo, -c), d, -a + t * (c + a))
-    pieces = [
-        Piece(region, RationalInterval(x0, x1), RationalInterval(y0, y1))
-        for x0, x1, y0, y1 in boxes
+        slant = (max(a_lo, -c), d, 0, 1, -a + t * (c + a))
+        pieces = ((a_lo, a_hi, c, b_hi, None), (d, a_hi, b_lo, c, None), slant)
+    return tuple(
+        Piece(region, RationalInterval(*x), RationalInterval(*y), lift)
+        for x0, x1, y0, y1, lift in pieces
         if x0 < x1 and y0 < y1
-    ]
-    a0, a1, lift = slant
-    if a0 < a1:
-        pieces.append(Piece(region, RationalInterval(a0, a1), RationalInterval(0, 1), lift))
-    return tuple(pieces)
+        for x in _at_zero(x0, x1)
+        for y in _at_zero(y0, y1)
+    )
+
+
+def _at_zero(lo, hi):
+    """(lo, hi), or its two halves at 0 when 0 lies strictly inside."""
+    return ((lo, 0), (0, hi)) if lo < 0 < hi else ((lo, hi),)
 
 
 # --- box reasoning -----------------------------------------------------------
@@ -324,23 +330,7 @@ def _certify_box(poly, strict, piece, box_alpha, box_beta, candidates, grid):
     Returns (verdict, grid): verdict "certified", "split" (undecided,
     bisect further), or "violated" (the sign fails at a piece point of
     the box, which is appended to candidates in piece coordinates), and
-    the box's grid, or None when the hull decided the box without it; a
-    split always carries its grid."""
-    hull = poly_interval_eval(poly, box_alpha, box_beta)
-    if hull.hi < 0 or (not strict and hull.hi <= 0):
-        return "certified", None
-    if hull.lo > 0 or (strict and hull.lo >= 0):
-        # The whole box violates the target; no child can recover.  The box
-        # centre, at the latest, is a piece point.
-        candidates.append(
-            next(
-                (a, b)
-                for a in (box_alpha.lo, box_alpha.midpoint, box_alpha.hi)
-                for b in (box_beta.lo, box_beta.midpoint, box_beta.hi)
-                if piece.contains(a, b)
-            )
-        )
-        return "violated", None
+    the box's grid."""
     if grid is None:
         grid = bernstein_coefficients(poly, box_alpha, box_beta)[1]
     m, n = len(grid) - 1, len(grid[0]) - 1

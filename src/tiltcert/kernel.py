@@ -9,9 +9,10 @@ The certifier's inner loops run on Python ints.  Where only a sign, a zero
 or the position of a maximum matters, a value is carried as an integer
 positive multiple of itself: Bernstein grids (bernstein_coefficients
 returns (den, grid) with grid / den the exact coefficients and
-gcd(den, *grid) == 1; split_grid), grid values (grid_form, at the integer
-grid coordinates of grid_axis), and the hull sums of poly_interval_eval,
-which divide once at the end and so return the exact rational hull.
+gcd(den, *grid) == 1; split_grid) and grid values (grid_form, at the
+integer grid coordinates of grid_axis).  The monomial hull
+poly_interval_eval also sums on ints and divides once, at the end; the
+certifier does not call it (see certify's side pieces).
 """
 
 import re

@@ -8,7 +8,7 @@ arithmetic (never floats).
 from fractions import Fraction
 
 from .heart import GENERATORS
-from .kernel import grid_form, poly_eval
+from .kernel import as_fraction, grid_form, poly_eval
 from .tilt import central_charge, wall_polynomial
 
 WIDTH = 480
@@ -20,7 +20,7 @@ MIN_GRID = 16
 
 def decimal6(x):
     """Render a rational with exactly six decimal places, by integer math."""
-    scaled = round(Fraction(x) * 10**6)
+    scaled = round(as_fraction(x) * 10**6)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"

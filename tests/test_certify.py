@@ -149,8 +149,9 @@ def test_claim_acceptance_matches_truth_table():
 
 def test_affine_vertex_certified():
     # The strategy selects no code: the product is bisected like any other.
-    # The hull of an affine claim is exact on a box, here its minimum 1/6
-    # at the vertex (alpha, beta) = (1/3, -1/2), so the root box decides it.
+    # The Bernstein coefficients of an affine polynomial are its corner
+    # values, the least being 1/6 at the vertex (alpha, beta) = (1/3, -1/2),
+    # so the root box decides it.
     claim = FactoredClaim((Factor(ONE + B - A, ">0", "affine-vertex"),), ">0")
     region = default_region()
     cert = certify_sign(claim, region)
@@ -161,7 +162,9 @@ def test_affine_vertex_certified():
     assert poly_eval(claim.product(), F(1, 3), F(-1, 2)) == F(1, 6)
 
 
-def test_interval_hull_certifies_at_root():
+def test_bernstein_certifies_at_root():
+    # 2b^2 + 2b <= 0 on beta in [-1/2, 0], so the product is at most
+    # -1 - 2a^2; the root box's Bernstein coefficients are all negative.
     claim = FactoredClaim(
         (Factor(2 * B**2 + 2 * B - 1 - 2 * A**2, "<0", "interval-subdivision"),),
         "<0",
@@ -359,6 +362,48 @@ def test_side_pieces_of_the_default_regions():
     assert slant.point(F(0), F(1, 2)) == (0, 0)
 
 
+def test_axis_cuts_decide_even_powers_across_zero():
+    # beta in [-7/8, 1/2] straddles 0, where the Bernstein coefficients of
+    # b^2 on the whole interval reach -7/16.  Cut at beta = 0, each piece
+    # decides the claim on its root box.
+    region = Region(
+        beta=RationalInterval(F(-7, 8), F(1, 2)),
+        alpha=RationalInterval(F(1, 6), F(1, 2)),
+    )
+    assert [p.t for p in side_pieces(region)] == [
+        RationalInterval(F(-7, 8), 0),
+        RationalInterval(0, F(1, 2)),
+    ]
+    for depth in (2, 8, 16):
+        weak = FactoredClaim((Factor(B**2, ">=0", "interval-subdivision"),), ">=0")
+        cert = certify_sign(weak, region, max_depth=depth)
+        assert (cert.status, cert.boxes, cert.depth) == ("certified", 2, 0)
+        # The strict claim fails at the corner (1/6, 0) of the first piece.
+        strict = FactoredClaim((Factor(B**2, ">0", "interval-subdivision"),), ">0")
+        cert = certify_sign(strict, region, max_depth=depth)
+        assert (cert.status, cert.witness, cert.boxes) == ("failed", (F(1, 6), 0), 1)
+    # On a side-cut region the plain box above beta = -1/6 is cut at
+    # beta = 0 too, and the slanted piece's t is never cut.
+    region = Region(
+        beta=RationalInterval(F(-1, 4), F(1, 4)),
+        alpha=RationalInterval(F(1, 6), F(1, 4)),
+        beta_open=(True, True),
+        alpha_open=(True, False),
+        side=SIDE_RIGHT,
+    )
+    assert [(p.t, p.lift is None) for p in side_pieces(region)] == [
+        (RationalInterval(F(-1, 6), 0), True),
+        (RationalInterval(0, F(1, 4)), True),
+        (RationalInterval(0, 1), False),
+    ]
+    claim = FactoredClaim(
+        (Factor(A**2 * B**2 * (B + 1), ">=0", "interval-subdivision"),), ">=0"
+    )
+    for depth in (2, 8, 16):
+        cert = certify_sign(claim, region, max_depth=depth)
+        assert (cert.status, cert.boxes, cert.depth) == ("certified", 3, 0)
+
+
 def test_max_depth_zero_is_inconclusive():
     claim = FactoredClaim(
         (Factor(B**2 + B - A**2, "<0", "interval-subdivision"),), "<0"
@@ -455,7 +500,7 @@ def test_witness_found_before_any_subdivision():
     assert (cert.status, cert.witness) == ("failed", (0, F(-1, 2)))
     assert cert.boxes == 1 and cert.depth == 0
     # On the open strip that corner is excluded: the root box splits once,
-    # and its low half, violated as a whole, ends the bisection.
+    # and a corner of its low half ends the bisection.
     region = default_region()
     cert = certify_sign(claim, region)
     assert cert.status == "failed"
@@ -538,7 +583,7 @@ def test_golden_outcomes():
         count += 1
     assert count == 240 + 12 + 27
     assert digest.hexdigest() == (
-        "e4247496c4b14d028ed656a13153b00ceb7f6c32ae4b00e0b10900365c6cabc5"
+        "ea64731dd16f837401217b186e42ce47ebbdf93731fcd0bf0ddbf47f67dde17e"
     )
 
 
@@ -553,7 +598,7 @@ def test_golden_outcomes_without_side():
             count += 1
     assert count == 80 + 9
     assert digest.hexdigest() == (
-        "72335ecafa47a4aaddecaf44487472d196c84dbab9878a5e7561578eeae04631"
+        "8a45a189f6ec2278ea168f61957d94e2a5c527c772a9a272e3fcd381775c1faf"
     )
 
 
@@ -576,7 +621,7 @@ def test_golden_product_outcomes():
         count += 1
     assert count == 240 + 12 + 27
     assert digest.hexdigest() == (
-        "53ba072309dd346a88227bee7471b42bdac3cf8984caab9ac2e7642527034dda"
+        "8634f11334c2a207abe09ad64d51090f29fb8265a2acb9ddcd5925564a65773e"
     )
 
 
@@ -651,6 +696,9 @@ def test_side_pieces_cover_the_region_exactly(region):
     closure = replace(region, alpha_open=(False, False), beta_open=(False, False))
     for piece in pieces:
         assert piece.alpha.width > 0 and piece.t.width > 0
+        # Each box coordinate keeps one sign.
+        assert not piece.alpha.lo < 0 < piece.alpha.hi
+        assert not piece.t.lo < 0 < piece.t.hi
         for a in (piece.alpha.lo, piece.alpha.hi):
             for t in (piece.t.lo, piece.t.hi):
                 assert closure.contains(*piece.point(a, t))

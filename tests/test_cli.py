@@ -107,7 +107,7 @@ BYTE_CONTRACTS = [
     ),
     (
         ["verify", "--region", "-1/2:1/2,0:1/3", "--json"],
-        "933743967ef79d63ad83b93cec648bd759bbcbc6c3459fbd1878808c130ebfde",
+        "4580a119dc2cf723f0486ebf3dc29c0f08acd06e9f9cf3ba14364520b055166a",
     ),
     (
         ["verify", "--max-depth", "0", "--json"],

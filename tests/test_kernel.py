@@ -23,6 +23,7 @@ from tiltcert.kernel import (
     split_grid,
     substitute,
 )
+from tiltcert.svg import decimal6
 
 A = BivariatePoly.alpha()
 B = BivariatePoly.beta()
@@ -172,6 +173,8 @@ def test_float_values_are_refused():
         poly_eval(A, 0.5, 0)
     with pytest.raises(TypeError):
         format_rational(0.5)
+    with pytest.raises(TypeError):
+        decimal6(0.5)
     iv = RationalInterval(0, Fraction(1, 2))
     assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
 
@@ -315,6 +318,38 @@ def test_bernstein_coefficients_match_power_basis_reference(p, box_a, box_b):
     assert [[Fraction(x, den) for x in row] for row in grid] == _bernstein_reference(
         p, box_a, box_b
     )
+
+
+# Intervals that keep one sign: [lo, lo + w] or [-lo - w, -lo] with lo >= 0.
+one_sign_intervals = st.builds(
+    lambda lo, width, negative: (
+        RationalInterval(-lo - width, -lo) if negative else RationalInterval(lo, lo + width)
+    ),
+    st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(1, 12), st.integers(1, 8))),
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 8)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, one_sign_intervals, one_sign_intervals)
+@example(A**2 * B**3 - 3 * A * B + 1, RationalInterval(0, 2), RationalInterval(-2, 0))
+@example(B**2 - A**4 * B, RationalInterval(-1, 0), RationalInterval(0, Fraction(1, 3)))
+def test_bernstein_lies_inside_the_hull_on_one_sign_boxes(p, box_a, box_b):
+    # On such a box a monomial's Bernstein coefficients are averages of
+    # products of endpoint values, inside its range, so the Bernstein
+    # enclosure never exceeds the monomial hull: the certifier needs no hull.
+    den, grid = bernstein_coefficients(p, box_a, box_b)
+    hull = poly_interval_eval(p, box_a, box_b)
+    assert all(hull.contains(Fraction(x, den)) for row in grid for x in row)
+
+
+def test_bernstein_dips_below_the_hull_across_zero():
+    # b^2 on beta in [-1, 1]: Bernstein coefficients 1, -1, 1, while the
+    # hull clamps the even power at 0.  Hence the certifier's cuts at 0.
+    den, grid = bernstein_coefficients(B**2, RationalInterval(0, 1), RationalInterval(-1, 1))
+    assert [Fraction(x, den) for x in grid[0]] == [1, -1, 1]
+    assert poly_interval_eval(B**2, RationalInterval(0, 1), RationalInterval(-1, 1)).lo == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,8 +12,16 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltcert.chern import DEGREE, ChernCharacter, catalog_lookup, line_bundle_ch, shift, twist
-from tiltcert.kernel import BivariatePoly, poly_equal, poly_eval
+from tiltcert.chern import (
+    DEGREE,
+    ChernCharacter,
+    catalog_lookup,
+    line_bundle_ch,
+    shift,
+    tensor_line,
+    twist,
+)
+from tiltcert.kernel import BivariatePoly, poly_equal, poly_eval, substitute
 from tiltcert.tilt import (
     INFINITE_SLOPE,
     ComplexRational,
@@ -371,3 +379,31 @@ def test_closed_forms_match_product_chain_and_pointwise(v, s):
                 z.re,
                 z.im,
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(characters, rationals)
+@example(ChernCharacter(0, 0, 0, 0), F(1, 6))
+@example(obj("S"), F(1, 6))
+@example(obj("O(-1)"), F(1, 3))
+def test_beta_symmetries_behind_the_strip(v, s):
+    # The suite certifies on beta in [-1/2, 0] only.  The usual reduction
+    # to that strip rests on two exact symmetries of the twisted character.
+    b = BivariatePoly.beta()
+    twisted = twisted_ch_polynomials(v)
+    re, im = z_polynomials(v, s)
+    # Tensoring by O(1) moves beta by 1: E(1) at b + 1 is E at b.
+    moved = tensor_line(v, 1)
+    for p, q in zip(twisted_ch_polynomials(moved), twisted):
+        assert poly_equal(substitute(p, b + 1), q)
+    re_moved, im_moved = z_polynomials(moved, s)
+    assert poly_equal(substitute(re_moved, b + 1), re)
+    assert poly_equal(substitute(im_moved, b + 1), im)
+    # The derived dual (ch0, -ch1, ch2, -ch3) sends beta to -beta: its t_k
+    # at -b is (-1)^k t_k(E), so Re Z flips sign and Im Z does not.
+    dual = ChernCharacter(v.ch0, -v.ch1, v.ch2, -v.ch3)
+    for k, (p, q) in enumerate(zip(twisted_ch_polynomials(dual), twisted)):
+        assert poly_equal(substitute(p, -b), (-1) ** k * q)
+    re_dual, im_dual = z_polynomials(dual, s)
+    assert poly_equal(substitute(re_dual, -b), -re)
+    assert poly_equal(substitute(im_dual, -b), im)
