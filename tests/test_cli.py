@@ -123,6 +123,41 @@ BYTE_CONTRACTS = [
          "--grid", "64", "-o"],
         "21da040bd2a3f1af38a268f6244d2a8490bb0fcb7433fb241744334ffce0fdbe",
     ),
+    # The divider is the imaginary axis here (alpha >= -beta) ...
+    (
+        ["plot", "zvectors", "--alpha", "1/4", "--beta", "-1/8", "-o"],
+        "d981165f821d38a0b5c2133482b5eb62d8352068e71e1112499b760b1917d741",
+    ),
+    # ... and the line through Z(O[1]) here (alpha < -beta).
+    (
+        ["plot", "zvectors", "--alpha", "1/8", "--beta", "-3/8", "-o"],
+        "291842186165bda9ca8fe0de6d3058e15c0d641b8dd27f605980c05125154cde",
+    ),
+]
+
+# The same contract for the subcommands that print their result.
+STDOUT_CONTRACTS = [
+    (
+        # mu, nu and lambda all +infinity
+        ["slopes", "--object", "k(x)", "--alpha", "1/4", "--beta", "0"],
+        "aebc41bfab41036e04705e80c23433ca6ed3f68672404bb300f42d6bb76ddf30",
+    ),
+    (
+        ["slopes", "--object", "O", "--alpha", "1/4", "--beta", "0"],
+        "9b279056f07d461a81f6200755ea18c612db06f292d2a2698b8fb4aa7e51ea48",
+    ),
+    (
+        ["slopes", "--object", "S-1", "--alpha", "1/4", "--beta", "-1/4"],
+        "1c9a68eec46350306a60fbb815308008260ac2a5be221ab7bc6f91a18b8ef4e2",
+    ),
+    (
+        ["catalog"],
+        "1260909e53278ec49e33f69b1c9488abce54f26422711cd632f73ebe523ea875",
+    ),
+    (
+        ["subobjects"],
+        "1cadce866214cd0747071e38f3e327e91c6c3869589812ed6c43c310f78023cc",
+    ),
 ]
 
 
@@ -132,6 +167,13 @@ def test_output_bytes_are_pinned(argv, digest, tmp_path, capsys):
     main(argv + [str(out_path)])
     capsys.readouterr()
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_CONTRACTS)
+def test_stdout_bytes_are_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_malformed_region_is_usage_error(capsys):
