@@ -71,8 +71,10 @@ from .kernel import (
     substitute,
 )
 
-SIDE_LEFT = "alpha<=-beta"    # alpha + beta <= 0
-SIDE_RIGHT = "alpha>=-beta"   # alpha + beta >= 0
+SIDE_LEFT = "alpha<=-beta"
+SIDE_RIGHT = "alpha>=-beta"
+# side -> sigma: a point lies on the side iff sigma * (alpha + beta) >= 0.
+SIDE_SIGNS = {SIDE_LEFT: -1, SIDE_RIGHT: 1}
 
 # target -> (orientation, strict): v meets it iff orientation * v > 0, or
 # >= 0 when not strict.
@@ -91,18 +93,14 @@ class Region:
     def __post_init__(self):
         if self.beta.width <= 0 or self.alpha.width <= 0:
             raise ValueError("region box must be full-dimensional")
-        if self.side not in (None, SIDE_LEFT, SIDE_RIGHT):
+        if self.side is not None and self.side not in SIDE_SIGNS:
             raise ValueError(f"unknown side constraint {self.side!r}")
 
     def with_side(self, side):
         return Region(self.beta, self.alpha, self.beta_open, self.alpha_open, side)
 
     def side_ok(self, alpha, beta):
-        if self.side == SIDE_LEFT:
-            return alpha + beta <= 0
-        if self.side == SIDE_RIGHT:
-            return alpha + beta >= 0
-        return True
+        return self.side is None or SIDE_SIGNS[self.side] * (alpha + beta) >= 0
 
     def contains(self, alpha, beta):
         """Point membership, honoring openness flags and side constraint."""
@@ -362,7 +360,7 @@ def _certify_box(poly, strict, piece, box_alpha, box_beta, candidates, grid):
     return "certified", grid
 
 
-def _certify_interval_factor(poly, orient, strict, region, max_depth):
+def _bisect_side_pieces(poly, orient, strict, region, max_depth):
     """Bisection loop over the side pieces for the sign that sign_parts
     decoded as (orient, strict).  Returns (ok, candidates, boxes, depth).
 
@@ -435,7 +433,7 @@ def _witness_search(product, overall_sign, region, candidates):
     # A grid point seen above did not violate, so scanning it again changes
     # nothing.  On integer indices the openness flags are index ranges and
     # the side cut is one sign test.
-    side = {None: 0, SIDE_LEFT: -1, SIDE_RIGHT: 1}[region.side]
+    side = SIDE_SIGNS.get(region.side, 0)
     for g in (4, 8, 16, 32):
         value = grid_form(product, region.alpha, region.beta, g)
         a_nums, a_den = grid_axis(region.alpha, g)
@@ -467,7 +465,7 @@ def certify_sign(claim, region, max_depth=16):
         # The wording is part of the `verify --max-depth 0` report's bytes.
         notes.append(f"{evidence['note']} for factor {poly_format(product)}")
     else:
-        ok, candidates, boxes, depth = _certify_interval_factor(
+        ok, candidates, boxes, depth = _bisect_side_pieces(
             product, orient, strict, region, max_depth
         )
         evidence.update(boxes=boxes, depth=depth)

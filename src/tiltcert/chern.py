@@ -68,8 +68,11 @@ class ChernCharacter:
 
 def load_chern(path):
     """Read a character from a JSON file ({"ch0": "r", ..., "name"?})."""
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("character file must hold a JSON object")
     return ChernCharacter.from_json_dict(data), data.get("name")
@@ -124,38 +127,28 @@ def spinor_ch_minus_one():
     return ChernCharacter(2, -1, 0, Fraction(DEGREE, 12))
 
 
-def _skyscraper():
-    # Alternating sum over 0 -> O(-1) -> S(-1)^2 -> O^4 -> O(1) -> k(x) -> 0.
-    return ChernCharacter(0, 0, 0, 1)
+# Built once at import.  The character of k(x) is the alternating sum
+# over 0 -> O(-1) -> S(-1)^2 -> O^4 -> O(1) -> k(x) -> 0.
+_CATALOG = (
+    CatalogObject("O(-1)", line_bundle_ch(-1), 3, True),
+    CatalogObject("S(-1)", spinor_ch_minus_one(), 2, True),
+    CatalogObject("O", line_bundle_ch(0), 1, True),
+    CatalogObject("O(1)", line_bundle_ch(1), 0, True),
+    CatalogObject("S", tensor_line(spinor_ch_minus_one(), 1), None, True),
+    CatalogObject("k(x)", ChernCharacter(0, 0, 0, 1), None, False),
+)
+_ALIASES = {
+    "O(-1)": ("O-1",), "S(-1)": ("S-1",), "O": ("O(0)",), "O(1)": ("O1",), "k(x)": ("kx", "k"),
+}
+# Each label and each of its aliases, spaces removed, to its object.
+_LOOKUP = {name: obj for obj in _CATALOG for name in (obj.label, *_ALIASES.get(obj.label, ()))}
 
 
 def quadric_catalog():
     """The standard objects on the quadric: the four exceptional-collection
     generators with their heart shifts, the spinor bundle, and a point."""
-    return (
-        CatalogObject("O(-1)", line_bundle_ch(-1), 3, True),
-        CatalogObject("S(-1)", spinor_ch_minus_one(), 2, True),
-        CatalogObject("O", line_bundle_ch(0), 1, True),
-        CatalogObject("O(1)", line_bundle_ch(1), 0, True),
-        CatalogObject("S", tensor_line(spinor_ch_minus_one(), 1), None, True),
-        CatalogObject("k(x)", _skyscraper(), None, False),
-    )
+    return _CATALOG
 
 
 def catalog_lookup(label):
-    normalized = label.strip().replace(" ", "")
-    aliases = {
-        "O(-1)": "O(-1)", "O-1": "O(-1)",
-        "S(-1)": "S(-1)", "S-1": "S(-1)",
-        "O": "O", "O(0)": "O",
-        "O(1)": "O(1)", "O1": "O(1)",
-        "S": "S",
-        "k(x)": "k(x)", "kx": "k(x)", "k": "k(x)",
-    }
-    key = aliases.get(normalized)
-    if key is None:
-        return None
-    for obj in quadric_catalog():
-        if obj.label == key:
-            return obj
-    return None
+    return _LOOKUP.get(label.strip().replace(" ", ""))

@@ -107,13 +107,13 @@ def _cmd_slopes(args):
         return 2
     p = TiltParams(args.alpha, args.beta, args.s)
     twisted = twist(obj.ch, p.beta)
-    z = central_charge(obj.ch, p)
+    re, im = central_charge(obj.ch, p)
     print(f"object {obj.label}: ch = {obj.ch}")
     print(f"twisted ch at beta = {format_rational(p.beta)}: {twisted}")
-    print(f"mu = {mu(obj.ch, p)}")
-    print(f"nu = {nu(obj.ch, p)}")
-    print(f"lambda = {lambda_slope(obj.ch, p)}")
-    print(f"Z = {z}")
+    for name, slope in (("mu", mu), ("nu", nu), ("lambda", lambda_slope)):
+        value = slope(obj.ch, p)
+        print(f"{name} = {'inf' if value is None else format_rational(value)}")
+    print(f"Z = ({format_rational(re)}, {format_rational(im)})")
     return 0
 
 

@@ -11,7 +11,7 @@ via Im Z dominance.  The reduction is text: one "vec: base" or
 
 from dataclasses import dataclass
 
-from .certify import SIDE_LEFT, SIDE_RIGHT, sign_parts
+from .certify import SIDE_LEFT, SIDE_RIGHT, SIDE_SIGNS, sign_parts
 from .chern import ChernCharacter, quadric_catalog, shift
 
 
@@ -98,7 +98,7 @@ class ImSignFact:
         if self.generator not in GENERATOR_LABELS:
             raise ValueError(f"bad generator {self.generator!r}")
         sign_parts(self.sign)
-        if self.subregion not in (FULL_REGION, SIDE_LEFT, SIDE_RIGHT):
+        if self.subregion != FULL_REGION and self.subregion not in SIDE_SIGNS:
             raise ValueError(f"bad subregion {self.subregion!r}")
 
     def allows(self, change, subregion):
@@ -159,7 +159,7 @@ def reduce_candidates(vectors, sign_facts=DEFAULT_SIGN_FACTS):
             lines.append(f"{vec}: {edge}")
             continue
         edges = []
-        for subregion in (SIDE_LEFT, SIDE_RIGHT):
+        for subregion in SIDE_SIGNS:
             edge = _edge(vec, subregion, sign_facts)
             if edge is None:
                 missing.append(f"{vec} on {subregion}")

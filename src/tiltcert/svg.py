@@ -41,10 +41,7 @@ def emit_zvectors_svg(p, path):
     applies at (alpha, beta): the imaginary axis when alpha >= -beta, the
     line through Z(O[1]) otherwise.
     """
-    charges = []
-    for label, ch, _ in GENERATORS:
-        z = central_charge(ch, p)
-        charges.append((label, z.re, z.im))
+    charges = [(label, *central_charge(ch, p)) for label, ch, _ in GENERATORS]
     extent = max(max(abs(re), abs(im)) for _, re, im in charges)
     if extent == 0:
         extent = Fraction(1)

@@ -5,16 +5,17 @@ Conventions fixed here, with omega = alpha*H and B = beta*H:
   nu  = (b_B - alpha^2*ch0/2) / (alpha*a_B)
   Z   = (-c_B + s*d*alpha^2*a_B) + i*(d*alpha*b_B - d*alpha^3*ch0/2)
 where a_B, b_B are the twisted ch1, ch2 coordinates, c_B is the twisted
-ch3 degree, and d = H^3.  Division by zero means +infinity throughout.
-Every quantity exists both numerically (exact rational at a point) and
-symbolically (BivariatePoly in a = alpha, b = beta).
+ch3 degree, and d = H^3.  Division by zero means +infinity throughout,
+returned as None; a finite slope is a Fraction and Z is the pair
+(Re Z, Im Z).  Every quantity exists both numerically (exact rational at
+a point) and symbolically (BivariatePoly in a = alpha, b = beta).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import DEGREE, twist
-from .kernel import BivariatePoly, as_fraction, format_rational, poly_eval
+from .kernel import BivariatePoly, as_fraction, poly_eval
 
 # Default of the parameter s in Z and in the degree-3 margin.
 S_DEFAULT = Fraction(1, 6)
@@ -34,65 +35,32 @@ class TiltParams:
             raise ValueError("tilt parameter alpha must be positive")
 
 
-@dataclass(frozen=True)
-class ExtendedSlope:
-    """A rational slope or +infinity (the divide-by-zero convention)."""
-
-    value: Fraction | None
-
-    @classmethod
-    def finite(cls, q):
-        return cls(as_fraction(q))
-
-    @property
-    def is_infinite(self):
-        return self.value is None
-
-    def __str__(self):
-        return "inf" if self.value is None else format_rational(self.value)
-
-
-INFINITE_SLOPE = ExtendedSlope(None)
-
-
-@dataclass(frozen=True)
-class ComplexRational:
-    re: Fraction
-    im: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", as_fraction(self.re))
-        object.__setattr__(self, "im", as_fraction(self.im))
-
-    def __str__(self):
-        return f"({format_rational(self.re)}, {format_rational(self.im)})"
-
-
 def mu(v, p):
     if v.ch0 == 0:
-        return INFINITE_SLOPE
-    return ExtendedSlope.finite((v.ch1 - p.beta * v.ch0) / (p.alpha * v.ch0))
+        return None
+    return (v.ch1 - p.beta * v.ch0) / (p.alpha * v.ch0)
 
 
 def nu(v, p):
     t = twist(v, p.beta)
     if t.ch1 == 0:
-        return INFINITE_SLOPE
-    return ExtendedSlope.finite((t.ch2 - p.alpha**2 * v.ch0 / 2) / (p.alpha * t.ch1))
+        return None
+    return (t.ch2 - p.alpha**2 * v.ch0 / 2) / (p.alpha * t.ch1)
 
 
 def central_charge(v, p):
+    """Z(v) at p as the pair (Re Z, Im Z)."""
     t = twist(v, p.beta)
     re = -t.ch3 + p.s * DEGREE * p.alpha**2 * t.ch1
     im = DEGREE * p.alpha * t.ch2 - DEGREE * p.alpha**3 * v.ch0 / 2
-    return ComplexRational(re, im)
+    return re, im
 
 
 def lambda_slope(v, p):
-    z = central_charge(v, p)
-    if z.im == 0:
-        return INFINITE_SLOPE
-    return ExtendedSlope.finite(-z.re / z.im)
+    re, im = central_charge(v, p)
+    if im == 0:
+        return None
+    return -re / im
 
 
 def twisted_ch_polynomials(v):
@@ -127,7 +95,7 @@ def z_polynomials(v, s=S_DEFAULT):
 
 
 def z_value(re_poly, im_poly, alpha, beta):
-    return ComplexRational(poly_eval(re_poly, alpha, beta), poly_eval(im_poly, alpha, beta))
+    return poly_eval(re_poly, alpha, beta), poly_eval(im_poly, alpha, beta)
 
 
 def cross_polynomial(v, w, s=S_DEFAULT):

@@ -313,9 +313,7 @@ def test_acceptance_07_two_path_agreement(capsys):
             alpha = F(rng.randrange(1, 500), rng.randrange(1, 500))
             beta = F(rng.randrange(-500, 501), rng.randrange(1, 500))
             z = central_charge(obj.ch, TiltParams(alpha, beta))
-            if z.re != poly_eval(re_poly, alpha, beta) or z.im != poly_eval(
-                im_poly, alpha, beta
-            ):
+            if z != (poly_eval(re_poly, alpha, beta), poly_eval(im_poly, alpha, beta)):
                 problems.append(f"{obj.label} at ({alpha}, {beta})")
     _report(
         capsys, 7, "symbolic and direct central-charge paths agree", problems

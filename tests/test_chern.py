@@ -54,6 +54,9 @@ def test_catalog_lookup_aliases():
     assert catalog_lookup("kx").label == "k(x)"
     assert catalog_lookup("O1").label == "O(1)"
     assert catalog_lookup("nope") is None
+    # The catalog is built once: every call and lookup returns its objects.
+    assert quadric_catalog() is quadric_catalog()
+    assert catalog_lookup(" S - 1 ") is quadric_catalog()[1]
 
 
 def test_resolution_alternating_sum():

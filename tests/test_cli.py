@@ -4,11 +4,16 @@ rational flag parsing, JSON report files, and the emitted SVG figures."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import tiltcert
 from tiltcert.cli import main, run
 from tiltcert.chern import catalog_lookup
 from tiltcert.suite import verify_all
@@ -251,6 +256,20 @@ def test_bg_scan_without_locus(tmp_path, capsys):
 def test_bg_missing_file_is_input_error(capsys):
     assert main(["bg", "--chern", "/nonexistent/ch.json"]) == 2
     assert "cannot load character" in capsys.readouterr().err
+
+
+def test_bg_deeply_nested_file_is_input_error(tmp_path):
+    # json.load recurses once per bracket; the CLI must not die with a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(tiltcert.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tiltcert.cli", "bg", "--chern", str(path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 2
+    assert "cannot load character" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_plot_zvectors_svg_has_four_arrows(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Module layering, read from the source: no tiltcert module imports
 another module's private names, the figure layer does not depend on the
 verification suite, the heart imports only chern and certify, the
-package's __all__ lists exactly what its __init__ imports, and nothing
-outside the standard library is imported."""
+package's __all__ lists exactly what its __init__ imports, nothing
+outside the standard library is imported, and every file open names its
+encoding."""
 
 import ast
 import sys
@@ -77,3 +78,17 @@ def test_package_imports_only_the_standard_library():
         if module.split(".")[0] not in sys.stdlib_module_names
     ]
     assert imported and offenders == []
+
+
+def test_every_open_names_its_encoding():
+    # Without encoding= the text codec is whatever the host locale says.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "open"
+        and "encoding" not in {kw.arg for kw in node.keywords}
+    ]
+    assert offenders == []
