@@ -93,7 +93,7 @@ class Region:
     def __post_init__(self):
         if self.beta.width <= 0 or self.alpha.width <= 0:
             raise ValueError("region box must be full-dimensional")
-        if self.side is not None and self.side not in SIDE_SIGNS:
+        if self.side not in (None, *SIDE_SIGNS):
             raise ValueError(f"unknown side constraint {self.side!r}")
 
     def with_side(self, side):

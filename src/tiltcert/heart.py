@@ -98,7 +98,7 @@ class ImSignFact:
         if self.generator not in GENERATOR_LABELS:
             raise ValueError(f"bad generator {self.generator!r}")
         sign_parts(self.sign)
-        if self.subregion != FULL_REGION and self.subregion not in SIDE_SIGNS:
+        if self.subregion not in (FULL_REGION, *SIDE_SIGNS):
             raise ValueError(f"bad subregion {self.subregion!r}")
 
     def allows(self, change, subregion):
