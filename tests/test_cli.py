@@ -138,6 +138,13 @@ BYTE_CONTRACTS = [
         ["plot", "zvectors", "--alpha", "1/8", "--beta", "-3/8", "-o"],
         "291842186165bda9ca8fe0de6d3058e15c0d641b8dd27f605980c05125154cde",
     ),
+    # A wall away from the README region: negative beta, widths that are not
+    # dyadic and an odd grid (32 wall segments).
+    (
+        ["plot", "wall", "--chern1", "O(1)", "--chern2", "S(-1)", "--region",
+         "-1/3:2/7,1/9:5/7", "--grid", "17", "-o"],
+        "b42d6b9ff988f867d9b1c749e071797fe5f8f1f1b4d1a6785c5f660581caaad8",
+    ),
 ]
 
 # The same contract for the subcommands that print their result.

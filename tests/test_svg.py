@@ -2,6 +2,7 @@
 marching-squares contours (counts, symmetry, grid-line exactness, empty
 cases), and the structure of the emitted documents."""
 
+import hashlib
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
@@ -32,6 +33,14 @@ def test_decimal6_renders_exactly_six_places():
     assert decimal6(F(2, 3)) == "0.666667"
     assert decimal6(240) == "240.000000"
     assert decimal6(F(3, 2000000)) == "0.000002"
+
+
+def test_decimal6_rounds_exact_ties_to_even():
+    # k / (2 * 10^6) lies exactly halfway between two sixth decimals.
+    assert decimal6(F(1, 2 * 10**6)) == "0.000000"
+    assert decimal6(F(3, 2 * 10**6)) == "0.000002"
+    assert decimal6(F(-1, 2 * 10**6)) == "0.000000"
+    assert decimal6(F(-3, 2 * 10**6)) == "-0.000002"
 
 
 def test_decimal6_matches_float_on_random_rationals():
@@ -101,16 +110,50 @@ def test_contour_grid_minimum():
         wall_contour_segments(B, UNIT_BOX, ALPHA_BOX, 8)
 
 
+def _cell_cases(poly, grid):
+    """(case index, centre value >= 0) of every saddle cell, by poly_eval."""
+    betas = [UNIT_BOX.lo + UNIT_BOX.width * F(i, grid) for i in range(grid + 1)]
+    alphas = [ALPHA_BOX.lo + ALPHA_BOX.width * F(j, grid) for j in range(grid + 1)]
+    cases = []
+    for i in range(grid):
+        for j in range(grid):
+            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+            index = sum(
+                1 << k
+                for k, (ci, cj) in enumerate(corners)
+                if poly_eval(poly, alphas[cj], betas[ci]) >= 0
+            )
+            if index in (5, 10):
+                centre = poly_eval(
+                    poly, (alphas[j] + alphas[j + 1]) / 2, (betas[i] + betas[i + 1]) / 2
+                )
+                cases.append((index, centre >= 0))
+    return cases
+
+
 def test_contour_saddle_resolution_is_consistent():
-    # alpha*beta - c has hyperbola branches; saddle cells must split so no
-    # segment crosses the zero set sign: midpoints of emitted segments carry
-    # values closer to zero than the worst corner.
-    poly = (A - F(3, 10)) * (B - F(1, 2))
+    # Two alpha lines and two beta lines, all off the grid lines, cross
+    # inside four cells.  Each of those cells is a saddle, and together they
+    # cover case 5 and case 10 with a centre value >= 0 and one < 0.
+    poly = (A - F(1, 10)) * (A - F(2, 5)) * (B - F(1, 5)) * (B - F(37, 50))
+    assert sorted(_cell_cases(poly, 16)) == [(5, False), (5, True), (10, False), (10, True)]
     segments = wall_contour_segments(poly, UNIT_BOX, ALPHA_BOX, 16)
-    assert segments
-    for (b0, a0), (b1, a1) in segments:
-        mid_val = poly_eval(poly, (a0 + a1) / 2, (b0 + b1) / 2)
-        assert abs(mid_val) <= F(1, 32)
+    assert len(segments) == 64
+    # Away from the saddles every segment runs along one grid direction;
+    # the saddle segments are the diagonal ones, two per cell.
+    diagonal = [s for s in segments if s[0][0] != s[1][0] and s[0][1] != s[1][1]]
+    assert diagonal == [
+        ((F(809, 4020), F(3, 40)), (F(3, 16), F(101, 1000))),
+        ((F(1, 4), F(101, 1000)), (F(809, 4020), F(9, 80))),
+        ((F(809, 4020), F(3, 8)), (F(3, 16), F(367, 920))),
+        ((F(1, 4), F(367, 920)), (F(809, 4020), F(33, 80))),
+        ((F(2941, 3980), F(3, 40)), (F(3, 4), F(101, 1000))),
+        ((F(2941, 3980), F(9, 80)), (F(11, 16), F(101, 1000))),
+        ((F(2941, 3980), F(3, 8)), (F(3, 4), F(367, 920))),
+        ((F(2941, 3980), F(33, 80)), (F(11, 16), F(367, 920))),
+    ]
+    digest = hashlib.sha256(repr(segments).encode("ascii")).hexdigest()
+    assert digest == "e8aeb5fc2657e948a7c4e70f61344db4c730c175532aa59c2b2e14b179113a2f"
 
 
 def _divider_line(path):
