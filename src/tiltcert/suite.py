@@ -20,7 +20,7 @@ from .certify import (
     certify_sign,
     default_region,
 )
-from .chern import DEGREE, ChernCharacter, line_bundle_ch, quadric_catalog, tensor_line
+from .chern import DEGREE, ChernCharacter, catalog_lookup, line_bundle_ch, tensor_line
 from .heart import (
     BASE_VECTORS,
     DEFAULT_SIGN_FACTS,
@@ -49,7 +49,6 @@ def C(x):
     return BivariatePoly.constant(Fraction(x))
 
 
-_CATALOG_CH = {obj.label: obj.ch for obj in quadric_catalog()}
 _GENERATOR_CH = {label: ch for label, ch, _ in GENERATORS}
 
 # --- frozen reference closed forms (quadric, s = 1/6) ------------------------
@@ -195,7 +194,7 @@ def verify_lemma_computation():
     items = []
     component_names = ("ch0", "ch1", "ch2", "ch3")
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
-        ch = _CATALOG_CH[label]
+        ch = catalog_lookup(label).ch
         computed = twisted_ch_polynomials(ch)
         expected = REFERENCE_TWISTED[label]
         bad = [
@@ -206,7 +205,7 @@ def verify_lemma_computation():
         notes = [f"component {name} differs" for name in bad]
         items.append(_identity_item(f"twisted-ch {label}", not bad, notes))
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
-        ch = _CATALOG_CH[label]
+        ch = catalog_lookup(label).ch
         _, t1, t2, _ = twisted_ch_polynomials(ch)
         num, den = REFERENCE_MU[label]
         # mu = t1/(alpha*ch0) must equal num/den: cross-multiplied identity.
@@ -218,7 +217,7 @@ def verify_lemma_computation():
         ok = poly_equal(nu_num * den, num * nu_den)
         items.append(_identity_item(f"nu {label}", ok))
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
-        ch = _CATALOG_CH[label]
+        ch = catalog_lookup(label).ch
         re, im = z_polynomials(ch, S_DEFAULT)
         re_ref, im_ref = REFERENCE_Z[label]
         items.append(_identity_item(f"Z {label} real part", poly_equal(re, re_ref)))
@@ -227,13 +226,10 @@ def verify_lemma_computation():
 
 
 def _structural_items():
-    alternating = (
-        _CATALOG_CH["O(-1)"]
-        - 2 * _CATALOG_CH["S(-1)"]
-        + 4 * _CATALOG_CH["O"]
-        - _CATALOG_CH["O(1)"]
-        + _CATALOG_CH["k(x)"]
+    o_minus, s_minus, o, o_plus, s, point = (
+        catalog_lookup(label).ch for label in ("O(-1)", "S(-1)", "O", "O(1)", "S", "k(x)")
     )
+    alternating = o_minus - 2 * s_minus + 4 * o - o_plus + point
     ok = all(x == 0 for x in alternating.as_tuple())
     items = [
         _identity_item(
@@ -242,10 +238,7 @@ def _structural_items():
             [] if ok else [f"alternating sum is {alternating}"],
         )
     ]
-    spinor_sum = _CATALOG_CH["S(-1)"] + _CATALOG_CH["S"]
-    four_o = 4 * _CATALOG_CH["O"]
-    tensored = tensor_line(_CATALOG_CH["S(-1)"], 1)
-    ok = spinor_sum == four_o and tensored == _CATALOG_CH["S"]
+    ok = s_minus + s == 4 * o and tensor_line(s_minus, 1) == s
     items.append(_identity_item("spinor sequence sum", ok))
     return items
 
@@ -377,7 +370,7 @@ def _mu_sign_items(region, max_depth):
     """Slope signs of the plain generators, via numerator x denominator."""
     items = []
     for label, sign in (("S(-1)", "<=0"), ("O", ">=0"), ("O(-1)", "<0"), ("O(1)", ">0")):
-        ch = _CATALOG_CH[label]
+        ch = catalog_lookup(label).ch
         # sign(mu) = sign(numerator * denominator), the denominator alpha*ch0.
         _, t1, _, _ = twisted_ch_polynomials(ch)
         notes = ["slope sign certified as numerator x denominator"]
@@ -399,7 +392,7 @@ def _bg_equality_item():
     A nonzero margin is nonzero on a grid one wider than its degrees
     (beta = j + 1/2 keeps alpha > 0); the note names the first such point.
     """
-    o_twisted = twisted_ch_polynomials(_CATALOG_CH["O"])
+    o_twisted = twisted_ch_polynomials(catalog_lookup("O").ch)
     margin = BivariatePoly()
     for k in range(4):
         w = ChernCharacter(*(t.terms.get((0, k), 0) for t in o_twisted))

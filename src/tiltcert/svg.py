@@ -2,13 +2,14 @@
 
 All geometry is computed in exact rationals; the only numeric conversion in
 the whole system is the fixed 6-decimal formatting here, done with integer
-arithmetic (never floats).
+arithmetic (never floats), rounded half to even.  Wall contours stay on ints
+from kernel.grid_form's values to the pixel text.
 """
 
 from fractions import Fraction
 
 from .heart import GENERATORS
-from .kernel import as_fraction, grid_form, poly_eval
+from .kernel import as_fraction, grid_axis, grid_form, poly_eval
 from .tilt import central_charge, wall_polynomial
 
 WIDTH = 480
@@ -20,7 +21,15 @@ MIN_GRID = 16
 
 def decimal6(x):
     """Render a rational with exactly six decimal places, by integer math."""
-    scaled = round(as_fraction(x) * 10**6)
+    x = as_fraction(x)
+    return _decimal6_ratio(x.numerator, x.denominator)
+
+
+def _decimal6_ratio(num, den):
+    # num / den (den > 0) to six places, rounded half to even like round().
+    scaled, rest = divmod(num * 10**6, den)
+    if 2 * rest > den or (2 * rest == den and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
@@ -100,74 +109,66 @@ def emit_zvectors_svg(p, path):
         handle.write("".join(parts))
 
 
-# Marching-squares cases: corner bit k set when the value there is >= 0;
-# bits order c00=1, c10=2, c11=4, c01=8.  Edges: 0 bottom, 1 right, 2 top,
-# 3 left.  Saddle cases 5 and 10 are resolved with the exact center value.
-_CASES = {
-    0: [], 15: [],
-    1: [(0, 3)], 14: [(0, 3)],
-    2: [(0, 1)], 13: [(0, 1)],
-    4: [(1, 2)], 11: [(1, 2)],
-    8: [(2, 3)], 7: [(2, 3)],
-    3: [(3, 1)], 12: [(3, 1)],
-    6: [(0, 2)], 9: [(0, 2)],
-}
-
-
-def _edge_point(edge, corners, values):
-    (which_a, which_b) = ((0, 1), (1, 2), (3, 2), (0, 3))[edge]
-    (xa, ya), va = corners[which_a], values[which_a]
-    (xb, yb), vb = corners[which_b], values[which_b]
-    t = Fraction(va, va - vb)
-    return xa + t * (xb - xa), ya + t * (yb - ya)
+# Marching squares: corner bit k set when the value there is >= 0, bits
+# c00=1, c10=2, c11=4, c01=8; edges 0 bottom, 1 right, 2 top, 3 left.
+# Cases k and 15 - k cross the same edges, keyed by the smaller; the saddles
+# 5 and 10 are not listed.
+_CASES = {1: [(0, 3)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(2, 3)]}
+# Edge k starts at corner (i + di, j + dj) and runs along beta or alpha.
+_EDGES = ((0, 0, True), (1, 0, False), (0, 1, True), (0, 0, False))
 
 
 def wall_contour_segments(poly, box_beta, box_alpha, grid):
     """Exact marching squares for the zero set of poly over the box.
 
-    Returns segments as ((beta, alpha), (beta, alpha)) rational pairs.
-    Grid values come from kernel.grid_form: ints, one positive multiple of
-    the values of poly, so signs and crossing points are exact.  Sign
-    class is value >= 0, so a grid of exact zeros yields no segments
-    only when nothing crosses; the identically-zero polynomial gives an
-    all-positive grid and hence an empty contour.
+    Returns segments as ((beta, alpha), (beta, alpha)) rational pairs, cell
+    by cell with beta outer.  Grid values come from kernel.grid_form: ints,
+    one positive multiple of the values of poly, so signs and crossing
+    points are exact.  Sign class is value >= 0, kept as one bit mask per
+    grid row; a cell whose corners share a class is skipped unbuilt, so the
+    identically-zero polynomial gives an empty contour.  A crossing between
+    values va and vb at grid numerators x and x + step over den lies at
+    (x * d + va * step) / (den * d), d = va - vb: one Fraction per coordinate.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}")
-    betas = [box_beta.lo + Fraction(i, grid) * box_beta.width for i in range(grid + 1)]
-    alphas = [box_alpha.lo + Fraction(j, grid) * box_alpha.width for j in range(grid + 1)]
+    # beta_i = b_nums[i] / b_den and alpha_j = a_nums[j] / a_den.
+    b_nums, b_den = grid_axis(box_beta, grid)
+    a_nums, a_den = grid_axis(box_alpha, grid)
+    b_step, a_step = b_nums[1] - b_nums[0], a_nums[1] - a_nums[0]
+    betas = [Fraction(n, b_den) for n in b_nums]
+    alphas = [Fraction(n, a_den) for n in a_nums]
     value = grid_form(poly, box_alpha, box_beta, grid)
     values = [[value(j, i) for j in range(grid + 1)] for i in range(grid + 1)]
+    signs = [sum(1 << j for j, v in enumerate(row) if v >= 0) for row in values]
+
+    def crossing(edge, i, j):
+        di, dj, along_beta = _EDGES[edge]
+        i, j = i + di, j + dj
+        if along_beta:
+            va, d = values[i][j], values[i][j] - values[i + 1][j]
+            return Fraction(b_nums[i] * d + va * b_step, b_den * d), alphas[j]
+        va, d = values[i][j], values[i][j] - values[i][j + 1]
+        return betas[i], Fraction(a_nums[j] * d + va * a_step, a_den * d)
+
     segments = []
     for i in range(grid):
-        for j in range(grid):
-            corners = (
-                (betas[i], alphas[j]),
-                (betas[i + 1], alphas[j]),
-                (betas[i + 1], alphas[j + 1]),
-                (betas[i], alphas[j + 1]),
-            )
-            vals = (
-                values[i][j],
-                values[i + 1][j],
-                values[i + 1][j + 1],
-                values[i][j + 1],
-            )
-            index = sum(1 << k for k in range(4) if vals[k] >= 0)
-            if index in _CASES:
-                pairs = _CASES[index]
-            else:
-                center_beta = (betas[i] + betas[i + 1]) / 2
-                center_alpha = (alphas[j] + alphas[j + 1]) / 2
-                center = poly_eval(poly, center_alpha, center_beta)
-                if index == 5:
-                    pairs = [(0, 1), (2, 3)] if center >= 0 else [(0, 3), (1, 2)]
-                else:  # index == 10
-                    pairs = [(0, 3), (1, 2)] if center >= 0 else [(0, 1), (2, 3)]
+        low, high = signs[i], signs[i + 1]
+        # Bit j set when cell (i, j) has corners of both sign classes.
+        mixed = low ^ high
+        mixed = (mixed | mixed >> 1 | low ^ low >> 1) & ((1 << grid) - 1)
+        while mixed:
+            j = (mixed & -mixed).bit_length() - 1
+            mixed &= mixed - 1
+            low2, high2 = low >> j & 3, high >> j & 3
+            index = low2 & 1 | (high2 & 1) << 1 | (high2 & 2) << 1 | (low2 & 2) << 2
+            pairs = _CASES.get(min(index, 15 - index))
+            if pairs is None:  # saddle: the exact centre value picks the pairing
+                a_mid = Fraction(a_nums[j] + a_nums[j + 1], 2 * a_den)
+                center = poly_eval(poly, a_mid, Fraction(b_nums[i] + b_nums[i + 1], 2 * b_den))
+                pairs = [(0, 1), (2, 3)] if (index == 5) == (center >= 0) else [(0, 3), (1, 2)]
             for ea, eb in pairs:
-                segments.append(
-                    (_edge_point(ea, corners, vals), _edge_point(eb, corners, vals))
-                )
+                segments.append((crossing(ea, i, j), crossing(eb, i, j)))
     return segments
 
 
@@ -180,11 +181,18 @@ def emit_wall_svg(v, w, grid, path, box_beta, box_alpha):
     segments = wall_contour_segments(poly, box_beta, box_alpha, grid)
     span = WIDTH - 2 * MARGIN
 
-    def to_px(beta, alpha):
-        x = MARGIN + (beta - box_beta.lo) / box_beta.width * span
-        y = HEIGHT - MARGIN - (alpha - box_alpha.lo) / box_alpha.width * span
-        return x, y
+    def to_px(box, origin, direction):
+        # p / q -> origin + direction * span * (p / q - lo) / width, to six places.
+        (lo, hi), den = grid_axis(box, 1)
+        scale, width = direction * span, hi - lo
 
+        def px(x):
+            p, q = x.numerator, x.denominator
+            return _decimal6_ratio(origin * q * width + scale * (p * den - lo * q), q * width)
+
+        return px
+
+    x_px, y_px = to_px(box_beta, MARGIN, 1), to_px(box_alpha, HEIGHT - MARGIN, -1)
     parts = [_svg_header()]
     parts.append(
         f'  <rect class="frame" x="{MARGIN}" y="{MARGIN}" width="{span}" '
@@ -200,11 +208,9 @@ def emit_wall_svg(v, w, grid, path, box_beta, box_alpha):
         f"alpha in [{box_alpha.lo}, {box_alpha.hi}]</text>\n"
     )
     for (b0, a0), (b1, a1) in segments:
-        x1, y1 = to_px(b0, a0)
-        x2, y2 = to_px(b1, a1)
         parts.append(
-            f'  <line class="wall" x1="{decimal6(x1)}" y1="{decimal6(y1)}" '
-            f'x2="{decimal6(x2)}" y2="{decimal6(y2)}" '
+            f'  <line class="wall" x1="{x_px(b0)}" y1="{y_px(a0)}" '
+            f'x2="{x_px(b1)}" y2="{y_px(a1)}" '
             'stroke="black" stroke-width="1.5"/>\n'
         )
     parts.append("</svg>\n")

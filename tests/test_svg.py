@@ -1,15 +1,25 @@
 """SVG figure tests: the integer-arithmetic decimal formatter, exact
 marching-squares contours (counts, symmetry, grid-line exactness, empty
-cases), and the structure of the emitted documents."""
+cases, saddles), the structure of the emitted documents, and a
+differential check of the integer contour and pixel path against a plain
+Fraction reference."""
 
 import hashlib
+import os
 import random
+import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
-from tiltcert.chern import catalog_lookup
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tiltcert.chern import ChernCharacter, catalog_lookup
 from tiltcert.kernel import BivariatePoly, RationalInterval, poly_eval
 from tiltcert.svg import (
+    HEIGHT,
+    MARGIN,
+    WIDTH,
     decimal6,
     emit_wall_svg,
     emit_zvectors_svg,
@@ -214,3 +224,142 @@ def test_wall_svg_document(tmp_path):
     texts = [el.text for el in root.iter() if el.tag.endswith("text")]
     assert "beta in [0, 1]" in texts
     assert "alpha in [0, 3/5]" in texts
+
+
+# --- reference: marching squares and pixel mapping in plain Fractions -------
+#
+# The straightforward form of the integer pipeline in svg: every corner,
+# crossing and pixel is a Fraction, and decimal6 is round() of the scaled
+# Fraction.  Grid values come from poly_eval; the crossing parameter
+# va / (va - vb) does not change when grid_form scales them by a positive
+# constant.
+
+_REF_CASES = {
+    0: [], 15: [],
+    1: [(0, 3)], 14: [(0, 3)],
+    2: [(0, 1)], 13: [(0, 1)],
+    4: [(1, 2)], 11: [(1, 2)],
+    8: [(2, 3)], 7: [(2, 3)],
+    3: [(3, 1)], 12: [(3, 1)],
+    6: [(0, 2)], 9: [(0, 2)],
+}
+
+
+def _ref_edge_point(edge, corners, values):
+    (which_a, which_b) = ((0, 1), (1, 2), (3, 2), (0, 3))[edge]
+    (xa, ya), va = corners[which_a], values[which_a]
+    (xb, yb), vb = corners[which_b], values[which_b]
+    t = F(va, va - vb)
+    return xa + t * (xb - xa), ya + t * (yb - ya)
+
+
+def _ref_contour(poly, box_beta, box_alpha, grid):
+    betas = [box_beta.lo + F(i, grid) * box_beta.width for i in range(grid + 1)]
+    alphas = [box_alpha.lo + F(j, grid) * box_alpha.width for j in range(grid + 1)]
+    values = [[poly_eval(poly, a, b) for a in alphas] for b in betas]
+    segments = []
+    for i in range(grid):
+        for j in range(grid):
+            corners = (
+                (betas[i], alphas[j]),
+                (betas[i + 1], alphas[j]),
+                (betas[i + 1], alphas[j + 1]),
+                (betas[i], alphas[j + 1]),
+            )
+            vals = (values[i][j], values[i + 1][j], values[i + 1][j + 1], values[i][j + 1])
+            index = sum(1 << k for k in range(4) if vals[k] >= 0)
+            if index in _REF_CASES:
+                pairs = _REF_CASES[index]
+            else:
+                center = poly_eval(
+                    poly, (alphas[j] + alphas[j + 1]) / 2, (betas[i] + betas[i + 1]) / 2
+                )
+                if index == 5:
+                    pairs = [(0, 1), (2, 3)] if center >= 0 else [(0, 3), (1, 2)]
+                else:
+                    pairs = [(0, 3), (1, 2)] if center >= 0 else [(0, 1), (2, 3)]
+            for ea, eb in pairs:
+                segments.append(
+                    (_ref_edge_point(ea, corners, vals), _ref_edge_point(eb, corners, vals))
+                )
+    return segments
+
+
+def _ref_decimal6(x):
+    scaled = round(F(x) * 10**6)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
+
+
+def _ref_wall_lines(segments, box_beta, box_alpha):
+    span = WIDTH - 2 * MARGIN
+
+    def to_px(beta, alpha):
+        x = MARGIN + (beta - box_beta.lo) / box_beta.width * span
+        y = HEIGHT - MARGIN - (alpha - box_alpha.lo) / box_alpha.width * span
+        return _ref_decimal6(x), _ref_decimal6(y)
+
+    return [to_px(*p0) + to_px(*p1) for p0, p1 in segments]
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _boxes(draw, lo, hi):
+    ends = draw(
+        st.lists(
+            st.fractions(min_value=lo, max_value=hi, max_denominator=12),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        )
+    )
+    return RationalInterval(min(ends), max(ends))
+
+
+@st.composite
+def _contour_cases(draw):
+    """A polynomial of bidegree up to (3, 3) that vanishes somewhere in
+    its box, the box (beta may be negative) and a grid."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), _small, min_size=1, max_size=6
+        )
+    )
+    poly = BivariatePoly(terms)
+    box_beta, box_alpha = draw(_boxes(-2, 2)), draw(_boxes(0, 2))
+    t_beta, t_alpha = draw(_small), draw(_small)
+    point_beta = box_beta.lo + box_beta.width * (t_beta + 3) / 6
+    point_alpha = box_alpha.lo + box_alpha.width * (t_alpha + 3) / 6
+    poly = poly - BivariatePoly.constant(poly_eval(poly, point_alpha, point_beta))
+    return poly, box_beta, box_alpha, draw(st.integers(16, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_contour_cases())
+# A saddle cell whose centre value is exactly zero.
+@example(((A - F(3, 32)) * (B - F(7, 32)), UNIT_BOX, ALPHA_BOX, 16))
+def test_contour_matches_fraction_reference(case):
+    poly, box_beta, box_alpha, grid = case
+    assert wall_contour_segments(poly, box_beta, box_alpha, grid) == _ref_contour(
+        poly, box_beta, box_alpha, grid
+    )
+
+
+_characters = st.builds(ChernCharacter, _small, _small, _small, _small)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_characters, _characters, _boxes(-2, 2), _boxes(0, 2), st.integers(16, 20))
+def test_wall_svg_pixels_match_fraction_reference(v, w, box_beta, box_alpha, grid):
+    expected = _ref_wall_lines(
+        _ref_contour(wall_polynomial(v, w), box_beta, box_alpha, grid), box_beta, box_alpha
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "wall.svg")
+        emit_wall_svg(v, w, grid, path, box_beta, box_alpha)
+        root = ET.parse(path).getroot()
+    lines = [el for el in root.iter() if el.get("class") == "wall"]
+    assert [tuple(el.get(k) for k in ("x1", "y1", "x2", "y2")) for el in lines] == expected
