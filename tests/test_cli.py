@@ -145,6 +145,12 @@ BYTE_CONTRACTS = [
          "-1/3:2/7,1/9:5/7", "--grid", "17", "-o"],
         "b42d6b9ff988f867d9b1c749e071797fe5f8f1f1b4d1a6785c5f660581caaad8",
     ),
+    # No bisection at depth 0, so the witnesses come from the grid scan:
+    # 15 failed items, 14 of them with a witness off the polytope vertices.
+    (
+        ["verify", "--region", "-1:1/3,1/7:2/3", "--max-depth", "0", "--json"],
+        "6a28a1c1652e765b435ec3692ef77bcbe2c4ed22939727dcb3fe8f86c9a17c7f",
+    ),
 ]
 
 # The same contract for the subcommands that print their result.
