@@ -38,13 +38,13 @@ anything the engine cannot settle within its depth budget is
 Witness search (claims that did not certify), first violating point wins:
 the point the bisection stopped at, then the polytope vertices, then the
 4, 8, 16 and 32 grids over the region box, by increasing alpha index,
-then beta index.  The grids run on integer indices: openness flags become
-index ranges, the side cut is one sign test on integer grid coordinates,
-and each finer grid visits only its new points (those with an odd index),
-because the points of the grid before it were already scanned.  Every
-point skipped this way was evaluated earlier without violating the claim,
-so the witness is the one a scan of every grid point in that order would
-return.
+then beta index.  The grids are sub-grids of one 32-grid form, read by
+rows on integer indices: openness flags and the side cut make one index
+range per row, checked by its minimum or maximum, and each finer grid
+visits only its new points (those with an odd index), because the points
+of the grid before it were already scanned.  Every point skipped this way
+was evaluated earlier without violating the claim, so the witness is the
+one a scan of every grid point in that order would return.
 
 Strictness on open boundaries: a certificate for a strict sign must rule
 out zeros inside the region.  On a box whose Bernstein coefficients are
@@ -54,6 +54,7 @@ crosses the relative interior of such a face, so the face misses the
 region exactly when its centre does.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -431,24 +432,31 @@ def _witness_search(product, overall_sign, region, candidates):
         if _violates(poly_eval(product, *point), orient, strict):
             return point
     # A grid point seen above did not violate, so scanning it again changes
-    # nothing.  On integer indices the openness flags are index ranges and
-    # the side cut is one sign test.
-    side = SIDE_SIGNS.get(region.side, 0)
+    # nothing.  Grid g is the stride-(32 // g) sub-grid of one 32-grid form.
+    # keys[j] = b_nums[j] * a_den rises with j, so in row i the side cut,
+    # sigma * (keys[j] + a_nums[i] * b_den) >= 0, keeps columns lo to hi - 1.
+    row = grid_form(product, region.alpha, region.beta, 32)
+    a_nums, a_den = grid_axis(region.alpha, 32)
+    b_nums, b_den = grid_axis(region.beta, 32)
+    keys = [y * a_den for y in b_nums]
+    sigma = SIDE_SIGNS.get(region.side, 0)
+    extreme = min if orient > 0 else max
     for g in (4, 8, 16, 32):
-        value = grid_form(product, region.alpha, region.beta, g)
-        a_nums, a_den = grid_axis(region.alpha, g)
-        b_nums, b_den = grid_axis(region.beta, g)
-        # side * (alpha_i + beta_j) has the sign of a_sums[i] + b_sums[j].
-        a_sums = [x * b_den * side for x in a_nums]
-        b_sums = [y * a_den * side for y in b_nums]
-        j_lo, j_hi = int(region.beta_open[0]), g - region.beta_open[1]
+        s = 32 // g
         for i in range(region.alpha_open[0], g + 1 - region.alpha_open[1]):
+            lo = bisect_left(keys, -a_nums[s * i] * b_den) if sigma > 0 else 0
+            hi = bisect_right(keys, -a_nums[s * i] * b_den) if sigma < 0 else 33
             # Points with i and j both even are the coarser grid's points, so
             # an even row of a finer grid visits odd j only.
             fresh = g > 4 and i % 2 == 0
-            for j in range(j_lo | fresh, j_hi + 1, 1 + fresh):
-                if a_sums[i] + b_sums[j] >= 0 and _violates(value(i, j), orient, strict):
-                    return Fraction(a_nums[i], a_den), Fraction(b_nums[j], b_den)
+            first = s * (max(region.beta_open[0], -(-lo // s)) | fresh)
+            stop, step = s * min(g + 1 - region.beta_open[1], -(-hi // s)), s * (1 + fresh)
+            if first >= stop:
+                continue
+            values = row(s * i)[first:stop:step]
+            if _violates(extreme(values), orient, strict):
+                k = next(k for k, v in enumerate(values) if _violates(v, orient, strict))
+                return Fraction(a_nums[s * i], a_den), Fraction(b_nums[first + k * step], b_den)
     return None
 
 

@@ -9,15 +9,17 @@ The certifier's inner loops run on Python ints.  Where only a sign, a zero
 or the position of a maximum matters, a value is carried as an integer
 positive multiple of itself: Bernstein grids (bernstein_coefficients
 returns (den, grid) with grid / den the exact coefficients and
-gcd(den, *grid) == 1; split_grid) and grid values (grid_form, at the
-integer grid coordinates of grid_axis).  The monomial hull
-poly_interval_eval also sums on ints and divides once, at the end; the
-certifier does not call it (see certify's side pieces).
+gcd(den, *grid) == 1; split_grid) and grid values (grid_form, rows at
+grid_axis's integer coordinates summed on first use from a corner block's
+forward differences).  The monomial hull poly_interval_eval also sums on
+ints and divides once; certify does not call it (see its side pieces).
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 from math import gcd, lcm
 
 RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -307,31 +309,36 @@ def grid_axis(box, g):
 
 
 def grid_form(p, box_alpha, box_beta, g):
-    """Integer form of p on the (g + 1) x (g + 1) grid over a box.
+    """Integer form of p on the (g + 1) x (g + 1) grid over a box, by rows.
 
-    Returns value(i, j), an int equal to p(alpha_i, beta_j) times one
-    positive constant, where alpha_i = alpha.lo + alpha.width * i / g and
-    beta_j = beta.lo + beta.width * j / g.  Signs are therefore exact.  The
-    row of coefficients in beta for each i is built on first use.
+    Returns row(i), the list of ints whose entry j is p(alpha_i, beta_j)
+    times one positive constant, alpha_i = alpha.lo + alpha.width * i / g and
+    beta_j = beta.lo + beta.width * j / g, so signs are exact.  Horner
+    evaluates only the (m + 1) x (n + 1) corner block, (m, n) p's bidegree;
+    the rest are running sums of its forward differences, along alpha, then
+    along each row on its first use.
     """
     m, n = p.degree_alpha(), p.degree_beta()
     # alpha_i = a_nums[i] / a_den and beta_j = b_nums[j] / b_den (grid_axis).
     a_nums, a_den = grid_axis(box_alpha, g)
     b_nums, b_den = grid_axis(box_beta, g)
     # coeffs[l][k]: the a^k b^l coefficient times scale * a_den^(m-k) * b_den^(n-l),
-    # so that value(i, j) = sum coeffs[l][k] * a_num^k * b_num^l is homogeneous.
+    # so that the value at (i, j), sum coeffs[l][k] * a_num^k * b_num^l, is homogeneous.
     coeffs = [[0] * (m + 1) for _ in range(n + 1)]
     for (k, l), c in _integer_terms(p)[1]:
         coeffs[l][k] = c * a_den ** (m - k) * b_den ** (n - l)
-    rows = {}
+    block = []
+    for x in a_nums[: m + 1]:
+        in_beta = [_horner(c, x) for c in coeffs]
+        block.append(_differences([_horner(in_beta, y) for y in b_nums[: n + 1]]))
+    # starts[l][i]: the l-th forward difference along beta at (i, 0).
+    starts = [_newton_run(_differences(d), g) for d in zip(*block)]
 
-    def value(i, j):
-        row = rows.get(i)
-        if row is None:
-            row = rows[i] = [_horner(col, a_nums[i]) for col in coeffs]
-        return _horner(row, b_nums[j])
+    @cache
+    def row(i):
+        return _newton_run([d[i] for d in starts], g)
 
-    return value
+    return row
 
 
 def _horner(coeffs, x):
@@ -339,6 +346,21 @@ def _horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _differences(values):
+    if not values:
+        return []
+    return [values[0], *_differences([y - x for x, y in zip(values, values[1:])])]
+
+
+def _newton_run(diffs, g):
+    # Entries 0..g of a polynomial sequence from its differences at 0, the last
+    # constant.  Entry j reads orders <= j, so a block cut at g + 1 is exact.
+    run = [diffs[-1]] * (g + 1)
+    for d in reversed(diffs[:-1]):
+        run = list(accumulate(run[:g], initial=d))
+    return run
 
 
 def poly_equal(p, q):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tiltcert.certify import (
@@ -755,8 +755,21 @@ def witness_cases(draw):
     return claim, region, candidates
 
 
+def _one_factor_case(expr, sign, beta, alpha, beta_open=(False, False), side=None):
+    claim = FactoredClaim((Factor(expr, sign, "interval-subdivision"),), sign)
+    region = Region(RationalInterval(*beta), RationalInterval(*alpha), beta_open, side=side)
+    return claim, region, []
+
+
 @settings(max_examples=100, deadline=None)
 @given(witness_cases())
+# The side line meets the box only at the corner (0, 0), where a^2 is 0:
+# every other grid row has no point on the allowed side (no witness).
+@example(_one_factor_case(A**2, "<=0", (0, 1), (0, 1), side=SIDE_LEFT))
+@example(_one_factor_case(A**2, "<=0", (-1, 0), (-1, 0), side=SIDE_RIGHT))
+# Both beta ends open: the vertices are out, and the witness is the 16-grid
+# point just below the open upper end.
+@example(_one_factor_case(B**2 - F(1, 9), "<0", (F(-1, 3), F(2, 5)), (F(1, 7), F(2, 3)), (True, True)))
 def test_witness_search_matches_fraction_reference(case):
     claim, region, candidates = case
     product = claim.product()

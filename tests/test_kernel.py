@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +13,7 @@ from tiltcert.kernel import (
     RationalInterval,
     bernstein_coefficients,
     format_rational,
+    grid_axis,
     grid_form,
     parse_rational,
     poly_equal,
@@ -409,17 +410,55 @@ def test_substitute_composes_in_the_beta_slot(p, q, a, t):
     assert poly_eval(substitute(p, q), a, t) == poly_eval(p, a, poly_eval(q, a, t))
 
 
-@settings(max_examples=15, deadline=None)
-@given(polys, intervals, intervals)
-def test_grid_form_sign_matches_poly_eval(p, box_a, box_b):
-    for g in (4, 8, 16, 32):
-        value = grid_form(p, box_a, box_b, g)
-        for i in range(g + 1):
-            a = box_a.lo + box_a.width * Fraction(i, g)
-            for j in range(g + 1):
-                exact = poly_eval(p, a, box_b.lo + box_b.width * Fraction(j, g))
-                scaled = value(i, j)
-                assert (scaled > 0) - (scaled < 0) == (exact > 0) - (exact < 0)
+def _grid_form_reference(p, box_alpha, box_beta, g):
+    # Point by point: value(i, j) by Horner in alpha, then in beta, on
+    # grid_form's integer scale; also returns that scale.
+    m, n = p.degree_alpha(), p.degree_beta()
+    a_nums, a_den = grid_axis(box_alpha, g)
+    b_nums, b_den = grid_axis(box_beta, g)
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    coeffs = [[0] * (m + 1) for _ in range(n + 1)]
+    for (k, l), c in p.terms.items():
+        coeffs[l][k] = c.numerator * (scale // c.denominator) * a_den ** (m - k) * b_den ** (n - l)
+
+    def horner(cs, x):
+        acc = 0
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    def value(i, j):
+        return horner([horner(col, a_nums[i]) for col in coeffs], b_nums[j])
+
+    return value, scale * a_den**m * b_den**n
+
+
+bidegree_6_polys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), small_rationals, max_size=8
+).map(BivariatePoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bidegree_6_polys, intervals, intervals)
+@example(BivariatePoly(), RationalInterval(-1, 1), RationalInterval(0, 1))
+@example(BivariatePoly.constant(Fraction(-7, 3)), RationalInterval(-1, 1), RationalInterval(0, 1))
+@example(
+    A**6 * B**6 - Fraction(2, 3) * A**5 * B + Fraction(1, 7) * B**6 - 5,
+    RationalInterval(Fraction(-7, 3), Fraction(-1, 5)),
+    RationalInterval(Fraction(-5, 7), Fraction(2, 3)),
+)
+def test_grid_form_matches_per_point_reference(p, box_a, box_b):
+    for g in (1, 2, 3, 4, 8, 16, 32):
+        row = grid_form(p, box_a, box_b, g)
+        value, scale = _grid_form_reference(p, box_a, box_b, g)
+        # Rows out of order: each one is built on first use.
+        for i in reversed(range(g + 1)):
+            assert row(i) == [value(i, j) for j in range(g + 1)]
+            if g <= 4:
+                a = box_a.lo + box_a.width * Fraction(i, g)
+                for j in range(g + 1):
+                    exact = poly_eval(p, a, box_b.lo + box_b.width * Fraction(j, g))
+                    assert Fraction(row(i)[j], scale) == exact
 
 
 @settings(max_examples=300, deadline=None)
