@@ -7,11 +7,12 @@ the claim's product and its overall sign: the factors, their targets and
 their strategies are checked when the claim is built, and select no code.
 
 One engine decides every claim: recursive bisection of each side piece
-(below), each box decided by its Bernstein coefficients alone.
-Coefficients are formed from the power basis once, on a piece's root box,
-as the integer grid of bernstein_coefficients' (den, grid), a positive
-multiple of them (signs need no den); each split derives its children's
-grids by midpoint de Casteljau subdivision, so no box rebuilds them.
+(below), alternating between alpha and t, alpha first, each box decided
+by its Bernstein coefficients alone.  Coefficients are formed from the
+power basis once, on a piece's root box, as the integer grid of
+bernstein_coefficients' (den, grid), a positive multiple of them (signs
+need no den); each split derives its children's grids by midpoint de
+Casteljau subdivision, so no box rebuilds them.
 
 Side pieces: no box the bisection tries is crossed by the side line.  A
 side-cut region splits into at most two boxes in the closed half-plane
@@ -185,7 +186,6 @@ class FactoredClaim:
 @dataclass
 class SignCertificate:
     status: str
-    evidence: dict
     witness: tuple | None
     boxes: int
     depth: int
@@ -333,7 +333,7 @@ def _certify_box(poly, strict, piece, box_alpha, box_beta, candidates, grid):
     if grid is None:
         grid = bernstein_coefficients(poly, box_alpha, box_beta)[1]
     m, n = len(grid) - 1, len(grid[0]) - 1
-    high = max(c for row in grid for c in row)
+    high = max(map(max, grid))
     if high < 0 or (not strict and high <= 0):
         return "certified", grid
     if high > 0:
@@ -365,10 +365,11 @@ def _bisect_side_pieces(poly, orient, strict, region, max_depth):
     """Bisection loop over the side pieces for the sign that sign_parts
     decoded as (orient, strict).  Returns (ok, candidates, boxes, depth).
 
-    A slanted piece certifies poly composed with its lift; its candidates
-    map back to (alpha, beta).  A split box hands each child the matching
-    half of its integer Bernstein grid, so coefficients come from the
-    power basis only on the pieces' root boxes.
+    Splits alternate, alpha first: a box at depth d halves alpha when d is
+    even, t when d is odd.  A slanted piece certifies poly composed with
+    its lift; its candidates map back to (alpha, beta).  A split box hands
+    each child the matching half of its integer Bernstein grid, so
+    coefficients come from the power basis only on the pieces' root boxes.
     """
     if orient > 0:
         poly = -poly
@@ -400,19 +401,12 @@ def _bisect_side_pieces(poly, orient, strict, region, max_depth):
                 # Certification is off the table; skip the remaining queue.
                 ok = False
                 break
-            rel_alpha = box_alpha.width / piece.alpha.width
-            rel_beta = box_beta.width / piece.t.width
-            axis = 0 if rel_alpha >= rel_beta else 1
-            lo_grid, hi_grid = split_grid(grid, axis)
-            if axis == 0:
-                lo_half, hi_half = box_alpha.split()
-                lo_box, hi_box = (lo_half, box_beta), (hi_half, box_beta)
-            else:
-                lo_half, hi_half = box_beta.split()
-                lo_box, hi_box = (box_alpha, lo_half), (box_alpha, hi_half)
+            axis = depth % 2
+            halves = zip((box_alpha, box_beta)[axis].split(), split_grid(grid, axis))
             # Push the high half first so the low half is explored first.
-            stack.append((*hi_box, depth + 1, hi_grid))
-            stack.append((*lo_box, depth + 1, lo_grid))
+            for half, half_grid in reversed(tuple(halves)):
+                child = (box_alpha, half) if axis else (half, box_beta)
+                stack.append((*child, depth + 1, half_grid))
         candidates.extend(piece.point(*p) for p in found)
         if not ok:
             break
@@ -465,20 +459,17 @@ def certify_sign(claim, region, max_depth=16):
     product; max_depth < 1 skips the bisection."""
     product = claim.product()
     orient, strict = sign_parts(claim.overall_sign)
-    evidence = {"kind": "interval-subdivision"}
     notes = []
     if max_depth < 1:
         ok, candidates, boxes, depth = False, [], 0, 0
-        evidence["note"] = "subdivision disabled (max_depth < 1)"
         # The wording is part of the `verify --max-depth 0` report's bytes.
-        notes.append(f"{evidence['note']} for factor {poly_format(product)}")
+        notes.append(f"subdivision disabled (max_depth < 1) for factor {poly_format(product)}")
     else:
         ok, candidates, boxes, depth = _bisect_side_pieces(
             product, orient, strict, region, max_depth
         )
-        evidence.update(boxes=boxes, depth=depth)
     if ok:
-        return SignCertificate("certified", evidence, None, boxes, depth, notes)
+        return SignCertificate("certified", None, boxes, depth, notes)
     witness = _witness_search(product, claim.overall_sign, region, candidates)
     status = "inconclusive" if witness is None else "failed"
-    return SignCertificate(status, evidence, witness, boxes, depth, notes)
+    return SignCertificate(status, witness, boxes, depth, notes)

@@ -47,11 +47,8 @@ class ChernCharacter:
 
     __rmul__ = __mul__
 
-    def to_json_dict(self, name=None):
-        out = {f"ch{k}": format_rational(v) for k, v in enumerate(self.as_tuple())}
-        if name is not None:
-            out["name"] = name
-        return out
+    def to_json_dict(self):
+        return {f"ch{k}": format_rational(v) for k, v in enumerate(self.as_tuple())}
 
     @classmethod
     def from_json_dict(cls, data):
@@ -67,7 +64,8 @@ class ChernCharacter:
 
 
 def load_chern(path):
-    """Read a character from a JSON file ({"ch0": "r", ..., "name"?})."""
+    """Read a character from a JSON file ({"ch0": "r", ..., "ch3": "r"}).
+    Other keys, such as "name", are ignored."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -75,7 +73,7 @@ def load_chern(path):
             raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("character file must hold a JSON object")
-    return ChernCharacter.from_json_dict(data), data.get("name")
+    return ChernCharacter.from_json_dict(data)
 
 
 def line_bundle_ch(n):

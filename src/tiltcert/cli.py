@@ -86,7 +86,7 @@ def _resolve_character(text, flag):
     if obj is not None:
         return obj.ch
     try:
-        return load_chern(text)[0]
+        return load_chern(text)
     except (OSError, ValueError, KeyError) as err:
         print(f"{flag}: cannot load character from {text!r} ({err})", file=sys.stderr)
         return None

@@ -49,8 +49,6 @@ def C(x):
     return BivariatePoly.constant(Fraction(x))
 
 
-_GENERATOR_CH = {label: ch for label, ch, _ in GENERATORS}
-
 # --- frozen reference closed forms (quadric, s = 1/6) ------------------------
 
 REFERENCE_TWISTED = {
@@ -163,21 +161,15 @@ def _identity_item(name, ok, notes=None):
 
 
 def _certificate_item(name, target, sign, region, max_depth, notes=()):
-    """Certify `target sign` on the region; the report lists the claim as
-    its one interval-subdivision factor, with the certificate's evidence."""
+    """Certify `target sign` on the region.  The report lists the claim as
+    its one factor, {"expr", "target"}; the item itself carries the
+    certificate's status, witness, boxes and depth."""
     claim = FactoredClaim((Factor(target, sign, "interval-subdivision"),), sign)
     cert = certify_sign(claim, region, max_depth)
-    factor = {
-        "expr": poly_format(target),
-        "target": sign,
-        "strategy": "interval-subdivision",
-        "status": "certified" if cert.status == "certified" else "not-certified",
-        "evidence": cert.evidence,
-    }
     return ReportItem(
         name=name,
         status=cert.status,
-        factors=[factor],
+        factors=[{"expr": poly_format(target), "target": sign}],
         witness=cert.witness,
         boxes=cert.boxes,
         depth=cert.depth,
@@ -266,7 +258,7 @@ def verify_half_plane(region=None, max_depth=16):
             _certificate_item(f"half-plane A re {label}", re_poly, "<=0", region_a, max_depth)
         )
     region_b = region.with_side(SIDE_LEFT)
-    axis_ch = _GENERATOR_CH["O[1]"]
+    axis_ch = next(ch for label, ch, _ in GENERATORS if label == "O[1]")
     sample_values = []
     all_nonpos = True
     for label, ch, _ in reversed(GENERATORS):
@@ -297,7 +289,9 @@ def verify_skyscraper_condition(region=None, max_depth=16):
 
     Certifies the generator sign facts, both base vectors, the dominance
     derivation of the other nine candidates, the quoted table entries, and
-    (redundantly) all eleven candidates directly.
+    (redundantly) all eleven candidates directly.  Where the certified sign
+    facts leave the derivation short, the direct certificates decide the
+    coverage item: its status is theirs, with the first failed one's witness.
     """
     region = region or default_region()
     generator_im = {label: z_polynomials(ch, S_DEFAULT)[1] for label, ch, _ in GENERATORS}
@@ -315,7 +309,7 @@ def verify_skyscraper_condition(region=None, max_depth=16):
         if item.status == "certified":
             facts.append(fact)
         else:
-            blocked.append((name, item.status))
+            blocked.append(name)
     # Each candidate's Im Z, built once: the base vectors are candidates too.
     candidates = skyscraper_candidates()
     candidate_im = {vec: z_polynomials(heart_ch(vec), S_DEFAULT)[1] for vec in candidates}
@@ -343,23 +337,29 @@ def verify_skyscraper_condition(region=None, max_depth=16):
             if v.as_tuple() != (0, 1, 0, 1):
                 ok = False
         items.append(_identity_item(f"skyscraper table {v}", ok, notes))
+    # Belt and suspenders: certify all eleven candidates directly.  They are
+    # reported after the coverage item, which falls back on them.
+    direct = [
+        _certificate_item(f"skyscraper direct {vec}", im, ">0", region, max_depth)
+        for vec, im in candidate_im.items()
+    ]
     # Dominance derivation of the remaining nine candidates.
     try:
         notes = reduce_candidates(candidates, tuple(facts))
-        items.append(ReportItem("skyscraper derivation coverage", "certified", notes=notes))
+        coverage = ReportItem("skyscraper derivation coverage", "certified", notes=notes)
     except DerivationError as err:
-        # Coverage is refuted only when a needed sign fact actually failed;
-        # a merely-inconclusive fact leaves coverage undetermined.
-        notes = [str(err)]
-        if blocked and all(status != "failed" for _, status in blocked):
-            status = "inconclusive"
-            notes.extend(f"sign fact not established: {name}" for name, _ in blocked)
-        else:
-            status = "failed"
-        items.append(ReportItem("skyscraper derivation coverage", status, notes=notes))
-    # Belt and suspenders: certify all eleven candidates directly.
-    for vec, im in candidate_im.items():
-        items.append(_certificate_item(f"skyscraper direct {vec}", im, ">0", region, max_depth))
+        # A sign fact that did not certify decides nothing about the
+        # candidates: their direct certificates do, failing with a witness.
+        notes = [str(err), *(f"sign fact not established: {name}" for name in blocked)]
+        notes.append(f"decided by the {len(direct)} skyscraper direct certificates")
+        coverage = ReportItem(
+            "skyscraper derivation coverage",
+            _aggregate(direct),
+            witness=next((item.witness for item in direct if item.status == "failed"), None),
+            notes=notes,
+        )
+    items.append(coverage)
+    items.extend(direct)
     return Report(_aggregate(items), items)
 
 

@@ -150,8 +150,8 @@ def test_json_round_trip(tmp_path):
     assert ChernCharacter.from_json_dict(data) == v
     path = tmp_path / "s.json"
     path.write_text(json.dumps(data | {"name": "spinor twist"}))
-    loaded, name = load_chern(path)
-    assert loaded == v and name == "spinor twist"
+    # The "name" key is accepted and ignored.
+    assert load_chern(path) == v
 
 
 def test_load_chern_rejects_bad_payload(tmp_path):

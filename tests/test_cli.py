@@ -108,15 +108,15 @@ def test_verify_max_depth_zero_inconclusive(capsys):
 BYTE_CONTRACTS = [
     (
         ["verify", "--json"],
-        "ea96726fe586d93367ca50944768beb256b0e97bc376b7a47dc61a3a3301e3f2",
+        "264b3a0f75adfe36b2567cce39fec5e53335c5729621e256262b39b7969eb962",
     ),
     (
         ["verify", "--region", "-1/2:1/2,0:1/3", "--json"],
-        "4580a119dc2cf723f0486ebf3dc29c0f08acd06e9f9cf3ba14364520b055166a",
+        "8d6e9b02acfdecafa54b36185ffd3b5f96ff317bfc9eb524b11f2ccadf0de2b9",
     ),
     (
         ["verify", "--max-depth", "0", "--json"],
-        "33f45ae1ffdae99dae237aa3356513026e97c860d5a51b9a10407f97993552fd",
+        "0fa8869c71ae9f5ee6d24085ae2e81aa9fb332967fc23a133a865568d0d256f7",
     ),
     (
         ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--region", "0:1,0:3/5",
@@ -146,10 +146,10 @@ BYTE_CONTRACTS = [
         "b42d6b9ff988f867d9b1c749e071797fe5f8f1f1b4d1a6785c5f660581caaad8",
     ),
     # No bisection at depth 0, so the witnesses come from the grid scan:
-    # 15 failed items, 14 of them with a witness off the polytope vertices.
+    # 15 failed items, each with a witness off the polytope vertices.
     (
         ["verify", "--region", "-1:1/3,1/7:2/3", "--max-depth", "0", "--json"],
-        "6a28a1c1652e765b435ec3692ef77bcbe2c4ed22939727dcb3fe8f86c9a17c7f",
+        "33abe65e5100c6b2b3b8ce1d27be3d7efafcc6d18ff1a3f8418a0c55d021a572",
     ),
 ]
 

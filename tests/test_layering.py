@@ -2,8 +2,8 @@
 another module's private names, the figure layer does not depend on the
 verification suite, the heart imports only chern and certify, the
 package's __all__ lists exactly what its __init__ imports, nothing
-outside the standard library is imported, and every file open names its
-encoding."""
+outside the standard library is imported, no module imports a name it
+does not use, and every file open names its encoding."""
 
 import ast
 import sys
@@ -78,6 +78,32 @@ def test_package_imports_only_the_standard_library():
         if module.split(".")[0] not in sys.stdlib_module_names
     ]
     assert imported and offenders == []
+
+
+# (module, name) imported without a use: bench/tracing.py patches
+# certify.poly_interval_eval, so the name must exist in certify.
+UNUSED_IMPORTS = {("certify", "poly_interval_eval")}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        offenders.extend(
+            f"{path.name}:{node.lineno} imports {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (bound := (alias.asname or alias.name).split(".")[0]) not in used
+            and (path.stem, bound) not in UNUSED_IMPORTS
+        )
+    assert offenders == []
 
 
 def test_every_open_names_its_encoding():

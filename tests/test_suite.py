@@ -141,6 +141,8 @@ def test_report_json_schema():
         }
         assert entry["witness"] is None
         assert isinstance(entry["boxes"], int) and isinstance(entry["depth"], int)
+        # The item carries the certificate; a factor is only the claim.
+        assert all(set(factor) == {"expr", "target"} for factor in entry["factors"])
 
 
 def test_report_json_deterministic():
@@ -338,9 +340,6 @@ def test_widened_region_fails_with_witnesses():
     failed = [item for item in report.items if item.status == "failed"]
     assert failed
     for item in failed:
-        if item.name == "skyscraper derivation coverage":
-            # derived, not pointwise: fails because a sign fact fails
-            continue
         assert item.witness is not None
         alpha, beta = item.witness
         assert _widened_region().contains(alpha, beta)
@@ -353,6 +352,36 @@ def test_widened_region_fails_with_witnesses():
     )
     assert set(entry["witness"]) == {"alpha", "beta"}
     assert F(entry["witness"]["alpha"]) > 0
+
+
+def test_coverage_falls_back_on_the_direct_certificates():
+    # On this region two sign facts fail, so the derivation falls short,
+    # yet every candidate certifies directly: coverage is certified.
+    region = Region(
+        beta=RationalInterval(F(-1, 2), F(1, 4)),
+        alpha=RationalInterval(F(0), F(1, 3)),
+        alpha_open=(True, True),
+    )
+    items = _by_name(verify_skyscraper_condition(region))
+    assert items["im sign S(-1)[2]"].status == "failed"
+    assert items["im sign O[1] alpha>=-beta"].status == "failed"
+    direct = [item for name, item in items.items() if name.startswith("skyscraper direct")]
+    assert len(direct) == 11
+    assert all(item.status == "certified" for item in direct)
+    coverage = items["skyscraper derivation coverage"]
+    assert (coverage.status, coverage.witness) == ("certified", None)
+    assert coverage.notes[0].startswith("sign facts do not cover:")
+    assert coverage.notes[1:] == [
+        "sign fact not established: im sign S(-1)[2]",
+        "sign fact not established: im sign O[1] alpha>=-beta",
+        "decided by the 11 skyscraper direct certificates",
+    ]
+    # On the widened region some candidates fail directly: coverage fails
+    # with the first failed direct certificate's witness.
+    coverage = _by_name(verify_skyscraper_condition(_widened_region()))[
+        "skyscraper derivation coverage"
+    ]
+    assert (coverage.status, coverage.witness) == ("failed", (F(1, 6), F(1, 2)))
 
 
 def test_report_structures_round_trip():
