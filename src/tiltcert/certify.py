@@ -8,11 +8,12 @@ their strategies are checked when the claim is built, and select no code.
 
 One engine decides every claim: recursive bisection of each side piece
 (below), alternating between alpha and t, alpha first, each box decided
-by its Bernstein coefficients alone.  Coefficients are formed from the
-power basis once, on a piece's root box, as the integer grid of
-bernstein_coefficients' (den, grid), a positive multiple of them (signs
-need no den); each split derives its children's grids by midpoint de
-Casteljau subdivision, so no box rebuilds them.
+by its Bernstein coefficients alone.  Boxes are integer cells of their
+piece, with rational points built only for a violating corner or a zero
+face (below).  Coefficients are formed from the power basis once, on a
+piece's root box, as the integer grid of bernstein_coefficients' (den,
+grid), a positive multiple of them (signs need no den); each split
+derives its children's grids by midpoint de Casteljau subdivision.
 
 Side pieces: no box the bisection tries is crossed by the side line.  A
 side-cut region splits into at most two boxes in the closed half-plane
@@ -320,9 +321,25 @@ def _faces(m, n, box_alpha, box_beta):
     yield (a_mid, b_mid), [(i, j) for i in range(m + 1) for j in range(n + 1)]
 
 
-def _certify_box(poly, strict, piece, box_alpha, box_beta, candidates, grid):
+def _cut(interval, k, level):
+    """End k of interval's 2^level equal cells; its own ends as they are."""
+    if 0 < k < 1 << level:
+        return interval.lo + interval.width * Fraction(k, 1 << level)
+    return interval.hi if k else interval.lo
+
+
+def _cell(interval, k, level):
+    """Cell k of interval cut into 2^level equal cells."""
+    if level == 0:
+        return interval
+    return RationalInterval(_cut(interval, k, level), _cut(interval, k + 1, level))
+
+
+def _certify_box(poly, strict, piece, i, j, depth, candidates, grid):
     """Try to certify poly <(=) 0 on one box of a piece.
 
+    The box is cell i of 2^ceil(depth/2) equal cells along the piece's
+    alpha range by cell j of 2^floor(depth/2) along its t range.
     grid is the integer Bernstein grid inherited from the parent box (a
     positive multiple of the coefficients on this box), or None on a
     piece's root box, where it is computed from the power basis.
@@ -331,31 +348,30 @@ def _certify_box(poly, strict, piece, box_alpha, box_beta, candidates, grid):
     the box, which is appended to candidates in piece coordinates), and
     the box's grid."""
     if grid is None:
-        grid = bernstein_coefficients(poly, box_alpha, box_beta)[1]
-    m, n = len(grid) - 1, len(grid[0]) - 1
+        grid = bernstein_coefficients(poly, piece.alpha, piece.t)[1]
     high = max(map(max, grid))
     if high < 0 or (not strict and high <= 0):
         return "certified", grid
+    a_level, t_level = (depth + 1) // 2, depth // 2
+    m, n = len(grid) - 1, len(grid[0]) - 1
     if high > 0:
         # Corner coefficients are exact values: a violating one in the
-        # piece is a witness, and no split can certify the box.
-        corners = (
-            (grid[0][0], box_alpha.lo, box_beta.lo),
-            (grid[m][0], box_alpha.hi, box_beta.lo),
-            (grid[0][n], box_alpha.lo, box_beta.hi),
-            (grid[m][n], box_alpha.hi, box_beta.hi),
-        )
-        for value, a, b in corners:
-            if _violates(value, -1, strict) and piece.contains(a, b):
-                candidates.append((a, b))
-                return "violated", grid
+        # piece is a witness, and no split can certify the box.  Corners go
+        # by axis end, not index: along an axis of degree 0 both ends are 0.
+        for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            if _violates(grid[m * x][n * y], -1, strict):
+                point = _cut(piece.alpha, i + x, a_level), _cut(piece.t, j + y, t_level)
+                if piece.contains(*point):
+                    candidates.append(point)
+                    return "violated", grid
         return "split", grid
     # All coefficients <= 0 with max exactly 0 and a strict target: the
     # poly is <= 0 on the box, and any zero inside it lives on a face whose
     # coefficients all vanish.  Certified iff every such face misses the
     # piece; a face that meets it is an exact zero of the poly there.
-    for center, indices in _faces(m, n, box_alpha, box_beta):
-        if all(grid[i][j] == 0 for i, j in indices) and piece.contains(*center):
+    box = _cell(piece.alpha, i, a_level), _cell(piece.t, j, t_level)
+    for center, indices in _faces(m, n, *box):
+        if all(grid[k][l] == 0 for k, l in indices) and piece.contains(*center):
             candidates.append(center)
             return "violated", grid
     return "certified", grid
@@ -366,10 +382,12 @@ def _bisect_side_pieces(poly, orient, strict, region, max_depth):
     decoded as (orient, strict).  Returns (ok, candidates, boxes, depth).
 
     Splits alternate, alpha first: a box at depth d halves alpha when d is
-    even, t when d is odd.  A slanted piece certifies poly composed with
-    its lift; its candidates map back to (alpha, beta).  A split box hands
-    each child the matching half of its integer Bernstein grid, so
-    coefficients come from the power basis only on the pieces' root boxes.
+    even, t when d is odd, so a box is the cell (i, j, d) of its piece
+    that _certify_box reads, and a split doubles i or j.  A slanted piece
+    certifies poly composed with its lift; its candidates map back to
+    (alpha, beta).  A split box hands each child the matching half of its
+    integer Bernstein grid, so coefficients come from the power basis only
+    on the pieces' root boxes.
     """
     if orient > 0:
         poly = -poly
@@ -387,26 +405,24 @@ def _bisect_side_pieces(poly, orient, strict, region, max_depth):
     for piece in pieces:
         piece_poly = poly if piece.lift is None else substitute(poly, piece.lift)
         found = []
-        stack = [(piece.alpha, piece.t, 0, None)]
+        stack = [(0, 0, 0, None)]
         while stack:
-            box_alpha, box_beta, depth, grid = stack.pop()
+            i, j, depth, grid = stack.pop()
             boxes_tested += 1
             deepest = max(deepest, depth)
-            verdict, grid = _certify_box(
-                piece_poly, strict, piece, box_alpha, box_beta, found, grid
-            )
+            verdict, grid = _certify_box(piece_poly, strict, piece, i, j, depth, found, grid)
             if verdict == "certified":
                 continue
             if verdict == "violated" or depth >= max_depth:
                 # Certification is off the table; skip the remaining queue.
                 ok = False
                 break
-            axis = depth % 2
-            halves = zip((box_alpha, box_beta)[axis].split(), split_grid(grid, axis))
+            lo, hi = split_grid(grid, depth % 2)
             # Push the high half first so the low half is explored first.
-            for half, half_grid in reversed(tuple(halves)):
-                child = (box_alpha, half) if axis else (half, box_beta)
-                stack.append((*child, depth + 1, half_grid))
+            if depth % 2:
+                stack += (i, 2 * j + 1, depth + 1, hi), (i, 2 * j, depth + 1, lo)
+            else:
+                stack += (2 * i + 1, j, depth + 1, hi), (2 * i, j, depth + 1, lo)
         candidates.extend(piece.point(*p) for p in found)
         if not ok:
             break

@@ -63,11 +63,15 @@ def _bounded_int(lo, hi):
 
 
 def _region_arg(text):
+    parts = text.split(",")
     try:
-        beta_part, alpha_part = text.split(",")
-        blo, bhi = (parse_rational(x) for x in beta_part.split(":"))
-        alo, ahi = (parse_rational(x) for x in alpha_part.split(":"))
-        beta_iv, alpha_iv = RationalInterval(blo, bhi), RationalInterval(alo, ahi)
+        if len(parts) != 2:
+            raise ValueError(f"got {len(parts)} interval{'s' * (len(parts) > 1)}, need 2")
+        ends = [part.split(":") for part in parts]
+        for part, pair in zip(parts, ends):
+            if len(pair) != 2:
+                raise ValueError(f"interval {part!r} needs exactly one ':'")
+        beta_iv, alpha_iv = (RationalInterval(*map(parse_rational, pair)) for pair in ends)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"expected blo:bhi,alo:ahi ({err})")
     for name, iv in (("beta", beta_iv), ("alpha", alpha_iv)):

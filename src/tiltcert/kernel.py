@@ -79,10 +79,6 @@ class RationalInterval:
     def contains(self, x):
         return self.lo <= x <= self.hi
 
-    def split(self):
-        m = self.midpoint
-        return RationalInterval(self.lo, m), RationalInterval(m, self.hi)
-
     def __str__(self):
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
@@ -506,25 +502,19 @@ def split_grid(grid, axis):
     grid is a positive multiple of the Bernstein coefficients of a
     polynomial on a box, rows along alpha as in bernstein_coefficients.
     axis 0 halves alpha, axis 1 halves beta.  Each half comes back as a
-    positive multiple of the coefficients on its half box: midpoint de
-    Casteljau with sums in place of averages, so the halves are 2^d times
-    the grid's own multiple, d the degree along the split axis.
+    positive multiple of the coefficients on its half box: one midpoint de
+    Casteljau over whole rows, with sums in place of averages, so the
+    halves are 2^d times the grid's own multiple, d the degree along the
+    split axis.  Axis 1 runs it on the transpose.
     """
-    if axis == 0:
-        lo, hi = split_grid([list(col) for col in zip(*grid)], 1)
-        return [list(row) for row in zip(*lo)], [list(row) for row in zip(*hi)]
-    halves = [_halve(row) for row in grid]
-    return [lo for lo, _ in halves], [hi for _, hi in halves]
-
-
-def _halve(row):
+    if axis:
+        lo, hi = split_grid(list(zip(*grid)), 0)
+        return list(zip(*lo)), list(zip(*hi))
     # Level r of the de Casteljau triangle holds 2^r times the averages;
-    # its first and last entries are the halves' coefficients r and d - r.
-    d = len(row) - 1
-    lo, hi = [0] * (d + 1), [0] * (d + 1)
-    level = row
-    for r in range(d + 1):
-        lo[r] = level[0] << (d - r)
-        hi[d - r] = level[-1] << (d - r)
-        level = [x + y for x, y in zip(level, level[1:])]
-    return lo, hi
+    # its first and last rows are the halves' rows r and d - r.
+    lo, hi, level = [], [], grid
+    for shift in reversed(range(len(grid))):
+        lo.append([x << shift for x in level[0]])
+        hi.append([x << shift for x in level[-1]])
+        level = [[x + y for x, y in zip(u, v)] for u, v in zip(level, level[1:])]
+    return lo, hi[::-1]

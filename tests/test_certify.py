@@ -17,7 +17,9 @@ from tiltcert.certify import (
     Region,
     SIDE_LEFT,
     SIDE_RIGHT,
-    _certify_box,
+    _cell,
+    _cut,
+    _faces,
     _violates,
     _witness_search,
     certify_sign,
@@ -29,6 +31,7 @@ from tiltcert.certify import (
 from tiltcert.kernel import (
     BivariatePoly,
     RationalInterval,
+    bernstein_coefficients,
     format_rational,
     poly_eval,
     poly_interval_eval,
@@ -907,13 +910,48 @@ def test_soundness_with_a_zero_on_the_boundary(region, data):
     _assert_sound(claim, region, certify_sign(claim, region, max_depth=8))
 
 
-# --- the alternating split rule against the width-ratio rule -----------------
+# --- integer cells and alternating splits against intervals and width ratios --
+
+
+def _halves(interval):
+    """Midpoint halving, as the interval bisection loop did it."""
+    mid = interval.midpoint
+    return RationalInterval(interval.lo, mid), RationalInterval(mid, interval.hi)
+
+
+def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, candidates, grid):
+    """_certify_box on a box given by its rational intervals, as it was
+    before boxes became integer cells."""
+    if grid is None:
+        grid = bernstein_coefficients(poly, box_alpha, box_beta)[1]
+    m, n = len(grid) - 1, len(grid[0]) - 1
+    high = max(map(max, grid))
+    if high < 0 or (not strict and high <= 0):
+        return "certified", grid
+    if high > 0:
+        corners = (
+            (grid[0][0], box_alpha.lo, box_beta.lo),
+            (grid[m][0], box_alpha.hi, box_beta.lo),
+            (grid[0][n], box_alpha.lo, box_beta.hi),
+            (grid[m][n], box_alpha.hi, box_beta.hi),
+        )
+        for value, a, b in corners:
+            if _violates(value, -1, strict) and piece.contains(a, b):
+                candidates.append((a, b))
+                return "violated", grid
+        return "split", grid
+    for center, indices in _faces(m, n, box_alpha, box_beta):
+        if all(grid[i][j] == 0 for i, j in indices) and piece.contains(*center):
+            candidates.append(center)
+            return "violated", grid
+    return "certified", grid
 
 
 def _width_ratio_certify(claim, region, max_depth):
-    """certify_sign as (status, witness, boxes, depth), with the split axis
-    chosen by width ratios: alpha when the box's alpha width, relative to
-    its piece's, is at least its t width, relative to its piece's."""
+    """certify_sign as (status, witness, boxes, depth), bisecting rational
+    intervals by their midpoints, with the split axis chosen by width
+    ratios: alpha when the box's alpha width, relative to its piece's, is
+    at least its t width, relative to its piece's."""
     product = claim.product()
     orient, strict = sign_parts(claim.overall_sign)
     poly = -product if orient > 0 else product
@@ -933,7 +971,9 @@ def _width_ratio_certify(claim, region, max_depth):
             box_alpha, box_t, depth, grid = stack.pop()
             boxes += 1
             deepest = max(deepest, depth)
-            verdict, grid = _certify_box(piece_poly, strict, piece, box_alpha, box_t, found, grid)
+            verdict, grid = _interval_certify_box(
+                piece_poly, strict, piece, box_alpha, box_t, found, grid
+            )
             if verdict == "certified":
                 continue
             if verdict == "violated" or depth >= max_depth:
@@ -944,10 +984,10 @@ def _width_ratio_certify(claim, region, max_depth):
             axis = 0 if rel_alpha >= rel_t else 1
             lo_grid, hi_grid = split_grid(grid, axis)
             if axis == 0:
-                lo_half, hi_half = box_alpha.split()
+                lo_half, hi_half = _halves(box_alpha)
                 lo_box, hi_box = (lo_half, box_t), (hi_half, box_t)
             else:
-                lo_half, hi_half = box_t.split()
+                lo_half, hi_half = _halves(box_t)
                 lo_box, hi_box = (box_alpha, lo_half), (box_alpha, hi_half)
             stack.append((*hi_box, depth + 1, hi_grid))
             stack.append((*lo_box, depth + 1, lo_grid))
@@ -958,6 +998,31 @@ def _width_ratio_certify(claim, region, max_depth):
         return "certified", None, boxes, deepest
     witness = _witness_search(product, claim.overall_sign, region, candidates)
     return ("inconclusive" if witness is None else "failed"), witness, boxes, deepest
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(lambda lo, width: RationalInterval(lo, lo + width), endpoints, widths),
+    st.integers(0, 12).flatmap(lambda n: st.lists(st.booleans(), min_size=n, max_size=n)),
+)
+def test_cells_are_the_intervals_that_midpoint_halving_reaches(interval, path):
+    level, k, box = len(path), 0, interval
+    for high in path:
+        k = 2 * k + high
+        box = _halves(box)[high]
+    assert (_cut(interval, k, level), _cut(interval, k + 1, level)) == (box.lo, box.hi)
+    assert _cell(interval, k, level) == box
+    # The cells of one level tile the interval, and its ends are its own.
+    cuts = [_cut(interval, c, level) for c in range(2**level + 1)]
+    assert cuts[0] is interval.lo and cuts[-1] is interval.hi
+    assert all(x < y for x, y in zip(cuts, cuts[1:]))
+    assert [_cell(interval, c, level) for c in range(2**level)] == [
+        RationalInterval(x, y) for x, y in zip(cuts, cuts[1:])
+    ]
+
+
+def _subdivision_claim(expr, sign):
+    return FactoredClaim((Factor(expr, sign, "interval-subdivision"),), sign)
 
 
 coefficients = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
@@ -982,15 +1047,21 @@ def bisection_cases(draw):
         bowl = (A - a0) ** 2 + (B - b0) ** 2 + draw(st.sampled_from((F(-1, 50), 0, F(1, 50))))
         expr = bowl ** draw(st.sampled_from((1, 2)))
     sign = draw(st.sampled_from((">0", ">=0", "<0", "<=0")))
-    claim = FactoredClaim((Factor(expr, sign, "interval-subdivision"),), sign)
-    return claim, region, draw(st.integers(0, 10))
+    return _subdivision_claim(expr, sign), region, draw(st.integers(0, 10))
 
 
 @settings(max_examples=120, deadline=None)
 @given(bisection_cases())
+# Degree 0 along alpha, then along beta (and t): the two corners at the ends
+# of that axis share one grid entry but are different points.
+@example((_subdivision_claim(B + F(1, 3), ">=0"), default_region(), 4))
+@example((_subdivision_claim(A - F(1, 6), ">0"), default_region(SIDE_LEFT), 4))
+# Fails, but its first violating corners lie on the open edge alpha = 0.
+@example((_subdivision_claim(A + B + F(1, 4), ">0"), default_region(), 6))
 def test_alternating_splits_match_the_width_ratio_rule(case):
     # A box at depth d has had ceil(d/2) alpha and floor(d/2) t splits, so
-    # the width-ratio rule picks alpha exactly when d is even.
+    # the width-ratio rule picks alpha exactly when d is even, and the
+    # integer cells are the boxes that halving intervals reaches.
     claim, region, max_depth = case
     cert = certify_sign(claim, region, max_depth)
     expected = _width_ratio_certify(claim, region, max_depth)

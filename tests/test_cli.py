@@ -200,6 +200,24 @@ def test_verify_malformed_region_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "region, problem",
+    [
+        ("0:1", "got 1 interval, need 2"),
+        ("0:1,0:1,0:1", "got 3 intervals, need 2"),
+        ("0:1:2,0:1", "interval '0:1:2' needs exactly one ':'"),
+        ("0:1,1/3", "interval '1/3' needs exactly one ':'"),
+        (",0:1", "interval '' needs exactly one ':'"),
+        ("0:1,1:", "not a rational literal: ''"),
+    ],
+)
+def test_malformed_region_names_the_problem(region, problem, capsys):
+    assert run(["verify", "--region", region]) == 2
+    err = capsys.readouterr().err
+    assert f"expected blo:bhi,alo:ahi ({problem})" in err
+    assert "unpack" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--max-depth", "-1"],

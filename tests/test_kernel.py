@@ -68,7 +68,8 @@ def test_interval_power_even_clamps_at_zero():
 
 
 def test_interval_split():
-    left, right = RationalInterval(Fraction(0), Fraction(1)).split()
+    unit = RationalInterval(Fraction(0), Fraction(1))
+    left, right = RationalInterval(unit.lo, unit.midpoint), RationalInterval(unit.midpoint, unit.hi)
     assert left.hi == right.lo == Fraction(1, 2)
 
 
@@ -366,7 +367,8 @@ def test_split_grid_halves_are_multiples_of_bernstein(p, box_a, box_b, axes, hig
     grid = bernstein_coefficients(p, box_a, box_b)[1]
     for axis, high in zip(axes, highs):
         halves = split_grid(grid, axis)
-        boxes = box_a.split() if axis == 0 else box_b.split()
+        box = box_a if axis == 0 else box_b
+        boxes = RationalInterval(box.lo, box.midpoint), RationalInterval(box.midpoint, box.hi)
         for half_grid, half in zip(halves, boxes):
             sub = (half, box_b) if axis == 0 else (box_a, half)
             _assert_positive_multiple(half_grid, bernstein_coefficients(p, *sub)[1])
