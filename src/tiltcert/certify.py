@@ -5,6 +5,8 @@ A claim asserts a sign for a product of polynomial factors over a region
 half-plane alpha <= -beta or alpha >= -beta).  The certifier reads only
 the claim's product and its overall sign: the factors, their targets and
 their strategies are checked when the claim is built, and select no code.
+certify_sign orients the product once, negating it for "<0" and "<=0",
+so the engine below only certifies poly > 0 (strict) or poly >= 0.
 
 One engine decides every claim: recursive bisection of each side piece
 (below), alternating between alpha and t, alpha first, each box decided
@@ -27,7 +29,7 @@ averages of products of endpoint values, inside its range, so Bernstein
 decides every box the monomial hull (kernel.poly_interval_eval) would.
 
 Stopping rule: the bisection stops at the first box that yields a piece
-point where the product breaks its sign: a violating Bernstein corner
+point where poly breaks its sign: a violating Bernstein corner
 coefficient (the corner), or a face of exact zeros that meets the piece
 under a strict sign (its centre).  That point is the claim's witness.
 
@@ -42,18 +44,16 @@ the point the bisection stopped at, then the polytope vertices, then the
 4, 8, 16 and 32 grids over the region box, by increasing alpha index,
 then beta index.  The grids are sub-grids of one 32-grid form, read by
 rows on integer indices: openness flags and the side cut make one index
-range per row, checked by its minimum or maximum, and each finer grid
-visits only its new points (those with an odd index), because the points
-of the grid before it were already scanned.  Every point skipped this way
-was evaluated earlier without violating the claim, so the witness is the
-one a scan of every grid point in that order would return.
+range per row, checked by its minimum.  A finer grid reads the coarser
+grids' points again; they did not violate the claim before, so the first
+violating point is the same as if each point were read once.
 
 Strictness on open boundaries: a certificate for a strict sign must rule
 out zeros inside the region.  On a box whose Bernstein coefficients are
-all <= 0 (after orientation) with maximum exactly 0, the product's zeros
-in the box lie on faces whose coefficients all vanish.  No region bound
-crosses the relative interior of such a face, so the face misses the
-region exactly when its centre does.
+all >= 0 with minimum exactly 0, poly's zeros in the box lie on faces
+whose coefficients all vanish.  No region bound crosses the relative
+interior of such a face, so the face misses the region exactly when its
+centre does.
 """
 
 from bisect import bisect_left, bisect_right
@@ -98,9 +98,6 @@ class Region:
             raise ValueError("region box must be full-dimensional")
         if self.side not in (None, *SIDE_SIGNS):
             raise ValueError(f"unknown side constraint {self.side!r}")
-
-    def with_side(self, side):
-        return Region(self.beta, self.alpha, self.beta_open, self.alpha_open, side)
 
     def side_ok(self, alpha, beta):
         return self.side is None or SIDE_SIGNS[self.side] * (alpha + beta) >= 0
@@ -201,9 +198,8 @@ def sign_parts(sign):
         raise ValueError(f"bad target {sign!r}") from None
 
 
-def _violates(value, orient, strict):
-    """Whether value breaks the target that sign_parts decoded."""
-    value *= orient
+def _violates(value, strict):
+    """Whether value breaks the target value > 0 (strict) or value >= 0."""
     return value < 0 or (strict and value == 0)
 
 
@@ -300,16 +296,16 @@ def _at_zero(lo, hi):
 # --- box reasoning -----------------------------------------------------------
 
 
-def _faces(m, n, box_alpha, box_beta):
+def _faces(m, n, alphas, betas):
     """Geometric faces of a box as (centre, Bernstein index set).
 
+    alphas and betas are the box's (lo, midpoint, hi) along each axis.
     Yields the 4 corners, 4 edges, and the full cell, in a fixed order.
     The side line crosses no piece, so along the relative interior of a
     face every region bound is tight everywhere or nowhere: the face meets
     the region exactly when its centre lies in it.
     """
-    a_lo, a_mid, a_hi = box_alpha.lo, box_alpha.midpoint, box_alpha.hi
-    b_lo, b_mid, b_hi = box_beta.lo, box_beta.midpoint, box_beta.hi
+    (a_lo, a_mid, a_hi), (b_lo, b_mid, b_hi) = alphas, betas
     yield (a_lo, b_lo), [(0, 0)]
     yield (a_hi, b_lo), [(m, 0)]
     yield (a_lo, b_hi), [(0, n)]
@@ -328,15 +324,8 @@ def _cut(interval, k, level):
     return interval.hi if k else interval.lo
 
 
-def _cell(interval, k, level):
-    """Cell k of interval cut into 2^level equal cells."""
-    if level == 0:
-        return interval
-    return RationalInterval(_cut(interval, k, level), _cut(interval, k + 1, level))
-
-
 def _certify_box(poly, strict, piece, i, j, depth, candidates, grid):
-    """Try to certify poly <(=) 0 on one box of a piece.
+    """Try to certify poly > 0 (strict) or poly >= 0 on one box of a piece.
 
     The box is cell i of 2^ceil(depth/2) equal cells along the piece's
     alpha range by cell j of 2^floor(depth/2) along its t range.
@@ -349,37 +338,39 @@ def _certify_box(poly, strict, piece, i, j, depth, candidates, grid):
     the box's grid."""
     if grid is None:
         grid = bernstein_coefficients(poly, piece.alpha, piece.t)[1]
-    high = max(map(max, grid))
-    if high < 0 or (not strict and high <= 0):
+    low = min(map(min, grid))
+    if low > 0 or (not strict and low >= 0):
         return "certified", grid
     a_level, t_level = (depth + 1) // 2, depth // 2
     m, n = len(grid) - 1, len(grid[0]) - 1
-    if high > 0:
+    if low < 0:
         # Corner coefficients are exact values: a violating one in the
         # piece is a witness, and no split can certify the box.  Corners go
         # by axis end, not index: along an axis of degree 0 both ends are 0.
         for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            if _violates(grid[m * x][n * y], -1, strict):
+            if _violates(grid[m * x][n * y], strict):
                 point = _cut(piece.alpha, i + x, a_level), _cut(piece.t, j + y, t_level)
                 if piece.contains(*point):
                     candidates.append(point)
                     return "violated", grid
         return "split", grid
-    # All coefficients <= 0 with max exactly 0 and a strict target: the
-    # poly is <= 0 on the box, and any zero inside it lives on a face whose
+    # All coefficients >= 0 with min exactly 0 and a strict target: the
+    # poly is >= 0 on the box, and any zero inside it lives on a face whose
     # coefficients all vanish.  Certified iff every such face misses the
     # piece; a face that meets it is an exact zero of the poly there.
-    box = _cell(piece.alpha, i, a_level), _cell(piece.t, j, t_level)
-    for center, indices in _faces(m, n, *box):
+    a0, a1 = _cut(piece.alpha, i, a_level), _cut(piece.alpha, i + 1, a_level)
+    t0, t1 = _cut(piece.t, j, t_level), _cut(piece.t, j + 1, t_level)
+    alphas, ts = (a0, (a0 + a1) / 2, a1), (t0, (t0 + t1) / 2, t1)
+    for center, indices in _faces(m, n, alphas, ts):
         if all(grid[k][l] == 0 for k, l in indices) and piece.contains(*center):
             candidates.append(center)
             return "violated", grid
     return "certified", grid
 
 
-def _bisect_side_pieces(poly, orient, strict, region, max_depth):
-    """Bisection loop over the side pieces for the sign that sign_parts
-    decoded as (orient, strict).  Returns (ok, candidates, boxes, depth).
+def _bisect_side_pieces(poly, strict, region, max_depth):
+    """Bisection loop over the side pieces for poly > 0 (strict) or
+    poly >= 0.  Returns (ok, candidates, boxes, depth).
 
     Splits alternate, alpha first: a box at depth d halves alpha when d is
     even, t when d is odd, so a box is the cell (i, j, d) of its piece
@@ -389,8 +380,6 @@ def _bisect_side_pieces(poly, orient, strict, region, max_depth):
     integer Bernstein grid, so coefficients come from the power basis only
     on the pieces' root boxes.
     """
-    if orient > 0:
-        poly = -poly
     candidates = []
     boxes_tested = 0
     deepest = 0
@@ -399,7 +388,7 @@ def _bisect_side_pieces(poly, orient, strict, region, max_depth):
         # The side line meets the box in one corner or not at all: the
         # region is that one point, or empty.
         for point in polytope_vertices(region):
-            if _violates(poly_eval(poly, *point), -1, strict) and region.contains(*point):
+            if _violates(poly_eval(poly, *point), strict) and region.contains(*point):
                 candidates.append(point)
     ok = not candidates
     for piece in pieces:
@@ -432,41 +421,31 @@ def _bisect_side_pieces(poly, orient, strict, region, max_depth):
 # --- witness search ----------------------------------------------------------
 
 
-def _witness_search(product, overall_sign, region, candidates):
-    orient, strict = sign_parts(overall_sign)
-    seen = set()
+def _witness_search(poly, strict, region, candidates):
+    """The first region point where poly > 0 (strict) or poly >= 0 fails,
+    in the order of the module docstring, or None."""
     for point in (*candidates, *polytope_vertices(region)):
-        if point in seen or not region.contains(*point):
-            continue
-        seen.add(point)
-        if _violates(poly_eval(product, *point), orient, strict):
+        if region.contains(*point) and _violates(poly_eval(poly, *point), strict):
             return point
-    # A grid point seen above did not violate, so scanning it again changes
-    # nothing.  Grid g is the stride-(32 // g) sub-grid of one 32-grid form.
+    # Grid g is the stride-(32 // g) sub-grid of one 32-grid form.
     # keys[j] = b_nums[j] * a_den rises with j, so in row i the side cut,
     # sigma * (keys[j] + a_nums[i] * b_den) >= 0, keeps columns lo to hi - 1.
-    row = grid_form(product, region.alpha, region.beta, 32)
+    rows = grid_form(poly, region.alpha, region.beta, 32)
     a_nums, a_den = grid_axis(region.alpha, 32)
     b_nums, b_den = grid_axis(region.beta, 32)
     keys = [y * a_den for y in b_nums]
     sigma = SIDE_SIGNS.get(region.side, 0)
-    extreme = min if orient > 0 else max
     for g in (4, 8, 16, 32):
         s = 32 // g
         for i in range(region.alpha_open[0], g + 1 - region.alpha_open[1]):
             lo = bisect_left(keys, -a_nums[s * i] * b_den) if sigma > 0 else 0
             hi = bisect_right(keys, -a_nums[s * i] * b_den) if sigma < 0 else 33
-            # Points with i and j both even are the coarser grid's points, so
-            # an even row of a finer grid visits odd j only.
-            fresh = g > 4 and i % 2 == 0
-            first = s * (max(region.beta_open[0], -(-lo // s)) | fresh)
-            stop, step = s * min(g + 1 - region.beta_open[1], -(-hi // s)), s * (1 + fresh)
-            if first >= stop:
-                continue
-            values = row(s * i)[first:stop:step]
-            if _violates(extreme(values), orient, strict):
-                k = next(k for k, v in enumerate(values) if _violates(v, orient, strict))
-                return Fraction(a_nums[s * i], a_den), Fraction(b_nums[first + k * step], b_den)
+            first = s * max(region.beta_open[0], -(-lo // s))
+            stop = s * min(g + 1 - region.beta_open[1], -(-hi // s))
+            values = rows[s * i][first:stop:s]
+            if values and _violates(min(values), strict):
+                k = next(k for k, v in enumerate(values) if _violates(v, strict))
+                return Fraction(a_nums[s * i], a_den), Fraction(b_nums[first + k * s], b_den)
     return None
 
 
@@ -475,17 +454,16 @@ def certify_sign(claim, region, max_depth=16):
     product; max_depth < 1 skips the bisection."""
     product = claim.product()
     orient, strict = sign_parts(claim.overall_sign)
+    poly = product if orient > 0 else -product
     notes = []
     if max_depth < 1:
         ok, candidates, boxes, depth = False, [], 0, 0
         # The wording is part of the `verify --max-depth 0` report's bytes.
         notes.append(f"subdivision disabled (max_depth < 1) for factor {poly_format(product)}")
     else:
-        ok, candidates, boxes, depth = _bisect_side_pieces(
-            product, orient, strict, region, max_depth
-        )
+        ok, candidates, boxes, depth = _bisect_side_pieces(poly, strict, region, max_depth)
     if ok:
         return SignCertificate("certified", None, boxes, depth, notes)
-    witness = _witness_search(product, claim.overall_sign, region, candidates)
+    witness = _witness_search(poly, strict, region, candidates)
     status = "inconclusive" if witness is None else "failed"
     return SignCertificate(status, witness, boxes, depth, notes)

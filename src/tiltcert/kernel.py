@@ -10,15 +10,14 @@ or the position of a maximum matters, a value is carried as an integer
 positive multiple of itself: Bernstein grids (bernstein_coefficients
 returns (den, grid) with grid / den the exact coefficients and
 gcd(den, *grid) == 1; split_grid) and grid values (grid_form, rows at
-grid_axis's integer coordinates summed on first use from a corner block's
-forward differences).  The monomial hull poly_interval_eval also sums on
+grid_axis's integer coordinates summed from a corner block's forward
+differences).  The monomial hull poly_interval_eval also sums on
 ints and divides once; certify does not call it (see its side pieces).
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -307,12 +306,12 @@ def grid_axis(box, g):
 def grid_form(p, box_alpha, box_beta, g):
     """Integer form of p on the (g + 1) x (g + 1) grid over a box, by rows.
 
-    Returns row(i), the list of ints whose entry j is p(alpha_i, beta_j)
-    times one positive constant, alpha_i = alpha.lo + alpha.width * i / g and
-    beta_j = beta.lo + beta.width * j / g, so signs are exact.  Horner
-    evaluates only the (m + 1) x (n + 1) corner block, (m, n) p's bidegree;
-    the rest are running sums of its forward differences, along alpha, then
-    along each row on its first use.
+    Returns the g + 1 rows, row i the list of ints whose entry j is
+    p(alpha_i, beta_j) times one positive constant, alpha_i = alpha.lo +
+    alpha.width * i / g and beta_j = beta.lo + beta.width * j / g, so signs
+    are exact.  Horner evaluates only the (m + 1) x (n + 1) corner block,
+    (m, n) p's bidegree; the rest are running sums of its forward
+    differences, along alpha, then along each row.
     """
     m, n = p.degree_alpha(), p.degree_beta()
     # alpha_i = a_nums[i] / a_den and beta_j = b_nums[j] / b_den (grid_axis).
@@ -329,12 +328,7 @@ def grid_form(p, box_alpha, box_beta, g):
         block.append(_differences([_horner(in_beta, y) for y in b_nums[: n + 1]]))
     # starts[l][i]: the l-th forward difference along beta at (i, 0).
     starts = [_newton_run(_differences(d), g) for d in zip(*block)]
-
-    @cache
-    def row(i):
-        return _newton_run([d[i] for d in starts], g)
-
-    return row
+    return [_newton_run(d, g) for d in zip(*starts)]
 
 
 def _horner(coeffs, x):

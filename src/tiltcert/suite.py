@@ -9,7 +9,7 @@ slope's numerator x denominator) as one interval-subdivision factor.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .certify import (
@@ -251,13 +251,13 @@ def verify_half_plane(region=None, max_depth=16):
     region = region or default_region()
     items = []
     # Report order: O(1), O[1], S(-1)[2], O(-1)[3].
-    region_a = region.with_side(SIDE_RIGHT)
+    region_a = replace(region, side=SIDE_RIGHT)
     for label, ch, _ in reversed(GENERATORS):
         re_poly, _ = z_polynomials(ch, S_DEFAULT)
         items.append(
             _certificate_item(f"half-plane A re {label}", re_poly, "<=0", region_a, max_depth)
         )
-    region_b = region.with_side(SIDE_LEFT)
+    region_b = replace(region, side=SIDE_LEFT)
     axis_ch = next(ch for label, ch, _ in GENERATORS if label == "O[1]")
     sample_values = []
     all_nonpos = True
@@ -303,7 +303,7 @@ def verify_skyscraper_condition(region=None, max_depth=16):
         sub = region
         if fact.subregion != FULL_REGION:
             name += f" {fact.subregion}"
-            sub = region.with_side(fact.subregion)
+            sub = replace(region, side=fact.subregion)
         item = _certificate_item(name, generator_im[fact.generator], fact.sign, sub, max_depth)
         items.append(item)
         if item.status == "certified":

@@ -122,8 +122,8 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
     """Exact marching squares for the zero set of poly over the box.
 
     Returns segments as ((beta, alpha), (beta, alpha)) rational pairs, cell
-    by cell with beta outer.  Grid values come from kernel.grid_form's
-    rows, one per alpha, transposed to one per beta: ints, one positive
+    by cell with beta outer.  Grid values are kernel.grid_form's rows,
+    one per alpha, transposed to one per beta: ints, one positive
     multiple of the values of poly, so signs and crossing points are
     exact.  Sign class is value >= 0, kept as one bit mask per
     grid row; a cell whose corners share a class is skipped unbuilt, so the
@@ -139,7 +139,7 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
     b_step, a_step = b_nums[1] - b_nums[0], a_nums[1] - a_nums[0]
     betas = [Fraction(n, b_den) for n in b_nums]
     alphas = [Fraction(n, a_den) for n in a_nums]
-    values = list(zip(*map(grid_form(poly, box_alpha, box_beta, grid), range(grid + 1))))
+    values = list(zip(*grid_form(poly, box_alpha, box_beta, grid)))
     signs = [sum(1 << j for j, v in enumerate(row) if v >= 0) for row in values]
 
     def crossing(edge, i, j):

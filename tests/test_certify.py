@@ -17,7 +17,6 @@ from tiltcert.certify import (
     Region,
     SIDE_LEFT,
     SIDE_RIGHT,
-    _cell,
     _cut,
     _faces,
     _violates,
@@ -123,7 +122,8 @@ def test_violates_matches_truth_table():
         "<=0": (False, False, True),
     }
     for sign, row in expected.items():
-        assert tuple(_violates(value, *sign_parts(sign)) for value in (-1, 0, 1)) == row
+        orient, strict = sign_parts(sign)
+        assert tuple(_violates(orient * value, strict) for value in (-1, 0, 1)) == row
         assert row == tuple(value not in ADMITS[sign] for value in (-1, 0, 1))
 
 
@@ -632,6 +632,12 @@ def test_golden_product_outcomes():
 # --- witness search against a Fraction reference -----------------------------
 
 
+def _witness(product, sign, region, candidates):
+    """_witness_search for product meeting sign, oriented as certify_sign does."""
+    orient, strict = sign_parts(sign)
+    return _witness_search(orient * product, strict, region, candidates)
+
+
 def _witness_search_reference(product, overall_sign, region, candidates):
     # The witness search as a plain Fraction scan: candidates, polytope
     # vertices, then the 4, 8, 16 and 32 grids point by point, each point
@@ -778,7 +784,7 @@ def test_witness_search_matches_fraction_reference(case):
     claim, region, candidates = case
     product = claim.product()
     expected = _witness_search_reference(product, claim.overall_sign, region, candidates)
-    assert _witness_search(product, claim.overall_sign, region, candidates) == expected
+    assert _witness(product, claim.overall_sign, region, candidates) == expected
 
 
 # --- affine zero sets against the tight-bound reference ----------------------
@@ -846,7 +852,7 @@ def test_affine_zero_set_matches_tight_bound_reference(case):
         factor = Factor(expr, target, "affine-vertex")
         cert = certify_sign(FactoredClaim((factor,), target), region)
         ok, candidates = _affine_reference(factor, region)
-        witness = None if ok else _witness_search(expr, target, region, candidates)
+        witness = None if ok else _witness(expr, target, region, candidates)
         status = "certified" if ok else "failed" if witness else "inconclusive"
         assert cert.status == status or (status, cert.status) == ("inconclusive", "failed")
         if cert.status == "failed":
@@ -910,6 +916,25 @@ def test_soundness_with_a_zero_on_the_boundary(region, data):
     _assert_sound(claim, region, certify_sign(claim, region, max_depth=8))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), regions(), st.integers(0, 8), st.data())
+def test_orientation_symmetry(rng, region, max_depth, data):
+    # p > 0 and -p < 0 are one claim, and so are p >= 0 and -p <= 0: they
+    # get the same status, witness, boxes and depth.  A third of the
+    # products carry a squared affine factor, so zero faces come up too.
+    p = _random_claim(rng).product()
+    if data.draw(st.integers(0, 2)) == 0:
+        a0, b0, k = data.draw(endpoints), data.draw(endpoints), data.draw(st.integers(-1, 1))
+        p = p * (A - a0 + k * (B - b0)) ** 2
+    for target, mirror in ((">0", "<0"), (">=0", "<=0")):
+        certs = (
+            certify_sign(_subdivision_claim(p, target), region, max_depth),
+            certify_sign(_subdivision_claim(-p, mirror), region, max_depth),
+        )
+        first, second = ((c.status, c.witness, c.boxes, c.depth) for c in certs)
+        assert first == second
+
+
 # --- integer cells and alternating splits against intervals and width ratios --
 
 
@@ -925,10 +950,10 @@ def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, candidates, 
     if grid is None:
         grid = bernstein_coefficients(poly, box_alpha, box_beta)[1]
     m, n = len(grid) - 1, len(grid[0]) - 1
-    high = max(map(max, grid))
-    if high < 0 or (not strict and high <= 0):
+    low = min(map(min, grid))
+    if low > 0 or (not strict and low >= 0):
         return "certified", grid
-    if high > 0:
+    if low < 0:
         corners = (
             (grid[0][0], box_alpha.lo, box_beta.lo),
             (grid[m][0], box_alpha.hi, box_beta.lo),
@@ -936,11 +961,12 @@ def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, candidates, 
             (grid[m][n], box_alpha.hi, box_beta.hi),
         )
         for value, a, b in corners:
-            if _violates(value, -1, strict) and piece.contains(a, b):
+            if _violates(value, strict) and piece.contains(a, b):
                 candidates.append((a, b))
                 return "violated", grid
         return "split", grid
-    for center, indices in _faces(m, n, box_alpha, box_beta):
+    triples = [(box.lo, box.midpoint, box.hi) for box in (box_alpha, box_beta)]
+    for center, indices in _faces(m, n, *triples):
         if all(grid[i][j] == 0 for i, j in indices) and piece.contains(*center):
             candidates.append(center)
             return "violated", grid
@@ -952,15 +978,14 @@ def _width_ratio_certify(claim, region, max_depth):
     intervals by their midpoints, with the split axis chosen by width
     ratios: alpha when the box's alpha width, relative to its piece's, is
     at least its t width, relative to its piece's."""
-    product = claim.product()
     orient, strict = sign_parts(claim.overall_sign)
-    poly = -product if orient > 0 else product
+    poly = orient * claim.product()
     candidates, boxes, deepest = [], 0, 0
     ok = max_depth >= 1
     pieces = side_pieces(region) if ok else ()
     if ok and not pieces:
         for point in polytope_vertices(region):
-            if _violates(poly_eval(poly, *point), -1, strict) and region.contains(*point):
+            if _violates(poly_eval(poly, *point), strict) and region.contains(*point):
                 candidates.append(point)
         ok = not candidates
     for piece in pieces:
@@ -996,7 +1021,7 @@ def _width_ratio_certify(claim, region, max_depth):
             break
     if ok:
         return "certified", None, boxes, deepest
-    witness = _witness_search(product, claim.overall_sign, region, candidates)
+    witness = _witness_search(poly, strict, region, candidates)
     return ("inconclusive" if witness is None else "failed"), witness, boxes, deepest
 
 
@@ -1011,14 +1036,11 @@ def test_cells_are_the_intervals_that_midpoint_halving_reaches(interval, path):
         k = 2 * k + high
         box = _halves(box)[high]
     assert (_cut(interval, k, level), _cut(interval, k + 1, level)) == (box.lo, box.hi)
-    assert _cell(interval, k, level) == box
+    assert _cut(interval, 2 * k + 1, level + 1) == box.midpoint
     # The cells of one level tile the interval, and its ends are its own.
     cuts = [_cut(interval, c, level) for c in range(2**level + 1)]
     assert cuts[0] is interval.lo and cuts[-1] is interval.hi
     assert all(x < y for x, y in zip(cuts, cuts[1:]))
-    assert [_cell(interval, c, level) for c in range(2**level)] == [
-        RationalInterval(x, y) for x, y in zip(cuts, cuts[1:])
-    ]
 
 
 def _subdivision_claim(expr, sign):

@@ -451,16 +451,16 @@ bidegree_6_polys = st.dictionaries(
 )
 def test_grid_form_matches_per_point_reference(p, box_a, box_b):
     for g in (1, 2, 3, 4, 8, 16, 32):
-        row = grid_form(p, box_a, box_b, g)
+        rows = grid_form(p, box_a, box_b, g)
         value, scale = _grid_form_reference(p, box_a, box_b, g)
-        # Rows out of order: each one is built on first use.
-        for i in reversed(range(g + 1)):
-            assert row(i) == [value(i, j) for j in range(g + 1)]
+        assert len(rows) == g + 1
+        for i, row in enumerate(rows):
+            assert row == [value(i, j) for j in range(g + 1)]
             if g <= 4:
                 a = box_a.lo + box_a.width * Fraction(i, g)
                 for j in range(g + 1):
                     exact = poly_eval(p, a, box_b.lo + box_b.width * Fraction(j, g))
-                    assert Fraction(row(i)[j], scale) == exact
+                    assert Fraction(row[j], scale) == exact
 
 
 @settings(max_examples=300, deadline=None)

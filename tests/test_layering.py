@@ -3,7 +3,8 @@ another module's private names, the figure layer does not depend on the
 verification suite, the heart imports only chern and certify, the
 package's __all__ lists exactly what its __init__ imports, nothing
 outside the standard library is imported, no module imports a name it
-does not use, and every file open names its encoding."""
+does not use, every module-level private name is read in its module, and
+every file open names its encoding."""
 
 import ast
 import sys
@@ -103,6 +104,37 @@ def test_no_module_imports_a_name_it_does_not_use():
             if (bound := (alias.asname or alias.name).split(".")[0]) not in used
             and (path.stem, bound) not in UNUSED_IMPORTS
         )
+    assert offenders == []
+
+
+def test_no_module_defines_an_unused_private_name():
+    # A module-level _name must be read by another top-level statement of
+    # its module: a helper that only calls itself counts as unused.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        reads = [
+            {
+                n.id
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for stmt in body
+        ]
+        for k, stmt in enumerate(body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            read = set().union(*reads[:k], *reads[k + 1 :])
+            offenders.extend(
+                f"{path.name}:{stmt.lineno} defines {name}"
+                for name in sorted(defined)
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            )
     assert offenders == []
 
 
