@@ -8,6 +8,7 @@ failure or inconclusive, 2 usage or input errors.
 import argparse
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 
@@ -131,21 +132,22 @@ def _region_from_args(args):
 
 def _cmd_verify(args):
     region = _region_from_args(args)
-    report = verify_all(max_depth=args.max_depth, region=region)
-    for item in report.items:
-        line = f"[{item.status}] {item.name}"
-        if item.witness is not None:
-            line += (
-                f"  witness alpha = {format_rational(item.witness[0])},"
-                f" beta = {format_rational(item.witness[1])}"
-            )
-        print(line)
-        if item.status != "certified":
-            for note in item.notes:
-                print(f"    note: {note}")
-    print(f"aggregate: {report.status}")
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as handle:
+    # Open the report file first, so a bad path fails before the suite runs.
+    with nullcontext() if args.json is None else open(args.json, "w", encoding="utf-8") as handle:
+        report = verify_all(max_depth=args.max_depth, region=region)
+        for item in report.items:
+            line = f"[{item.status}] {item.name}"
+            if item.witness is not None:
+                line += (
+                    f"  witness alpha = {format_rational(item.witness[0])},"
+                    f" beta = {format_rational(item.witness[1])}"
+                )
+            print(line)
+            if item.status != "certified":
+                for note in item.notes:
+                    print(f"    note: {note}")
+        print(f"aggregate: {report.status}")
+        if handle is not None:
             handle.write(report.to_json())
             handle.write("\n")
     return 0 if report.status == "certified" else 1

@@ -4,8 +4,8 @@ construction on the quadric, as machine-checkable report items.
 Items come in two flavors.  Identity items compare computed polynomials
 against frozen reference closed forms with poly_equal (exact, symbolic).
 Certificate items are (target, sign, region) rows: the engine certifies
-the computed polynomial itself (a real part, cross product, Im Z, or a
-slope's numerator x denominator) as one interval-subdivision factor.
+the computed polynomial itself (a real part, a reduced cross product, Im Z,
+or a slope's numerator x denominator) as one interval-subdivision factor.
 """
 
 import json
@@ -238,46 +238,42 @@ def _structural_items():
 # --- half-plane certificates ---------------------------------------------------
 
 
-ORIENTATION_SAMPLE = (Fraction(1, 8), Fraction(-3, 8))
-
-
 def verify_half_plane(region=None, max_depth=16):
     """Image-of-Z half-plane containment, split by the sign of beta^2-alpha^2.
 
-    Case A (alpha >= -beta): real parts of all generator charges are <= 0.
-    Case B (alpha <= -beta): all generator charges lie on one side of the
-    line through Z(O[1]), via cross products.
+    Case A (alpha >= -beta): Re Z < 0, except Re Z(O[1]) = b*(a^2 - b^2)/3 <= 0.
+    Case B (alpha <= -beta): Z(O[1]) = (a^2 - b^2)*u with u = b/3 + i*a (at
+    s = 1/6 only: in general Re Z(O[1]) = b*(2*s*a^2 - b^2/3)), so
+    cross(Z(O[1]), Z(G)) = (a^2 - b^2)*r_G with r_G = (b/3)*Im Z(G) - a*Re Z(G).
+    Here a^2 - b^2 <= 0, as `im sign O[1] alpha<=-beta` certifies, so r_G > 0
+    puts Z(G) clockwise of Z(O[1]): strictly off the line, where Z(O[1]) = 0.
     """
     region = region or default_region()
     items = []
     # Report order: O(1), O[1], S(-1)[2], O(-1)[3].
+    charges = [(label, ch, *z_polynomials(ch, S_DEFAULT)) for label, ch, _ in reversed(GENERATORS)]
     region_a = replace(region, side=SIDE_RIGHT)
-    for label, ch, _ in reversed(GENERATORS):
-        re_poly, _ = z_polynomials(ch, S_DEFAULT)
+    for label, _, re_poly, _ in charges:
+        sign = "<=0" if label == "O[1]" else "<0"
         items.append(
-            _certificate_item(f"half-plane A re {label}", re_poly, "<=0", region_a, max_depth)
+            _certificate_item(f"half-plane A re {label}", re_poly, sign, region_a, max_depth)
         )
     region_b = replace(region, side=SIDE_LEFT)
     axis_ch = next(ch for label, ch, _ in GENERATORS if label == "O[1]")
-    sample_values = []
-    all_nonpos = True
-    for label, ch, _ in reversed(GENERATORS):
-        cross = cross_polynomial(axis_ch, ch, S_DEFAULT)
-        value = poly_eval(cross, *ORIENTATION_SAMPLE)
-        sample_values.append(f"cross O[1] x {label} = {format_rational(value)}")
-        all_nonpos = all_nonpos and value <= 0
+    span, u_re, u_im = A**2 - B**2, B * Fraction(1, 3), A
+    unfactored = []
+    for label, ch, re_poly, im_poly in charges:
+        if label == "O[1]":
+            ok = poly_equal(re_poly, span * u_re) and poly_equal(im_poly, span * u_im)
+            items.append(_identity_item("half-plane B axis O[1]", ok))
+            continue
+        r_poly = u_re * im_poly - u_im * re_poly
         items.append(
-            _certificate_item(f"half-plane B cross {label}", cross, "<=0", region_b, max_depth)
+            _certificate_item(f"half-plane B cross {label}", r_poly, ">0", region_b, max_depth)
         )
-    orientation = _identity_item(
-        "half-plane B orientation",
-        all_nonpos,
-        [
-            "sample (alpha, beta) = (1/8, -3/8): " + "; ".join(sample_values),
-            "all cross products <= 0: generators lie clockwise of Z(O[1])",
-        ],
-    )
-    items.append(orientation)
+        if not poly_equal(cross_polynomial(axis_ch, ch, S_DEFAULT), span * r_poly):
+            unfactored.append(f"cross O[1] x {label} is not (a^2 - b^2) times the certified r")
+    items.append(_identity_item("half-plane B factorisation", not unfactored, unfactored))
     return Report(_aggregate(items), items)
 
 

@@ -82,8 +82,8 @@ def emit_zvectors_svg(p, path):
         x2, y2 = to_px(Fraction(0), -extent)
     else:
         axis_z = next((re, im) for label, re, im in charges if label == "O[1]")
-        big = max(abs(axis_z[0]), abs(axis_z[1]))
-        stretch = extent / big if big else Fraction(1)
+        # TiltParams keeps alpha > 0, so Im Z(O[1]) = alpha*(alpha^2 - beta^2) != 0 here.
+        stretch = extent / max(abs(axis_z[0]), abs(axis_z[1]))
         x1, y1 = to_px(axis_z[0] * stretch, axis_z[1] * stretch)
         x2, y2 = to_px(-axis_z[0] * stretch, -axis_z[1] * stretch)
     parts.append(

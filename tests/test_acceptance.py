@@ -103,8 +103,11 @@ def test_acceptance_03_half_plane_certificates(capsys):
     names = [item.name for item in report.items]
     if sum(1 for n in names if n.startswith("half-plane A")) != 4:
         problems.append("expected 4 certificates on alpha >= -beta")
-    if sum(1 for n in names if n.startswith("half-plane B cross")) != 4:
-        problems.append("expected 4 certificates on alpha <= -beta")
+    if sum(1 for n in names if n.startswith("half-plane B cross")) != 3:
+        problems.append("expected 3 certificates on alpha <= -beta")
+    for name in ("half-plane B axis O[1]", "half-plane B factorisation"):
+        if name not in names:
+            problems.append(f"missing identity {name!r}")
     _report(
         capsys,
         3,

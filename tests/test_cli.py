@@ -104,19 +104,28 @@ def test_verify_max_depth_zero_inconclusive(capsys):
     assert "[failed]" not in out
 
 
+def test_verify_json_bad_path_fails_before_the_suite_runs(tmp_path, capsys):
+    missing = tmp_path / "missing" / "dir" / "r.json"
+    assert run(["verify", "--json", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2]")
+    assert not missing.parent.exists()
+
+
 # The bytes of the reports and figures that users diff across releases.
 BYTE_CONTRACTS = [
     (
         ["verify", "--json"],
-        "264b3a0f75adfe36b2567cce39fec5e53335c5729621e256262b39b7969eb962",
+        "89489cf6b3045d28d09da1a14ccf2bb26c4256586b8df78c5d4ab1c07c2d4e2f",
     ),
     (
         ["verify", "--region", "-1/2:1/2,0:1/3", "--json"],
-        "8d6e9b02acfdecafa54b36185ffd3b5f96ff317bfc9eb524b11f2ccadf0de2b9",
+        "ca085d1c1926dcbe371a13da5bd2954f860630dc0a6f0ecd5971367961648444",
     ),
     (
         ["verify", "--max-depth", "0", "--json"],
-        "0fa8869c71ae9f5ee6d24085ae2e81aa9fb332967fc23a133a865568d0d256f7",
+        "36a72e2b1356ad8b220cd9c4dceb32f3cea03a81237146ab11954be118b0cc82",
     ),
     (
         ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--region", "0:1,0:3/5",
@@ -149,7 +158,7 @@ BYTE_CONTRACTS = [
     # 15 failed items, each with a witness off the polytope vertices.
     (
         ["verify", "--region", "-1:1/3,1/7:2/3", "--max-depth", "0", "--json"],
-        "33abe65e5100c6b2b3b8ce1d27be3d7efafcc6d18ff1a3f8418a0c55d021a572",
+        "e091fe6fc48c7a05af39aadc4503c5824922a80543e893059ee5cdb374c6c2d1",
     ),
 ]
 

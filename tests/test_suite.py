@@ -20,9 +20,9 @@ from tiltcert.kernel import (
     parse_rational,
     poly_eval,
 )
-from tiltcert.tilt import TiltParams, bg_margin, twisted_ch_polynomials
+from tiltcert.heart import GENERATORS
+from tiltcert.tilt import TiltParams, bg_margin, twisted_ch_polynomials, z_polynomials
 from tiltcert.suite import (
-    ORIENTATION_SAMPLE,
     REFERENCE_TABLE_IM,
     REFERENCE_TWISTED,
     REFERENCE_Z,
@@ -70,10 +70,10 @@ EXPECTED_NAMES = [
     "half-plane A re S(-1)[2]",
     "half-plane A re O(-1)[3]",
     "half-plane B cross O(1)",
-    "half-plane B cross O[1]",
+    "half-plane B axis O[1]",
     "half-plane B cross S(-1)[2]",
     "half-plane B cross O(-1)[3]",
-    "half-plane B orientation",
+    "half-plane B factorisation",
     "im sign S(-1)[2]",
     "im sign O[1] alpha<=-beta",
     "im sign O[1] alpha>=-beta",
@@ -176,19 +176,39 @@ def test_table_discrepancy_recorded_not_failed():
     assert items["skyscraper table (0,2,4,1)"].notes == []
 
 
-def test_orientation_note_reports_sample_values():
-    item = _by_name(verify_all())["half-plane B orientation"]
-    assert item.status == "certified"
-    alpha, beta = ORIENTATION_SAMPLE
-    assert (alpha, beta) == (F(1, 8), F(-3, 8))
-    assert item.notes[0] == (
-        "sample (alpha, beta) = (1/8, -3/8): cross O[1] x O(1) = -5/512; "
-        "cross O[1] x O[1] = 0; cross O[1] x S(-1)[2] = -1/512; "
-        "cross O[1] x O(-1)[3] = -1/512"
-    )
-    assert item.notes[1] == (
-        "all cross products <= 0: generators lie clockwise of Z(O[1])"
-    )
+def _perturb_z(monkeypatch, label):
+    # Lower Re Z(label), as the suite reads it, by a^3/100: case A's claims
+    # still hold, and every r gains a^4/100 or nothing.  tilt's own
+    # z_polynomials, which cross_polynomial calls, is untouched.
+    target = next(ch for name, ch, _ in GENERATORS if name == label)
+
+    def perturbed(v, s):
+        re, im = z_polynomials(v, s)
+        return (re - A**3 * F(1, 100), im) if v == target else (re, im)
+
+    monkeypatch.setattr(suite, "z_polynomials", perturbed)
+
+
+def test_half_plane_axis_fails_on_perturbed_o_shift_charge(monkeypatch):
+    _perturb_z(monkeypatch, "O[1]")
+    report = verify_half_plane()
+    assert report.status == "failed"
+    failed = [item.name for item in report.items if item.status == "failed"]
+    assert failed == ["half-plane B axis O[1]"]
+
+
+def test_half_plane_factorisation_fails_on_perturbed_o1_charge(monkeypatch):
+    # The perturbed r of O(1) still certifies on alpha <= -beta, but it is no
+    # longer the cofactor of the real cross product.
+    _perturb_z(monkeypatch, "O(1)")
+    report = verify_half_plane()
+    items = _by_name(report)
+    assert items["half-plane B cross O(1)"].status == "certified"
+    factorisation = items["half-plane B factorisation"]
+    assert factorisation.status == "failed" and report.status == "failed"
+    assert factorisation.notes == [
+        "cross O[1] x O(1) is not (a^2 - b^2) times the certified r"
+    ]
 
 
 def test_mu_sign_and_bg_notes():

@@ -25,6 +25,7 @@ from tiltcert.chern import (
 )
 from tiltcert.kernel import BivariatePoly, poly_equal, poly_eval, substitute
 from tiltcert.tilt import (
+    S_DEFAULT,
     TiltParams,
     bg_margin,
     bg_margin_from_squared,
@@ -401,3 +402,29 @@ def test_beta_symmetries_behind_the_strip(v, s):
     re_dual, im_dual = z_polynomials(dual, s)
     assert poly_equal(substitute(re_dual, -b), -re)
     assert poly_equal(substitute(im_dual, -b), im)
+
+
+@settings(max_examples=200, deadline=None)
+@given(characters)
+@example(obj("O(1)"))
+@example(ChernCharacter(0, 0, 0, 1))
+def test_cross_with_o_shift_carries_the_factor_a2_minus_b2(w):
+    # Z(O[1]) = (a^2 - b^2)*(b/3 + i*a) at s = 1/6, so the cross of Z(O[1])
+    # with any Z(w) is (a^2 - b^2)*((b/3)*Im Z(w) - a*Re Z(w)): the suite's
+    # half-plane B items certify only the cofactor.
+    a, b = BivariatePoly.alpha(), BivariatePoly.beta()
+    o_shift = shift(obj("O"), 1)
+
+    def factored(s):
+        re, im = z_polynomials(w, s)
+        return (a**2 - b**2) * (b * F(1, 3) * im - a * re)
+
+    assert poly_equal(cross_polynomial(o_shift, w, S_DEFAULT), factored(S_DEFAULT))
+    # In general Re Z(O[1]) = b*(2*s*a^2 - b^2/3), which leaves a remainder
+    # a^2*b*(2*s - 1/3)*Im Z(w): at s = 1/5 the identity holds only for the
+    # w whose Im Z is 0 (ch0 = ch1 = ch2 = 0).
+    s = F(1, 5)
+    _, im = z_polynomials(w, s)
+    remainder = cross_polynomial(o_shift, w, s) - factored(s)
+    assert poly_equal(remainder, a**2 * b * (2 * s - F(1, 3)) * im)
+    assert remainder.is_zero() == (w.ch0 == w.ch1 == w.ch2 == 0)
