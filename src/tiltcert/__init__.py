@@ -2,139 +2,22 @@
 smooth quadric threefold: twisted Chern characters, slope and central-charge
 closed forms, subobject analysis for the skyscraper sheaf in an exceptional
 heart, and a sound polynomial sign-certification engine, all over Q.
+
+The package root exports the library entry points; every other name is
+imported from its module (tiltcert.kernel, tiltcert.certify, ...).
 """
 
-from .kernel import (
-    BivariatePoly,
-    RationalInterval,
-    bernstein_coefficients,
-    format_rational,
-    parse_rational,
-    poly_equal,
-    poly_eval,
-    poly_format,
-    poly_interval_eval,
-    poly_parse,
-)
-from .chern import (
-    ChernCharacter,
-    CatalogObject,
-    DEGREE,
-    catalog_lookup,
-    line_bundle_ch,
-    load_chern,
-    quadric_catalog,
-    shift,
-    spinor_ch_minus_one,
-    tensor_line,
-    twist,
-)
-from .tilt import (
-    TiltParams,
-    bg_margin,
-    bg_margin_from_squared,
-    central_charge,
-    cross_polynomial,
-    lambda_slope,
-    mu,
-    nu,
-    nu_zero_alpha_squared,
-    twisted_ch_polynomials,
-    wall_polynomial,
-    z_polynomials,
-    z_value,
-)
-from .heart import (
-    BASE_VECTORS,
-    DerivationError,
-    DimensionVector,
-    GENERATOR_LABELS,
-    ImSignFact,
-    DEFAULT_SIGN_FACTS,
-    SKYSCRAPER_VECTOR,
-    heart_ch,
-    reduce_candidates,
-    skyscraper_candidates,
-)
-from .certify import (
-    Factor,
-    FactoredClaim,
-    Region,
-    SignCertificate,
-    certify_sign,
-    default_region,
-)
-from .suite import (
-    Report,
-    ReportItem,
-    verify_all,
-    verify_half_plane,
-    verify_lemma_computation,
-    verify_skyscraper_condition,
-)
-from .svg import emit_wall_svg, emit_zvectors_svg, wall_contour_segments
+from .chern import catalog_lookup
+from .suite import verify_all
+from .tilt import TiltParams, central_charge, nu
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariatePoly",
-    "RationalInterval",
-    "bernstein_coefficients",
-    "format_rational",
-    "parse_rational",
-    "poly_equal",
-    "poly_eval",
-    "poly_format",
-    "poly_interval_eval",
-    "poly_parse",
-    "ChernCharacter",
-    "CatalogObject",
-    "DEGREE",
-    "catalog_lookup",
-    "line_bundle_ch",
-    "load_chern",
-    "quadric_catalog",
-    "shift",
-    "spinor_ch_minus_one",
-    "tensor_line",
-    "twist",
     "TiltParams",
-    "bg_margin",
-    "bg_margin_from_squared",
+    "catalog_lookup",
     "central_charge",
-    "cross_polynomial",
-    "lambda_slope",
-    "mu",
     "nu",
-    "nu_zero_alpha_squared",
-    "twisted_ch_polynomials",
-    "wall_polynomial",
-    "z_polynomials",
-    "z_value",
-    "BASE_VECTORS",
-    "DerivationError",
-    "DimensionVector",
-    "GENERATOR_LABELS",
-    "ImSignFact",
-    "DEFAULT_SIGN_FACTS",
-    "SKYSCRAPER_VECTOR",
-    "heart_ch",
-    "reduce_candidates",
-    "skyscraper_candidates",
-    "Factor",
-    "FactoredClaim",
-    "Region",
-    "SignCertificate",
-    "certify_sign",
-    "default_region",
-    "Report",
-    "ReportItem",
     "verify_all",
-    "verify_half_plane",
-    "verify_lemma_computation",
-    "verify_skyscraper_condition",
-    "emit_wall_svg",
-    "emit_zvectors_svg",
-    "wall_contour_segments",
     "__version__",
 ]

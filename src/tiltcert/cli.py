@@ -52,10 +52,10 @@ def _bounded_int(lo, hi):
     """argparse type for an integer size in [lo, hi]."""
 
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        # int() would also take '1_6', ' 16 ' and non-ASCII digits.
+        if not re.fullmatch(r"[+-]?[0-9]+", text):
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        value = int(text)
         if not lo <= value <= hi:
             raise argparse.ArgumentTypeError(f"must be between {lo} and {hi}, got {value}")
         return value
@@ -261,21 +261,16 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Entry point; returns the exit code, usage errors and --help included."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     try:
         return args.handler(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-def run(argv):
-    """Programmatic entry point; returns the exit code."""
-    try:
-        return main(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -21,12 +21,12 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text):
-    """Parse 'p' or 'p/q' into a Fraction.  Rejects floats, whitespace, empty."""
-    if not isinstance(text, str) or not RAT_RE.match(text):
+    """Parse 'p' or 'p/q' (ASCII digits) into a Fraction.  Rejects floats, whitespace, empty."""
+    if not isinstance(text, str) or not RAT_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)
@@ -353,11 +353,6 @@ def _newton_run(diffs, g):
     return run
 
 
-def poly_equal(p, q):
-    """Exact equality in Q[a, b] (coefficientwise on normalized terms)."""
-    return p.terms == q.terms
-
-
 def poly_format(p):
     """Canonical text form: graded-lex term order, alpha before beta.
 
@@ -390,42 +385,6 @@ def poly_format(p):
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-# One term as poly_format writes it: a coefficient, a monomial, or both,
-# joined by '*'; a '*' is always followed by a variable.
-_TERM_RE = re.compile(
-    r"(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?=[ab])|$))?"
-    r"(?P<a>a(?:\^(?P<ai>\d+))?)?"
-    r"(?:(?(a)\*)(?P<b>b(?:\^(?P<bi>\d+))?))?"
-)
-
-
-def poly_parse(text):
-    """Parse the canonical text form back into a BivariatePoly.
-
-    Accepts exactly what poly_format writes: terms separated by ' + ' and
-    ' - ' with an optional leading '-', and nothing that formats back to
-    other text (no '^0' or '^1', no zero or unit coefficients, no repeated
-    or out-of-order monomials, no other spacing).
-    """
-    negative = text.startswith("-")
-    chunks = re.split(r" ([+-]) ", text[negative:])
-    signs = [-1 if negative else 1] + [1 if op == "+" else -1 for op in chunks[1::2]]
-    terms = {}
-    for sign, chunk in zip(signs, chunks[::2]):
-        m = _TERM_RE.fullmatch(chunk)
-        if not m:
-            raise ValueError(f"bad term: {chunk!r}")
-        coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        i = int(m.group("ai") or 1) if m.group("a") else 0
-        j = int(m.group("bi") or 1) if m.group("b") else 0
-        key = (i, j)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    p = BivariatePoly(terms)
-    if poly_format(p) != text:
-        raise ValueError(f"not in canonical form: {text!r}")
-    return p
 
 
 def bernstein_coefficients(p, box_alpha, box_beta):

@@ -2,7 +2,7 @@
 construction on the quadric, as machine-checkable report items.
 
 Items come in two flavors.  Identity items compare computed polynomials
-against frozen reference closed forms with poly_equal (exact, symbolic).
+against frozen reference closed forms by exact equality in Q[a, b].
 Certificate items are (target, sign, region) rows: the engine certifies
 the computed polynomial itself (a real part, a reduced cross product, Im Z,
 or a slope's numerator x denominator) as one interval-subdivision factor.
@@ -31,7 +31,7 @@ from .heart import (
     reduce_candidates,
     skyscraper_candidates,
 )
-from .kernel import BivariatePoly, format_rational, poly_equal, poly_eval, poly_format
+from .kernel import BivariatePoly, format_rational, poly_eval, poly_format
 from .tilt import (
     S_DEFAULT,
     TiltParams,
@@ -189,11 +189,7 @@ def verify_lemma_computation():
         ch = catalog_lookup(label).ch
         computed = twisted_ch_polynomials(ch)
         expected = REFERENCE_TWISTED[label]
-        bad = [
-            component_names[k]
-            for k in range(4)
-            if not poly_equal(computed[k], expected[k])
-        ]
+        bad = [name for name, c, e in zip(component_names, computed, expected) if c != e]
         notes = [f"component {name} differs" for name in bad]
         items.append(_identity_item(f"twisted-ch {label}", not bad, notes))
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
@@ -201,19 +197,19 @@ def verify_lemma_computation():
         _, t1, t2, _ = twisted_ch_polynomials(ch)
         num, den = REFERENCE_MU[label]
         # mu = t1/(alpha*ch0) must equal num/den: cross-multiplied identity.
-        ok = poly_equal(t1 * den, num * (A * ch.ch0))
+        ok = t1 * den == num * (A * ch.ch0)
         items.append(_identity_item(f"mu {label}", ok))
         nu_num = t2 - A**2 * Fraction(ch.ch0, 2)
         nu_den = A * t1
         num, den = REFERENCE_NU[label]
-        ok = poly_equal(nu_num * den, num * nu_den)
+        ok = nu_num * den == num * nu_den
         items.append(_identity_item(f"nu {label}", ok))
     for label in ("O(-1)", "O", "O(1)", "S(-1)"):
         ch = catalog_lookup(label).ch
         re, im = z_polynomials(ch, S_DEFAULT)
         re_ref, im_ref = REFERENCE_Z[label]
-        items.append(_identity_item(f"Z {label} real part", poly_equal(re, re_ref)))
-        items.append(_identity_item(f"Z {label} imaginary part", poly_equal(im, im_ref)))
+        items.append(_identity_item(f"Z {label} real part", re == re_ref))
+        items.append(_identity_item(f"Z {label} imaginary part", im == im_ref))
     return Report(_aggregate(items), items)
 
 
@@ -264,14 +260,14 @@ def verify_half_plane(region=None, max_depth=16):
     unfactored = []
     for label, ch, re_poly, im_poly in charges:
         if label == "O[1]":
-            ok = poly_equal(re_poly, span * u_re) and poly_equal(im_poly, span * u_im)
+            ok = re_poly == span * u_re and im_poly == span * u_im
             items.append(_identity_item("half-plane B axis O[1]", ok))
             continue
         r_poly = u_re * im_poly - u_im * re_poly
         items.append(
             _certificate_item(f"half-plane B cross {label}", r_poly, ">0", region_b, max_depth)
         )
-        if not poly_equal(cross_polynomial(axis_ch, ch, S_DEFAULT), span * r_poly):
+        if cross_polynomial(axis_ch, ch, S_DEFAULT) != span * r_poly:
             unfactored.append(f"cross O[1] x {label} is not (a^2 - b^2) times the certified r")
     items.append(_identity_item("half-plane B factorisation", not unfactored, unfactored))
     return Report(_aggregate(items), items)
@@ -322,9 +318,9 @@ def verify_skyscraper_condition(region=None, max_depth=16):
         for mult, (label, _, _) in zip(v.as_tuple(), GENERATORS):
             additive = additive + mult * generator_im[label]
         quoted = REFERENCE_TABLE_IM[v.as_tuple()]
-        ok = poly_equal(im, additive)
+        ok = im == additive
         notes = []
-        if not poly_equal(quoted, additive):
+        if quoted != additive:
             notes.append(
                 f"quoted table entry {poly_format(quoted)} differs from "
                 f"additivity result {poly_format(additive)}; "

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import tiltcert
-from tiltcert.cli import main, run
+from tiltcert.cli import main
 from tiltcert.chern import catalog_lookup
 from tiltcert.suite import verify_all
 
@@ -106,7 +106,7 @@ def test_verify_max_depth_zero_inconclusive(capsys):
 
 def test_verify_json_bad_path_fails_before_the_suite_runs(tmp_path, capsys):
     missing = tmp_path / "missing" / "dir" / "r.json"
-    assert run(["verify", "--json", str(missing)]) == 2
+    assert main(["verify", "--json", str(missing)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: [Errno 2]")
@@ -204,7 +204,7 @@ def test_stdout_bytes_are_pinned(argv, digest, capsys):
 
 
 def test_verify_malformed_region_is_usage_error(capsys):
-    assert run(["verify", "--region", "nope"]) == 2
+    assert main(["verify", "--region", "nope"]) == 2
     assert "expected blo:bhi,alo:ahi" in capsys.readouterr().err
 
 
@@ -220,7 +220,7 @@ def test_verify_malformed_region_is_usage_error(capsys):
     ],
 )
 def test_malformed_region_names_the_problem(region, problem, capsys):
-    assert run(["verify", "--region", region]) == 2
+    assert main(["verify", "--region", region]) == 2
     err = capsys.readouterr().err
     assert f"expected blo:bhi,alo:ahi ({problem})" in err
     assert "unpack" not in err
@@ -237,8 +237,24 @@ def test_malformed_region_names_the_problem(region, problem, capsys):
     ],
 )
 def test_size_flags_out_of_range_are_usage_errors(argv, capsys):
-    assert run(argv) == 2
+    assert main(argv) == 2
     assert "must be between" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-depth", "1_6"],
+        ["verify", "--max-depth", " 16 "],
+        ["verify", "--max-depth", "\u0661\u0666"],
+        ["verify", "--max-depth", "+"],
+        ["bg", "--chern", "unused.json", "--grid", "1_6"],
+        ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "\uff13\uff12"],
+    ],
+)
+def test_size_flags_reject_malformed_integers(argv, capsys):
+    assert main(argv) == 2
+    assert "not an integer" in capsys.readouterr().err
 
 
 def test_subobjects_lists_eleven(capsys):
@@ -296,6 +312,18 @@ def test_bg_scan_without_locus(tmp_path, capsys):
 def test_bg_missing_file_is_input_error(capsys):
     assert main(["bg", "--chern", "/nonexistent/ch.json"]) == 2
     assert "cannot load character" in capsys.readouterr().err
+
+
+def test_bg_malformed_rational_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "newline.json"
+    payload = {"ch0": "1\n", "ch1": "0", "ch2": "0", "ch3": "0"}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["bg", "--chern", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load character" in err and "not a rational literal" in err
+    assert "Traceback" not in err
+    assert main(["slopes", "--object", "O", "--alpha", "1/4\n", "--beta", "0"]) == 2
+    assert "not a rational literal" in capsys.readouterr().err
 
 
 def test_bg_deeply_nested_file_is_input_error(tmp_path):
@@ -384,7 +412,7 @@ def test_plot_wall_accepts_character_files(tmp_path, capsys):
 def test_plot_wall_zero_width_region_is_usage_error(region, axis, tmp_path, capsys):
     out_path = tmp_path / "never.svg"
     argv = ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--region", region]
-    assert run(argv + ["-o", str(out_path)]) == 2
+    assert main(argv + ["-o", str(out_path)]) == 2
     assert f"{axis} interval [0, 0] has zero width" in capsys.readouterr().err
     assert not out_path.exists()
 
@@ -399,14 +427,14 @@ def test_plot_wall_zero_width_region_is_usage_error(region, axis, tmp_path, caps
 def test_negative_alpha_region_is_usage_error(argv, tmp_path, capsys):
     out_path = tmp_path / "never.svg"
     extra = ["-o", str(out_path)] if argv[0] == "plot" else []
-    assert run(argv + ["--region", "0:1,-1:0"] + extra) == 2
+    assert main(argv + ["--region", "0:1,-1:0"] + extra) == 2
     assert "alpha interval [-1, 0] starts below 0" in capsys.readouterr().err
     assert not out_path.exists()
 
 
 def test_plot_wall_coarse_grid_is_input_error(tmp_path, capsys):
     out_path = tmp_path / "never.svg"
-    code = run(
+    code = main(
         ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "8", "-o", str(out_path)]
     )
     assert code == 2

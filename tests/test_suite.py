@@ -374,6 +374,35 @@ def test_widened_region_fails_with_witnesses():
     assert F(entry["witness"]["alpha"]) > 0
 
 
+def test_alpha_margin_of_the_proof():
+    # The proof holds on alpha < 1/2 as well as on the working alpha < 1/3.
+    # Up to 3/5, seven items fail: five with witnesses on beta = -1/2, and
+    # both (0,1,0,1) items.
+    def region(alpha_hi):
+        return Region(
+            beta=RationalInterval(F(-1, 2), F(0)),
+            alpha=RationalInterval(F(0), alpha_hi),
+            alpha_open=(True, True),
+        )
+
+    assert verify_all(region=region(F(1, 2))).status == "certified"
+    report = verify_all(region=region(F(3, 5)))
+    assert report.status == "failed"
+    assert {
+        item.name: (item.status, item.witness)
+        for item in report.items
+        if item.status != "certified"
+    } == {
+        "half-plane A re S(-1)[2]": ("failed", (F(1, 2), F(-1, 2))),
+        "half-plane A re O(-1)[3]": ("failed", (F(1, 2), F(-1, 2))),
+        "half-plane B cross O(-1)[3]": ("failed", (F(1, 2), F(-1, 2))),
+        "skyscraper base (0,2,4,1)": ("failed", (F(21, 40), F(-1, 2))),
+        "skyscraper direct (0,2,4,1)": ("failed", (F(21, 40), F(-1, 2))),
+        "skyscraper base (0,1,0,1)": ("failed", (F(93, 160), F(-1, 16))),
+        "skyscraper direct (0,1,0,1)": ("failed", (F(93, 160), F(-1, 16))),
+    }
+
+
 def test_coverage_falls_back_on_the_direct_certificates():
     # On this region two sign facts fail, so the derivation falls short,
     # yet every candidate certifies directly: coverage is certified.

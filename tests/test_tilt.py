@@ -23,7 +23,7 @@ from tiltcert.chern import (
     tensor_line,
     twist,
 )
-from tiltcert.kernel import BivariatePoly, poly_equal, poly_eval, substitute
+from tiltcert.kernel import BivariatePoly, poly_eval, substitute
 from tiltcert.tilt import (
     S_DEFAULT,
     TiltParams,
@@ -177,8 +177,8 @@ def test_z_closed_forms_sympy():
 
 def test_z_skyscraper_constant():
     re_poly, im_poly = z_polynomials(obj("k(x)"))
-    assert poly_equal(re_poly, BivariatePoly.constant(F(-1)))
-    assert poly_equal(im_poly, BivariatePoly())
+    assert re_poly == BivariatePoly.constant(F(-1))
+    assert im_poly == BivariatePoly()
     assert central_charge(obj("k(x)"), TiltParams(F(1, 5), F(-2, 7))) == (-1, 0)
 
 
@@ -281,10 +281,10 @@ def test_wall_polynomial_frozen():
     w = wall_polynomial(obj("O"), obj("O(1)"))
     a = BivariatePoly.alpha()
     b = BivariatePoly.beta()
-    assert poly_equal(w, F(-1, 2) * (b**2 - b + a**2))
+    assert w == F(-1, 2) * (b**2 - b + a**2)
     assert poly_eval(w, F(2, 5), F(1, 5)) == 0
     w2 = wall_polynomial(obj("O"), line_bundle_ch(2))
-    assert poly_equal(w2, -((b - 1) ** 2 + a**2 - 1))
+    assert w2 == -((b - 1) ** 2 + a**2 - 1)
 
 
 def test_wall_antisymmetry_and_self():
@@ -294,8 +294,8 @@ def test_wall_antisymmetry_and_self():
                            F(rng.randrange(-6, 7), 2), F(rng.randrange(-6, 7), 3))
         w = ChernCharacter(F(rng.randrange(-3, 4)), F(rng.randrange(-4, 5)),
                            F(rng.randrange(-6, 7), 2), F(rng.randrange(-6, 7), 3))
-        assert poly_equal(wall_polynomial(v, w), -1 * wall_polynomial(w, v))
-        assert poly_equal(wall_polynomial(v, v), BivariatePoly())
+        assert wall_polynomial(v, w) == -1 * wall_polynomial(w, v)
+        assert wall_polynomial(v, v) == BivariatePoly()
 
 
 def test_wall_vanishes_where_nu_equal():
@@ -314,9 +314,9 @@ def test_cross_polynomial_is_bilinear_determinant():
     cross = cross_polynomial(v, w)
     rev, imv = z_polynomials(v)
     rew, imw = z_polynomials(w)
-    assert poly_equal(cross, rev * imw - imv * rew)
-    assert poly_equal(cross_polynomial(v, v), BivariatePoly())
-    assert poly_equal(cross_polynomial(w, v), -1 * cross)
+    assert cross == rev * imw - imv * rew
+    assert cross_polynomial(v, v) == BivariatePoly()
+    assert cross_polynomial(w, v) == -1 * cross
 
 
 def test_twisted_polys_match_pointwise_twist():
@@ -364,9 +364,9 @@ characters = st.builds(ChernCharacter, st.just(F(0)) | rationals, rationals, rat
 def test_closed_forms_match_product_chain_and_pointwise(v, s):
     twisted = twisted_ch_polynomials(v)
     re_poly, im_poly = z_polynomials(v, s)
-    assert all(poly_equal(p, q) for p, q in zip(twisted, _twisted_by_products(v)))
+    assert all(p == q for p, q in zip(twisted, _twisted_by_products(v)))
     re_ref, im_ref = _z_by_products(v, s)
-    assert poly_equal(re_poly, re_ref) and poly_equal(im_poly, im_ref)
+    assert re_poly == re_ref and im_poly == im_ref
     # Degrees are <= 3 in each variable, so 4 x 4 grid agreement is identity.
     for beta in (F(-1), F(0), F(1, 3), F(2)):
         t = twist(v, beta)
@@ -390,18 +390,18 @@ def test_beta_symmetries_behind_the_strip(v, s):
     # Tensoring by O(1) moves beta by 1: E(1) at b + 1 is E at b.
     moved = tensor_line(v, 1)
     for p, q in zip(twisted_ch_polynomials(moved), twisted):
-        assert poly_equal(substitute(p, b + 1), q)
+        assert substitute(p, b + 1) == q
     re_moved, im_moved = z_polynomials(moved, s)
-    assert poly_equal(substitute(re_moved, b + 1), re)
-    assert poly_equal(substitute(im_moved, b + 1), im)
+    assert substitute(re_moved, b + 1) == re
+    assert substitute(im_moved, b + 1) == im
     # The derived dual (ch0, -ch1, ch2, -ch3) sends beta to -beta: its t_k
     # at -b is (-1)^k t_k(E), so Re Z flips sign and Im Z does not.
     dual = ChernCharacter(v.ch0, -v.ch1, v.ch2, -v.ch3)
     for k, (p, q) in enumerate(zip(twisted_ch_polynomials(dual), twisted)):
-        assert poly_equal(substitute(p, -b), (-1) ** k * q)
+        assert substitute(p, -b) == (-1) ** k * q
     re_dual, im_dual = z_polynomials(dual, s)
-    assert poly_equal(substitute(re_dual, -b), -re)
-    assert poly_equal(substitute(im_dual, -b), im)
+    assert substitute(re_dual, -b) == -re
+    assert substitute(im_dual, -b) == im
 
 
 @settings(max_examples=200, deadline=None)
@@ -419,12 +419,12 @@ def test_cross_with_o_shift_carries_the_factor_a2_minus_b2(w):
         re, im = z_polynomials(w, s)
         return (a**2 - b**2) * (b * F(1, 3) * im - a * re)
 
-    assert poly_equal(cross_polynomial(o_shift, w, S_DEFAULT), factored(S_DEFAULT))
+    assert cross_polynomial(o_shift, w, S_DEFAULT) == factored(S_DEFAULT)
     # In general Re Z(O[1]) = b*(2*s*a^2 - b^2/3), which leaves a remainder
     # a^2*b*(2*s - 1/3)*Im Z(w): at s = 1/5 the identity holds only for the
     # w whose Im Z is 0 (ch0 = ch1 = ch2 = 0).
     s = F(1, 5)
     _, im = z_polynomials(w, s)
     remainder = cross_polynomial(o_shift, w, s) - factored(s)
-    assert poly_equal(remainder, a**2 * b * (2 * s - F(1, 3)) * im)
+    assert remainder == a**2 * b * (2 * s - F(1, 3)) * im
     assert remainder.is_zero() == (w.ch0 == w.ch1 == w.ch2 == 0)
