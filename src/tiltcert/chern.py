@@ -47,33 +47,32 @@ class ChernCharacter:
 
     __rmul__ = __mul__
 
-    def to_json_dict(self):
-        return {f"ch{k}": format_rational(v) for k, v in enumerate(self.as_tuple())}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        vals = []
-        for key in ("ch0", "ch1", "ch2", "ch3"):
-            if key not in data:
-                raise ValueError(f"missing field {key!r}")
-            vals.append(parse_rational(data[key]))
-        return cls(*vals)
-
     def __str__(self):
         return "(" + ", ".join(format_rational(x) for x in self.as_tuple()) + ")"
 
 
+# Longest character file load_chern reads, in characters: four rationals
+# fit many times over, and /dev/zero or a huge file cannot exhaust memory.
+_MAX_FILE_CHARS = 64 * 1024
+
+
 def load_chern(path):
-    """Read a character from a JSON file ({"ch0": "r", ..., "ch3": "r"}).
-    Other keys, such as "name", are ignored."""
+    """Read a character from a JSON file ({"ch0": "r", ..., "ch3": "r"}) of
+    at most 64 Ki characters.  Other keys, such as "name", are ignored."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+        text = fh.read(_MAX_FILE_CHARS + 1)
+    if len(text) > _MAX_FILE_CHARS:
+        raise ValueError(f"file is longer than {_MAX_FILE_CHARS} characters")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("character file must hold a JSON object")
-    return ChernCharacter.from_json_dict(data)
+    try:
+        return ChernCharacter(*(parse_rational(data[f"ch{k}"]) for k in range(4)))
+    except KeyError as err:
+        raise ValueError(f"missing field {err}") from None
 
 
 def line_bundle_ch(n):

@@ -15,7 +15,14 @@ from fractions import Fraction
 from .certify import default_region
 from .chern import catalog_lookup, load_chern, quadric_catalog
 from .heart import reduce_candidates, skyscraper_candidates
-from .kernel import RationalInterval, format_rational, parse_rational
+from .kernel import (
+    BivariatePoly,
+    RationalInterval,
+    format_rational,
+    parse_rational,
+    poly_format,
+    substitute,
+)
 from .suite import verify_all
 from .svg import MIN_GRID, emit_wall_svg, emit_zvectors_svg
 from .tilt import (
@@ -28,6 +35,7 @@ from .tilt import (
     nu,
     nu_zero_alpha_squared,
     twist,
+    z_polynomials,
 )
 
 
@@ -92,9 +100,8 @@ def _resolve_character(text, flag):
         return obj.ch
     try:
         return load_chern(text)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"{flag}: cannot load character from {text!r} ({err})", file=sys.stderr)
-        return None
+    except (OSError, ValueError) as err:
+        raise ValueError(f"{flag}: cannot load character from {text!r} ({err})") from None
 
 
 def _cmd_catalog(args):
@@ -108,8 +115,7 @@ def _cmd_catalog(args):
 def _cmd_slopes(args):
     obj = catalog_lookup(args.object)
     if obj is None:
-        print(f"--object: unknown label {args.object!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--object: unknown label {args.object!r}")
     p = TiltParams(args.alpha, args.beta, args.s)
     twisted = twist(obj.ch, p.beta)
     re, im = central_charge(obj.ch, p)
@@ -163,9 +169,17 @@ def _cmd_subobjects(args):
 
 def _cmd_bg(args):
     ch = _resolve_character(args.chern, "--chern")
-    if ch is None:
-        return 2
     beta_iv = _region_from_args(args).beta
+    if ch.ch0 == 0 and ch.ch1 != 0:
+        # nu = (ch2 - beta*ch1) / (alpha*ch1) vanishes on one line for every
+        # alpha; the margin there is Re Z, a polynomial in a alone.
+        beta = ch.ch2 / ch.ch1
+        if not beta_iv.contains(beta):
+            print(f"nu = 0 on the line beta = {format_rational(beta)}, outside {beta_iv}")
+            return 0
+        margin = substitute(z_polynomials(ch, args.s)[0], BivariatePoly.constant(beta))
+        print(f"nu = 0 on the line beta = {format_rational(beta)}: margin = {poly_format(margin)}")
+        return 0
     margins = []
     for i in range(args.grid + 1):
         beta = beta_iv.lo + Fraction(i, args.grid) * beta_iv.width
@@ -195,11 +209,7 @@ def _cmd_plot_zvectors(args):
 
 def _cmd_plot_wall(args):
     v = _resolve_character(args.chern1, "--chern1")
-    if v is None:
-        return 2
     w = _resolve_character(args.chern2, "--chern2")
-    if w is None:
-        return 2
     region = _region_from_args(args)
     emit_wall_svg(v, w, args.grid, args.out, region.beta, region.alpha)
     print(f"wrote {args.out}")

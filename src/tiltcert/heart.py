@@ -49,9 +49,6 @@ class DimensionVector:
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d)
 
-    def __add__(self, other):
-        return DimensionVector(*(x + y for x, y in zip(self.as_tuple(), other.as_tuple())))
-
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.as_tuple()) + ")"
 

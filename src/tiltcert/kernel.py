@@ -71,10 +71,6 @@ class RationalInterval:
     def width(self):
         return self.hi - self.lo
 
-    @property
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
     def contains(self, x):
         return self.lo <= x <= self.hi
 

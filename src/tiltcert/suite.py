@@ -133,14 +133,9 @@ class Report:
     status: str
     items: list
 
-    def to_json_dict(self):
-        return {
-            "status": self.status,
-            "items": [item.to_json_dict() for item in self.items],
-        }
-
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
+        items = [item.to_json_dict() for item in self.items]
+        return json.dumps({"status": self.status, "items": items}, indent=2)
 
 
 def _aggregate(items):
@@ -279,11 +274,11 @@ def verify_half_plane(region=None, max_depth=16):
 def verify_skyscraper_condition(region=None, max_depth=16):
     """Im Z > 0 for every subobject candidate of the skyscraper vector.
 
-    Certifies the generator sign facts, both base vectors, the dominance
-    derivation of the other nine candidates, the quoted table entries, and
-    (redundantly) all eleven candidates directly.  Where the certified sign
-    facts leave the derivation short, the direct certificates decide the
-    coverage item: its status is theirs, with the first failed one's witness.
+    Certifies the generator sign facts and all eleven candidates directly
+    (the base vectors' items reuse theirs), the quoted table entries, and the
+    dominance derivation of the other nine.  Where the certified sign facts
+    leave the derivation short, the direct certificates decide the coverage
+    item: its status is theirs, with the first failed one's witness.
     """
     region = region or default_region()
     generator_im = {label: z_polynomials(ch, S_DEFAULT)[1] for label, ch, _ in GENERATORS}
@@ -302,15 +297,19 @@ def verify_skyscraper_condition(region=None, max_depth=16):
             facts.append(fact)
         else:
             blocked.append(name)
-    # Each candidate's Im Z, built once: the base vectors are candidates too.
+    # Each candidate's Im Z, certified once; the base vectors' items reuse it.
     candidates = skyscraper_candidates()
     candidate_im = {vec: z_polynomials(heart_ch(vec), S_DEFAULT)[1] for vec in candidates}
+    direct = {
+        vec: _certificate_item(f"skyscraper direct {vec}", im, ">0", region, max_depth)
+        for vec, im in candidate_im.items()
+    }
     for v in BASE_VECTORS:
         notes = []
         if v.as_tuple() == (0, 1, 0, 1):
             notes.append("Im form derived by additivity, not the quoted table entry")
-        im = candidate_im[v]
-        items.append(_certificate_item(f"skyscraper base {v}", im, ">0", region, max_depth, notes))
+        item = direct[v]
+        items.append(replace(item, name=f"skyscraper base {v}", notes=notes + item.notes))
     # Quoted table entries vs the additivity computation.
     for v in BASE_VECTORS:
         im = candidate_im[v]
@@ -329,12 +328,6 @@ def verify_skyscraper_condition(region=None, max_depth=16):
             if v.as_tuple() != (0, 1, 0, 1):
                 ok = False
         items.append(_identity_item(f"skyscraper table {v}", ok, notes))
-    # Belt and suspenders: certify all eleven candidates directly.  They are
-    # reported after the coverage item, which falls back on them.
-    direct = [
-        _certificate_item(f"skyscraper direct {vec}", im, ">0", region, max_depth)
-        for vec, im in candidate_im.items()
-    ]
     # Dominance derivation of the remaining nine candidates.
     try:
         notes = reduce_candidates(candidates, tuple(facts))
@@ -346,12 +339,12 @@ def verify_skyscraper_condition(region=None, max_depth=16):
         notes.append(f"decided by the {len(direct)} skyscraper direct certificates")
         coverage = ReportItem(
             "skyscraper derivation coverage",
-            _aggregate(direct),
-            witness=next((item.witness for item in direct if item.status == "failed"), None),
+            _aggregate(direct.values()),
+            witness=next((c.witness for c in direct.values() if c.status == "failed"), None),
             notes=notes,
         )
     items.append(coverage)
-    items.extend(direct)
+    items.extend(direct.values())
     return Report(_aggregate(items), items)
 
 

@@ -722,8 +722,9 @@ def test_side_pieces_cover_the_region_exactly(region):
         points.add((alpha, -alpha))
         points.update((alpha, region.beta.lo + region.beta.width * F(j, g)) for j in range(g + 1))
     for piece in pieces:
-        for a in (piece.alpha.lo, piece.alpha.midpoint, piece.alpha.hi):
-            points.update(piece.point(a, t) for t in (piece.t.lo, piece.t.midpoint, piece.t.hi))
+        ts = (piece.t.lo, (piece.t.lo + piece.t.hi) / 2, piece.t.hi)
+        for a in (piece.alpha.lo, (piece.alpha.lo + piece.alpha.hi) / 2, piece.alpha.hi):
+            points.update(piece.point(a, t) for t in ts)
     if not pieces:
         # Then the region is one polytope vertex at most, which the
         # certifier checks on its own.
@@ -940,7 +941,7 @@ def test_orientation_symmetry(rng, region, max_depth, data):
 
 def _halves(interval):
     """Midpoint halving, as the interval bisection loop did it."""
-    mid = interval.midpoint
+    mid = (interval.lo + interval.hi) / 2
     return RationalInterval(interval.lo, mid), RationalInterval(mid, interval.hi)
 
 
@@ -965,7 +966,7 @@ def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, candidates, 
                 candidates.append((a, b))
                 return "violated", grid
         return "split", grid
-    triples = [(box.lo, box.midpoint, box.hi) for box in (box_alpha, box_beta)]
+    triples = [(box.lo, (box.lo + box.hi) / 2, box.hi) for box in (box_alpha, box_beta)]
     for center, indices in _faces(m, n, *triples):
         if all(grid[i][j] == 0 for i, j in indices) and piece.contains(*center):
             candidates.append(center)
@@ -1036,7 +1037,7 @@ def test_cells_are_the_intervals_that_midpoint_halving_reaches(interval, path):
         k = 2 * k + high
         box = _halves(box)[high]
     assert (_cut(interval, k, level), _cut(interval, k + 1, level)) == (box.lo, box.hi)
-    assert _cut(interval, 2 * k + 1, level + 1) == box.midpoint
+    assert _cut(interval, 2 * k + 1, level + 1) == (box.lo + box.hi) / 2
     # The cells of one level tile the interval, and its ends are its own.
     cuts = [_cut(interval, c, level) for c in range(2**level + 1)]
     assert cuts[0] is interval.lo and cuts[-1] is interval.hi

@@ -144,20 +144,27 @@ def test_float_values_are_refused():
 
 
 def test_json_round_trip(tmp_path):
-    v = ch(2, -1, 0, F(1, 6))
-    data = v.to_json_dict()
-    assert data["ch0"] == "2" and data["ch3"] == "1/6"
-    assert ChernCharacter.from_json_dict(data) == v
+    data = {"ch0": "2", "ch1": "-1", "ch2": "0", "ch3": "1/6", "name": "spinor twist"}
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(data | {"name": "spinor twist"}))
+    path.write_text(json.dumps(data))
     # The "name" key is accepted and ignored.
-    assert load_chern(path) == v
+    assert load_chern(path) == ch(2, -1, 0, F(1, 6))
+
+
+def test_load_chern_reads_at_most_64_kib(tmp_path):
+    text = json.dumps({"ch0": "1", "ch1": "0", "ch2": "0", "ch3": "0"})
+    path = tmp_path / "padded.json"
+    path.write_text(text.ljust(64 * 1024), encoding="utf-8")
+    assert load_chern(path) == ch(1, 0, 0, 0)
+    path.write_text(text.ljust(64 * 1024 + 1), encoding="utf-8")
+    with pytest.raises(ValueError, match="longer than 65536 characters"):
+        load_chern(path)
 
 
 def test_load_chern_rejects_bad_payload(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"ch0": "1", "ch1": "0", "ch2": "0"}))
-    with pytest.raises((KeyError, ValueError)):
+    with pytest.raises(ValueError, match="missing field 'ch3'"):
         load_chern(path)
     path.write_text(json.dumps({"ch0": "1.5", "ch1": "0", "ch2": "0", "ch3": "0"}))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ rational flag parsing, JSON report files, and the emitted SVG figures."""
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,6 +17,7 @@ import pytest
 import tiltcert
 from tiltcert.cli import main
 from tiltcert.chern import catalog_lookup
+from tiltcert.kernel import format_rational
 from tiltcert.suite import verify_all
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -52,7 +54,7 @@ def test_slopes_handles_negative_rational_flags(capsys):
 
 def test_slopes_unknown_object_is_usage_error(capsys):
     assert main(["slopes", "--object", "nope", "--alpha", "1/4", "--beta", "0"]) == 2
-    assert "unknown label" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --object: unknown label 'nope'\n"
 
 
 def test_slopes_rejects_nonpositive_alpha(tmp_path, capsys):
@@ -278,7 +280,8 @@ def test_subobjects_prints_the_suite_coverage_notes(capsys):
 
 def _write_character(tmp_path, label, name="probe.json"):
     path = tmp_path / name
-    payload = catalog_lookup(label).ch.to_json_dict()
+    ch = catalog_lookup(label).ch
+    payload = {f"ch{k}": format_rational(x) for k, x in enumerate(ch.as_tuple())}
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
@@ -311,7 +314,21 @@ def test_bg_scan_without_locus(tmp_path, capsys):
 
 def test_bg_missing_file_is_input_error(capsys):
     assert main(["bg", "--chern", "/nonexistent/ch.json"]) == 2
-    assert "cannot load character" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: --chern: cannot load character from '/nonexistent/ch.json'"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, chern1, chern2",
+    [("--chern1", "/nonexistent/ch.json", "O"), ("--chern2", "O", "/nonexistent/ch.json")],
+)
+def test_plot_wall_missing_character_file_is_input_error(flag, chern1, chern2, tmp_path, capsys):
+    out_path = tmp_path / "never.svg"
+    argv = ["plot", "wall", "--chern1", chern1, "--chern2", chern2, "-o", str(out_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: cannot load character")
+    assert not out_path.exists()
 
 
 def test_bg_malformed_rational_file_is_input_error(tmp_path, capsys):
@@ -320,24 +337,65 @@ def test_bg_malformed_rational_file_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["bg", "--chern", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "cannot load character" in err and "not a rational literal" in err
+    assert err.startswith("error: --chern: cannot load character")
+    assert "not a rational literal" in err
     assert "Traceback" not in err
     assert main(["slopes", "--object", "O", "--alpha", "1/4\n", "--beta", "0"]) == 2
     assert "not a rational literal" in capsys.readouterr().err
 
 
+def _run_cli(*argv):
+    """The CLI in a child process whose address space is capped at 512 MB,
+    so an unbounded read fails fast instead of exhausting the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(tiltcert.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "tiltcert.cli", *argv],
+        capture_output=True, text=True, env=env, check=False, preexec_fn=cap,
+    )
+
+
 def test_bg_deeply_nested_file_is_input_error(tmp_path):
-    # json.load recurses once per bracket; the CLI must not die with a traceback.
+    # A 200 KB file: the size cap refuses it before json.loads sees it.
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(tiltcert.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "tiltcert.cli", "bg", "--chern", str(path)],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    done = _run_cli("bg", "--chern", str(path))
     assert done.returncode == 2
-    assert "cannot load character" in done.stderr
+    assert done.stderr.startswith("error: --chern: cannot load character")
+    assert "longer than 65536 characters" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_bg_nested_file_under_the_cap_is_input_error(tmp_path, capsys):
+    # json.loads recurses once per bracket; 20,000 of them fit in 64 KiB.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 20_000 + "]" * 20_000, encoding="utf-8")
+    assert main(["bg", "--chern", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --chern: cannot load character") and "nested too deeply" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_bg_endless_file_is_input_error():
+    done = _run_cli("bg", "--chern", "/dev/zero")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: --chern: cannot load character")
+    assert "longer than 65536 characters" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_bg_rank_zero_class_prints_its_nu_zero_line(tmp_path, capsys):
+    # With ch0 = 0, nu = (ch2 - beta*ch1) / (alpha*ch1) is 0 for every alpha
+    # on beta = ch2/ch1; there the margin is a polynomial in a alone.
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"ch0": "0", "ch1": "1", "ch2": "-1/4", "ch3": "0"}))
+    assert main(["bg", "--chern", str(path)]) == 0
+    assert capsys.readouterr().out == "nu = 0 on the line beta = -1/4: margin = 1/3*a^2 + 1/16\n"
+    assert main(["bg", "--chern", str(path), "--region", "0:1,0:1"]) == 0
+    assert capsys.readouterr().out == "nu = 0 on the line beta = -1/4, outside [0, 1]\n"
 
 
 def test_plot_zvectors_svg_has_four_arrows(tmp_path, capsys):

@@ -5,7 +5,8 @@ package's __all__ lists exactly what its __init__ imports, nothing
 outside the standard library is imported, no module imports a name it
 does not use, every module-level private name is read in its module,
 every public name is read somewhere in the package or exported from its
-root, and every file open names its encoding."""
+root, only the CLI's main writes to stderr, and every file open names its
+encoding."""
 
 import ast
 import sys
@@ -174,6 +175,19 @@ def test_every_public_name_is_read():
         and name not in tiltcert.__all__
     ]
     assert offenders == []
+
+
+def test_only_cli_main_writes_to_stderr():
+    # A CLI input error is raised as ValueError, and main alone prints it
+    # as "error: <message>" and returns 2.
+    writers = {
+        getattr(stmt, "name", "<module>")
+        for stmt in ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")).body
+        for node in ast.walk(stmt)
+        if (isinstance(node, ast.Attribute) and node.attr == "stderr")
+        or (isinstance(node, ast.Name) and node.id == "stderr")
+    }
+    assert writers == {"main"}
 
 
 def test_every_open_names_its_encoding():

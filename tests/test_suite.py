@@ -11,7 +11,7 @@ import json
 from fractions import Fraction as F
 
 from tiltcert import suite
-from tiltcert.certify import Region, default_region, SIDE_LEFT, SIDE_RIGHT
+from tiltcert.certify import Region, certify_sign, default_region, SIDE_LEFT, SIDE_RIGHT
 from tiltcert.chern import DEGREE, line_bundle_ch
 from tiltcert.kernel import (
     BivariatePoly,
@@ -20,7 +20,7 @@ from tiltcert.kernel import (
     parse_rational,
     poly_eval,
 )
-from tiltcert.heart import GENERATORS
+from tiltcert.heart import BASE_VECTORS, GENERATORS
 from tiltcert.tilt import TiltParams, bg_margin, twisted_ch_polynomials, z_polynomials
 from tiltcert.suite import (
     REFERENCE_TABLE_IM,
@@ -372,6 +372,40 @@ def test_widened_region_fails_with_witnesses():
     )
     assert set(entry["witness"]) == {"alpha", "beta"}
     assert F(entry["witness"]["alpha"]) > 0
+
+
+def test_each_claim_is_certified_once(monkeypatch):
+    # The two base vectors are skyscraper candidates too: their items reuse
+    # the direct certificates, so no (claim, region) pair is certified twice.
+    calls = []
+
+    def spy(claim, region, max_depth):
+        calls.append((claim, region))
+        return certify_sign(claim, region, max_depth)
+
+    monkeypatch.setattr(suite, "certify_sign", spy)
+    verify_all()
+    assert len(calls) == 25
+    assert len(set(calls)) == len(calls)
+
+
+def test_skyscraper_base_items_are_their_direct_certificates():
+    # Both base vectors certify on the default and the widened region, and
+    # both fail with a witness once alpha reaches 3/5.
+    wide_alpha = Region(
+        beta=RationalInterval(F(-1, 2), F(0)),
+        alpha=RationalInterval(F(0), F(3, 5)),
+        alpha_open=(True, True),
+    )
+    for region in (default_region(), _widened_region(), wide_alpha):
+        items = _by_name(verify_skyscraper_condition(region))
+        for v in BASE_VECTORS:
+            base, direct = items[f"skyscraper base {v}"], items[f"skyscraper direct {v}"]
+            assert (base.status, base.witness, base.boxes, base.depth, base.factors) == (
+                direct.status, direct.witness, direct.boxes, direct.depth, direct.factors
+            )
+            assert base.notes[len(base.notes) - len(direct.notes) :] == direct.notes
+    assert all(items[f"skyscraper base {v}"].witness for v in BASE_VECTORS)
 
 
 def test_alpha_margin_of_the_proof():
