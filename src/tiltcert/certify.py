@@ -22,11 +22,12 @@ side-cut region splits into at most two boxes in the closed half-plane
 and one slanted piece along the line, {alpha in [a0, a1], lo <= beta <=
 hi} with lo or hi equal to -alpha, bisected as the unit box in (alpha, t)
 with beta = lo + t * (hi - lo) substituted into the product (side_pieces).
-A region that the side line meets in one corner is that point, checked
-on its own.  Pieces are also cut at alpha = 0 and t = 0, so each box
-coordinate keeps one sign; there a monomial's Bernstein coefficients are
-averages of products of endpoint values, inside its range, so Bernstein
-decides every box the monomial hull (kernel.poly_interval_eval) would.
+A region that the side line meets in one corner has no pieces: it is
+that point or empty, read by the witness search's vertex stage alone.
+Pieces are also cut at alpha = 0 and t = 0, so each box coordinate keeps
+one sign; there a monomial's Bernstein coefficients are averages of
+products of endpoint values, inside its range, so Bernstein decides
+every box the monomial hull (kernel.poly_interval_eval) would.
 
 Stopping rule: the bisection stops at the first box that yields a piece
 point where poly breaks its sign: a violating Bernstein corner
@@ -296,25 +297,24 @@ def _at_zero(lo, hi):
 # --- box reasoning -----------------------------------------------------------
 
 
-def _faces(m, n, alphas, betas):
-    """Geometric faces of a box as (centre, Bernstein index set).
+def _faces(m, n):
+    """Geometric faces of a box as (x, y, Bernstein index set).
 
-    alphas and betas are the box's (lo, midpoint, hi) along each axis.
+    x, y are the half-cell offsets of the face's centre (see _point).
     Yields the 4 corners, 4 edges, and the full cell, in a fixed order.
     The side line crosses no piece, so along the relative interior of a
     face every region bound is tight everywhere or nowhere: the face meets
     the region exactly when its centre lies in it.
     """
-    (a_lo, a_mid, a_hi), (b_lo, b_mid, b_hi) = alphas, betas
-    yield (a_lo, b_lo), [(0, 0)]
-    yield (a_hi, b_lo), [(m, 0)]
-    yield (a_lo, b_hi), [(0, n)]
-    yield (a_hi, b_hi), [(m, n)]
-    yield (a_lo, b_mid), [(0, j) for j in range(n + 1)]
-    yield (a_hi, b_mid), [(m, j) for j in range(n + 1)]
-    yield (a_mid, b_lo), [(i, 0) for i in range(m + 1)]
-    yield (a_mid, b_hi), [(i, n) for i in range(m + 1)]
-    yield (a_mid, b_mid), [(i, j) for i in range(m + 1) for j in range(n + 1)]
+    yield 0, 0, [(0, 0)]
+    yield 2, 0, [(m, 0)]
+    yield 0, 2, [(0, n)]
+    yield 2, 2, [(m, n)]
+    yield 0, 1, [(0, j) for j in range(n + 1)]
+    yield 2, 1, [(m, j) for j in range(n + 1)]
+    yield 1, 0, [(i, 0) for i in range(m + 1)]
+    yield 1, 2, [(i, n) for i in range(m + 1)]
+    yield 1, 1, [(i, j) for i in range(m + 1) for j in range(n + 1)]
 
 
 def _cut(interval, k, level):
@@ -324,7 +324,16 @@ def _cut(interval, k, level):
     return interval.hi if k else interval.lo
 
 
-def _certify_box(poly, strict, piece, i, j, depth, candidates, grid):
+def _point(piece, i, j, depth, x, y):
+    """The piece point of box (i, j, depth) at half-cell offsets x, y in
+    {0, 1, 2}: 0 is the box's low end, 1 its midpoint, 2 its high end."""
+    return (
+        _cut(piece.alpha, 2 * i + x, (depth + 1) // 2 + 1),
+        _cut(piece.t, 2 * j + y, depth // 2 + 1),
+    )
+
+
+def _certify_box(poly, strict, piece, i, j, depth, grid):
     """Try to certify poly > 0 (strict) or poly >= 0 on one box of a piece.
 
     The box is cell i of 2^ceil(depth/2) equal cells along the piece's
@@ -332,16 +341,14 @@ def _certify_box(poly, strict, piece, i, j, depth, candidates, grid):
     grid is the integer Bernstein grid inherited from the parent box (a
     positive multiple of the coefficients on this box), or None on a
     piece's root box, where it is computed from the power basis.
-    Returns (verdict, grid): verdict "certified", "split" (undecided,
-    bisect further), or "violated" (the sign fails at a piece point of
-    the box, which is appended to candidates in piece coordinates), and
-    the box's grid."""
+    Returns (verdict, grid, point): verdict "certified", "split" (undecided,
+    bisect further) or "violated"; the box's grid; and the piece point of
+    the box where the sign fails if violated, else None."""
     if grid is None:
         grid = bernstein_coefficients(poly, piece.alpha, piece.t)[1]
     low = min(map(min, grid))
     if low > 0 or (not strict and low >= 0):
-        return "certified", grid
-    a_level, t_level = (depth + 1) // 2, depth // 2
+        return "certified", grid, None
     m, n = len(grid) - 1, len(grid[0]) - 1
     if low < 0:
         # Corner coefficients are exact values: a violating one in the
@@ -349,73 +356,60 @@ def _certify_box(poly, strict, piece, i, j, depth, candidates, grid):
         # by axis end, not index: along an axis of degree 0 both ends are 0.
         for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
             if _violates(grid[m * x][n * y], strict):
-                point = _cut(piece.alpha, i + x, a_level), _cut(piece.t, j + y, t_level)
+                point = _point(piece, i, j, depth, 2 * x, 2 * y)
                 if piece.contains(*point):
-                    candidates.append(point)
-                    return "violated", grid
-        return "split", grid
+                    return "violated", grid, point
+        return "split", grid, None
     # All coefficients >= 0 with min exactly 0 and a strict target: the
     # poly is >= 0 on the box, and any zero inside it lives on a face whose
     # coefficients all vanish.  Certified iff every such face misses the
     # piece; a face that meets it is an exact zero of the poly there.
-    a0, a1 = _cut(piece.alpha, i, a_level), _cut(piece.alpha, i + 1, a_level)
-    t0, t1 = _cut(piece.t, j, t_level), _cut(piece.t, j + 1, t_level)
-    alphas, ts = (a0, (a0 + a1) / 2, a1), (t0, (t0 + t1) / 2, t1)
-    for center, indices in _faces(m, n, alphas, ts):
-        if all(grid[k][l] == 0 for k, l in indices) and piece.contains(*center):
-            candidates.append(center)
-            return "violated", grid
-    return "certified", grid
+    for x, y, indices in _faces(m, n):
+        if all(grid[k][l] == 0 for k, l in indices):
+            point = _point(piece, i, j, depth, x, y)
+            if piece.contains(*point):
+                return "violated", grid, point
+    return "certified", grid, None
 
 
-def _bisect_side_pieces(poly, strict, region, max_depth):
-    """Bisection loop over the side pieces for poly > 0 (strict) or
-    poly >= 0.  Returns (ok, candidates, boxes, depth).
+def _bisect_side_pieces(poly, strict, pieces, max_depth):
+    """Bisection loop over side pieces for poly > 0 (strict) or poly >= 0.
+
+    Returns (ok, point, boxes, depth) at the first box that fails, with
+    point the region point (alpha, beta) it violates at, or None when the
+    box reached max_depth; ok is True (and vacuous without pieces) when
+    every box certifies.
 
     Splits alternate, alpha first: a box at depth d halves alpha when d is
     even, t when d is odd, so a box is the cell (i, j, d) of its piece
     that _certify_box reads, and a split doubles i or j.  A slanted piece
-    certifies poly composed with its lift; its candidates map back to
-    (alpha, beta).  A split box hands each child the matching half of its
-    integer Bernstein grid, so coefficients come from the power basis only
-    on the pieces' root boxes.
+    certifies poly composed with its lift; its point maps back through the
+    lift.  A split box hands each child the matching half of its integer
+    Bernstein grid, so coefficients come from the power basis only on the
+    pieces' root boxes.
     """
-    candidates = []
-    boxes_tested = 0
-    deepest = 0
-    pieces = side_pieces(region)
-    if not pieces:
-        # The side line meets the box in one corner or not at all: the
-        # region is that one point, or empty.
-        for point in polytope_vertices(region):
-            if _violates(poly_eval(poly, *point), strict) and region.contains(*point):
-                candidates.append(point)
-    ok = not candidates
+    boxes = deepest = 0
     for piece in pieces:
         piece_poly = poly if piece.lift is None else substitute(poly, piece.lift)
-        found = []
         stack = [(0, 0, 0, None)]
         while stack:
             i, j, depth, grid = stack.pop()
-            boxes_tested += 1
+            boxes += 1
             deepest = max(deepest, depth)
-            verdict, grid = _certify_box(piece_poly, strict, piece, i, j, depth, found, grid)
+            verdict, grid, point = _certify_box(piece_poly, strict, piece, i, j, depth, grid)
             if verdict == "certified":
                 continue
-            if verdict == "violated" or depth >= max_depth:
-                # Certification is off the table; skip the remaining queue.
-                ok = False
-                break
+            if verdict == "violated":
+                return False, piece.point(*point), boxes, deepest
+            if depth >= max_depth:
+                return False, None, boxes, deepest
             lo, hi = split_grid(grid, depth % 2)
             # Push the high half first so the low half is explored first.
             if depth % 2:
                 stack += (i, 2 * j + 1, depth + 1, hi), (i, 2 * j, depth + 1, lo)
             else:
                 stack += (2 * i + 1, j, depth + 1, hi), (2 * i, j, depth + 1, lo)
-        candidates.extend(piece.point(*p) for p in found)
-        if not ok:
-            break
-    return ok, candidates, boxes_tested, deepest
+    return True, None, boxes, deepest
 
 
 # --- witness search ----------------------------------------------------------
@@ -457,13 +451,14 @@ def certify_sign(claim, region, max_depth=16):
     poly = product if orient > 0 else -product
     notes = []
     if max_depth < 1:
-        ok, candidates, boxes, depth = False, [], 0, 0
+        ok, point, boxes, depth = False, None, 0, 0
         # The wording is part of the `verify --max-depth 0` report's bytes.
         notes.append(f"subdivision disabled (max_depth < 1) for factor {poly_format(product)}")
     else:
-        ok, candidates, boxes, depth = _bisect_side_pieces(poly, strict, region, max_depth)
-    if ok:
-        return SignCertificate("certified", None, boxes, depth, notes)
-    witness = _witness_search(poly, strict, region, candidates)
-    status = "inconclusive" if witness is None else "failed"
+        ok, point, boxes, depth = _bisect_side_pieces(poly, strict, side_pieces(region), max_depth)
+    # Certified with no box tried: the region has no pieces, so it is one
+    # polytope vertex or empty, and the witness search's vertex stage reads it.
+    candidates = () if point is None else (point,)
+    witness = None if ok and boxes else _witness_search(poly, strict, region, candidates)
+    status = "failed" if witness else "certified" if ok else "inconclusive"
     return SignCertificate(status, witness, boxes, depth, notes)

@@ -51,9 +51,9 @@ def emit_zvectors_svg(p, path):
     line through Z(O[1]) otherwise.
     """
     charges = [(label, *central_charge(ch, p)) for label, ch, _ in GENERATORS]
+    # Never 0: Im Z is +-alpha * (x^2 - alpha^2) with x = 1 - beta, beta, 1 + beta
+    # on O(1), O[1], O(-1)[3], and those three x^2 are never all equal.
     extent = max(max(abs(re), abs(im)) for _, re, im in charges)
-    if extent == 0:
-        extent = Fraction(1)
     scale = Fraction(HEIGHT // 2 - MARGIN) / extent
     cx = Fraction(WIDTH, 2)
     cy = Fraction(HEIGHT, 2)
@@ -77,15 +77,14 @@ def emit_zvectors_svg(p, path):
         f'x2="{decimal6(cx)}" y2="{decimal6(HEIGHT - MARGIN)}" '
         'stroke="#cccccc" stroke-width="1"/>\n'
     )
+    # The divider's direction; TiltParams keeps alpha > 0, so Z(O[1]) != 0.
     if p.alpha >= -p.beta:
-        x1, y1 = to_px(Fraction(0), extent)
-        x2, y2 = to_px(Fraction(0), -extent)
+        dx, dy = 0, 1
     else:
-        axis_z = next((re, im) for label, re, im in charges if label == "O[1]")
-        # TiltParams keeps alpha > 0, so Im Z(O[1]) = alpha*(alpha^2 - beta^2) != 0 here.
-        stretch = extent / max(abs(axis_z[0]), abs(axis_z[1]))
-        x1, y1 = to_px(axis_z[0] * stretch, axis_z[1] * stretch)
-        x2, y2 = to_px(-axis_z[0] * stretch, -axis_z[1] * stretch)
+        dx, dy = next((re, im) for label, re, im in charges if label == "O[1]")
+    stretch = extent / max(abs(dx), abs(dy))
+    x1, y1 = to_px(dx * stretch, dy * stretch)
+    x2, y2 = to_px(-dx * stretch, -dy * stretch)
     parts.append(
         f'  <line class="divider" x1="{decimal6(x1)}" y1="{decimal6(y1)}" '
         f'x2="{decimal6(x2)}" y2="{decimal6(y2)}" '

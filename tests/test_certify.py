@@ -18,7 +18,6 @@ from tiltcert.certify import (
     SIDE_LEFT,
     SIDE_RIGHT,
     _cut,
-    _faces,
     _violates,
     _witness_search,
     certify_sign,
@@ -966,8 +965,22 @@ def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, candidates, 
                 candidates.append((a, b))
                 return "violated", grid
         return "split", grid
-    triples = [(box.lo, (box.lo + box.hi) / 2, box.hi) for box in (box_alpha, box_beta)]
-    for center, indices in _faces(m, n, *triples):
+    # The nine faces in _certify_box's order: corners, the two alpha-end
+    # edges, the two t-end edges, the cell; each with its centre.
+    a_lo, a_hi, b_lo, b_hi = box_alpha.lo, box_alpha.hi, box_beta.lo, box_beta.hi
+    a_mid, b_mid = (a_lo + a_hi) / 2, (b_lo + b_hi) / 2
+    faces = (
+        ((a_lo, b_lo), [(0, 0)]),
+        ((a_hi, b_lo), [(m, 0)]),
+        ((a_lo, b_hi), [(0, n)]),
+        ((a_hi, b_hi), [(m, n)]),
+        ((a_lo, b_mid), [(0, j) for j in range(n + 1)]),
+        ((a_hi, b_mid), [(m, j) for j in range(n + 1)]),
+        ((a_mid, b_lo), [(i, 0) for i in range(m + 1)]),
+        ((a_mid, b_hi), [(i, n) for i in range(m + 1)]),
+        ((a_mid, b_mid), [(i, j) for i in range(m + 1) for j in range(n + 1)]),
+    )
+    for center, indices in faces:
         if all(grid[i][j] == 0 for i, j in indices) and piece.contains(*center):
             candidates.append(center)
             return "violated", grid
@@ -1089,3 +1102,54 @@ def test_alternating_splits_match_the_width_ratio_rule(case):
     cert = certify_sign(claim, region, max_depth)
     expected = _width_ratio_certify(claim, region, max_depth)
     assert (cert.status, cert.witness, cert.boxes, cert.depth) == expected
+
+
+@st.composite
+def one_corner_cases(draw):
+    """A claim on a side-cut region with no side pieces, and the one point
+    the region holds, or None.  The side line meets the box only in its
+    low corner (alpha<=-beta) or its high corner (alpha>=-beta), or, with
+    a positive gap, misses the half-plane's side of the box altogether."""
+    side = draw(st.sampled_from((SIDE_LEFT, SIDE_RIGHT)))
+    end = 0 if side == SIDE_LEFT else 1
+    gap = draw(st.sampled_from((0, 0, 0, F(1, 3), F(2))))
+    b = draw(endpoints)
+    a = -b + (gap if end == 0 else -gap)
+    b_ends = (b, b + draw(widths)) if end == 0 else (b - draw(widths), b)
+    a_ends = (a, a + draw(widths)) if end == 0 else (a - draw(widths), a)
+    region = Region(
+        beta=RationalInterval(*b_ends),
+        alpha=RationalInterval(*a_ends),
+        beta_open=(draw(st.booleans()), draw(st.booleans())),
+        alpha_open=(draw(st.booleans()), draw(st.booleans())),
+        side=side,
+    )
+    closed = not (region.beta_open[end] or region.alpha_open[end])
+    point = (a, b) if gap == 0 and closed else None
+    # The value at the corner takes each sign; the other terms vanish there.
+    expr = (
+        C(draw(st.sampled_from((-1, 0, 1))))
+        + draw(coefficients) * (A - a)
+        + draw(coefficients) * (B - b) ** 2
+    )
+    sign = draw(st.sampled_from((">0", ">=0", "<0", "<=0")))
+    return _subdivision_claim(expr, sign), region, point
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_corner_cases(), st.integers(1, 10))
+def test_one_corner_regions_are_their_corner(case, max_depth):
+    # A region without side pieces is one polytope vertex or empty: it
+    # fails at that corner when the corner breaks the sign, and is
+    # certified otherwise, with no box tried either way.
+    claim, region, point = case
+    assert side_pieces(region) == ()
+    cert = certify_sign(claim, region, max_depth)
+    if point is not None and violates(poly_eval(claim.product(), *point), claim.overall_sign):
+        expected = ("failed", point, 0, 0)
+    else:
+        expected = ("certified", None, 0, 0)
+    assert (cert.status, cert.witness, cert.boxes, cert.depth) == expected
+    assert [p for p in polytope_vertices(region) if region.contains(*p)] == (
+        [] if point is None else [point]
+    )

@@ -5,8 +5,8 @@ package's __all__ lists exactly what its __init__ imports, nothing
 outside the standard library is imported, no module imports a name it
 does not use, every module-level private name is read in its module,
 every public name is read somewhere in the package or exported from its
-root, only the CLI's main writes to stderr, and every file open names its
-encoding."""
+root, only the CLI's main writes to stderr, every file open names its
+encoding, and no function mutates its parameters."""
 
 import ast
 import sys
@@ -201,4 +201,40 @@ def test_every_open_names_its_encoding():
         and node.func.id == "open"
         and "encoding" not in {kw.arg for kw in node.keywords}
     ]
+    assert offenders == []
+
+
+MUTATORS = {
+    "append", "extend", "insert", "add", "update", "pop",
+    "clear", "remove", "setdefault", "sort", "reverse",
+}
+
+
+def test_no_function_mutates_its_parameters():
+    # Results go back as return values, never through an out-parameter:
+    # no mutating method call on a parameter, and no item assignment to one.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = func.args
+            params = {
+                a.arg
+                for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                if a is not None
+            }
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    targets = [node.func.value] if node.func.attr in MUTATORS else []
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    stores = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    targets = [t.value for t in stores if isinstance(t, ast.Subscript)]
+                else:
+                    continue
+                offenders.extend(
+                    f"{path.name}:{node.lineno} mutates {t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and t.id in params
+                )
     assert offenders == []
