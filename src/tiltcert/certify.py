@@ -45,9 +45,10 @@ the point the bisection stopped at, then the polytope vertices, then the
 4, 8, 16 and 32 grids over the region box, by increasing alpha index,
 then beta index.  The grids are sub-grids of one 32-grid form, read by
 rows on integer indices: openness flags and the side cut make one index
-range per row, checked by its minimum.  A finer grid reads the coarser
-grids' points again; they did not violate the claim before, so the first
-violating point is the same as if each point were read once.
+range per row, checked by its minimum.  Every allowed point of a coarser
+grid is an allowed 32-grid point with the same value, so the search reads
+the 32-grid's allowed points once, returns None when none violates, and
+otherwise runs the 4, 8, 16, 32 order over the violating rows alone.
 
 Strictness on open boundaries: a certificate for a strict sign must rule
 out zeros inside the region.  On a box whose Bernstein coefficients are
@@ -60,6 +61,7 @@ centre does.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .kernel import (
     BivariatePoly,
@@ -95,6 +97,9 @@ class Region:
     side: str | None = None
 
     def __post_init__(self):
+        # Tuples keep a region hashable: the geometry caches key on it.
+        object.__setattr__(self, "beta_open", tuple(self.beta_open))
+        object.__setattr__(self, "alpha_open", tuple(self.alpha_open))
         if self.beta.width <= 0 or self.alpha.width <= 0:
             raise ValueError("region box must be full-dimensional")
         if self.side not in (None, *SIDE_SIGNS):
@@ -207,8 +212,10 @@ def _violates(value, strict):
 # --- vertex reasoning --------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def polytope_vertices(region):
-    """Vertices of the closed box cut by the side half-plane, sorted."""
+    """Vertices of the closed box cut by the side half-plane, as a sorted
+    tuple.  Cached by region value (at most 64 regions)."""
     points = set()
     for a in (region.alpha.lo, region.alpha.hi):
         for b in (region.beta.lo, region.beta.hi):
@@ -221,7 +228,7 @@ def polytope_vertices(region):
         for b in (region.beta.lo, region.beta.hi):
             if region.alpha.contains(-b):
                 points.add((-b, b))
-    return sorted(points)
+    return tuple(sorted(points))
 
 
 # --- side pieces -------------------------------------------------------------
@@ -250,8 +257,11 @@ class Piece:
         return self.region.contains(*self.point(alpha, t))
 
 
+@lru_cache(maxsize=64)
 def side_pieces(region):
-    """Plain pieces whose union is the region, none crossed by the side line.
+    """Plain pieces whose union is the region, none crossed by the side line,
+    as a tuple of frozen Pieces.  Cached by region value (at most 64
+    regions), so a run builds each region's pieces once.
 
     A region without a side is its own piece.  A side-cut region splits
     into at most two boxes that lie in the closed half-plane, plus one
@@ -417,7 +427,8 @@ def _bisect_side_pieces(poly, strict, pieces, max_depth):
 
 def _witness_search(poly, strict, region, candidates):
     """The first region point where poly > 0 (strict) or poly >= 0 fails,
-    in the order of the module docstring, or None."""
+    in the order of the module docstring, or None.  The vertices come from
+    polytope_vertices' bounded cache; the grids, from one 32-grid pass."""
     for point in (*candidates, *polytope_vertices(region)):
         if region.contains(*point) and _violates(poly_eval(poly, *point), strict):
             return point
@@ -429,35 +440,48 @@ def _witness_search(poly, strict, region, candidates):
     b_nums, b_den = grid_axis(region.beta, 32)
     keys = [y * a_den for y in b_nums]
     sigma = SIDE_SIGNS.get(region.side, 0)
+    b_open_lo, b_open_hi = region.beta_open
+    # The 32-grid rows with a violating allowed point, and their side cuts.
+    bad = {}
+    for i in range(region.alpha_open[0], 33 - region.alpha_open[1]):
+        lo = bisect_left(keys, -a_nums[i] * b_den) if sigma > 0 else 0
+        hi = bisect_right(keys, -a_nums[i] * b_den) if sigma < 0 else 33
+        values = rows[i][max(b_open_lo, lo) : min(33 - b_open_hi, hi)]
+        if values and _violates(min(values), strict):
+            bad[i] = lo, hi
+    # A coarser grid's allowed points are allowed 32-grid points, so only
+    # the rows in bad can hold its first violating point.
     for g in (4, 8, 16, 32):
         s = 32 // g
-        for i in range(region.alpha_open[0], g + 1 - region.alpha_open[1]):
-            lo = bisect_left(keys, -a_nums[s * i] * b_den) if sigma > 0 else 0
-            hi = bisect_right(keys, -a_nums[s * i] * b_den) if sigma < 0 else 33
-            first = s * max(region.beta_open[0], -(-lo // s))
-            stop = s * min(g + 1 - region.beta_open[1], -(-hi // s))
-            values = rows[s * i][first:stop:s]
+        for i, (lo, hi) in bad.items():
+            if i % s:
+                continue
+            first = s * max(b_open_lo, -(-lo // s))
+            stop = s * min(g + 1 - b_open_hi, -(-hi // s))
+            values = rows[i][first:stop:s]
             if values and _violates(min(values), strict):
                 k = next(k for k, v in enumerate(values) if _violates(v, strict))
-                return Fraction(a_nums[s * i], a_den), Fraction(b_nums[first + k * s], b_den)
+                return Fraction(a_nums[i], a_den), Fraction(b_nums[first + k * s], b_den)
     return None
 
 
 def certify_sign(claim, region, max_depth=16):
     """Certify, refute (with witness), or give up on the sign of a claim's
-    product; max_depth < 1 skips the bisection."""
+    product; max_depth < 1 skips the bisection of a region with pieces."""
     product = claim.product()
     orient, strict = sign_parts(claim.overall_sign)
     poly = product if orient > 0 else -product
     notes = []
-    if max_depth < 1:
+    pieces = side_pieces(region)
+    if max_depth < 1 and pieces:
         ok, point, boxes, depth = False, None, 0, 0
         # The wording is part of the `verify --max-depth 0` report's bytes.
         notes.append(f"subdivision disabled (max_depth < 1) for factor {poly_format(product)}")
     else:
-        ok, point, boxes, depth = _bisect_side_pieces(poly, strict, side_pieces(region), max_depth)
+        ok, point, boxes, depth = _bisect_side_pieces(poly, strict, pieces, max_depth)
     # Certified with no box tried: the region has no pieces, so it is one
-    # polytope vertex or empty, and the witness search's vertex stage reads it.
+    # polytope vertex or empty, and the witness search's vertex stage reads
+    # it whatever max_depth is.
     candidates = () if point is None else (point,)
     witness = None if ok and boxes else _witness_search(poly, strict, region, candidates)
     status = "failed" if witness else "certified" if ok else "inconclusive"

@@ -36,6 +36,7 @@ from tiltcert.kernel import (
     split_grid,
     substitute,
 )
+from tiltcert.suite import verify_all
 
 F = Fraction
 A = BivariatePoly.alpha()
@@ -314,7 +315,7 @@ def test_zero_affine_factor_follows_the_face_rule():
         beta_open=(True, False),
         side=SIDE_LEFT,
     )
-    assert polytope_vertices(empty) == [(F(2, 5), F(-2, 5))]
+    assert polytope_vertices(empty) == ((F(2, 5), F(-2, 5)),)
     assert certify_sign(zero, empty).status == "certified"
 
 
@@ -415,6 +416,30 @@ def test_max_depth_zero_is_inconclusive():
     cert = certify_sign(claim, default_region(), max_depth=0)
     assert cert.status == "inconclusive"
     assert any("subdivision disabled" in note for note in cert.notes)
+
+
+def test_one_verify_all_builds_each_region_once():
+    # The default region and its two sides: every other certify_sign call
+    # of the suite hits the cache.
+    side_pieces.cache_clear()
+    polytope_vertices.cache_clear()
+    verify_all()
+    for cached in (side_pieces, polytope_vertices):
+        assert cached.cache_info().misses <= 3
+        assert isinstance(cached.cache_info().maxsize, int)
+
+
+def test_equal_regions_share_one_cache_entry():
+    side_pieces.cache_clear()
+    first = side_pieces(default_region(SIDE_LEFT))
+    second = side_pieces(replace(default_region(), side=SIDE_LEFT))
+    assert second is first
+    info = side_pieces.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # Openness flags given as lists are stored as tuples, so the region
+    # still keys the cache.
+    listed = Region(default_region().beta, default_region().alpha, [False, False], [True, True])
+    assert side_pieces(listed) is side_pieces(default_region())
 
 
 def test_determinism():
@@ -780,6 +805,26 @@ def _one_factor_case(expr, sign, beta, alpha, beta_open=(False, False), side=Non
 # Both beta ends open: the vertices are out, and the witness is the 16-grid
 # point just below the open upper end.
 @example(_one_factor_case(B**2 - F(1, 9), "<0", (F(-1, 3), F(2, 5)), (F(1, 7), F(2, 3)), (True, True)))
+# Zero only at (1/32, 7/32) and (3/32, 5/32), odd indices of the 32-grid
+# over the unit box: no coarser grid sees them, and the lower alpha wins.
+@example(
+    _one_factor_case(
+        ((32 * A - 3) ** 2 + (32 * B - 5) ** 2) * ((32 * A - 1) ** 2 + (32 * B - 7) ** 2),
+        ">0",
+        (0, 1),
+        (0, 1),
+    )
+)
+# Zero at (1/32, 1/32), in 32-grid row 1, and at (1/4, 1/4), in row 8: the
+# 4-grid reads the second before the 32-grid reads the first.
+@example(
+    _one_factor_case(
+        ((32 * A - 1) ** 2 + (32 * B - 1) ** 2) * ((4 * A - 1) ** 2 + (4 * B - 1) ** 2),
+        ">0",
+        (0, 1),
+        (0, 1),
+    )
+)
 def test_witness_search_matches_fraction_reference(case):
     claim, region, candidates = case
     product = claim.product()
@@ -1137,11 +1182,23 @@ def one_corner_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(one_corner_cases(), st.integers(1, 10))
+@given(one_corner_cases(), st.integers(0, 10))
+# The point (2/5, -2/5), where a^2 + b^2 > 0: certified at depth 0 too.
+@example(
+    (
+        _subdivision_claim(A**2 + B**2, ">0"),
+        Region(
+            RationalInterval(F(-2, 5), F(3, 5)), RationalInterval(F(2, 5), F(17, 5)), side=SIDE_LEFT
+        ),
+        (F(2, 5), F(-2, 5)),
+    ),
+    0,
+)
 def test_one_corner_regions_are_their_corner(case, max_depth):
     # A region without side pieces is one polytope vertex or empty: it
     # fails at that corner when the corner breaks the sign, and is
-    # certified otherwise, with no box tried either way.
+    # certified otherwise, with no box tried either way, at every depth
+    # budget (the witness search reads the corner without a bisection).
     claim, region, point = case
     assert side_pieces(region) == ()
     cert = certify_sign(claim, region, max_depth)
@@ -1150,6 +1207,7 @@ def test_one_corner_regions_are_their_corner(case, max_depth):
     else:
         expected = ("certified", None, 0, 0)
     assert (cert.status, cert.witness, cert.boxes, cert.depth) == expected
+    assert cert.notes == []
     assert [p for p in polytope_vertices(region) if region.contains(*p)] == (
         [] if point is None else [point]
     )

@@ -6,7 +6,8 @@ outside the standard library is imported, no module imports a name it
 does not use, every module-level private name is read in its module,
 every public name is read somewhere in the package or exported from its
 root, only the CLI's main writes to stderr, every file open names its
-encoding, and no function mutates its parameters."""
+encoding, no function mutates its parameters, and every functools cache
+has a bound."""
 
 import ast
 import sys
@@ -237,4 +238,43 @@ def test_no_function_mutates_its_parameters():
                     for t in targets
                     if isinstance(t, ast.Name) and t.id in params
                 )
+    assert offenders == []
+
+
+def test_every_cache_is_bounded():
+    # A cache keyed on caller values gains an entry per distinct value, so
+    # each is an lru_cache with an int maxsize: a caller that sweeps many
+    # regions holds a bounded number of entries.  No functools.cache, no
+    # maxsize=None and no bare @lru_cache.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(
+                    alias.asname or alias.name for alias in node.names if alias.name == "functools"
+                )
+
+        def functools_name(node):
+            if isinstance(node, ast.Name):
+                return names.get(node.id)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                return node.attr if node.value.id in modules else None
+            return None
+
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and functools_name(node.func) == "lru_cache":
+                sizes = [*node.args[:1], *(kw.value for kw in node.keywords if kw.arg == "maxsize")]
+                size = sizes[0] if len(sizes) == 1 else None
+                if isinstance(size, ast.Constant) and type(size.value) is int:
+                    bounded.add(id(node.func))
+        offenders.extend(
+            f"{path.name}:{node.lineno}: {functools_name(node)} without an int maxsize"
+            for node in ast.walk(tree)
+            if functools_name(node) in ("cache", "lru_cache") and id(node) not in bounded
+        )
     assert offenders == []
