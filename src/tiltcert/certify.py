@@ -43,12 +43,13 @@ anything the engine cannot settle within its depth budget is
 Witness search (claims that did not certify), first violating point wins:
 the point the bisection stopped at, then the polytope vertices, then the
 4, 8, 16 and 32 grids over the region box, by increasing alpha index,
-then beta index.  The grids are sub-grids of one 32-grid form, read by
-rows on integer indices: openness flags and the side cut make one index
-range per row, checked by its minimum.  Every allowed point of a coarser
-grid is an allowed 32-grid point with the same value, so the search reads
-the 32-grid's allowed points once, returns None when none violates, and
-otherwise runs the 4, 8, 16, 32 order over the violating rows alone.
+then beta index.  The grids are sub-grids of one 32-grid form, read once
+by rows on integer indices: openness flags and the side cut make one
+index range per row, checked by its minimum.  Every allowed point of a
+coarser grid is an allowed 32-grid point with the same value, so the
+order is one key on 32-grid indices: (-s, i, j), with s = gcd(i, j, 8)
+the stride of the coarsest grid holding (i, j).  The least key of a
+violating allowed point wins, and with none the search returns None.
 
 Strictness on open boundaries: a certificate for a strict sign must rule
 out zeros inside the region.  On a box whose Bernstein coefficients are
@@ -62,13 +63,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .kernel import (
     BivariatePoly,
     RationalInterval,
     bernstein_coefficients,
     format_rational,
-    grid_axis,
     grid_form,
     poly_eval,
     poly_format,
@@ -428,41 +429,33 @@ def _bisect_side_pieces(poly, strict, pieces, max_depth):
 def _witness_search(poly, strict, region, candidates):
     """The first region point where poly > 0 (strict) or poly >= 0 fails,
     in the order of the module docstring, or None.  The vertices come from
-    polytope_vertices' bounded cache; the grids, from one 32-grid pass."""
+    polytope_vertices' bounded cache.  The grids are one pass over the
+    32-grid form: a violating allowed point (i, j) has the key (-s, i, j),
+    s = gcd(i, j, 8) the stride of the coarsest grid holding it, and the
+    least key is the witness."""
     for point in (*candidates, *polytope_vertices(region)):
         if region.contains(*point) and _violates(poly_eval(poly, *point), strict):
             return point
-    # Grid g is the stride-(32 // g) sub-grid of one 32-grid form.
+    (a_nums, a_den), (b_nums, b_den), rows = grid_form(poly, region.alpha, region.beta, 32)
     # keys[j] = b_nums[j] * a_den rises with j, so in row i the side cut,
     # sigma * (keys[j] + a_nums[i] * b_den) >= 0, keeps columns lo to hi - 1.
-    rows = grid_form(poly, region.alpha, region.beta, 32)
-    a_nums, a_den = grid_axis(region.alpha, 32)
-    b_nums, b_den = grid_axis(region.beta, 32)
     keys = [y * a_den for y in b_nums]
     sigma = SIDE_SIGNS.get(region.side, 0)
     b_open_lo, b_open_hi = region.beta_open
-    # The 32-grid rows with a violating allowed point, and their side cuts.
-    bad = {}
+    # The least key of each row that holds a violating point.
+    least = []
     for i in range(region.alpha_open[0], 33 - region.alpha_open[1]):
         lo = bisect_left(keys, -a_nums[i] * b_den) if sigma > 0 else 0
         hi = bisect_right(keys, -a_nums[i] * b_den) if sigma < 0 else 33
-        values = rows[i][max(b_open_lo, lo) : min(33 - b_open_hi, hi)]
+        first = max(b_open_lo, lo)
+        values = rows[i][first : min(33 - b_open_hi, hi)]
         if values and _violates(min(values), strict):
-            bad[i] = lo, hi
-    # A coarser grid's allowed points are allowed 32-grid points, so only
-    # the rows in bad can hold its first violating point.
-    for g in (4, 8, 16, 32):
-        s = 32 // g
-        for i, (lo, hi) in bad.items():
-            if i % s:
-                continue
-            first = s * max(b_open_lo, -(-lo // s))
-            stop = s * min(g + 1 - b_open_hi, -(-hi // s))
-            values = rows[i][first:stop:s]
-            if values and _violates(min(values), strict):
-                k = next(k for k, v in enumerate(values) if _violates(v, strict))
-                return Fraction(a_nums[i], a_den), Fraction(b_nums[first + k * s], b_den)
-    return None
+            cols = (j for j, v in enumerate(values, first) if _violates(v, strict))
+            least.append(min((-gcd(i, j, 8), i, j) for j in cols))
+    if not least:
+        return None
+    _, i, j = min(least)
+    return Fraction(a_nums[i], a_den), Fraction(b_nums[j], b_den)
 
 
 def certify_sign(claim, region, max_depth=16):

@@ -9,10 +9,11 @@ The certifier's inner loops run on Python ints.  Where only a sign, a zero
 or the position of a maximum matters, a value is carried as an integer
 positive multiple of itself: Bernstein grids (bernstein_coefficients
 returns (den, grid) with grid / den the exact coefficients and
-gcd(den, *grid) == 1; split_grid) and grid values (grid_form, rows at
-grid_axis's integer coordinates summed from a corner block's forward
-differences).  The monomial hull poly_interval_eval also sums on
-ints and divides once; certify does not call it (see its side pieces).
+gcd(den, *grid) == 1; split_grid) and grid values (grid_form returns
+grid_axis's integer coordinates and the rows of values there, summed from
+a corner block's forward differences).  The monomial hull
+poly_interval_eval also sums on ints and divides once; certify does not
+call it (see its side pieces).
 """
 
 import re
@@ -302,15 +303,15 @@ def grid_axis(box, g):
 def grid_form(p, box_alpha, box_beta, g):
     """Integer form of p on the (g + 1) x (g + 1) grid over a box, by rows.
 
-    Returns the g + 1 rows, row i the list of ints whose entry j is
-    p(alpha_i, beta_j) times one positive constant, alpha_i = alpha.lo +
-    alpha.width * i / g and beta_j = beta.lo + beta.width * j / g, so signs
-    are exact.  Horner evaluates only the (m + 1) x (n + 1) corner block,
-    (m, n) p's bidegree; the rest are running sums of its forward
+    Returns ((a_nums, a_den), (b_nums, b_den), rows): the grid's
+    coordinates as grid_axis gives them, alpha_i = a_nums[i] / a_den and
+    beta_j = b_nums[j] / b_den, and the g + 1 rows, row i the list of ints
+    whose entry j is p(alpha_i, beta_j) times one positive constant, so
+    signs are exact.  Horner evaluates only the (m + 1) x (n + 1) corner
+    block, (m, n) p's bidegree; the rest are running sums of its forward
     differences, along alpha, then along each row.
     """
     m, n = p.degree_alpha(), p.degree_beta()
-    # alpha_i = a_nums[i] / a_den and beta_j = b_nums[j] / b_den (grid_axis).
     a_nums, a_den = grid_axis(box_alpha, g)
     b_nums, b_den = grid_axis(box_beta, g)
     # coeffs[l][k]: the a^k b^l coefficient times scale * a_den^(m-k) * b_den^(n-l),
@@ -324,7 +325,7 @@ def grid_form(p, box_alpha, box_beta, g):
         block.append(_differences([_horner(in_beta, y) for y in b_nums[: n + 1]]))
     # starts[l][i]: the l-th forward difference along beta at (i, 0).
     starts = [_newton_run(_differences(d), g) for d in zip(*block)]
-    return [_newton_run(d, g) for d in zip(*starts)]
+    return (a_nums, a_den), (b_nums, b_den), [_newton_run(d, g) for d in zip(*starts)]
 
 
 def _horner(coeffs, x):

@@ -205,7 +205,7 @@ def verify_lemma_computation():
         re_ref, im_ref = REFERENCE_Z[label]
         items.append(_identity_item(f"Z {label} real part", re == re_ref))
         items.append(_identity_item(f"Z {label} imaginary part", im == im_ref))
-    return Report(_aggregate(items), items)
+    return items
 
 
 def _structural_items():
@@ -229,7 +229,7 @@ def _structural_items():
 # --- half-plane certificates ---------------------------------------------------
 
 
-def verify_half_plane(region=None, max_depth=16):
+def verify_half_plane(region, max_depth):
     """Image-of-Z half-plane containment, split by the sign of beta^2-alpha^2.
 
     Case A (alpha >= -beta): Re Z < 0, except Re Z(O[1]) = b*(a^2 - b^2)/3 <= 0.
@@ -239,7 +239,6 @@ def verify_half_plane(region=None, max_depth=16):
     Here a^2 - b^2 <= 0, as `im sign O[1] alpha<=-beta` certifies, so r_G > 0
     puts Z(G) clockwise of Z(O[1]): strictly off the line, where Z(O[1]) = 0.
     """
-    region = region or default_region()
     items = []
     # Report order: O(1), O[1], S(-1)[2], O(-1)[3].
     charges = [(label, ch, *z_polynomials(ch, S_DEFAULT)) for label, ch, _ in reversed(GENERATORS)]
@@ -265,13 +264,13 @@ def verify_half_plane(region=None, max_depth=16):
         if cross_polynomial(axis_ch, ch, S_DEFAULT) != span * r_poly:
             unfactored.append(f"cross O[1] x {label} is not (a^2 - b^2) times the certified r")
     items.append(_identity_item("half-plane B factorisation", not unfactored, unfactored))
-    return Report(_aggregate(items), items)
+    return items
 
 
 # --- skyscraper condition ------------------------------------------------------
 
 
-def verify_skyscraper_condition(region=None, max_depth=16):
+def verify_skyscraper_condition(region, max_depth):
     """Im Z > 0 for every subobject candidate of the skyscraper vector.
 
     Certifies the generator sign facts and all eleven candidates directly
@@ -280,7 +279,6 @@ def verify_skyscraper_condition(region=None, max_depth=16):
     leave the derivation short, the direct certificates decide the coverage
     item: its status is theirs, with the first failed one's witness.
     """
-    region = region or default_region()
     generator_im = {label: z_polynomials(ch, S_DEFAULT)[1] for label, ch, _ in GENERATORS}
     items = []
     facts = []
@@ -345,7 +343,7 @@ def verify_skyscraper_condition(region=None, max_depth=16):
         )
     items.append(coverage)
     items.extend(direct.values())
-    return Report(_aggregate(items), items)
+    return items
 
 
 # --- mu signs and the degree-3 equality ---------------------------------------
@@ -403,12 +401,13 @@ def _bg_equality_item():
 
 def verify_all(max_depth=16, region=None):
     """Full verification: structural identities, closed forms, half-plane
-    containment, skyscraper positivity, slope signs, degree-3 equality."""
+    containment, skyscraper positivity, slope signs, degree-3 equality.
+    Each section returns its items; this is the one Report of a run."""
     region = region or default_region()
     items = _structural_items()
-    items.extend(verify_lemma_computation().items)
-    items.extend(verify_half_plane(region, max_depth).items)
-    items.extend(verify_skyscraper_condition(region, max_depth).items)
+    items.extend(verify_lemma_computation())
+    items.extend(verify_half_plane(region, max_depth))
+    items.extend(verify_skyscraper_condition(region, max_depth))
     items.extend(_mu_sign_items(region, max_depth))
     items.append(_bg_equality_item())
     return Report(_aggregate(items), items)

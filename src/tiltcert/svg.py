@@ -121,10 +121,11 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
     """Exact marching squares for the zero set of poly over the box.
 
     Returns segments as ((beta, alpha), (beta, alpha)) rational pairs, cell
-    by cell with beta outer.  Grid values are kernel.grid_form's rows,
-    one per alpha, transposed to one per beta: ints, one positive
-    multiple of the values of poly, so signs and crossing points are
-    exact.  Sign class is value >= 0, kept as one bit mask per
+    by cell with beta outer.  Grid coordinates and values both come from
+    kernel.grid_form: integer numerators over one denominator per axis,
+    and rows, one per alpha, transposed to one per beta: ints, one
+    positive multiple of the values of poly, so signs and crossing points
+    are exact.  Sign class is value >= 0, kept as one bit mask per
     grid row; a cell whose corners share a class is skipped unbuilt, so the
     identically-zero polynomial gives an empty contour.  A crossing between
     values va and vb at grid numerators x and x + step over den lies at
@@ -133,12 +134,11 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}")
     # beta_i = b_nums[i] / b_den and alpha_j = a_nums[j] / a_den.
-    b_nums, b_den = grid_axis(box_beta, grid)
-    a_nums, a_den = grid_axis(box_alpha, grid)
+    (a_nums, a_den), (b_nums, b_den), rows = grid_form(poly, box_alpha, box_beta, grid)
     b_step, a_step = b_nums[1] - b_nums[0], a_nums[1] - a_nums[0]
     betas = [Fraction(n, b_den) for n in b_nums]
     alphas = [Fraction(n, a_den) for n in a_nums]
-    values = list(zip(*grid_form(poly, box_alpha, box_beta, grid)))
+    values = list(zip(*rows))
     signs = [sum(1 << j for j, v in enumerate(row) if v >= 0) for row in values]
 
     def crossing(edge, i, j):

@@ -58,13 +58,13 @@ def _report(capsys, number, label, problems):
 
 def test_acceptance_01_closed_form_identities(capsys):
     problems = []
-    report = verify_lemma_computation()
-    if len(report.items) != 20:
-        problems.append(f"expected 20 identity items, got {len(report.items)}")
-    for item in report.items:
+    items = verify_lemma_computation()
+    if len(items) != 20:
+        problems.append(f"expected 20 identity items, got {len(items)}")
+    for item in items:
         if item.status != "certified":
             problems.append(f"{item.name}: {item.status}")
-    names = [item.name for item in report.items]
+    names = [item.name for item in items]
     for stem in ("twisted-ch", "mu ", "nu ", "Z "):
         if sum(1 for name in names if name.startswith(stem)) not in (4, 8):
             problems.append(f"missing identities under {stem!r}")
@@ -96,11 +96,11 @@ def test_acceptance_02_structural_identities(capsys):
 
 def test_acceptance_03_half_plane_certificates(capsys):
     problems = []
-    report = verify_half_plane(max_depth=16)
-    for item in report.items:
+    items = verify_half_plane(default_region(), 16)
+    for item in items:
         if item.status != "certified":
             problems.append(f"{item.name}: {item.status}")
-    names = [item.name for item in report.items]
+    names = [item.name for item in items]
     if sum(1 for n in names if n.startswith("half-plane A")) != 4:
         problems.append("expected 4 certificates on alpha >= -beta")
     if sum(1 for n in names if n.startswith("half-plane B cross")) != 3:
@@ -118,28 +118,28 @@ def test_acceptance_03_half_plane_certificates(capsys):
 
 def test_acceptance_04_skyscraper_condition(capsys):
     problems = []
-    report = verify_skyscraper_condition(max_depth=16)
-    for item in report.items:
+    items = verify_skyscraper_condition(default_region(), 16)
+    for item in items:
         if item.status != "certified":
             problems.append(f"{item.name}: {item.status}")
-    names = [item.name for item in report.items]
+    names = [item.name for item in items]
     if sum(1 for n in names if n.startswith("skyscraper direct")) != 11:
         problems.append("expected 11 direct positivity certificates")
     if sum(1 for n in names if n.startswith("skyscraper base")) != 2:
         problems.append("expected 2 base-vector certificates")
     coverage = next(
-        (i for i in report.items if i.name == "skyscraper derivation coverage"),
+        (i for i in items if i.name == "skyscraper derivation coverage"),
         None,
     )
     if coverage is None or len(coverage.notes) != 11:
         problems.append("derivation must account for all 11 candidates")
     table = next(
-        (i for i in report.items if i.name == "skyscraper table (0,1,0,1)"), None
+        (i for i in items if i.name == "skyscraper table (0,1,0,1)"), None
     )
     if table is None or not any("differs from additivity" in n for n in table.notes):
         problems.append("the (0,1,0,1) table discrepancy must be recorded")
     clean = next(
-        (i for i in report.items if i.name == "skyscraper table (0,2,4,1)"), None
+        (i for i in items if i.name == "skyscraper table (0,2,4,1)"), None
     )
     if clean is None or clean.notes:
         problems.append("the (0,2,4,1) table entry must match exactly")

@@ -825,6 +825,16 @@ def _one_factor_case(expr, sign, beta, alpha, beta_open=(False, False), side=Non
         (0, 1),
     )
 )
+# Zero at (1/4, 1/32) and (1/4, 1/4), both in 32-grid row 8: within the
+# row, the 4-grid point wins over the lower beta index.
+@example(
+    _one_factor_case(
+        ((32 * A - 8) ** 2 + (32 * B - 1) ** 2) * ((4 * A - 1) ** 2 + (4 * B - 1) ** 2),
+        ">0",
+        (0, 1),
+        (0, 1),
+    )
+)
 def test_witness_search_matches_fraction_reference(case):
     claim, region, candidates = case
     product = claim.product()

@@ -444,7 +444,8 @@ bidegree_6_polys = st.dictionaries(
 )
 def test_grid_form_matches_per_point_reference(p, box_a, box_b):
     for g in (1, 2, 3, 4, 8, 16, 32):
-        rows = grid_form(p, box_a, box_b, g)
+        a_axis, b_axis, rows = grid_form(p, box_a, box_b, g)
+        assert (a_axis, b_axis) == (grid_axis(box_a, g), grid_axis(box_b, g))
         value, scale = _grid_form_reference(p, box_a, box_b, g)
         assert len(rows) == g + 1
         for i, row in enumerate(rows):

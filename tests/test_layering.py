@@ -6,8 +6,9 @@ outside the standard library is imported, no module imports a name it
 does not use, every module-level private name is read in its module,
 every public name is read somewhere in the package or exported from its
 root, only the CLI's main writes to stderr, every file open names its
-encoding, no function mutates its parameters, and every functools cache
-has a bound."""
+encoding, no function mutates its parameters, every functools cache has
+a bound, each exemption above still has the bench patch that needs it,
+and the sources parse as the oldest Python that pyproject.toml allows."""
 
 import ast
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 import tiltcert
 
 PACKAGE = Path(tiltcert.__file__).parent
+BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def _tiltcert_imports(path):
@@ -84,9 +86,9 @@ def test_package_imports_only_the_standard_library():
     assert imported and offenders == []
 
 
-# (module, name) imported without a use: bench/tracing.py patches
-# certify.poly_interval_eval, so the name must exist in certify.
-UNUSED_IMPORTS = {("certify", "poly_interval_eval")}
+# (module, name) imported without a use -> the (module, attribute) that
+# bench/tracing.py patches and that keeps it alive.
+UNUSED_IMPORTS = {("certify", "poly_interval_eval"): ("certify", "poly_interval_eval")}
 
 
 def test_no_module_imports_a_name_it_does_not_use():
@@ -143,11 +145,32 @@ def test_no_module_defines_an_unused_private_name():
     assert offenders == []
 
 
-# Public names that no module reads.  bench/tracing.py patches
-# certify.poly_interval_eval and tilt.poly_eval, and z_value is the only
-# reader of tilt.poly_eval; both wait for the bench to stop patching them
-# (ROADMAP item 2a).
-UNREAD_PUBLIC_NAMES = {("kernel", "poly_interval_eval"), ("tilt", "z_value")}
+# Public names that no module reads -> the bench/tracing.py patch that
+# keeps each alive: z_value is the only reader of tilt.poly_eval.  Both
+# wait for the bench to stop patching them (ROADMAP item 2a).
+UNREAD_PUBLIC_NAMES = {
+    ("kernel", "poly_interval_eval"): ("certify", "poly_interval_eval"),
+    ("tilt", "z_value"): ("tilt", "poly_eval"),
+}
+
+
+def test_every_exemption_has_its_bench_patch():
+    # When the bench drops a patch, the name it kept alive is dead code:
+    # this names it, so it goes with the patch.
+    tree = ast.parse(BENCH_TRACING.read_text(encoding="utf-8"))
+    patches = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]
+    )
+    patched = {(module.removeprefix("tiltcert."), attr) for _, module, attr in patches}
+    dead = [
+        f"{module}.{name} (kept by the {'.'.join(patch)} patch)"
+        for exemptions in (UNUSED_IMPORTS, UNREAD_PUBLIC_NAMES)
+        for (module, name), patch in exemptions.items()
+        if patch not in patched
+    ]
+    assert dead == []
 
 
 def test_every_public_name_is_read():
@@ -172,7 +195,7 @@ def test_every_public_name_is_read():
         for lineno, name, read_here in _definitions(path)
         if not name.startswith("_")
         and not read_here
-        and (path.stem, name) not in read | UNREAD_PUBLIC_NAMES
+        and (path.stem, name) not in read | UNREAD_PUBLIC_NAMES.keys()
         and name not in tiltcert.__all__
     ]
     assert offenders == []
@@ -278,3 +301,10 @@ def test_every_cache_is_bounded():
             if functools_name(node) in ("cache", "lru_cache") and id(node) not in bounded
         )
     assert offenders == []
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml says requires-python >= 3.10; a newer interpreter runs
+    # these tests, so newer syntax would pass them unseen.
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

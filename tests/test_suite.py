@@ -101,8 +101,8 @@ EXPECTED_NAMES = [
 ]
 
 
-def _by_name(report):
-    return {item.name: item for item in report.items}
+def _by_name(items):
+    return {item.name: item for item in items}
 
 
 def test_default_run_everything_certified():
@@ -115,12 +115,13 @@ def test_default_run_everything_certified():
 
 
 def test_layer_reports_standalone():
-    lemma = verify_lemma_computation()
-    assert lemma.status == "certified" and len(lemma.items) == 20
-    half = verify_half_plane()
-    assert half.status == "certified" and len(half.items) == 9
-    sky = verify_skyscraper_condition()
-    assert sky.status == "certified" and len(sky.items) == 19
+    region = default_region()
+    for items, count in (
+        (verify_lemma_computation(), 20),
+        (verify_half_plane(region, 16), 9),
+        (verify_skyscraper_condition(region, 16), 19),
+    ):
+        assert len(items) == count and all(item.status == "certified" for item in items)
 
 
 def test_report_json_schema():
@@ -154,7 +155,7 @@ def test_report_json_deterministic():
 def test_table_discrepancy_recorded_not_failed():
     # the quoted Im entry for (0,1,0,1) disagrees with the additivity result;
     # the run stays certified but the difference is written into the notes.
-    items = _by_name(verify_all())
+    items = _by_name(verify_all().items)
     table = items["skyscraper table (0,1,0,1)"]
     assert table.status == "certified"
     assert table.notes == [
@@ -191,9 +192,8 @@ def _perturb_z(monkeypatch, label):
 
 def test_half_plane_axis_fails_on_perturbed_o_shift_charge(monkeypatch):
     _perturb_z(monkeypatch, "O[1]")
-    report = verify_half_plane()
-    assert report.status == "failed"
-    failed = [item.name for item in report.items if item.status == "failed"]
+    items = verify_half_plane(default_region(), 16)
+    failed = [item.name for item in items if item.status == "failed"]
     assert failed == ["half-plane B axis O[1]"]
 
 
@@ -201,18 +201,17 @@ def test_half_plane_factorisation_fails_on_perturbed_o1_charge(monkeypatch):
     # The perturbed r of O(1) still certifies on alpha <= -beta, but it is no
     # longer the cofactor of the real cross product.
     _perturb_z(monkeypatch, "O(1)")
-    report = verify_half_plane()
-    items = _by_name(report)
+    items = _by_name(verify_half_plane(default_region(), 16))
     assert items["half-plane B cross O(1)"].status == "certified"
     factorisation = items["half-plane B factorisation"]
-    assert factorisation.status == "failed" and report.status == "failed"
+    assert factorisation.status == "failed"
     assert factorisation.notes == [
         "cross O[1] x O(1) is not (a^2 - b^2) times the certified r"
     ]
 
 
 def test_mu_sign_and_bg_notes():
-    items = _by_name(verify_all())
+    items = _by_name(verify_all().items)
     assert (
         "mu(O) = -beta/alpha is nonnegative on beta <= 0"
         in items["mu sign O"].notes
@@ -236,7 +235,7 @@ def _bg_failure_point(note):
 def test_bg_item_fails_on_wrong_s(monkeypatch):
     monkeypatch.setattr(suite, "S_DEFAULT", F(1, 5))
     report = verify_all()
-    item = _by_name(report)["bg line-bundle equality"]
+    item = _by_name(report.items)["bg line-bundle equality"]
     assert item.status == "failed" and report.status == "failed"
     value, n, beta = _bg_failure_point(item.notes[0])
     margin = bg_margin(line_bundle_ch(n), TiltParams(abs(n - beta), beta, F(1, 5)))
@@ -253,7 +252,7 @@ def test_bg_item_fails_on_perturbed_twisted_ch3(monkeypatch):
 
     monkeypatch.setattr(suite, "twisted_ch_polynomials", perturbed)
     report = verify_all()
-    item = _by_name(report)["bg line-bundle equality"]
+    item = _by_name(report.items)["bg line-bundle equality"]
     assert item.status == "failed" and report.status == "failed"
     value, n, beta = _bg_failure_point(item.notes[0])
     _, t1, _, t3 = perturbed(line_bundle_ch(n))
@@ -267,7 +266,7 @@ def test_bg_item_fails_on_perturbed_twisted_ch3(monkeypatch):
 
 
 def test_derivation_coverage_notes_all_eleven():
-    item = _by_name(verify_all())["skyscraper derivation coverage"]
+    item = _by_name(verify_all().items)["skyscraper derivation coverage"]
     assert item.status == "certified"
     assert len(item.notes) == 11
     prefixes = sorted(note.split(":")[0] for note in item.notes)
@@ -298,7 +297,7 @@ def test_wrong_z_reference_fails_named_item(monkeypatch):
     monkeypatch.setitem(REFERENCE_Z, "S(-1)", (re_ref + C(F(1, 7)), im_ref))
     report = verify_all()
     assert report.status == "failed"
-    items = _by_name(report)
+    items = _by_name(report.items)
     assert items["Z S(-1) real part"].status == "failed"
     assert items["Z S(-1) imaginary part"].status == "certified"
     untouched = [
@@ -322,10 +321,8 @@ def test_wrong_twisted_reference_names_component(monkeypatch):
 def test_wrong_table_reference_fails_table_item(monkeypatch):
     quoted = REFERENCE_TABLE_IM[(0, 2, 4, 1)]
     monkeypatch.setitem(REFERENCE_TABLE_IM, (0, 2, 4, 1), quoted + A)
-    report = verify_skyscraper_condition()
-    items = _by_name(report)
+    items = _by_name(verify_skyscraper_condition(default_region(), 16))
     assert items["skyscraper table (0,2,4,1)"].status == "failed"
-    assert report.status == "failed"
 
 
 def test_max_depth_zero_inconclusive_never_failed():
@@ -333,7 +330,7 @@ def test_max_depth_zero_inconclusive_never_failed():
     assert report.status == "inconclusive"
     statuses = {item.status for item in report.items}
     assert "failed" not in statuses
-    items = _by_name(report)
+    items = _by_name(report.items)
     coverage = items["skyscraper derivation coverage"]
     assert coverage.status == "inconclusive"
     assert any(
@@ -363,7 +360,7 @@ def test_widened_region_fails_with_witnesses():
         assert item.witness is not None
         alpha, beta = item.witness
         assert _widened_region().contains(alpha, beta)
-    by_name = _by_name(report)
+    by_name = _by_name(report.items)
     assert by_name["half-plane A re O[1]"].status == "failed"
     # the witness round-trips through JSON as exact strings
     payload = json.loads(report.to_json())
@@ -398,7 +395,7 @@ def test_skyscraper_base_items_are_their_direct_certificates():
         alpha_open=(True, True),
     )
     for region in (default_region(), _widened_region(), wide_alpha):
-        items = _by_name(verify_skyscraper_condition(region))
+        items = _by_name(verify_skyscraper_condition(region, 16))
         for v in BASE_VECTORS:
             base, direct = items[f"skyscraper base {v}"], items[f"skyscraper direct {v}"]
             assert (base.status, base.witness, base.boxes, base.depth, base.factors) == (
@@ -445,7 +442,7 @@ def test_coverage_falls_back_on_the_direct_certificates():
         alpha=RationalInterval(F(0), F(1, 3)),
         alpha_open=(True, True),
     )
-    items = _by_name(verify_skyscraper_condition(region))
+    items = _by_name(verify_skyscraper_condition(region, 16))
     assert items["im sign S(-1)[2]"].status == "failed"
     assert items["im sign O[1] alpha>=-beta"].status == "failed"
     direct = [item for name, item in items.items() if name.startswith("skyscraper direct")]
@@ -461,7 +458,7 @@ def test_coverage_falls_back_on_the_direct_certificates():
     ]
     # On the widened region some candidates fail directly: coverage fails
     # with the first failed direct certificate's witness.
-    coverage = _by_name(verify_skyscraper_condition(_widened_region()))[
+    coverage = _by_name(verify_skyscraper_condition(_widened_region(), 16))[
         "skyscraper derivation coverage"
     ]
     assert (coverage.status, coverage.witness) == ("failed", (F(1, 6), F(1, 2)))
