@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: rationals, interval hulls, bivariate polynomials.
+"""Exact arithmetic substrate: rationals, rational intervals, bivariate polynomials.
 
 Everything here is exact.  No floats enter any computation path; decimal
 strings are produced only at the rendering edge (see svg.py).  Polynomials
@@ -11,9 +11,7 @@ positive multiple of itself: Bernstein grids (bernstein_coefficients
 returns (den, grid) with grid / den the exact coefficients and
 gcd(den, *grid) == 1; split_grid) and grid values (grid_form returns
 grid_axis's integer coordinates and the rows of values there, summed from
-a corner block's forward differences).  The monomial hull
-poly_interval_eval also sums on ints and divides once; certify does not
-call it (see its side pieces).
+a corner block's forward differences).
 """
 
 import re
@@ -77,20 +75,6 @@ class RationalInterval:
 
     def __str__(self):
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
-
-
-def _power_hull(lo, hi, n):
-    # Exact hull of {x^n : x in [lo, hi]}; even powers of sign-mixed
-    # intervals clamp the low end at 0 rather than multiplying endpoints.
-    if n < 0:
-        raise ValueError("negative exponent")
-    if n == 0:
-        return 1, 1
-    if n % 2 == 1 or lo >= 0:
-        return lo**n, hi**n
-    if hi <= 0:
-        return hi**n, lo**n
-    return 0, max(-lo, hi) ** n
 
 
 def _term_sort_key(key):
@@ -239,35 +223,6 @@ def substitute(p, beta):
     return BivariatePoly({key: Fraction(c, scale * den**n) for key, c in acc.items()})
 
 
-def poly_interval_eval(p, box_alpha, box_beta):
-    """Monomial-hull interval extension of p over a box.
-
-    Sound enclosure: the exact range of p on the box is contained in the
-    result.  Each monomial uses the exact power hull, so even powers of
-    sign-mixed intervals do not leak below zero.  The sums run on ints:
-    each axis's power hulls are formed once from integer endpoints over a
-    common denominator, and one division at the end gives the exact hull.
-    """
-    m, n = p.degree_alpha(), p.degree_beta()
-    a_pows, a_dens = _integer_power_hulls(box_alpha, m)
-    b_pows, b_dens = _integer_power_hulls(box_beta, n)
-    scale, terms = _integer_terms(p)
-    lo = hi = 0
-    for (i, j), c in terms:
-        a_lo, a_hi = a_pows[i]
-        b_lo, b_hi = b_pows[j]
-        products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-        k = c * a_dens[m - i] * b_dens[n - j]
-        if k > 0:
-            lo += min(products) * k
-            hi += max(products) * k
-        else:
-            lo += max(products) * k
-            hi += min(products) * k
-    den = scale * a_dens[m] * b_dens[n]
-    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
-
-
 def _integer_terms(p):
     # (scale, [((i, j), c * scale)]), scale the lcm of the denominators.
     scale = lcm(*(c.denominator for c in p.terms.values()))
@@ -282,12 +237,6 @@ def _integer_endpoints(box):
         box.hi.numerator * (den // box.hi.denominator),
         den,
     )
-
-
-def _integer_power_hulls(box, d):
-    # Power hulls of box^k, k <= d, as int pairs over den^k; and den^k.
-    lo, hi, den = _integer_endpoints(box)
-    return [_power_hull(lo, hi, k) for k in range(d + 1)], [den**k for k in range(d + 1)]
 
 
 def grid_axis(box, g):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import DEGREE, twist
-from .kernel import BivariatePoly, as_fraction, poly_eval
+from .kernel import BivariatePoly, as_fraction, poly_eval  # poly_eval: kept for a bench patch
 
 # Default of the parameter s in Z and in the degree-3 margin.
 S_DEFAULT = Fraction(1, 6)
@@ -92,10 +92,6 @@ def z_polynomials(v, s=S_DEFAULT):
     im = {(1, j): DEGREE * c for (_, j), c in t2.terms.items()}
     im[(3, 0)] = -DEGREE * v.ch0 / 2
     return BivariatePoly(re), BivariatePoly(im)
-
-
-def z_value(re_poly, im_poly, alpha, beta):
-    return poly_eval(re_poly, alpha, beta), poly_eval(im_poly, alpha, beta)
 
 
 def cross_polynomial(v, w, s=S_DEFAULT):

@@ -32,7 +32,6 @@ from tiltcert.kernel import (
     bernstein_coefficients,
     format_rational,
     poly_eval,
-    poly_interval_eval,
     split_grid,
     substitute,
 )
@@ -73,6 +72,19 @@ def test_region_membership():
     # boundary of the side line belongs to both
     assert left.contains(F(1, 4), F(-1, 4))
     assert right.contains(F(1, 4), F(-1, 4))
+
+
+def test_region_describe_marks_open_ends_and_the_side():
+    # Report and corpus text: "(" or ")" on an open end, the side last.
+    assert default_region().describe() == "beta in [-1/2, 0], alpha in (0, 1/3)"
+    region = Region(
+        beta=RationalInterval(F(-1), F(1)),
+        alpha=RationalInterval(F(0), F(1, 2)),
+        beta_open=(True, False),
+        alpha_open=(False, True),
+        side=SIDE_RIGHT,
+    )
+    assert region.describe() == "beta in (-1, 1], alpha in [0, 1/2), alpha>=-beta"
 
 
 def test_region_validation():
@@ -159,11 +171,9 @@ def test_affine_vertex_certified():
     # values, the least being 1/6 at the vertex (alpha, beta) = (1/3, -1/2),
     # so the root box decides it.
     claim = FactoredClaim((Factor(ONE + B - A, ">0", "affine-vertex"),), ">0")
-    region = default_region()
-    cert = certify_sign(claim, region)
+    cert = certify_sign(claim, default_region())
     assert cert.status == "certified"
     assert cert.boxes == 1 and cert.depth == 0
-    assert poly_interval_eval(claim.product(), region.alpha, region.beta).lo == F(1, 6)
     assert poly_eval(claim.product(), F(1, 3), F(-1, 2)) == F(1, 6)
 
 

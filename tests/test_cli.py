@@ -344,6 +344,16 @@ def test_bg_malformed_rational_file_is_input_error(tmp_path, capsys):
     assert "not a rational literal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "x"], ids=["list", "string"])
+def test_bg_non_object_file_is_input_error(payload, tmp_path, capsys):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["bg", "--chern", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --chern: cannot load character")
+    assert "character file must hold a JSON object" in err
+
+
 def _run_cli(*argv):
     """The CLI in a child process whose address space is capped at 512 MB,
     so an unbounded read fails fast instead of exhausting the machine."""

@@ -88,7 +88,7 @@ def test_package_imports_only_the_standard_library():
 
 # (module, name) imported without a use -> the (module, attribute) that
 # bench/tracing.py patches and that keeps it alive.
-UNUSED_IMPORTS = {("certify", "poly_interval_eval"): ("certify", "poly_interval_eval")}
+UNUSED_IMPORTS = {("tilt", "poly_eval"): ("tilt", "poly_eval")}
 
 
 def test_no_module_imports_a_name_it_does_not_use():
@@ -146,12 +146,9 @@ def test_no_module_defines_an_unused_private_name():
 
 
 # Public names that no module reads -> the bench/tracing.py patch that
-# keeps each alive: z_value is the only reader of tilt.poly_eval.  Both
-# wait for the bench to stop patching them (ROADMAP item 2a).
-UNREAD_PUBLIC_NAMES = {
-    ("kernel", "poly_interval_eval"): ("certify", "poly_interval_eval"),
-    ("tilt", "z_value"): ("tilt", "poly_eval"),
-}
+# keeps each alive: certify.poly_interval_eval is a None placeholder.
+# Both exemptions wait for the bench to stop patching them (ROADMAP item 2a).
+UNREAD_PUBLIC_NAMES = {("certify", "poly_interval_eval"): ("certify", "poly_interval_eval")}
 
 
 def test_every_exemption_has_its_bench_patch():

@@ -38,7 +38,6 @@ from tiltcert.tilt import (
     twisted_ch_polynomials,
     wall_polynomial,
     z_polynomials,
-    z_value,
 )
 
 F = Fraction
@@ -192,7 +191,6 @@ def test_two_path_agreement():
             re, im = central_charge(obj(label), TiltParams(alpha, beta))
             assert re == poly_eval(re_poly, alpha, beta)
             assert im == poly_eval(im_poly, alpha, beta)
-            assert z_value(re_poly, im_poly, alpha, beta) == (re, im)
 
 
 def test_z_additive_in_character():
