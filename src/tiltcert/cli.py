@@ -1,5 +1,6 @@
 """Command-line frontend: catalog and slope tables, the verification suite
-with JSON reports, degree-3 margin scans, and SVG figures.
+with JSON reports, the exact degree-3 margin on the nu = 0 locus, and SVG
+figures.
 
 Exit codes: 0 success (and aggregate certified for `verify`), 1 verification
 failure or inconclusive, 2 usage or input errors.
@@ -10,10 +11,9 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from fractions import Fraction
 
 from .certify import default_region
-from .chern import catalog_lookup, load_chern, quadric_catalog
+from .chern import DEGREE, catalog_lookup, load_chern, quadric_catalog
 from .heart import reduce_candidates, skyscraper_candidates
 from .kernel import (
     BivariatePoly,
@@ -28,14 +28,12 @@ from .svg import MIN_GRID, emit_wall_svg, emit_zvectors_svg
 from .tilt import (
     S_DEFAULT,
     TiltParams,
-    bg_margin_from_squared,
     central_charge,
     lambda_slope,
     mu,
     nu,
-    nu_zero_alpha_squared,
     twist,
-    z_polynomials,
+    twisted_ch_polynomials,
 )
 
 
@@ -167,36 +165,34 @@ def _cmd_subobjects(args):
     return 0
 
 
+def _nu_zero_locus(ch, s):
+    """The nu = 0 locus of ch and the margin s*d*alpha^2*t1 - t3 on it.
+    ch0 != 0: (alpha^2, margin) in b = beta, alpha^2 = 2*t2/ch0.  ch0 = 0 !=
+    ch1: (beta, margin in a), as nu = t2/(alpha*t1) is 0 on beta = ch2/ch1.
+    ch0 = ch1 = 0: None.  The t_k are the twisted components of ch."""
+    _, t1, t2, t3 = twisted_ch_polynomials(ch)
+    if ch.ch0 != 0:
+        squared = t2 * (2 / ch.ch0)
+        return squared, s * DEGREE * squared * t1 - t3
+    if ch.ch1 != 0:
+        beta = BivariatePoly.constant(ch.ch2 / ch.ch1)
+        return beta, substitute(s * DEGREE * BivariatePoly.alpha() ** 2 * t1 - t3, beta)
+    return None
+
+
 def _cmd_bg(args):
     ch = _resolve_character(args.chern, "--chern")
-    beta_iv = _region_from_args(args).beta
-    if ch.ch0 == 0 and ch.ch1 != 0:
-        # nu = (ch2 - beta*ch1) / (alpha*ch1) vanishes on one line for every
-        # alpha; the margin there is Re Z, a polynomial in a alone.
-        beta = ch.ch2 / ch.ch1
-        if not beta_iv.contains(beta):
-            print(f"nu = 0 on the line beta = {format_rational(beta)}, outside {beta_iv}")
-            return 0
-        margin = substitute(z_polynomials(ch, args.s)[0], BivariatePoly.constant(beta))
-        print(f"nu = 0 on the line beta = {format_rational(beta)}: margin = {poly_format(margin)}")
-        return 0
-    margins = []
-    for i in range(args.grid + 1):
-        beta = beta_iv.lo + Fraction(i, args.grid) * beta_iv.width
-        squared = nu_zero_alpha_squared(ch, beta)
-        if squared is None or squared <= 0:
-            print(f"beta = {format_rational(beta)}: no nu = 0 locus")
-            continue
-        margin = bg_margin_from_squared(ch, squared, beta, args.s)
-        margins.append(margin)
-        print(
-            f"beta = {format_rational(beta)}: alpha^2 = {format_rational(squared)},"
-            f" margin = {format_rational(margin)}"
-        )
-    if margins:
-        print(f"minimum margin = {format_rational(min(margins))}")
+    locus = _nu_zero_locus(ch, args.s)
+    if locus is None:
+        print("ch0 = ch1 = 0: nu = inf everywhere, so there is no nu = 0 locus")
+    elif ch.ch0 == 0:
+        beta, margin = locus
+        print(f"nu = 0 on the line beta = {poly_format(beta)}: margin = {poly_format(margin)}")
     else:
-        print("no admissible points in the scan")
+        squared, margin = locus
+        print(f"nu = 0 on the curve alpha^2 = {poly_format(squared)}, b = beta, where it is > 0")
+        print(f"except at beta = {format_rational(ch.ch1 / ch.ch0)}: ch1^B = 0 there, so nu = inf")
+        print(f"margin on the curve = {poly_format(margin)}")
     return 0
 
 
@@ -242,11 +238,9 @@ def _build_parser():
     p = sub.add_parser("subobjects", help="skyscraper subobject candidates and dominance")
     p.set_defaults(handler=_cmd_subobjects)
 
-    p = sub.add_parser("bg", help="degree-3 margin scan along the nu = 0 locus")
+    p = sub.add_parser("bg", help="exact degree-3 margin on the nu = 0 locus")
     p.add_argument("--chern", required=True, help="catalog label or JSON path")
     p.add_argument("--s", type=_rational_arg, default=S_DEFAULT)
-    p.add_argument("--grid", type=_bounded_int(1, 4096), default=16)
-    p.add_argument("--region", type=_region_arg, default=None, metavar="blo:bhi,alo:ahi")
     p.set_defaults(handler=_cmd_bg)
 
     p = sub.add_parser("plot", help="emit SVG figures")

@@ -124,20 +124,6 @@ def bg_margin_from_squared(v, alpha_squared, beta, s=S_DEFAULT):
     return as_fraction(s) * DEGREE * as_fraction(alpha_squared) * t.ch1 - t.ch3
 
 
-def nu_zero_alpha_squared(v, beta):
-    """Solve nu(v) = 0 for alpha^2 at fixed beta.
-
-    Returns 2*b_B/ch0, which may be <= 0 (no real locus at this beta),
-    or None for rank 0: nu = b_B/(alpha*a_B) then does not depend on alpha,
-    and vanishes for every alpha on the line beta = ch2/ch1 when ch1 != 0
-    (where b_B = ch2 - beta*ch1 is 0), and nowhere when ch1 = 0.
-    """
-    if v.ch0 == 0:
-        return None
-    t = twist(v, beta)
-    return 2 * t.ch2 / v.ch0
-
-
 def wall_polynomial(v, w):
     """Implicit curve W(a, b) = 0 where nu(v) = nu(w) (away from poles).
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -13,12 +14,15 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tiltcert
-from tiltcert.cli import main
-from tiltcert.chern import catalog_lookup
-from tiltcert.kernel import format_rational
+from tiltcert.chern import DEGREE, ChernCharacter, catalog_lookup, load_chern
+from tiltcert.cli import _build_parser, _nu_zero_locus, main
+from tiltcert.kernel import BivariatePoly, format_rational, poly_eval, poly_format
 from tiltcert.suite import verify_all
+from tiltcert.tilt import S_DEFAULT, TiltParams, bg_margin_from_squared, nu
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -187,6 +191,30 @@ STDOUT_CONTRACTS = [
         ["subobjects"],
         "1cadce866214cd0747071e38f3e327e91c6c3869589812ed6c43c310f78023cc",
     ),
+    (
+        ["bg", "--chern", "O(-1)"],
+        "e515e0295ebce6bb266401a1d114ec67a4f2a9da8471ac7e6e7c411b24eee628",
+    ),
+    (
+        ["bg", "--chern", "S(-1)"],
+        "52c836e3bb356c3e2aa3617ba9b724727622dff7d6275bf137485358ed027bd8",
+    ),
+    (
+        ["bg", "--chern", "O"],
+        "e10177a10404e07d4f9b573820b3118add879b1d1e42649cea650bf3d5aea087",
+    ),
+    (
+        ["bg", "--chern", "O(1)"],
+        "b3fa98992557d4ea07bbba053d30bca7c25a7f525dff2bcddae44c1e1c489aa5",
+    ),
+    (
+        ["bg", "--chern", "S"],
+        "57d28eb3223c01d002e10c3d20b5dd7d3ffe3c3ceaf98acaacc07d92cf0679d5",
+    ),
+    (
+        ["bg", "--chern", "k(x)"],
+        "38e4b5e109db30d3c9c133836e2872919cf6e2603f72162c26218e8ba802658d",
+    ),
 ]
 
 
@@ -233,8 +261,8 @@ def test_malformed_region_names_the_problem(region, problem, capsys):
     [
         ["verify", "--max-depth", "-1"],
         ["verify", "--max-depth", "33"],
-        ["bg", "--chern", "unused.json", "--grid", "0"],
-        ["bg", "--chern", "unused.json", "--grid", "-3"],
+        ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "15"],
+        ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "-3"],
         ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "513"],
     ],
 )
@@ -250,7 +278,7 @@ def test_size_flags_out_of_range_are_usage_errors(argv, capsys):
         ["verify", "--max-depth", " 16 "],
         ["verify", "--max-depth", "\u0661\u0666"],
         ["verify", "--max-depth", "+"],
-        ["bg", "--chern", "unused.json", "--grid", "1_6"],
+        ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "1_6"],
         ["plot", "wall", "--chern1", "O", "--chern2", "O(1)", "--grid", "\uff13\uff12"],
     ],
 )
@@ -286,30 +314,152 @@ def _write_character(tmp_path, label, name="probe.json"):
     return str(path)
 
 
-def test_bg_scan_line_bundle_margin_zero(tmp_path, capsys):
+NO_LOCUS = "ch0 = ch1 = 0: nu = inf everywhere, so there is no nu = 0 locus\n"
+
+
+def test_bg_line_bundle_margin_is_zero_on_the_whole_locus(tmp_path, capsys):
     path = _write_character(tmp_path, "O(1)")
-    assert main(["bg", "--chern", path, "--grid", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "minimum margin = 0" in out
-    # every interior scan point sits on the nu = 0 locus with zero margin
-    assert out.count("margin = 0") >= 8
+    assert main(["bg", "--chern", path]) == 0
+    assert capsys.readouterr().out == (
+        "nu = 0 on the curve alpha^2 = b^2 - 2*b + 1, b = beta, where it is > 0\n"
+        "except at beta = 1: ch1^B = 0 there, so nu = inf\n"
+        "margin on the curve = 0\n"
+    )
 
 
 def test_bg_accepts_catalog_labels(capsys):
-    assert main(["bg", "--chern", "O(1)", "--grid", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "minimum margin = 0" in out
-    assert out.count("margin = 0") >= 8
-    assert main(["bg", "--chern", "k(x)", "--grid", "4"]) == 0
-    assert "no admissible points in the scan" in capsys.readouterr().out
+    for label in ("O(-1)", "O", "O(1)"):
+        assert main(["bg", "--chern", label]) == 0
+        assert capsys.readouterr().out.endswith("margin on the curve = 0\n")
+    assert main(["bg", "--chern", "S(-1)"]) == 0
+    assert capsys.readouterr().out.endswith("margin on the curve = -1/3*b - 1/6\n")
+    assert main(["bg", "--chern", "k(x)"]) == 0
+    assert capsys.readouterr().out == NO_LOCUS
 
 
-def test_bg_scan_without_locus(tmp_path, capsys):
+def test_bg_class_without_locus(tmp_path, capsys):
     path = _write_character(tmp_path, "k(x)")
-    assert main(["bg", "--chern", path, "--grid", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "no nu = 0 locus" in out
-    assert "no admissible points in the scan" in out
+    assert main(["bg", "--chern", path]) == 0
+    assert capsys.readouterr().out == NO_LOCUS
+
+
+def test_bg_excludes_the_pole_of_nu(tmp_path, capsys):
+    # alpha^2 = 4 at beta = 0 solves the locus equation, but ch1^B = 0 there,
+    # so nu is +infinity, not 0.
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"ch0": "1", "ch1": "0", "ch2": "2", "ch3": "0"}))
+    assert main(["bg", "--chern", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "nu = 0 on the curve alpha^2 = b^2 + 4, b = beta, where it is > 0"
+    assert lines[1] == "except at beta = 0: ch1^B = 0 there, so nu = inf"
+    assert nu(load_chern(str(path)), TiltParams(2, 0)) is None
+
+
+@pytest.mark.parametrize("flag", [["--grid", "16"], ["--region", "0:1,0:1"]])
+def test_bg_retired_flags_are_usage_errors(flag, capsys):
+    assert main(["bg", "--chern", "O"] + flag) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_bg_alpha_squared_values(capsys):
+    # S(-1) has no locus at beta = -1/4: alpha^2 = beta^2 + beta < 0 there.
+    for label, beta, squared in [
+        ("O", F(-1, 4), F(1, 16)), ("O(1)", F(-1, 2), F(9, 4)), ("S(-1)", F(-1, 4), F(-3, 16))
+    ]:
+        where, _ = _nu_zero_locus(catalog_lookup(label).ch, S_DEFAULT)
+        assert poly_eval(where, 0, beta) == squared
+        assert main(["bg", "--chern", label]) == 0
+        assert f"alpha^2 = {poly_format(where)}, " in capsys.readouterr().out
+    # test_bg_accepts_catalog_labels checks the line bg prints for k(x)
+    assert _nu_zero_locus(catalog_lookup("k(x)").ch, S_DEFAULT) is None
+
+
+rationals = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 5, 7)))
+nonzero = rationals.filter(bool)
+positive = rationals.map(abs).filter(bool)
+
+
+@st.composite
+def points_on_the_locus(draw):
+    """(v, alpha, beta): v with ch0 != 0 and (alpha, beta) on its nu = 0 curve,
+    v with ch0 = 0 != ch1 and beta = ch2/ch1, or v with ch0 = ch1 = 0."""
+    alpha, beta = draw(positive), draw(rationals)
+    ch0 = draw(st.sampled_from((0, 1, -1, 2, F(-3, 2))))
+    ch1 = draw(rationals)
+    # ch2 sets 2*ch2^B = alpha^2*ch0, the numerator of nu, to 0 at (alpha, beta)
+    ch2 = draw(rationals) if ch0 == ch1 == 0 else beta * ch1 + (alpha**2 - beta**2) * ch0 / 2
+    return ChernCharacter(ch0, ch1, ch2, draw(rationals)), alpha, beta
+
+
+def _on_locus(label, alpha, beta):
+    return catalog_lookup(label).ch, F(alpha), F(beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points_on_the_locus(), rationals)
+@example(_on_locus("O(-1)", F(3, 4), F(-1, 4)), S_DEFAULT)
+@example(_on_locus("S(-1)", F(2, 3), F(1, 3)), S_DEFAULT)
+@example(_on_locus("O", F(1, 4), F(-1, 4)), S_DEFAULT)
+@example(_on_locus("O(1)", F(3, 2), F(-1, 2)), S_DEFAULT)
+@example(_on_locus("S", F(2, 3), F(-1, 3)), S_DEFAULT)
+@example(_on_locus("k(x)", F(1, 4), 0), S_DEFAULT)
+def test_bg_locus_polynomials_agree_with_nu_and_the_margin(case, s):
+    v, alpha, beta = case
+    p = TiltParams(alpha, beta, s)
+    locus = _nu_zero_locus(v, s)
+    if locus is None:
+        assert v.ch0 == v.ch1 == 0 and nu(v, p) is None
+        return
+    where, margin = locus
+    if v.ch0 == 0:
+        # the line beta = ch2/ch1, every alpha on it, margin in a alone
+        assert where == beta and margin.degree_beta() == 0
+        assert poly_eval(margin, alpha, 0) == bg_margin_from_squared(v, alpha**2, beta, s)
+    else:
+        # alpha^2 and the margin as polynomials in b alone
+        assert where.degree_alpha() == margin.degree_alpha() == 0
+        assert poly_eval(where, 0, beta) == alpha**2
+        assert poly_eval(margin, 0, beta) == bg_margin_from_squared(v, alpha**2, beta, s)
+    if v.ch1 != beta * v.ch0:
+        assert nu(v, p) == 0
+    else:
+        assert nu(v, p) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero, rationals, rationals, rationals, rationals)
+def test_bg_margin_cubic_coefficient_vanishes_at_one_sixth(ch0, ch1, ch2, ch3, s):
+    # alpha^2 = b^2 + ..., ch1^B = -ch0*b + ... and ch3^B = -d*ch0*b^3/6 + ...,
+    # so the b^3 coefficient of s*d*alpha^2*ch1^B - ch3^B is d*ch0*(1/6 - s).
+    _, margin = _nu_zero_locus(ChernCharacter(ch0, ch1, ch2, ch3), s)
+    assert margin.degree_beta() <= 3
+    assert margin.terms.get((0, 3), 0) == DEGREE * ch0 * (F(1, 6) - s)
+
+
+def test_bg_margin_at_one_sixth_on_the_catalog():
+    b = BivariatePoly.beta()
+    for label in ("O(-1)", "O", "O(1)"):
+        assert _nu_zero_locus(catalog_lookup(label).ch, S_DEFAULT)[1].is_zero()
+    assert _nu_zero_locus(catalog_lookup("S(-1)").ch, S_DEFAULT)[1] == -(2 * b + 1) * F(1, 6)
+
+
+def _readme_command_lines():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("tiltcert ")]
+
+
+def test_readme_command_lines_parse():
+    # A flag the parser no longer has, left in the docs, fails here.
+    lines = _readme_command_lines()
+    assert len(lines) >= 8
+    parser = _build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_bg_missing_file_is_input_error(capsys):
@@ -404,8 +554,6 @@ def test_bg_rank_zero_class_prints_its_nu_zero_line(tmp_path, capsys):
     path.write_text(json.dumps({"ch0": "0", "ch1": "1", "ch2": "-1/4", "ch3": "0"}))
     assert main(["bg", "--chern", str(path)]) == 0
     assert capsys.readouterr().out == "nu = 0 on the line beta = -1/4: margin = 1/3*a^2 + 1/16\n"
-    assert main(["bg", "--chern", str(path), "--region", "0:1,0:1"]) == 0
-    assert capsys.readouterr().out == "nu = 0 on the line beta = -1/4, outside [0, 1]\n"
 
 
 def test_plot_zvectors_svg_has_four_arrows(tmp_path, capsys):

@@ -34,7 +34,6 @@ from tiltcert.tilt import (
     lambda_slope,
     mu,
     nu,
-    nu_zero_alpha_squared,
     twisted_ch_polynomials,
     wall_polynomial,
     z_polynomials,
@@ -264,15 +263,6 @@ def test_bg_margin_matches_re_z():
         for _ in range(20):
             p = TiltParams(F(rng.randrange(1, 20), 12), F(rng.randrange(-20, 21), 12))
             assert bg_margin(obj(label), p) == central_charge(obj(label), p)[0]
-
-
-def test_nu_zero_alpha_squared():
-    assert nu_zero_alpha_squared(obj("k(x)"), F(-1, 4)) is None
-    assert nu_zero_alpha_squared(obj("O"), F(-1, 4)) == F(1, 16)
-    # O(1) at beta: alpha^2 = (1-beta)^2
-    assert nu_zero_alpha_squared(obj("O(1)"), F(-1, 2)) == F(9, 4)
-    # S(-1) at beta = -1/4: beta^2 + beta < 0, locus empty
-    assert nu_zero_alpha_squared(obj("S(-1)"), F(-1, 4)) == F(-3, 16)
 
 
 def test_wall_polynomial_frozen():
