@@ -7,8 +7,11 @@ modes: max_depth = 0 (inconclusive, never falsely failed) and a widened
 region (failed, with concrete witnesses).
 """
 
+import hashlib
 import json
 from fractions import Fraction as F
+
+import pytest
 
 from tiltcert import suite
 from tiltcert.certify import Region, certify_sign, default_region, SIDE_LEFT, SIDE_RIGHT
@@ -150,6 +153,20 @@ def test_report_json_deterministic():
     first = verify_all().to_json()
     second = verify_all().to_json()
     assert first == second
+
+
+# A caller's sided region is kept for the items that name no side of their
+# own (the mu signs, the skyscraper direct and base items).
+SIDED_REPORT_BYTES = [
+    (SIDE_LEFT, "0f8e67d643f9cdf689beaf4addefddd3f91a1bfdc66a9e034b9e61aa4c93d234"),
+    (SIDE_RIGHT, "89489cf6b3045d28d09da1a14ccf2bb26c4256586b8df78c5d4ab1c07c2d4e2f"),
+]
+
+
+@pytest.mark.parametrize("side, digest", SIDED_REPORT_BYTES)
+def test_sided_region_report_bytes_are_pinned(side, digest):
+    text = verify_all(region=default_region(side)).to_json() + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_table_discrepancy_recorded_not_failed():
