@@ -24,10 +24,10 @@ hi} with lo or hi equal to -alpha, bisected as the unit box in (alpha, t)
 with beta = lo + t * (hi - lo) substituted into the product (side_pieces).
 A region that the side line meets in one corner has no pieces: it is
 that point or empty, read by the witness search's vertex stage alone.
-Pieces are also cut at alpha = 0 and t = 0, so each box coordinate keeps
-one sign; there a monomial's Bernstein coefficients are averages of
-products of endpoint values, inside its range, so Bernstein decides
-every box the monomial interval hull would.
+Pieces are also cut at alpha = 0 and t = 0, so a zero of the claim on
+those lines sits on box edges: b^2 >= 0 on beta in [-1/2, 1/4] certifies
+on its two root boxes, but uncut, every box around beta = 0 keeps the
+negative Bernstein coefficient lo*hi (inconclusive, 21 boxes, depth 16).
 
 Stopping rule: the bisection stops at the first box that yields a piece
 point where poly breaks its sign: a violating Bernstein corner

@@ -15,20 +15,15 @@ from .certify import SIDE_LEFT, SIDE_RIGHT, SIDE_SIGNS, sign_parts
 from .chern import ChernCharacter, quadric_catalog, shift
 
 
-# (label, character of the shifted object, shift) for each heart generator,
-# in heart order, from the catalog objects that carry a heart shift.
-GENERATORS = tuple(
-    (
-        f"{obj.label}[{obj.heart_shift}]" if obj.heart_shift else obj.label,
-        shift(obj.ch, obj.heart_shift),
-        obj.heart_shift,
-    )
+# Label -> character of the shifted object for each heart generator, in
+# heart order, from the catalog objects that carry a heart shift.
+GENERATORS = {
+    obj.label + (f"[{obj.heart_shift}]" if obj.heart_shift else ""): shift(obj.ch, obj.heart_shift)
     for obj in quadric_catalog()
     if obj.heart_shift is not None
-)
-GENERATOR_LABELS = tuple(label for label, _, _ in GENERATORS)
+}
 # One row per Chern component, holding that component of each generator.
-_GENERATOR_ROWS = tuple(zip(*(ch.as_tuple() for _, ch, _ in GENERATORS)))
+_GENERATOR_ROWS = tuple(zip(*(ch.as_tuple() for ch in GENERATORS.values())))
 
 FULL_REGION = "full"
 
@@ -92,7 +87,7 @@ class ImSignFact:
     sign: str  # one of <0, <=0, >0, >=0
 
     def __post_init__(self):
-        if self.generator not in GENERATOR_LABELS:
+        if self.generator not in GENERATORS:
             raise ValueError(f"bad generator {self.generator!r}")
         sign_parts(self.sign)
         if self.subregion not in (FULL_REGION, *SIDE_SIGNS):
@@ -121,7 +116,7 @@ def _edge(vec, subregion, facts):
     for base in BASE_VECTORS:
         moves = [
             (label, x - y)
-            for label, x, y in zip(GENERATOR_LABELS, vec.as_tuple(), base.as_tuple())
+            for label, x, y in zip(GENERATORS, vec.as_tuple(), base.as_tuple())
             if x != y
         ]
         if all(

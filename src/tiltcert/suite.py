@@ -3,9 +3,10 @@ construction on the quadric, as machine-checkable report items.
 
 Items come in two flavors.  Identity items compare computed polynomials
 against frozen reference closed forms by exact equality in Q[a, b].
-Certificate items are (target, sign, region) rows: the engine certifies
-the computed polynomial itself (a real part, a reduced cross product, Im Z,
-or a slope's numerator x denominator) as one interval-subdivision factor.
+Certificate items are (poly, sign, side) claims, each certified once per
+run by the run's certifier: the engine certifies the computed polynomial
+itself (a real part, a reduced cross product, Im Z, or a slope's
+numerator x denominator) on the region, or on the side of it a claim names.
 """
 
 import json
@@ -155,21 +156,32 @@ def _identity_item(name, ok, notes=None):
     )
 
 
-def _certificate_item(name, target, sign, region, max_depth, notes=()):
-    """Certify `target sign` on the region.  The report lists the claim as
-    its one factor, {"expr", "target"}; the item itself carries the
-    certificate's status, witness, boxes and depth."""
-    claim = FactoredClaim((Factor(target, sign, "interval-subdivision"),), sign)
-    cert = certify_sign(claim, region, max_depth)
-    return ReportItem(
-        name=name,
-        status=cert.status,
-        factors=[{"expr": poly_format(target), "target": sign}],
-        witness=cert.witness,
-        boxes=cert.boxes,
-        depth=cert.depth,
-        notes=list(notes) + cert.notes,
-    )
+def _certifier(region, max_depth):
+    """certify(name, poly, sign, side=None, notes=()) is the report item of
+    `poly sign` on the region, or on its `side` half when a side is named:
+    the claim as its one factor, {"expr", "target"}, with the certificate's
+    status, witness, boxes and depth.  Each distinct (poly, sign, side) is
+    certified once, keyed by the poly's canonical text, which hashes cheaply."""
+    certs = {}
+
+    def certify(name, poly, sign, side=None, notes=()):
+        key = (poly_format(poly), sign, side)
+        if key not in certs:
+            claim = FactoredClaim((Factor(poly, sign, "interval-subdivision"),), sign)
+            on = region if side is None else replace(region, side=side)
+            certs[key] = certify_sign(claim, on, max_depth)
+        cert = certs[key]
+        return ReportItem(
+            name=name,
+            status=cert.status,
+            factors=[{"expr": key[0], "target": sign}],
+            witness=cert.witness,
+            boxes=cert.boxes,
+            depth=cert.depth,
+            notes=list(notes) + cert.notes,
+        )
+
+    return certify
 
 
 # --- closed-form identities --------------------------------------------
@@ -229,7 +241,7 @@ def _structural_items():
 # --- half-plane certificates ---------------------------------------------------
 
 
-def verify_half_plane(region, max_depth):
+def verify_half_plane(certify):
     """Image-of-Z half-plane containment, split by the sign of beta^2-alpha^2.
 
     Case A (alpha >= -beta): Re Z < 0, except Re Z(O[1]) = b*(a^2 - b^2)/3 <= 0.
@@ -238,30 +250,25 @@ def verify_half_plane(region, max_depth):
     cross(Z(O[1]), Z(G)) = (a^2 - b^2)*r_G with r_G = (b/3)*Im Z(G) - a*Re Z(G).
     Here a^2 - b^2 <= 0, as `im sign O[1] alpha<=-beta` certifies, so r_G > 0
     puts Z(G) clockwise of Z(O[1]): strictly off the line, where Z(O[1]) = 0.
+    Each claim names its case's side to `certify`, the run's certifier.
     """
     items = []
     # Report order: O(1), O[1], S(-1)[2], O(-1)[3].
-    charges = [(label, ch, *z_polynomials(ch, S_DEFAULT)) for label, ch, _ in reversed(GENERATORS)]
-    region_a = replace(region, side=SIDE_RIGHT)
-    for label, _, re_poly, _ in charges:
+    charges = [(label, *z_polynomials(ch, S_DEFAULT)) for label, ch in reversed(GENERATORS.items())]
+    for label, re_poly, _ in charges:
         sign = "<=0" if label == "O[1]" else "<0"
-        items.append(
-            _certificate_item(f"half-plane A re {label}", re_poly, sign, region_a, max_depth)
-        )
-    region_b = replace(region, side=SIDE_LEFT)
-    axis_ch = next(ch for label, ch, _ in GENERATORS if label == "O[1]")
+        items.append(certify(f"half-plane A re {label}", re_poly, sign, SIDE_RIGHT))
+    axis_ch = GENERATORS["O[1]"]
     span, u_re, u_im = A**2 - B**2, B * Fraction(1, 3), A
     unfactored = []
-    for label, ch, re_poly, im_poly in charges:
+    for label, re_poly, im_poly in charges:
         if label == "O[1]":
             ok = re_poly == span * u_re and im_poly == span * u_im
             items.append(_identity_item("half-plane B axis O[1]", ok))
             continue
         r_poly = u_re * im_poly - u_im * re_poly
-        items.append(
-            _certificate_item(f"half-plane B cross {label}", r_poly, ">0", region_b, max_depth)
-        )
-        if cross_polynomial(axis_ch, ch, S_DEFAULT) != span * r_poly:
+        items.append(certify(f"half-plane B cross {label}", r_poly, ">0", SIDE_LEFT))
+        if cross_polynomial(axis_ch, GENERATORS[label], S_DEFAULT) != span * r_poly:
             unfactored.append(f"cross O[1] x {label} is not (a^2 - b^2) times the certified r")
     items.append(_identity_item("half-plane B factorisation", not unfactored, unfactored))
     return items
@@ -270,52 +277,42 @@ def verify_half_plane(region, max_depth):
 # --- skyscraper condition ------------------------------------------------------
 
 
-def verify_skyscraper_condition(region, max_depth):
+def verify_skyscraper_condition(certify):
     """Im Z > 0 for every subobject candidate of the skyscraper vector.
 
-    Certifies the generator sign facts and all eleven candidates directly
-    (the base vectors' items reuse theirs), the quoted table entries, and the
+    Certifies through `certify` the generator sign facts, the base vectors
+    and all eleven candidates directly, the quoted table entries, and the
     dominance derivation of the other nine.  Where the certified sign facts
     leave the derivation short, the direct certificates decide the coverage
     item: its status is theirs, with the first failed one's witness.
     """
-    generator_im = {label: z_polynomials(ch, S_DEFAULT)[1] for label, ch, _ in GENERATORS}
+    generator_im = {label: z_polynomials(ch, S_DEFAULT)[1] for label, ch in GENERATORS.items()}
     items = []
     facts = []
     blocked = []
     for fact in DEFAULT_SIGN_FACTS:
-        name = f"im sign {fact.generator}"
-        sub = region
-        if fact.subregion != FULL_REGION:
-            name += f" {fact.subregion}"
-            sub = replace(region, side=fact.subregion)
-        item = _certificate_item(name, generator_im[fact.generator], fact.sign, sub, max_depth)
+        side = None if fact.subregion == FULL_REGION else fact.subregion
+        name = f"im sign {fact.generator}" + (f" {side}" if side else "")
+        item = certify(name, generator_im[fact.generator], fact.sign, side)
         items.append(item)
         if item.status == "certified":
             facts.append(fact)
         else:
             blocked.append(name)
-    # Each candidate's Im Z, certified once; the base vectors' items reuse it.
     candidates = skyscraper_candidates()
     candidate_im = {vec: z_polynomials(heart_ch(vec), S_DEFAULT)[1] for vec in candidates}
-    direct = {
-        vec: _certificate_item(f"skyscraper direct {vec}", im, ">0", region, max_depth)
-        for vec, im in candidate_im.items()
-    }
     for v in BASE_VECTORS:
         notes = []
         if v.as_tuple() == (0, 1, 0, 1):
             notes.append("Im form derived by additivity, not the quoted table entry")
-        item = direct[v]
-        items.append(replace(item, name=f"skyscraper base {v}", notes=notes + item.notes))
+        items.append(certify(f"skyscraper base {v}", candidate_im[v], ">0", notes=notes))
     # Quoted table entries vs the additivity computation.
     for v in BASE_VECTORS:
-        im = candidate_im[v]
         additive = BivariatePoly()
-        for mult, (label, _, _) in zip(v.as_tuple(), GENERATORS):
+        for mult, label in zip(v.as_tuple(), GENERATORS):
             additive = additive + mult * generator_im[label]
         quoted = REFERENCE_TABLE_IM[v.as_tuple()]
-        ok = im == additive
+        ok = candidate_im[v] == additive
         notes = []
         if quoted != additive:
             notes.append(
@@ -326,6 +323,7 @@ def verify_skyscraper_condition(region, max_depth):
             if v.as_tuple() != (0, 1, 0, 1):
                 ok = False
         items.append(_identity_item(f"skyscraper table {v}", ok, notes))
+    direct = [certify(f"skyscraper direct {vec}", im, ">0") for vec, im in candidate_im.items()]
     # Dominance derivation of the remaining nine candidates.
     try:
         notes = reduce_candidates(candidates, tuple(facts))
@@ -337,20 +335,20 @@ def verify_skyscraper_condition(region, max_depth):
         notes.append(f"decided by the {len(direct)} skyscraper direct certificates")
         coverage = ReportItem(
             "skyscraper derivation coverage",
-            _aggregate(direct.values()),
-            witness=next((c.witness for c in direct.values() if c.status == "failed"), None),
+            _aggregate(direct),
+            witness=next((c.witness for c in direct if c.status == "failed"), None),
             notes=notes,
         )
     items.append(coverage)
-    items.extend(direct.values())
+    items.extend(direct)
     return items
 
 
 # --- mu signs and the degree-3 equality ---------------------------------------
 
 
-def _mu_sign_items(region, max_depth):
-    """Slope signs of the plain generators, via numerator x denominator."""
+def _mu_sign_items(certify):
+    """Slope signs of the plain generators, via numerator x denominator, on the run's region."""
     items = []
     for label, sign in (("S(-1)", "<=0"), ("O", ">=0"), ("O(-1)", "<0"), ("O(1)", ">0")):
         ch = catalog_lookup(label).ch
@@ -359,9 +357,7 @@ def _mu_sign_items(region, max_depth):
         notes = ["slope sign certified as numerator x denominator"]
         if label == "O":
             notes.append("mu(O) = -beta/alpha is nonnegative on beta <= 0")
-        items.append(
-            _certificate_item(f"mu sign {label}", t1 * ch.ch0 * A, sign, region, max_depth, notes)
-        )
+        items.append(certify(f"mu sign {label}", t1 * ch.ch0 * A, sign, notes=notes))
     return items
 
 
@@ -402,12 +398,13 @@ def _bg_equality_item():
 def verify_all(max_depth=16, region=None):
     """Full verification: structural identities, closed forms, half-plane
     containment, skyscraper positivity, slope signs, degree-3 equality.
-    Each section returns its items; this is the one Report of a run."""
-    region = region or default_region()
+    Each section returns its items; this is the one Report of a run.  The
+    sections that certify share one certifier on `region` or default_region()."""
+    certify = _certifier(region or default_region(), max_depth)
     items = _structural_items()
     items.extend(verify_lemma_computation())
-    items.extend(verify_half_plane(region, max_depth))
-    items.extend(verify_skyscraper_condition(region, max_depth))
-    items.extend(_mu_sign_items(region, max_depth))
+    items.extend(verify_half_plane(certify))
+    items.extend(verify_skyscraper_condition(certify))
+    items.extend(_mu_sign_items(certify))
     items.append(_bg_equality_item())
     return Report(_aggregate(items), items)

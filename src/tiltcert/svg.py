@@ -50,7 +50,7 @@ def emit_zvectors_svg(p, path):
     applies at (alpha, beta): the imaginary axis when alpha >= -beta, the
     line through Z(O[1]) otherwise.
     """
-    charges = [(label, *central_charge(ch, p)) for label, ch, _ in GENERATORS]
+    charges = [(label, *central_charge(ch, p)) for label, ch in GENERATORS.items()]
     # Never 0: Im Z is +-alpha * (x^2 - alpha^2) with x = 1 - beta, beta, 1 + beta
     # on O(1), O[1], O(-1)[3], and those three x^2 are never all equal.
     extent = max(max(abs(re), abs(im)) for _, re, im in charges)

@@ -28,6 +28,7 @@ from tiltcert.chern import catalog_lookup, line_bundle_ch, quadric_catalog
 from tiltcert.cli import main
 from tiltcert.kernel import BivariatePoly, poly_eval
 from tiltcert.suite import (
+    _certifier,
     verify_half_plane,
     verify_lemma_computation,
     verify_skyscraper_condition,
@@ -96,7 +97,7 @@ def test_acceptance_02_structural_identities(capsys):
 
 def test_acceptance_03_half_plane_certificates(capsys):
     problems = []
-    items = verify_half_plane(default_region(), 16)
+    items = verify_half_plane(_certifier(default_region(), 16))
     for item in items:
         if item.status != "certified":
             problems.append(f"{item.name}: {item.status}")
@@ -118,7 +119,7 @@ def test_acceptance_03_half_plane_certificates(capsys):
 
 def test_acceptance_04_skyscraper_condition(capsys):
     problems = []
-    items = verify_skyscraper_condition(default_region(), 16)
+    items = verify_skyscraper_condition(_certifier(default_region(), 16))
     for item in items:
         if item.status != "certified":
             problems.append(f"{item.name}: {item.status}")

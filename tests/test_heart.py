@@ -8,14 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltcert.certify import SIDE_LEFT, SIDE_RIGHT, sign_parts
-from tiltcert.chern import ChernCharacter, catalog_lookup, shift
+from tiltcert.chern import ChernCharacter, catalog_lookup, quadric_catalog, shift
 from tiltcert.heart import (
     BASE_VECTORS,
     DEFAULT_SIGN_FACTS,
     DerivationError,
     DimensionVector,
     GENERATORS,
-    GENERATOR_LABELS,
     ImSignFact,
     FULL_REGION,
     SKYSCRAPER_VECTOR,
@@ -43,24 +42,24 @@ def test_dimension_vector_rejects_non_integers():
 
 
 def test_generator_characters_are_shifted_catalog_entries():
-    assert GENERATOR_LABELS == ("O(-1)[3]", "S(-1)[2]", "O[1]", "O(1)")
-    assert tuple(k for _, _, k in GENERATORS) == (3, 2, 1, 0)
-    chars = {label: ch for label, ch, _ in GENERATORS}
-    assert chars["O(-1)[3]"] == shift(catalog_lookup("O(-1)").ch, 3)
-    assert chars["S(-1)[2]"] == shift(catalog_lookup("S(-1)").ch, 2)
-    assert chars["O[1]"] == shift(catalog_lookup("O").ch, 1)
-    assert chars["O(1)"] == catalog_lookup("O(1)").ch
+    assert tuple(GENERATORS) == ("O(-1)[3]", "S(-1)[2]", "O[1]", "O(1)")
+    shifts = [(o.label, o.heart_shift) for o in quadric_catalog() if o.heart_shift is not None]
+    assert shifts == [("O(-1)", 3), ("S(-1)", 2), ("O", 1), ("O(1)", 0)]
+    assert GENERATORS["O(-1)[3]"] == shift(catalog_lookup("O(-1)").ch, 3)
+    assert GENERATORS["S(-1)[2]"] == shift(catalog_lookup("S(-1)").ch, 2)
+    assert GENERATORS["O[1]"] == shift(catalog_lookup("O").ch, 1)
+    assert GENERATORS["O(1)"] == catalog_lookup("O(1)").ch
     # explicit values: odd shifts negate
-    assert chars["O(-1)[3]"] == ChernCharacter(F(-1), F(1), F(-1, 2), F(1, 3))
-    assert chars["O[1]"] == ChernCharacter(F(-1), F(0), F(0), F(0))
-    assert chars["S(-1)[2]"] == ChernCharacter(F(2), F(-1), F(0), F(1, 6))
+    assert GENERATORS["O(-1)[3]"] == ChernCharacter(F(-1), F(1), F(-1, 2), F(1, 3))
+    assert GENERATORS["O[1]"] == ChernCharacter(F(-1), F(0), F(0), F(0))
+    assert GENERATORS["S(-1)[2]"] == ChernCharacter(F(2), F(-1), F(0), F(1, 6))
 
 
 def test_heart_ch_skyscraper():
     assert heart_ch(SKYSCRAPER_VECTOR) == catalog_lookup("k(x)").ch
     assert heart_ch(DimensionVector(0, 0, 0, 0)) == ChernCharacter(F(0), F(0), F(0), F(0))
     # single-generator vectors give back the shifted characters
-    chars = [ch for _, ch, _ in GENERATORS]
+    chars = list(GENERATORS.values())
     units = (
         DimensionVector(1, 0, 0, 0),
         DimensionVector(0, 1, 0, 0),
@@ -188,7 +187,7 @@ class _RefEdge:
 
     def describe(self):
         moves = []
-        for label, change in zip(GENERATOR_LABELS, self.delta):
+        for label, change in zip(GENERATORS, self.delta):
             if change > 0:
                 moves.append(f"add {change} x {label}")
             elif change < 0:
@@ -211,7 +210,7 @@ def _ref_edge_for(vec, subregion, facts):
         delta = tuple(x - y for x, y in zip(vec.as_tuple(), base.as_tuple()))
         if all(
             _ref_allows(label, change, subregion, facts)
-            for label, change in zip(GENERATOR_LABELS, delta)
+            for label, change in zip(GENERATORS, delta)
             if change
         ):
             return _RefEdge(base=base, delta=delta, subregion=subregion)
@@ -251,7 +250,7 @@ def _ref_reduce(vectors, facts):
 
 ALL_FACTS = tuple(
     ImSignFact(label, subregion, sign)
-    for label in GENERATOR_LABELS
+    for label in GENERATORS
     for subregion in (FULL_REGION, SIDE_LEFT, SIDE_RIGHT)
     for sign in ("<0", "<=0", ">0", ">=0")
 )

@@ -22,10 +22,13 @@ from tiltcert.kernel import (
     format_rational,
     parse_rational,
     poly_eval,
+    poly_format,
 )
 from tiltcert.heart import BASE_VECTORS, GENERATORS
 from tiltcert.tilt import TiltParams, bg_margin, twisted_ch_polynomials, z_polynomials
 from tiltcert.suite import (
+    _certifier,
+    _mu_sign_items,
     REFERENCE_TABLE_IM,
     REFERENCE_TWISTED,
     REFERENCE_Z,
@@ -121,8 +124,8 @@ def test_layer_reports_standalone():
     region = default_region()
     for items, count in (
         (verify_lemma_computation(), 20),
-        (verify_half_plane(region, 16), 9),
-        (verify_skyscraper_condition(region, 16), 19),
+        (verify_half_plane(_certifier(region, 16)), 9),
+        (verify_skyscraper_condition(_certifier(region, 16)), 19),
     ):
         assert len(items) == count and all(item.status == "certified" for item in items)
 
@@ -198,7 +201,7 @@ def _perturb_z(monkeypatch, label):
     # Lower Re Z(label), as the suite reads it, by a^3/100: case A's claims
     # still hold, and every r gains a^4/100 or nothing.  tilt's own
     # z_polynomials, which cross_polynomial calls, is untouched.
-    target = next(ch for name, ch, _ in GENERATORS if name == label)
+    target = GENERATORS[label]
 
     def perturbed(v, s):
         re, im = z_polynomials(v, s)
@@ -209,7 +212,7 @@ def _perturb_z(monkeypatch, label):
 
 def test_half_plane_axis_fails_on_perturbed_o_shift_charge(monkeypatch):
     _perturb_z(monkeypatch, "O[1]")
-    items = verify_half_plane(default_region(), 16)
+    items = verify_half_plane(_certifier(default_region(), 16))
     failed = [item.name for item in items if item.status == "failed"]
     assert failed == ["half-plane B axis O[1]"]
 
@@ -218,7 +221,7 @@ def test_half_plane_factorisation_fails_on_perturbed_o1_charge(monkeypatch):
     # The perturbed r of O(1) still certifies on alpha <= -beta, but it is no
     # longer the cofactor of the real cross product.
     _perturb_z(monkeypatch, "O(1)")
-    items = _by_name(verify_half_plane(default_region(), 16))
+    items = _by_name(verify_half_plane(_certifier(default_region(), 16)))
     assert items["half-plane B cross O(1)"].status == "certified"
     factorisation = items["half-plane B factorisation"]
     assert factorisation.status == "failed"
@@ -338,7 +341,7 @@ def test_wrong_twisted_reference_names_component(monkeypatch):
 def test_wrong_table_reference_fails_table_item(monkeypatch):
     quoted = REFERENCE_TABLE_IM[(0, 2, 4, 1)]
     monkeypatch.setitem(REFERENCE_TABLE_IM, (0, 2, 4, 1), quoted + A)
-    items = _by_name(verify_skyscraper_condition(default_region(), 16))
+    items = _by_name(verify_skyscraper_condition(_certifier(default_region(), 16)))
     assert items["skyscraper table (0,2,4,1)"].status == "failed"
 
 
@@ -403,6 +406,25 @@ def test_each_claim_is_certified_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_every_claim_goes_through_the_run_certifier():
+    # The three certifying sections name each claim to the certifier they
+    # are given: 27 claims, in report order, holding 25 distinct
+    # (poly, sign, side) keys, since each base vector is a candidate too.
+    claims = []
+
+    def record(name, poly, sign, side=None, notes=()):
+        claims.append((name, poly_format(poly), sign, side))
+        return ReportItem(name, "certified", [{"expr": poly_format(poly), "target": sign}])
+
+    for section in (verify_half_plane, verify_skyscraper_condition, _mu_sign_items):
+        section(record)
+    certified = [(item.name, item.factors) for item in verify_all().items if item.factors]
+    assert len(claims) == 27
+    named = [(name, [{"expr": expr, "target": sign}]) for name, expr, sign, _ in claims]
+    assert named == certified
+    assert len({(expr, sign, side) for _, expr, sign, side in claims}) == 25
+
+
 def test_skyscraper_base_items_are_their_direct_certificates():
     # Both base vectors certify on the default and the widened region, and
     # both fail with a witness once alpha reaches 3/5.
@@ -412,7 +434,7 @@ def test_skyscraper_base_items_are_their_direct_certificates():
         alpha_open=(True, True),
     )
     for region in (default_region(), _widened_region(), wide_alpha):
-        items = _by_name(verify_skyscraper_condition(region, 16))
+        items = _by_name(verify_skyscraper_condition(_certifier(region, 16)))
         for v in BASE_VECTORS:
             base, direct = items[f"skyscraper base {v}"], items[f"skyscraper direct {v}"]
             assert (base.status, base.witness, base.boxes, base.depth, base.factors) == (
@@ -459,7 +481,7 @@ def test_coverage_falls_back_on_the_direct_certificates():
         alpha=RationalInterval(F(0), F(1, 3)),
         alpha_open=(True, True),
     )
-    items = _by_name(verify_skyscraper_condition(region, 16))
+    items = _by_name(verify_skyscraper_condition(_certifier(region, 16)))
     assert items["im sign S(-1)[2]"].status == "failed"
     assert items["im sign O[1] alpha>=-beta"].status == "failed"
     direct = [item for name, item in items.items() if name.startswith("skyscraper direct")]
@@ -475,7 +497,7 @@ def test_coverage_falls_back_on_the_direct_certificates():
     ]
     # On the widened region some candidates fail directly: coverage fails
     # with the first failed direct certificate's witness.
-    coverage = _by_name(verify_skyscraper_condition(_widened_region(), 16))[
+    coverage = _by_name(verify_skyscraper_condition(_certifier(_widened_region(), 16)))[
         "skyscraper derivation coverage"
     ]
     assert (coverage.status, coverage.witness) == ("failed", (F(1, 6), F(1, 2)))
