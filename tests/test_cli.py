@@ -166,6 +166,11 @@ BYTE_CONTRACTS = [
         ["verify", "--region", "-1:1/3,1/7:2/3", "--max-depth", "0", "--json"],
         "e091fe6fc48c7a05af39aadc4503c5824922a80543e893059ee5cdb374c6c2d1",
     ),
+    # The first zvectors figure above, at s = 1/5 instead of the default 1/6.
+    (
+        ["plot", "zvectors", "--alpha", "1/4", "--beta", "-1/8", "--s", "1/5", "-o"],
+        "5ee88f5cc043d65fef546418ef019f76c55f3aaeeea3264abeec9b3ab8d13cc1",
+    ),
 ]
 
 # The same contract for the subcommands that print their result.
@@ -214,6 +219,15 @@ STDOUT_CONTRACTS = [
     (
         ["bg", "--chern", "k(x)"],
         "38e4b5e109db30d3c9c133836e2872919cf6e2603f72162c26218e8ba802658d",
+    ),
+    (
+        ["slopes", "--object", "O(1)", "--alpha", "1/4", "--beta", "-1/4", "--s", "1/5"],
+        "cbb3ca9513b0ee9d87ea052af8a95856b49f64ca19a54181e4e6e34c1d9186f5",
+    ),
+    (
+        # margin -(b - 1)^3/15: the b^3 coefficient is d*ch0*(1/6 - s) = -1/15
+        ["bg", "--chern", "O(1)", "--s", "1/5"],
+        "7669d208add823d26ca88a7e2134bc56dde8a06aab80d97f7fb33758b0b20876",
     ),
 ]
 
