@@ -1,15 +1,15 @@
 """The exceptional-collection heart as dimension vectors.
 
 The heart is generated by O(-1)[3], S(-1)[2], O[1], O(1); an object is
-recorded by its multiplicity vector (a, b, c, d) against those simple
-generators.  This module enumerates the subobject candidates for the
-skyscraper vector (1, 2, 4, 1) and reduces them to the two base cases
-via Im Z dominance.  The reduction is text: one "vec: base" or
-"vec: edge[; edge]" line per candidate, where an edge reads
-"base [remove n x G, add m x H] on subregion".
+recorded by its multiplicity vector, an int 4-tuple (a, b, c, d) against
+those simple generators.  This module enumerates the subobject
+candidates for the skyscraper vector (1, 2, 4, 1) and reduces them to the
+two base cases via Im Z dominance.  A sign fact is a row
+(generator, side, sign), with side None for the whole region.  The
+reduction is text: one "vec: base" or "vec: edge[; edge]" line per
+candidate, where an edge reads "base [remove n x G, add m x H] on full"
+or "... on <side>".
 """
-
-from dataclasses import dataclass
 
 from .certify import SIDE_LEFT, SIDE_RIGHT, SIDE_SIGNS, sign_parts
 from .chern import ChernCharacter, quadric_catalog, shift
@@ -25,36 +25,18 @@ GENERATORS = {
 # One row per Chern component, holding that component of each generator.
 _GENERATOR_ROWS = tuple(zip(*(ch.as_tuple() for ch in GENERATORS.values())))
 
-FULL_REGION = "full"
+SKYSCRAPER_VECTOR = (1, 2, 4, 1)
+BASE_VECTORS = ((0, 2, 4, 1), (0, 1, 0, 1))
 
 
-@dataclass(frozen=True)
-class DimensionVector:
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"component {name} must be a nonnegative integer")
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __str__(self):
-        return "(" + ",".join(str(x) for x in self.as_tuple()) + ")"
-
-
-SKYSCRAPER_VECTOR = DimensionVector(1, 2, 4, 1)
+def vector_text(v):
+    """The vector as "(a,b,c,d)"."""
+    return "(" + ",".join(map(str, v)) + ")"
 
 
 def heart_ch(v):
     """Additive extension: -a*ch(O(-1)) + b*ch(S(-1)) - c*ch(O) + d*ch(O(1))."""
-    mults = v.as_tuple()
-    return ChernCharacter(*(sum(m * x for m, x in zip(mults, row)) for row in _GENERATOR_ROWS))
+    return ChernCharacter(*(sum(m * x for m, x in zip(v, row)) for row in _GENERATOR_ROWS))
 
 
 # --- candidate enumeration ---------------------------------------------------
@@ -67,97 +49,75 @@ class DerivationError(ValueError):
 def skyscraper_candidates():
     """The proper-subobject dimension vectors of SKYSCRAPER_VECTOR, in
     lexicographic order: a = 0, d = 1, and c = 4 whenever b = 2."""
+    _, b_max, c_max, _ = SKYSCRAPER_VECTOR
     return tuple(
-        DimensionVector(0, b, c, 1)
-        for b in range(SKYSCRAPER_VECTOR.b + 1)
-        for c in range(SKYSCRAPER_VECTOR.c + 1)
-        if b != 2 or c == 4
+        (0, b, c, 1) for b in range(b_max + 1) for c in range(c_max + 1) if b != 2 or c == 4
     )
 
 
-BASE_VECTORS = (DimensionVector(0, 2, 4, 1), DimensionVector(0, 1, 0, 1))
-
-
-@dataclass(frozen=True)
-class ImSignFact:
-    """A certified sign of Im Z for one heart generator on a subregion."""
-
-    generator: str
-    subregion: str
-    sign: str  # one of <0, <=0, >0, >=0
-
-    def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise ValueError(f"bad generator {self.generator!r}")
-        sign_parts(self.sign)
-        if self.subregion not in (FULL_REGION, *SIDE_SIGNS):
-            raise ValueError(f"bad subregion {self.subregion!r}")
-
-    def allows(self, change, subregion):
-        """Whether adding `change` copies of the generator (removing them,
-        when negative) cannot decrease Im Z on `subregion`."""
-        return sign_parts(self.sign)[0] * change > 0 and self.subregion in (FULL_REGION, subregion)
-
-
+# Certified signs of Im Z, one (generator, side, sign) row each; side None
+# is the whole region.
 DEFAULT_SIGN_FACTS = (
-    ImSignFact("S(-1)[2]", FULL_REGION, "<0"),
-    ImSignFact("O[1]", SIDE_LEFT, "<=0"),
-    ImSignFact("O[1]", SIDE_RIGHT, ">=0"),
+    ("S(-1)[2]", None, "<0"),
+    ("O[1]", SIDE_LEFT, "<=0"),
+    ("O[1]", SIDE_RIGHT, ">=0"),
 )
 
 
-def _edge(vec, subregion, facts):
-    """The dominance edge from the first base that reaches vec on
-    `subregion`, as text, or None.
+def _edge(vec, side, facts):
+    """The dominance edge from the first base that reaches vec on `side`
+    (None for the whole region), as text, or None.
 
     Removing a generator with Im Z <= 0 (or adding one with Im Z >= 0)
     cannot decrease Im Z, so positivity at the base propagates to vec.
+    The edge ends "on full" for the whole region and "on <side>" otherwise.
     """
     for base in BASE_VECTORS:
-        moves = [
-            (label, x - y)
-            for label, x, y in zip(GENERATORS, vec.as_tuple(), base.as_tuple())
-            if x != y
-        ]
+        moves = [(label, x - y) for label, x, y in zip(GENERATORS, vec, base) if x != y]
         if all(
-            any(f.generator == label and f.allows(change, subregion) for f in facts)
+            any(
+                g == label and s in (None, side) and sign_parts(sign)[0] * change > 0
+                for g, s, sign in facts
+            )
             for label, change in moves
         ):
             text = ", ".join(
                 f"add {change} x {label}" if change > 0 else f"remove {-change} x {label}"
                 for label, change in moves
             )
-            return f"{base} [{text}] on {subregion}"
+            return f"{vector_text(base)} [{text}] on {side or 'full'}"
     return None
 
 
 def reduce_candidates(vectors, sign_facts=DEFAULT_SIGN_FACTS):
-    """Derive every candidate from the base set {(0,2,4,1), (0,1,0,1)}.
+    """Derive every candidate vector from the base set {(0,2,4,1), (0,1,0,1)}
+    by the (generator, side, sign) rows in `sign_facts`.
 
     Returns one line per vector, in order: "vec: base" for a base vector,
     "vec: edge" for one edge valid on the full region, or
-    "vec: left edge; right edge" for one edge per subregion of the
+    "vec: left edge; right edge" for one edge per side of the
     alpha = -beta split.  Raises DerivationError when the supplied facts
-    leave a (vector, subregion) pair underived.
+    leave a (vector, side) pair underived.
     """
     lines = []
     missing = []
     for vec in vectors:
+        text = vector_text(vec)
         if vec in BASE_VECTORS:
-            lines.append(f"{vec}: base")
+            lines.append(f"{text}: base")
             continue
-        edge = _edge(vec, FULL_REGION, sign_facts)
+        edge = _edge(vec, None, sign_facts)
         if edge is not None:
-            lines.append(f"{vec}: {edge}")
+            lines.append(f"{text}: {edge}")
             continue
         edges = []
-        for subregion in SIDE_SIGNS:
-            edge = _edge(vec, subregion, sign_facts)
+        for side in SIDE_SIGNS:
+            edge = _edge(vec, side, sign_facts)
             if edge is None:
-                missing.append(f"{vec} on {subregion}")
+                missing.append(f"{text} on {side}")
             else:
                 edges.append(edge)
-        lines.append(f"{vec}: " + "; ".join(edges))
+        lines.append(f"{text}: " + "; ".join(edges))
     if missing:
         raise DerivationError(f"sign facts do not cover: {'; '.join(missing)}")
     return lines

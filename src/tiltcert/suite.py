@@ -27,10 +27,10 @@ from .heart import (
     DEFAULT_SIGN_FACTS,
     GENERATORS,
     DerivationError,
-    FULL_REGION,
     heart_ch,
     reduce_candidates,
     skyscraper_candidates,
+    vector_text,
 )
 from .kernel import BivariatePoly, format_rational, poly_eval, poly_format
 from .tilt import (
@@ -291,9 +291,9 @@ def verify_skyscraper_condition(certify):
     facts = []
     blocked = []
     for fact in DEFAULT_SIGN_FACTS:
-        side = None if fact.subregion == FULL_REGION else fact.subregion
-        name = f"im sign {fact.generator}" + (f" {side}" if side else "")
-        item = certify(name, generator_im[fact.generator], fact.sign, side)
+        label, side, sign = fact
+        name = f"im sign {label}" + (f" {side}" if side else "")
+        item = certify(name, generator_im[label], sign, side)
         items.append(item)
         if item.status == "certified":
             facts.append(fact)
@@ -303,15 +303,16 @@ def verify_skyscraper_condition(certify):
     candidate_im = {vec: z_polynomials(heart_ch(vec), S_DEFAULT)[1] for vec in candidates}
     for v in BASE_VECTORS:
         notes = []
-        if v.as_tuple() == (0, 1, 0, 1):
+        if v == (0, 1, 0, 1):
             notes.append("Im form derived by additivity, not the quoted table entry")
-        items.append(certify(f"skyscraper base {v}", candidate_im[v], ">0", notes=notes))
+        name = f"skyscraper base {vector_text(v)}"
+        items.append(certify(name, candidate_im[v], ">0", notes=notes))
     # Quoted table entries vs the additivity computation.
     for v in BASE_VECTORS:
         additive = BivariatePoly()
-        for mult, label in zip(v.as_tuple(), GENERATORS):
+        for mult, label in zip(v, GENERATORS):
             additive = additive + mult * generator_im[label]
-        quoted = REFERENCE_TABLE_IM[v.as_tuple()]
+        quoted = REFERENCE_TABLE_IM[v]
         ok = candidate_im[v] == additive
         notes = []
         if quoted != additive:
@@ -320,10 +321,12 @@ def verify_skyscraper_condition(certify):
                 f"additivity result {poly_format(additive)}; "
                 "both are positive on the region"
             )
-            if v.as_tuple() != (0, 1, 0, 1):
+            if v != (0, 1, 0, 1):
                 ok = False
-        items.append(_identity_item(f"skyscraper table {v}", ok, notes))
-    direct = [certify(f"skyscraper direct {vec}", im, ">0") for vec, im in candidate_im.items()]
+        items.append(_identity_item(f"skyscraper table {vector_text(v)}", ok, notes))
+    direct = [
+        certify(f"skyscraper direct {vector_text(v)}", im, ">0") for v, im in candidate_im.items()
+    ]
     # Dominance derivation of the remaining nine candidates.
     try:
         notes = reduce_candidates(candidates, tuple(facts))

@@ -7,38 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltcert.certify import SIDE_LEFT, SIDE_RIGHT, sign_parts
+from tiltcert.certify import SIDE_LEFT, SIDE_RIGHT, SIDE_SIGNS, sign_parts
 from tiltcert.chern import ChernCharacter, catalog_lookup, quadric_catalog, shift
 from tiltcert.heart import (
     BASE_VECTORS,
     DEFAULT_SIGN_FACTS,
     DerivationError,
-    DimensionVector,
     GENERATORS,
-    ImSignFact,
-    FULL_REGION,
     SKYSCRAPER_VECTOR,
     heart_ch,
     reduce_candidates,
     skyscraper_candidates,
+    vector_text,
 )
 from tiltcert.tilt import TiltParams, central_charge
 
 F = Fraction
-
-
-def test_dimension_vector_validation():
-    with pytest.raises(ValueError):
-        DimensionVector(-1, 0, 0, 0)
-    v = DimensionVector(0, 1, 2, 1)
-    assert v.as_tuple() == (0, 1, 2, 1)
-    assert str(v) == "(0,1,2,1)"
-
-
-def test_dimension_vector_rejects_non_integers():
-    for bad in (3.7, True, "2"):
-        with pytest.raises(ValueError):
-            DimensionVector(0, 1, bad, 1)
 
 
 def test_generator_characters_are_shifted_catalog_entries():
@@ -57,24 +41,19 @@ def test_generator_characters_are_shifted_catalog_entries():
 
 def test_heart_ch_skyscraper():
     assert heart_ch(SKYSCRAPER_VECTOR) == catalog_lookup("k(x)").ch
-    assert heart_ch(DimensionVector(0, 0, 0, 0)) == ChernCharacter(F(0), F(0), F(0), F(0))
+    assert heart_ch((0, 0, 0, 0)) == ChernCharacter(F(0), F(0), F(0), F(0))
     # single-generator vectors give back the shifted characters
     chars = list(GENERATORS.values())
-    units = (
-        DimensionVector(1, 0, 0, 0),
-        DimensionVector(0, 1, 0, 0),
-        DimensionVector(0, 0, 1, 0),
-        DimensionVector(0, 0, 0, 1),
-    )
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     for unit, expected in zip(units, chars):
         assert heart_ch(unit) == expected
 
 
 def test_heart_ch_additive():
-    v = DimensionVector(0, 1, 2, 1)
-    w = DimensionVector(1, 1, 1, 0)
-    total = DimensionVector(*(x + y for x, y in zip(v.as_tuple(), w.as_tuple())))
-    assert total == DimensionVector(1, 2, 3, 1)
+    v = (0, 1, 2, 1)
+    w = (1, 1, 1, 0)
+    total = tuple(x + y for x, y in zip(v, w))
+    assert total == (1, 2, 3, 1)
     assert heart_ch(total) == heart_ch(v) + heart_ch(w)
 
 
@@ -87,14 +66,14 @@ def test_candidate_enumeration_default():
     cands = skyscraper_candidates()
     assert type(cands) is tuple
     assert len(cands) == 11
-    assert all(type(vec) is DimensionVector for vec in cands)
-    assert DimensionVector(0, 2, 4, 1) in cands
-    assert DimensionVector(0, 2, 3, 1) not in cands  # implication b=2 -> c=4
-    assert all(vec.a == 0 and vec.d == 1 for vec in cands)
+    assert all(type(vec) is tuple for vec in cands)
+    assert (0, 2, 4, 1) in cands
+    assert (0, 2, 3, 1) not in cands  # implication b=2 -> c=4
+    assert all(vec[0] == 0 and vec[3] == 1 for vec in cands)
     expected = {(0, b, c, 1) for b in (0, 1) for c in range(5)} | {(0, 2, 4, 1)}
-    assert {vec.as_tuple() for vec in cands} == expected
+    assert set(cands) == expected
     # lexicographic enumeration order
-    assert list(cands) == sorted(cands, key=lambda v: v.as_tuple())
+    assert list(cands) == sorted(cands)
 
 
 def _line_edges(line):
@@ -106,14 +85,14 @@ def _line_edges(line):
 def test_reduce_candidates_full_coverage():
     cands = skyscraper_candidates()
     lines = reduce_candidates(cands)
-    assert [_line_edges(line)[0] for line in lines] == [str(vec) for vec in cands]
+    assert [_line_edges(line)[0] for line in lines] == [vector_text(vec) for vec in cands]
     assert {line for line in lines if line.endswith(": base")} == {
-        f"{base}: base" for base in BASE_VECTORS
+        f"{vector_text(base)}: base" for base in BASE_VECTORS
     }
     # spot-check a full-region edge and a split edge
     by_vec = dict(_line_edges(line) for line in lines)
     full_edge = by_vec["(0,1,4,1)"]
-    assert len(full_edge) == 1 and full_edge[0].endswith(f" on {FULL_REGION}")
+    assert len(full_edge) == 1 and full_edge[0].endswith(" on full")
     split = by_vec["(0,1,2,1)"]
     assert [edge.rsplit(" on ", 1)[1] for edge in split] == [SIDE_LEFT, SIDE_RIGHT]
 
@@ -132,19 +111,19 @@ def test_reduce_candidates_insufficient_facts():
     cands = skyscraper_candidates()
     with pytest.raises(DerivationError):
         reduce_candidates(cands, ())
-    only_s = (ImSignFact("S(-1)[2]", FULL_REGION, "<0"),)
+    only_s = (("S(-1)[2]", None, "<0"),)
     with pytest.raises(DerivationError) as err:
         reduce_candidates(cands, only_s)
     assert "(0,1,1,1)" in str(err.value)
 
 
 def test_reduce_candidates_with_s_fact_only_covers_s_removals():
-    only_s = (ImSignFact("S(-1)[2]", FULL_REGION, "<0"),)
+    only_s = (("S(-1)[2]", None, "<0"),)
     covered = set()
     for vec in skyscraper_candidates():
         delta_from_bases = []
         for base in BASE_VECTORS:
-            diff = tuple(x - y for x, y in zip(base.as_tuple(), vec.as_tuple()))
+            diff = tuple(x - y for x, y in zip(base, vec))
             delta_from_bases.append(diff)
         # derivable with only the S fact iff some base differs only in b, downward
         if any(d[0] == 0 and d[1] >= 0 and d[2] == 0 and d[3] == 0 for d in delta_from_bases):
@@ -154,26 +133,30 @@ def test_reduce_candidates_with_s_fact_only_covers_s_removals():
     message = str(err.value)
     for vec in skyscraper_candidates():
         if vec not in covered:
-            assert str(vec) in message
+            assert vector_text(vec) in message
 
 
-def test_im_sign_fact_semantics():
-    fact = ImSignFact("S(-1)[2]", FULL_REGION, "<0")
-    assert fact.allows(-1, SIDE_LEFT)
-    assert fact.allows(-2, SIDE_RIGHT)
-    assert fact.allows(-1, FULL_REGION)
-    assert not fact.allows(1, SIDE_LEFT)
-    right_pos = ImSignFact("O[1]", SIDE_RIGHT, ">=0")
-    assert right_pos.allows(3, SIDE_RIGHT)
-    assert not right_pos.allows(1, SIDE_LEFT)
-    assert not right_pos.allows(1, FULL_REGION)
-    assert not right_pos.allows(-1, SIDE_RIGHT)
-    with pytest.raises(ValueError, match="bad target"):
-        ImSignFact("O[1]", SIDE_LEFT, "!=0")
-    with pytest.raises(ValueError, match="bad subregion"):
-        ImSignFact("O[1]", "left", "<=0")
-    with pytest.raises(ValueError, match="bad generator"):
-        ImSignFact("O[2]", FULL_REGION, "<0")
+def test_default_sign_facts_are_well_formed():
+    for generator, side, sign in DEFAULT_SIGN_FACTS:
+        assert generator in GENERATORS
+        assert side in (None, *SIDE_SIGNS)
+        sign_parts(sign)
+
+
+def test_malformed_sign_facts_fail_safe():
+    # A fact with an unknown generator or side covers no candidate, and a
+    # bad sign raises once the derivation reads it.
+    cands = skyscraper_candidates()
+    for k, (generator, side, sign) in enumerate(DEFAULT_SIGN_FACTS):
+        rest = DEFAULT_SIGN_FACTS[:k] + DEFAULT_SIGN_FACTS[k + 1 :]
+        with pytest.raises(DerivationError) as err:
+            reduce_candidates(cands, rest)
+        for stray in (("O[2]", side, sign), (generator, "left", sign)):
+            with pytest.raises(DerivationError) as stray_err:
+                reduce_candidates(cands, rest + (stray,))
+            assert str(stray_err.value) == str(err.value)
+        with pytest.raises(ValueError, match="bad target"):
+            reduce_candidates(cands, rest + ((generator, side, "!=0"),))
 
 
 # --- the derivation against a copy of its earlier record-based form ----------
@@ -181,9 +164,9 @@ def test_im_sign_fact_semantics():
 
 @dataclass(frozen=True)
 class _RefEdge:
-    base: DimensionVector
+    base: tuple
     delta: tuple
-    subregion: str
+    subregion: str | None
 
     def describe(self):
         moves = []
@@ -193,21 +176,23 @@ class _RefEdge:
             elif change < 0:
                 moves.append(f"remove {-change} x {label}")
         action = ", ".join(moves) if moves else "identity"
-        return f"{self.base} [{action}] on {self.subregion}"
+        where = "full" if self.subregion is None else self.subregion
+        return f"{vector_text(self.base)} [{action}] on {where}"
 
 
 def _ref_allows(label, change, subregion, facts):
     def applies(f):
-        return f.generator == label and f.subregion in (FULL_REGION, subregion)
+        generator, side, _ = f
+        return generator == label and side in (None, subregion)
 
     if change < 0:
-        return any(applies(f) and sign_parts(f.sign)[0] < 0 for f in facts)
-    return any(applies(f) and sign_parts(f.sign)[0] > 0 for f in facts)
+        return any(applies(f) and sign_parts(f[2])[0] < 0 for f in facts)
+    return any(applies(f) and sign_parts(f[2])[0] > 0 for f in facts)
 
 
 def _ref_edge_for(vec, subregion, facts):
     for base in BASE_VECTORS:
-        delta = tuple(x - y for x, y in zip(vec.as_tuple(), base.as_tuple()))
+        delta = tuple(x - y for x, y in zip(vec, base))
         if all(
             _ref_allows(label, change, subregion, facts)
             for label, change in zip(GENERATORS, delta)
@@ -225,7 +210,7 @@ def _ref_reduce(vectors, facts):
         if vec in BASE_VECTORS:
             derivation[vec] = "base"
             continue
-        full_edge = _ref_edge_for(vec, FULL_REGION, facts)
+        full_edge = _ref_edge_for(vec, None, facts)
         if full_edge is not None:
             derivation[vec] = (full_edge,)
             continue
@@ -238,20 +223,20 @@ def _ref_reduce(vectors, facts):
                 edges.append(edge)
         derivation[vec] = tuple(edges)
     if missing:
-        gaps = "; ".join(f"{vec} on {side}" for vec, side in missing)
+        gaps = "; ".join(f"{vector_text(vec)} on {side}" for vec, side in missing)
         raise DerivationError(f"sign facts do not cover: {gaps}")
     lines = []
     for vec in vectors:
         how = derivation[vec]
         text = "base" if how == "base" else "; ".join(edge.describe() for edge in how)
-        lines.append(f"{vec}: {text}")
+        lines.append(f"{vector_text(vec)}: {text}")
     return lines
 
 
 ALL_FACTS = tuple(
-    ImSignFact(label, subregion, sign)
+    (label, subregion, sign)
     for label in GENERATORS
-    for subregion in (FULL_REGION, SIDE_LEFT, SIDE_RIGHT)
+    for subregion in (None, SIDE_LEFT, SIDE_RIGHT)
     for sign in ("<0", "<=0", ">0", ">=0")
 )
 

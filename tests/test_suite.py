@@ -24,7 +24,7 @@ from tiltcert.kernel import (
     poly_eval,
     poly_format,
 )
-from tiltcert.heart import BASE_VECTORS, GENERATORS
+from tiltcert.heart import BASE_VECTORS, GENERATORS, vector_text
 from tiltcert.tilt import TiltParams, bg_margin, twisted_ch_polynomials, z_polynomials
 from tiltcert.suite import (
     _certifier,
@@ -436,12 +436,13 @@ def test_skyscraper_base_items_are_their_direct_certificates():
     for region in (default_region(), _widened_region(), wide_alpha):
         items = _by_name(verify_skyscraper_condition(_certifier(region, 16)))
         for v in BASE_VECTORS:
-            base, direct = items[f"skyscraper base {v}"], items[f"skyscraper direct {v}"]
+            text = vector_text(v)
+            base, direct = items[f"skyscraper base {text}"], items[f"skyscraper direct {text}"]
             assert (base.status, base.witness, base.boxes, base.depth, base.factors) == (
                 direct.status, direct.witness, direct.boxes, direct.depth, direct.factors
             )
             assert base.notes[len(base.notes) - len(direct.notes) :] == direct.notes
-    assert all(items[f"skyscraper base {v}"].witness for v in BASE_VECTORS)
+    assert all(items[f"skyscraper base {vector_text(v)}"].witness for v in BASE_VECTORS)
 
 
 def test_alpha_margin_of_the_proof():
