@@ -663,6 +663,21 @@ def test_golden_product_outcomes():
     )
 
 
+def test_golden_statuses():
+    # Pins the status alone of every golden claim, certified as given: a
+    # change to when the bisection stops may move witnesses, boxes and
+    # depth, but never a status.
+    digest = hashlib.sha256()
+    count = 0
+    for claim, region, depth in _golden_cases():
+        digest.update(f"{certify_sign(claim, region, max_depth=depth).status}\n".encode())
+        count += 1
+    assert count == 240 + 12 + 27
+    assert digest.hexdigest() == (
+        "ee217b13b4059edeef206a8f465ad2e9388c47f4d7d68dc0205de1aa84912716"
+    )
+
+
 # --- witness search against a Fraction reference -----------------------------
 
 
