@@ -11,11 +11,11 @@ so the engine below only certifies poly > 0 (strict) or poly >= 0.
 One engine decides every claim: recursive bisection of each side piece
 (below), alternating between alpha and t, alpha first, each box decided
 by its Bernstein coefficients alone.  Boxes are integer cells of their
-piece, with rational points built only for a violating corner or a zero
-face (below).  Coefficients are formed from the power basis once, on a
-piece's root box, as the integer grid of bernstein_coefficients' (den,
-grid), a positive multiple of them (signs need no den); each split
-derives its children's grids by midpoint de Casteljau subdivision.
+piece, with rational points built only for a violating face (below).
+Coefficients are formed from the power basis once, on a piece's root
+box, as the integer grid of bernstein_coefficients' (den, grid), a
+positive multiple of them (signs need no den); each split derives its
+children's grids by midpoint de Casteljau subdivision.
 
 Side pieces: no box the bisection tries is crossed by the side line.  A
 side-cut region splits into at most two boxes in the closed half-plane
@@ -29,10 +29,17 @@ those lines sits on box edges: b^2 >= 0 on beta in [-1/2, 1/4] certifies
 on its two root boxes, but uncut, every box around beta = 0 keeps the
 negative Bernstein coefficient lo*hi (inconclusive, 21 boxes, depth 16).
 
-Stopping rule: the bisection stops at the first box that yields a piece
-point where poly breaks its sign: a violating Bernstein corner
-coefficient (the corner), or a face of exact zeros that meets the piece
-under a strict sign (its centre).  That point is the claim's witness.
+Face rule: a box's nine faces are its 4 corners, its 4 edges and the
+whole cell.  When every Bernstein coefficient of a face breaks the sign,
+poly breaks it on the whole face, as poly there is a convex combination
+of them.  The side line crosses no piece, so a face meets the piece
+exactly when its centre does.  The bisection stops at the first face
+whose coefficients all break the sign and whose centre lies in the
+piece, and that centre is the claim's witness.  Otherwise a box with no
+negative coefficient certifies, and one with a negative coefficient
+splits.  This keeps a strict sign sound on open boundaries: on a box
+whose coefficients are all >= 0, poly's zeros lie on faces whose
+coefficients all vanish, and each such face misses the piece.
 
 Soundness contract: status "certified" is only reported when the sign
 holds at every region point; "failed" always carries a witness point in
@@ -40,8 +47,8 @@ the region where the product's target sign is violated by re-evaluation;
 anything the engine cannot settle within its depth budget is
 "inconclusive", never guessed.
 
-Witness search (claims that did not certify), first violating point wins:
-the point the bisection stopped at, then the polytope vertices, then the
+Witness search (claims that did not certify, and whose bisection stopped
+at no face), first violating point wins: the polytope vertices, then the
 4, 8, 16 and 32 grids over the region box, by increasing alpha index,
 then beta index.  The grids are sub-grids of one 32-grid form, read once
 by rows on integer indices: openness flags and the side cut make one
@@ -50,13 +57,6 @@ coarser grid is an allowed 32-grid point with the same value, so the
 order is one key on 32-grid indices: (-s, i, j), with s = gcd(i, j, 8)
 the stride of the coarsest grid holding (i, j).  The least key of a
 violating allowed point wins, and with none the search returns None.
-
-Strictness on open boundaries: a certificate for a strict sign must rule
-out zeros inside the region.  On a box whose Bernstein coefficients are
-all >= 0 with minimum exactly 0, poly's zeros in the box lie on faces
-whose coefficients all vanish.  No region bound crosses the relative
-interior of such a face, so the face misses the region exactly when its
-centre does.
 """
 
 from bisect import bisect_left, bisect_right
@@ -309,24 +309,9 @@ def _at_zero(lo, hi):
 # --- box reasoning -----------------------------------------------------------
 
 
-def _faces(m, n):
-    """Geometric faces of a box as (x, y, Bernstein index set).
-
-    x, y are the half-cell offsets of the face's centre (see _point).
-    Yields the 4 corners, 4 edges, and the full cell, in a fixed order.
-    The side line crosses no piece, so along the relative interior of a
-    face every region bound is tight everywhere or nowhere: the face meets
-    the region exactly when its centre lies in it.
-    """
-    yield 0, 0, [(0, 0)]
-    yield 2, 0, [(m, 0)]
-    yield 0, 2, [(0, n)]
-    yield 2, 2, [(m, n)]
-    yield 0, 1, [(0, j) for j in range(n + 1)]
-    yield 2, 1, [(m, j) for j in range(n + 1)]
-    yield 1, 0, [(i, 0) for i in range(m + 1)]
-    yield 1, 2, [(i, n) for i in range(m + 1)]
-    yield 1, 1, [(i, j) for i in range(m + 1) for j in range(n + 1)]
+# Centre offsets (x, y) of a box's nine faces (see _point): the 4 corners,
+# the edges at alpha-lo, alpha-hi, t-lo and t-hi, then the whole cell.
+_FACES = ((0, 0), (2, 0), (0, 2), (2, 2), (0, 1), (2, 1), (1, 0), (1, 2), (1, 1))
 
 
 def _cut(interval, k, level):
@@ -353,35 +338,31 @@ def _certify_box(poly, strict, piece, i, j, depth, grid):
     grid is the integer Bernstein grid inherited from the parent box (a
     positive multiple of the coefficients on this box), or None on a
     piece's root box, where it is computed from the power basis.
-    Returns (verdict, grid, point): verdict "certified", "split" (undecided,
-    bisect further) or "violated"; the box's grid; and the piece point of
-    the box where the sign fails if violated, else None."""
+    Returns (verdict, grid, point): verdict "violated" at the centre of
+    the first face in _FACES whose coefficients all break the sign and
+    whose centre lies in the piece, else "certified" when no coefficient
+    is negative and "split" (undecided, bisect further) otherwise; the
+    box's grid; and the violated piece point, else None."""
     if grid is None:
         grid = bernstein_coefficients(poly, piece.alpha, piece.t)[1]
-    low = min(map(min, grid))
-    if low > 0 or (not strict and low >= 0):
-        return "certified", grid, None
     m, n = len(grid) - 1, len(grid[0]) - 1
-    if low < 0:
-        # Corner coefficients are exact values: a violating one in the
-        # piece is a witness, and no split can certify the box.  Corners go
-        # by axis end, not index: along an axis of degree 0 both ends are 0.
-        for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            if _violates(grid[m * x][n * y], strict):
-                point = _point(piece, i, j, depth, 2 * x, 2 * y)
+    # Every face holds a corner, so without a violating corner no face
+    # breaks the sign.
+    if _violates(min(grid[0][0], grid[0][n], grid[m][0], grid[m][n]), strict):
+        for x, y in _FACES:
+            # Corners go by axis end, not index: along an axis of degree 0
+            # both ends are index 0.
+            rows = range(m + 1) if x == 1 else (m * x // 2,)
+            cols = range(n + 1) if y == 1 else (n * y // 2,)
+            if all(_violates(grid[k][l], strict) for k in rows for l in cols):
+                # The side line crosses no piece, so along a face's relative
+                # interior every region bound is tight everywhere or nowhere:
+                # the face meets the piece exactly when its centre does.
+                # That keeps the zeros of a box certified below off the piece.
+                point = _point(piece, i, j, depth, x, y)
                 if piece.contains(*point):
                     return "violated", grid, point
-        return "split", grid, None
-    # All coefficients >= 0 with min exactly 0 and a strict target: the
-    # poly is >= 0 on the box, and any zero inside it lives on a face whose
-    # coefficients all vanish.  Certified iff every such face misses the
-    # piece; a face that meets it is an exact zero of the poly there.
-    for x, y, indices in _faces(m, n):
-        if all(grid[k][l] == 0 for k, l in indices):
-            point = _point(piece, i, j, depth, x, y)
-            if piece.contains(*point):
-                return "violated", grid, point
-    return "certified", grid, None
+    return ("split" if min(map(min, grid)) < 0 else "certified"), grid, None
 
 
 def _bisect_side_pieces(poly, strict, pieces, max_depth):
@@ -427,14 +408,14 @@ def _bisect_side_pieces(poly, strict, pieces, max_depth):
 # --- witness search ----------------------------------------------------------
 
 
-def _witness_search(poly, strict, region, candidates):
+def _witness_search(poly, strict, region):
     """The first region point where poly > 0 (strict) or poly >= 0 fails,
     in the order of the module docstring, or None.  The vertices come from
     polytope_vertices' bounded cache.  The grids are one pass over the
     32-grid form: a violating allowed point (i, j) has the key (-s, i, j),
     s = gcd(i, j, 8) the stride of the coarsest grid holding it, and the
     least key is the witness."""
-    for point in (*candidates, *polytope_vertices(region)):
+    for point in polytope_vertices(region):
         if region.contains(*point) and _violates(poly_eval(poly, *point), strict):
             return point
     (a_nums, a_den), (b_nums, b_den), rows = grid_form(poly, region.alpha, region.beta, 32)
@@ -461,7 +442,9 @@ def _witness_search(poly, strict, region, candidates):
 
 def certify_sign(claim, region, max_depth=16):
     """Certify, refute (with witness), or give up on the sign of a claim's
-    product; max_depth < 1 skips the bisection of a region with pieces."""
+    product; max_depth < 1 skips the bisection of a region with pieces.
+    The witness is the face centre the bisection stopped at, or else the
+    witness search's point."""
     product = claim.product()
     orient, strict = sign_parts(claim.overall_sign)
     poly = product if orient > 0 else -product
@@ -476,7 +459,7 @@ def certify_sign(claim, region, max_depth=16):
     # Certified with no box tried: the region has no pieces, so it is one
     # polytope vertex or empty, and the witness search's vertex stage reads
     # it whatever max_depth is.
-    candidates = () if point is None else (point,)
-    witness = None if ok and boxes else _witness_search(poly, strict, region, candidates)
-    status = "failed" if witness else "certified" if ok else "inconclusive"
-    return SignCertificate(status, witness, boxes, depth, notes)
+    if point is None and not (ok and boxes):
+        point = _witness_search(poly, strict, region)
+    status = "failed" if point else "certified" if ok else "inconclusive"
+    return SignCertificate(status, point, boxes, depth, notes)

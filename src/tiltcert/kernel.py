@@ -137,9 +137,6 @@ class BivariatePoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

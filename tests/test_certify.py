@@ -17,6 +17,9 @@ from tiltcert.certify import (
     Region,
     SIDE_LEFT,
     SIDE_RIGHT,
+    _FACES,
+    Piece,
+    _certify_box,
     _cut,
     _violates,
     _witness_search,
@@ -230,7 +233,7 @@ def test_zero_polynomial_claims():
 def test_strict_atom_on_open_bound():
     # alpha > 0: the zeros of alpha on the root box fill its alpha = 0
     # edge, whose centre (0, -1/4) lies on the open alpha-lo facet, so the
-    # zero-face rule certifies the root box without a split.
+    # face rule certifies the root box without a split.
     claim = FactoredClaim((Factor(A, ">0", "region-atom"),), ">0")
     cert = certify_sign(claim, default_region())
     assert cert.status == "certified"
@@ -245,6 +248,19 @@ def test_strict_atom_on_open_bound():
     assert cert.status == "failed"
     alpha, beta = cert.witness
     assert beta == 0 and violates(poly_eval(-B, alpha, beta), ">0")
+
+
+def test_a_violating_edge_stops_the_root_box():
+    # b + 1/3 breaks >= 0 along the edge beta = -1/2 of the root box, whose
+    # two corners lie on the open alpha ends: the edge's centre is the
+    # witness, with no split.
+    cert = certify_sign(_subdivision_claim(B + F(1, 3), ">=0"), default_region(), max_depth=16)
+    assert (cert.status, cert.witness, cert.boxes, cert.depth) == (
+        "failed",
+        (F(1, 6), F(-1, 2)),
+        1,
+        0,
+    )
 
 
 def test_strict_vertex_zero_on_closed_facet_fails():
@@ -621,7 +637,7 @@ def test_golden_outcomes():
         count += 1
     assert count == 240 + 12 + 27
     assert digest.hexdigest() == (
-        "ea64731dd16f837401217b186e42ce47ebbdf93731fcd0bf0ddbf47f67dde17e"
+        "d771c431efff7519bd631683db3607e8e7eb04cd554deeebfb3fbf10dff45f2d"
     )
 
 
@@ -636,7 +652,7 @@ def test_golden_outcomes_without_side():
             count += 1
     assert count == 80 + 9
     assert digest.hexdigest() == (
-        "8a45a189f6ec2278ea168f61957d94e2a5c527c772a9a272e3fcd381775c1faf"
+        "c582926fbe6a548dcf11bc84ce1173c93adf441a455cc75683b8c900f56d17c6"
     )
 
 
@@ -659,7 +675,7 @@ def test_golden_product_outcomes():
         count += 1
     assert count == 240 + 12 + 27
     assert digest.hexdigest() == (
-        "8634f11334c2a207abe09ad64d51090f29fb8265a2acb9ddcd5925564a65773e"
+        "7085cb5663fbb68336d46e7954df24ed3f090367b53695ca2d41f3936b496a47"
     )
 
 
@@ -681,15 +697,14 @@ def test_golden_statuses():
 # --- witness search against a Fraction reference -----------------------------
 
 
-def _witness(product, sign, region, candidates):
+def _witness(product, sign, region):
     """_witness_search for product meeting sign, oriented as certify_sign does."""
     orient, strict = sign_parts(sign)
-    return _witness_search(orient * product, strict, region, candidates)
+    return _witness_search(orient * product, strict, region)
 
 
-def _witness_search_reference(product, overall_sign, region, candidates):
-    # The witness search as a plain Fraction scan: candidates, polytope
-    # vertices, then the 4, 8, 16 and 32 grids point by point, each point
+def _witness_search_reference(product, overall_sign, region):
+    # The witness search as a plain Fraction scan: polytope vertices, then the 4, 8, 16 and 32 grids point by point, each point
     # tested with Region.contains and evaluated once.
     seen = set()
     grids = (
@@ -701,7 +716,7 @@ def _witness_search_reference(product, overall_sign, region, candidates):
         for i in range(g + 1)
         for j in range(g + 1)
     )
-    for point in (*candidates, *polytope_vertices(region), *grids):
+    for point in (*polytope_vertices(region), *grids):
         if point in seen or not region.contains(*point):
             continue
         seen.add(point)
@@ -795,30 +810,12 @@ def test_side_pieces_cover_the_region_exactly(region):
 
 @st.composite
 def witness_cases(draw):
-    claim = _random_claim(draw(st.randoms(use_true_random=False)))
-    region = draw(regions())
-    # Candidates: coarse grid points (which the grid stage meets again)
-    # and points off every grid, some of them outside the region.
-    candidates = []
-    for _ in range(draw(st.integers(0, 4))):
-        if draw(st.booleans()):
-            g = draw(st.sampled_from((4, 8)))
-            i, j = draw(st.integers(0, g)), draw(st.integers(0, g))
-            candidates.append(
-                (
-                    region.alpha.lo + region.alpha.width * F(i, g),
-                    region.beta.lo + region.beta.width * F(j, g),
-                )
-            )
-        else:
-            candidates.append((draw(endpoints), draw(endpoints)))
-    return claim, region, candidates
+    return _random_claim(draw(st.randoms(use_true_random=False))), draw(regions())
 
 
 def _one_factor_case(expr, sign, beta, alpha, beta_open=(False, False), side=None):
     claim = FactoredClaim((Factor(expr, sign, "interval-subdivision"),), sign)
-    region = Region(RationalInterval(*beta), RationalInterval(*alpha), beta_open, side=side)
-    return claim, region, []
+    return claim, Region(RationalInterval(*beta), RationalInterval(*alpha), beta_open, side=side)
 
 
 @settings(max_examples=100, deadline=None)
@@ -861,10 +858,10 @@ def _one_factor_case(expr, sign, beta, alpha, beta_open=(False, False), side=Non
     )
 )
 def test_witness_search_matches_fraction_reference(case):
-    claim, region, candidates = case
+    claim, region = case
     product = claim.product()
-    expected = _witness_search_reference(product, claim.overall_sign, region, candidates)
-    assert _witness(product, claim.overall_sign, region, candidates) == expected
+    expected = _witness_search_reference(product, claim.overall_sign, region)
+    assert _witness(product, claim.overall_sign, region) == expected
 
 
 # --- affine zero sets against the tight-bound reference ----------------------
@@ -873,18 +870,15 @@ def test_witness_search_matches_fraction_reference(case):
 def _affine_reference(factor, region):
     # The vertex rule for affine factors as a set of tight bounds: a strict
     # target with a zero minimum certifies iff some open-flagged bound is
-    # tight at every zero vertex.  Returns (ok, candidates).
+    # tight at every zero vertex.
     verts = polytope_vertices(region)
     orient = 1 if factor.target in (">0", ">=0") else -1
     strict = factor.target in (">0", "<0")
     values = [orient * poly_eval(factor.expr, *v) for v in verts]
-    candidates = [
-        v for v, x in zip(verts, values) if (x < 0 or (strict and x == 0)) and region.contains(*v)
-    ]
     if not verts or min(values) > 0 or (min(values) == 0 and not strict):
-        return True, candidates
+        return True
     if min(values) < 0 or factor.expr.is_zero():
-        return False, candidates
+        return False
 
     def tight(a, b):
         bounds = {
@@ -897,7 +891,7 @@ def _affine_reference(factor, region):
         return {name for name, (hit, is_open) in bounds.items() if hit and is_open}
 
     shared = set.intersection(*(tight(*v) for v, x in zip(verts, values) if x == 0))
-    return bool(shared), candidates
+    return bool(shared)
 
 
 @st.composite
@@ -931,8 +925,8 @@ def test_affine_zero_set_matches_tight_bound_reference(case):
     for target in (">0", ">=0", "<0", "<=0"):
         factor = Factor(expr, target, "affine-vertex")
         cert = certify_sign(FactoredClaim((factor,), target), region)
-        ok, candidates = _affine_reference(factor, region)
-        witness = None if ok else _witness(expr, target, region, candidates)
+        ok = _affine_reference(factor, region)
+        witness = None if ok else _witness(expr, target, region)
         status = "certified" if ok else "failed" if witness else "inconclusive"
         assert cert.status == status or (status, cert.status) == ("inconclusive", "failed")
         if cert.status == "failed":
@@ -983,8 +977,7 @@ def test_randomized_soundness(rng, region):
 def test_soundness_with_a_zero_on_the_boundary(region, data):
     # Claims that vanish at a vertex of the region's polytope, or on the box
     # lines through it: the zeros that one-point regions, collapsed edges
-    # and the zero-face test have to judge, and random claims almost never
-    # have.
+    # and the face rule have to judge, and random claims almost never have.
     vertices = polytope_vertices(region)
     assume(vertices)
     a0, b0 = data.draw(st.sampled_from(vertices))
@@ -1015,6 +1008,56 @@ def test_orientation_symmetry(rng, region, max_depth, data):
         assert first == second
 
 
+# --- the face rule's premise ----------------------------------------------
+
+
+class _OnePoint:
+    """A stand-in region that holds the one point given."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def contains(self, alpha, beta):
+        return (alpha, beta) == self.point
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.builds(F, st.integers(-4, 2), st.integers(1, 4)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.builds(lambda lo, width: RationalInterval(lo, lo + width), endpoints, widths),
+    st.builds(lambda lo, width: RationalInterval(lo, lo + width), endpoints, widths),
+    st.booleans(),
+)
+# Degree 0 along alpha, then along beta: the two ends of that axis share
+# one grid index but are different points.
+@example({(0, 1): F(1), (0, 0): F(-1, 2)}, RationalInterval(0, 1), RationalInterval(0, 1), True)
+@example({(1, 0): F(1), (0, 0): F(-1, 2)}, RationalInterval(0, 1), RationalInterval(0, 1), True)
+def test_a_face_of_violating_coefficients_violates_at_its_centre(terms, box_alpha, box_t, strict):
+    # The face rule's premise, face by face: when every Bernstein
+    # coefficient of a face breaks the sign, so does poly at the face's
+    # centre.  A piece whose region holds that centre alone makes
+    # _certify_box read that one face.
+    poly = BivariatePoly(terms)
+    grid = bernstein_coefficients(poly, box_alpha, box_t)[1]
+    m, n = len(grid) - 1, len(grid[0]) - 1
+    for x, y in _FACES:
+        centre = (_cut(box_alpha, x, 1), _cut(box_t, y, 1))
+        rows = range(m + 1) if x == 1 else (m * x // 2,)
+        cols = range(n + 1) if y == 1 else (n * y // 2,)
+        breaks = all(_violates(grid[k][l], strict) for k in rows for l in cols)
+        piece = Piece(_OnePoint(centre), box_alpha, box_t)
+        verdict, _, point = _certify_box(poly, strict, piece, 0, 0, 0, None)
+        assert (verdict == "violated") == breaks
+        if breaks:
+            assert point == centre
+            assert _violates(poly_eval(poly, *centre), strict)
+
+
 # --- integer cells and alternating splits against intervals and width ratios --
 
 
@@ -1024,47 +1067,32 @@ def _halves(interval):
     return RationalInterval(interval.lo, mid), RationalInterval(mid, interval.hi)
 
 
-def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, candidates, grid):
+def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, grid):
     """_certify_box on a box given by its rational intervals, as it was
-    before boxes became integer cells."""
+    before boxes became integer cells: (verdict, grid, point)."""
     if grid is None:
         grid = bernstein_coefficients(poly, box_alpha, box_beta)[1]
     m, n = len(grid) - 1, len(grid[0]) - 1
-    low = min(map(min, grid))
-    if low > 0 or (not strict and low >= 0):
-        return "certified", grid
-    if low < 0:
-        corners = (
-            (grid[0][0], box_alpha.lo, box_beta.lo),
-            (grid[m][0], box_alpha.hi, box_beta.lo),
-            (grid[0][n], box_alpha.lo, box_beta.hi),
-            (grid[m][n], box_alpha.hi, box_beta.hi),
+    if _violates(min(grid[0][0], grid[m][0], grid[0][n], grid[m][n]), strict):
+        # The nine faces in _certify_box's order: corners, the two alpha-end
+        # edges, the two t-end edges, the cell; each with its centre.
+        a_lo, a_hi, b_lo, b_hi = box_alpha.lo, box_alpha.hi, box_beta.lo, box_beta.hi
+        a_mid, b_mid = (a_lo + a_hi) / 2, (b_lo + b_hi) / 2
+        faces = (
+            ((a_lo, b_lo), [(0, 0)]),
+            ((a_hi, b_lo), [(m, 0)]),
+            ((a_lo, b_hi), [(0, n)]),
+            ((a_hi, b_hi), [(m, n)]),
+            ((a_lo, b_mid), [(0, j) for j in range(n + 1)]),
+            ((a_hi, b_mid), [(m, j) for j in range(n + 1)]),
+            ((a_mid, b_lo), [(i, 0) for i in range(m + 1)]),
+            ((a_mid, b_hi), [(i, n) for i in range(m + 1)]),
+            ((a_mid, b_mid), [(i, j) for i in range(m + 1) for j in range(n + 1)]),
         )
-        for value, a, b in corners:
-            if _violates(value, strict) and piece.contains(a, b):
-                candidates.append((a, b))
-                return "violated", grid
-        return "split", grid
-    # The nine faces in _certify_box's order: corners, the two alpha-end
-    # edges, the two t-end edges, the cell; each with its centre.
-    a_lo, a_hi, b_lo, b_hi = box_alpha.lo, box_alpha.hi, box_beta.lo, box_beta.hi
-    a_mid, b_mid = (a_lo + a_hi) / 2, (b_lo + b_hi) / 2
-    faces = (
-        ((a_lo, b_lo), [(0, 0)]),
-        ((a_hi, b_lo), [(m, 0)]),
-        ((a_lo, b_hi), [(0, n)]),
-        ((a_hi, b_hi), [(m, n)]),
-        ((a_lo, b_mid), [(0, j) for j in range(n + 1)]),
-        ((a_hi, b_mid), [(m, j) for j in range(n + 1)]),
-        ((a_mid, b_lo), [(i, 0) for i in range(m + 1)]),
-        ((a_mid, b_hi), [(i, n) for i in range(m + 1)]),
-        ((a_mid, b_mid), [(i, j) for i in range(m + 1) for j in range(n + 1)]),
-    )
-    for center, indices in faces:
-        if all(grid[i][j] == 0 for i, j in indices) and piece.contains(*center):
-            candidates.append(center)
-            return "violated", grid
-    return "certified", grid
+        for center, indices in faces:
+            if all(_violates(grid[i][j], strict) for i, j in indices) and piece.contains(*center):
+                return "violated", grid, center
+    return ("split" if min(map(min, grid)) < 0 else "certified"), grid, None
 
 
 def _width_ratio_certify(claim, region, max_depth):
@@ -1074,29 +1102,30 @@ def _width_ratio_certify(claim, region, max_depth):
     at least its t width, relative to its piece's."""
     orient, strict = sign_parts(claim.overall_sign)
     poly = orient * claim.product()
-    candidates, boxes, deepest = [], 0, 0
-    ok = max_depth >= 1
-    pieces = side_pieces(region) if ok else ()
-    if ok and not pieces:
+    pieces = side_pieces(region)
+    if not pieces:
+        # The region is one polytope vertex or empty, read at any max_depth.
         for point in polytope_vertices(region):
             if _violates(poly_eval(poly, *point), strict) and region.contains(*point):
-                candidates.append(point)
-        ok = not candidates
-    for piece in pieces:
+                return "failed", point, 0, 0
+        return "certified", None, 0, 0
+    witness, boxes, deepest = None, 0, 0
+    ok = max_depth >= 1
+    for piece in pieces if ok else ():
         piece_poly = poly if piece.lift is None else substitute(poly, piece.lift)
-        found = []
         stack = [(piece.alpha, piece.t, 0, None)]
         while stack:
             box_alpha, box_t, depth, grid = stack.pop()
             boxes += 1
             deepest = max(deepest, depth)
-            verdict, grid = _interval_certify_box(
-                piece_poly, strict, piece, box_alpha, box_t, found, grid
+            verdict, grid, point = _interval_certify_box(
+                piece_poly, strict, piece, box_alpha, box_t, grid
             )
             if verdict == "certified":
                 continue
             if verdict == "violated" or depth >= max_depth:
                 ok = False
+                witness = point and piece.point(*point)
                 break
             rel_alpha = box_alpha.width / piece.alpha.width
             rel_t = box_t.width / piece.t.width
@@ -1110,12 +1139,11 @@ def _width_ratio_certify(claim, region, max_depth):
                 lo_box, hi_box = (box_alpha, lo_half), (box_alpha, hi_half)
             stack.append((*hi_box, depth + 1, hi_grid))
             stack.append((*lo_box, depth + 1, lo_grid))
-        candidates.extend(piece.point(*p) for p in found)
         if not ok:
             break
     if ok:
         return "certified", None, boxes, deepest
-    witness = _witness_search(poly, strict, region, candidates)
+    witness = witness or _witness_search(poly, strict, region)
     return ("inconclusive" if witness is None else "failed"), witness, boxes, deepest
 
 
@@ -1174,6 +1202,15 @@ def bisection_cases(draw):
 @example((_subdivision_claim(A - F(1, 6), ">0"), default_region(SIDE_LEFT), 4))
 # Fails, but its first violating corners lie on the open edge alpha = 0.
 @example((_subdivision_claim(A + B + F(1, 4), ">0"), default_region(), 6))
+# A region that is the point (0, 0), where the claim holds: certified with
+# no box tried, also at max_depth 0.
+@example(
+    (
+        _subdivision_claim(A**2 + B**2 - F(4, 11) * A - F(2, 11) * B + F(129, 6050), ">0"),
+        Region(RationalInterval(0, 1), RationalInterval(0, 2), side=SIDE_LEFT),
+        0,
+    )
+)
 def test_alternating_splits_match_the_width_ratio_rule(case):
     # A box at depth d has had ceil(d/2) alpha and floor(d/2) t splits, so
     # the width-ratio rule picks alpha exactly when d is even, and the

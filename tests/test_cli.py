@@ -127,7 +127,7 @@ BYTE_CONTRACTS = [
     ),
     (
         ["verify", "--region", "-1/2:1/2,0:1/3", "--json"],
-        "ca085d1c1926dcbe371a13da5bd2954f860630dc0a6f0ecd5971367961648444",
+        "ce3b5e7676da65174dfe5f5f56c27fde62717f785d1ae68120560cb5f46a6800",
     ),
     (
         ["verify", "--max-depth", "0", "--json"],

@@ -394,10 +394,11 @@ def test_widened_region_fails_with_witnesses():
 def test_each_claim_is_certified_once(monkeypatch):
     # The two base vectors are skyscraper candidates too: their items reuse
     # the direct certificates, so no (claim, region) pair is certified twice.
+    # Calls are keyed as the certifier keys them, by the product's text.
     calls = []
 
     def spy(claim, region, max_depth):
-        calls.append((claim, region))
+        calls.append((poly_format(claim.product()), claim.overall_sign, region))
         return certify_sign(claim, region, max_depth)
 
     monkeypatch.setattr(suite, "certify_sign", spy)
