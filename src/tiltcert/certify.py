@@ -60,6 +60,7 @@ violating allowed point wins, and with none the search returns None.
 """
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -90,22 +91,18 @@ _SIGN_PARTS = {">0": (1, True), ">=0": (1, False), "<0": (-1, True), "<=0": (-1,
 STRATEGIES = ("affine-vertex", "interval-subdivision", "region-atom")
 
 
-@dataclass(frozen=True)
-class Region:
-    beta: RationalInterval
-    alpha: RationalInterval
-    beta_open: tuple = (False, False)
-    alpha_open: tuple = (False, False)
-    side: str | None = None
+class Region(namedtuple("Region", "beta alpha beta_open alpha_open side")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, beta, alpha, beta_open=(False, False), alpha_open=(False, False), side=None):
         # Tuples keep a region hashable: the geometry caches key on it.
-        object.__setattr__(self, "beta_open", tuple(self.beta_open))
-        object.__setattr__(self, "alpha_open", tuple(self.alpha_open))
-        if self.beta.width <= 0 or self.alpha.width <= 0:
+        beta_open, alpha_open = tuple(beta_open), tuple(alpha_open)
+        if beta.width <= 0 or alpha.width <= 0:
             raise ValueError("region box must be full-dimensional")
-        if self.side not in (None, *SIDE_SIGNS):
-            raise ValueError(f"unknown side constraint {self.side!r}")
+        if side not in (None, *SIDE_SIGNS):
+            raise ValueError(f"unknown side constraint {side!r}")
+        return super().__new__(cls, beta, alpha, beta_open, alpha_open, side)
 
     def side_ok(self, alpha, beta):
         return self.side is None or SIDE_SIGNS[self.side] * (alpha + beta) >= 0
@@ -143,44 +140,43 @@ def default_region(side=None):
     )
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(namedtuple("Factor", "expr target strategy")):
     """One factor of a claim.  The target and the strategy are checked on
     construction, but select no code: certify_sign reads the claim's
     product and overall sign only."""
 
-    expr: BivariatePoly
-    target: str
-    strategy: str
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        sign_parts(self.target)
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"bad strategy {self.strategy!r}")
-        if self.strategy != "interval-subdivision" and self.expr.total_degree() > 1:
-            raise ValueError(f"{self.strategy} requires an affine expression")
+    def __new__(cls, expr, target, strategy):
+        sign_parts(target)
+        if strategy not in STRATEGIES:
+            raise ValueError(f"bad strategy {strategy!r}")
+        if strategy != "interval-subdivision" and expr.total_degree() > 1:
+            raise ValueError(f"{strategy} requires an affine expression")
+        return super().__new__(cls, expr, target, strategy)
 
 
-@dataclass(frozen=True)
-class FactoredClaim:
+class FactoredClaim(namedtuple("FactoredClaim", "factors overall_sign")):
     """overall_sign claimed for the product of the factors.  The factor
     targets must imply it, which is checked on construction."""
 
-    factors: tuple
-    overall_sign: str
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __new__(cls, factors, overall_sign):
+        factors = tuple(factors)
+        if not factors:
             raise ValueError("claim needs at least one factor")
         orient, strict = 1, True
-        for f in self.factors:
+        for f in factors:
             f_orient, f_strict = sign_parts(f.target)
             orient, strict = orient * f_orient, strict and f_strict
-        want_orient, want_strict = sign_parts(self.overall_sign)
+        want_orient, want_strict = sign_parts(overall_sign)
         if orient != want_orient or (want_strict and not strict):
-            targets = ", ".join(f.target for f in self.factors)
-            raise ValueError(f"factor signs {targets} do not imply {self.overall_sign}")
+            targets = ", ".join(f.target for f in factors)
+            raise ValueError(f"factor signs {targets} do not imply {overall_sign}")
+        return super().__new__(cls, factors, overall_sign)
 
     def product(self):
         out = self.factors[0].expr
@@ -236,8 +232,7 @@ def polytope_vertices(region):
 # --- side pieces -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(namedtuple("Piece", "region alpha t lift", defaults=(None,))):
     """A plain box of a region, in coordinates (alpha, t).
 
     lift is beta as a polynomial in (alpha, t), or None where t is beta
@@ -246,10 +241,7 @@ class Piece:
     edge the lift collapses to one point all take their openness from it.
     """
 
-    region: Region
-    alpha: RationalInterval
-    t: RationalInterval
-    lift: BivariatePoly | None = None
+    __slots__ = ()
 
     def point(self, alpha, t):
         """The region point (alpha, beta) at piece coordinates (alpha, t)."""

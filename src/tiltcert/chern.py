@@ -8,7 +8,7 @@ an H^3 is produced, so twisting threads d through the ch3 component.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .kernel import as_fraction, format_rational, parse_rational
@@ -18,37 +18,33 @@ from .kernel import as_fraction, format_rational, parse_rational
 DEGREE = 2
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
-    ch0: Fraction
-    ch1: Fraction
-    ch2: Fraction
-    ch3: Fraction
+class ChernCharacter(namedtuple("ChernCharacter", "ch0 ch1 ch2 ch3")):
+    """(ch0, ch1, ch2, ch3) as exact Fractions.  The tuple's + and * are
+    replaced: + and - act componentwise, and * scales by a number."""
 
-    def __post_init__(self):
-        for field in ("ch0", "ch1", "ch2", "ch3"):
-            object.__setattr__(self, field, as_fraction(getattr(self, field)))
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def as_tuple(self):
-        return (self.ch0, self.ch1, self.ch2, self.ch3)
+    def __new__(cls, ch0, ch1, ch2, ch3):
+        return super().__new__(cls, *map(as_fraction, (ch0, ch1, ch2, ch3)))
 
     def __add__(self, other):
-        return ChernCharacter(*(x + y for x, y in zip(self.as_tuple(), other.as_tuple())))
+        return ChernCharacter(*(x + y for x, y in zip(self, other)))
 
     def __sub__(self, other):
-        return ChernCharacter(*(x - y for x, y in zip(self.as_tuple(), other.as_tuple())))
+        return ChernCharacter(*(x - y for x, y in zip(self, other)))
 
     def __neg__(self):
-        return ChernCharacter(*(-x for x in self.as_tuple()))
+        return ChernCharacter(*(-x for x in self))
 
     def __mul__(self, scalar):
         scalar = as_fraction(scalar)
-        return ChernCharacter(*(x * scalar for x in self.as_tuple()))
+        return ChernCharacter(*(x * scalar for x in self))
 
     __rmul__ = __mul__
 
     def __str__(self):
-        return "(" + ", ".join(format_rational(x) for x in self.as_tuple()) + ")"
+        return "(" + ", ".join(map(format_rational, self)) + ")"
 
 
 # Longest character file load_chern reads, in characters: four rationals
@@ -89,7 +85,7 @@ def twist(v, beta):
     """
     beta = as_fraction(beta)
     d = DEGREE
-    r, c1, c2, c3 = v.as_tuple()
+    r, c1, c2, c3 = v
     return ChernCharacter(
         r,
         c1 - beta * r,
@@ -108,12 +104,7 @@ def shift(v, k):
     return v if k % 2 == 0 else -v
 
 
-@dataclass(frozen=True)
-class CatalogObject:
-    label: str
-    ch: ChernCharacter
-    heart_shift: int | None
-    mu_stable: bool
+CatalogObject = namedtuple("CatalogObject", "label ch heart_shift mu_stable")
 
 
 def spinor_ch_minus_one():

@@ -10,7 +10,6 @@ import argparse
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 
 from .certify import default_region
 from .chern import DEGREE, catalog_lookup, load_chern, quadric_catalog
@@ -131,7 +130,7 @@ def _region_from_args(args):
     if args.region is None:
         return default_region()
     beta_iv, alpha_iv = args.region
-    return replace(default_region(), beta=beta_iv, alpha=alpha_iv)
+    return default_region()._replace(beta=beta_iv, alpha=alpha_iv)
 
 
 def _cmd_verify(args):

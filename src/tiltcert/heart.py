@@ -23,7 +23,7 @@ GENERATORS = {
     if obj.heart_shift is not None
 }
 # One row per Chern component, holding that component of each generator.
-_GENERATOR_ROWS = tuple(zip(*(ch.as_tuple() for ch in GENERATORS.values())))
+_GENERATOR_ROWS = tuple(zip(*GENERATORS.values()))
 
 SKYSCRAPER_VECTOR = (1, 2, 4, 1)
 BASE_VECTORS = ((0, 2, 4, 1), (0, 1, 0, 1))

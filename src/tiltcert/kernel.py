@@ -15,7 +15,7 @@ a corner block's forward differences).
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -53,18 +53,17 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(namedtuple("RationalInterval", "lo hi")):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
+    def __new__(cls, lo, hi):
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self):

@@ -10,7 +10,7 @@ numerator x denominator) on the region, or on the side of it a claim names.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certify import (
@@ -168,7 +168,7 @@ def _certifier(region, max_depth):
         key = (poly_format(poly), sign, side)
         if key not in certs:
             claim = FactoredClaim((Factor(poly, sign, "interval-subdivision"),), sign)
-            on = region if side is None else replace(region, side=side)
+            on = region if side is None else region._replace(side=side)
             certs[key] = certify_sign(claim, on, max_depth)
         cert = certs[key]
         return ReportItem(
@@ -225,7 +225,7 @@ def _structural_items():
         catalog_lookup(label).ch for label in ("O(-1)", "S(-1)", "O", "O(1)", "S", "k(x)")
     )
     alternating = o_minus - 2 * s_minus + 4 * o - o_plus + point
-    ok = all(x == 0 for x in alternating.as_tuple())
+    ok = not any(alternating)
     items = [
         _identity_item(
             "resolution alternating sum",

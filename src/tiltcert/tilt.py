@@ -11,7 +11,7 @@ returned as None; a finite slope is a Fraction and Z is the pair
 a point) and symbolically (BivariatePoly in a = alpha, b = beta).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chern import DEGREE, twist
@@ -21,18 +21,15 @@ from .kernel import BivariatePoly, as_fraction, poly_eval  # poly_eval: kept for
 S_DEFAULT = Fraction(1, 6)
 
 
-@dataclass(frozen=True)
-class TiltParams:
-    alpha: Fraction
-    beta: Fraction
-    s: Fraction = S_DEFAULT
+class TiltParams(namedtuple("TiltParams", "alpha beta s")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        object.__setattr__(self, "s", as_fraction(self.s))
-        if self.alpha <= 0:
+    def __new__(cls, alpha, beta, s=S_DEFAULT):
+        alpha, beta, s = as_fraction(alpha), as_fraction(beta), as_fraction(s)
+        if alpha <= 0:
             raise ValueError("tilt parameter alpha must be positive")
+        return super().__new__(cls, alpha, beta, s)
 
 
 def mu(v, p):
@@ -73,7 +70,7 @@ def twisted_ch_polynomials(v):
     the suite's bg item and the tests compare.
     """
     d = DEGREE
-    r, c1, c2, c3 = v.as_tuple()
+    r, c1, c2, c3 = v
     rows = ((r,), (c1, -r), (c2, -c1, r / 2), (c3, -d * c2, d * c1 / 2, -d * r / 6))
     return tuple(BivariatePoly({(0, k): c for k, c in enumerate(row)}) for row in rows)
 

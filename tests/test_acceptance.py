@@ -83,7 +83,7 @@ def test_acceptance_02_structural_identities(capsys):
     resolution = ch["O(-1)"] - 2 * ch["S(-1)"] + 4 * ch["O"] - ch["O(1)"]
     if (-resolution) != ch["k(x)"]:
         problems.append(f"resolution alternating sum gives {-resolution}")
-    if ch["k(x)"].as_tuple() != (0, 0, 0, 1):
+    if tuple(ch["k(x)"]) != (0, 0, 0, 1):
         problems.append(f"point character is {ch['k(x)']}")
     if ch["S(-1)"] + ch["S"] != 4 * ch["O"]:
         problems.append("spinor sum != 4 * structure sheaf")

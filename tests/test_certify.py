@@ -3,7 +3,6 @@
 import hashlib
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -350,7 +349,7 @@ def test_collapsed_edge_takes_its_point_openness():
     # point (0, 0), the only zero of a^2 + b^2: the claim stands or falls
     # with the openness of alpha-lo.
     claim = FactoredClaim((Factor(A**2 + B**2, ">0", "interval-subdivision"),), ">0")
-    closed = replace(default_region(SIDE_RIGHT), alpha_open=(False, True))
+    closed = default_region(SIDE_RIGHT)._replace(alpha_open=(False, True))
     cert = certify_sign(claim, closed)
     assert cert.status == "failed"
     assert cert.witness == (0, 0)
@@ -369,7 +368,7 @@ def test_acute_corner_on_an_open_bound():
     )
     claim = FactoredClaim((Factor(A**2 + B**2, ">0", "interval-subdivision"),), ">0")
     assert certify_sign(claim, region).status == "certified"
-    closed = replace(region, beta_open=(False, False))
+    closed = region._replace(beta_open=(False, False))
     cert = certify_sign(claim, closed)
     assert cert.status == "failed" and cert.witness == (0, 0)
 
@@ -458,7 +457,7 @@ def test_one_verify_all_builds_each_region_once():
 def test_equal_regions_share_one_cache_entry():
     side_pieces.cache_clear()
     first = side_pieces(default_region(SIDE_LEFT))
-    second = side_pieces(replace(default_region(), side=SIDE_LEFT))
+    second = side_pieces(default_region()._replace(side=SIDE_LEFT))
     assert second is first
     info = side_pieces.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
@@ -549,7 +548,7 @@ def test_witness_found_before_any_subdivision():
     claim = FactoredClaim(
         (Factor(A - F(1, 4), ">0", "affine-vertex"),), ">0"
     )
-    closed = replace(default_region(), alpha_open=(False, False))
+    closed = default_region()._replace(alpha_open=(False, False))
     cert = certify_sign(claim, closed)
     assert (cert.status, cert.witness) == ("failed", (0, F(-1, 2)))
     assert cert.boxes == 1 and cert.depth == 0
@@ -767,7 +766,7 @@ def test_side_pieces_cover_the_region_exactly(region):
     pieces = side_pieces(region)
     # Each piece lies in the closed region: the lift of its box is the hull
     # of its lifted corners.
-    closure = replace(region, alpha_open=(False, False), beta_open=(False, False))
+    closure = region._replace(alpha_open=(False, False), beta_open=(False, False))
     for piece in pieces:
         assert piece.alpha.width > 0 and piece.t.width > 0
         # Each box coordinate keeps one sign.
@@ -1177,7 +1176,7 @@ def bisection_cases(draw):
     region = draw(regions())
     if draw(st.booleans()):
         # An alpha range across 0, where side_pieces cuts every piece.
-        region = replace(region, alpha=RationalInterval(-draw(widths), draw(widths)))
+        region = region._replace(alpha=RationalInterval(-draw(widths), draw(widths)))
     if draw(st.booleans()):
         # Random terms of bidegree up to (4, 4).
         exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))

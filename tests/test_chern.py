@@ -140,7 +140,7 @@ def test_float_values_are_refused():
     with pytest.raises(TypeError):
         line_bundle_ch(0.5)
     v = ChernCharacter(1, 2, F(1, 2), 0)
-    assert all(type(x) is Fraction for x in v.as_tuple())
+    assert all(type(x) is Fraction for x in v)
 
 
 def test_json_round_trip(tmp_path):

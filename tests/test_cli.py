@@ -323,7 +323,7 @@ def test_subobjects_prints_the_suite_coverage_notes(capsys):
 def _write_character(tmp_path, label, name="probe.json"):
     path = tmp_path / name
     ch = catalog_lookup(label).ch
-    payload = {f"ch{k}": format_rational(x) for k, x in enumerate(ch.as_tuple())}
+    payload = {f"ch{k}": format_rational(x) for k, x in enumerate(ch)}
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 

@@ -8,7 +8,9 @@ every public name is read somewhere in the package or exported from its
 root, only the CLI's main writes to stderr, every file open names its
 encoding, no function mutates its parameters, every functools cache has
 a bound, each exemption above still has the bench patch that needs it,
-and the sources parse as the oldest Python that pyproject.toml allows."""
+only the records that the bench's dataclasses.replace calls need are
+dataclasses, and the sources parse as the oldest Python that
+pyproject.toml allows."""
 
 import ast
 import sys
@@ -18,6 +20,7 @@ import tiltcert
 
 PACKAGE = Path(tiltcert.__file__).parent
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH_TESTS = BENCH_TRACING.with_name("test_bench.py")
 
 
 def _tiltcert_imports(path):
@@ -298,6 +301,50 @@ def test_every_cache_is_bounded():
             if functools_name(node) in ("cache", "lru_cache") and id(node) not in bounded
         )
     assert offenders == []
+
+
+# (module, class) that stays a dataclass -> (test, variable) of the
+# bench/test_bench.py test that calls dataclasses.replace on it.  Every
+# other record is a checked named tuple, with _replace in place of replace.
+DATACLASSES = {
+    ("certify", "SignCertificate"): ("test_oracle_rejects_doctored_certificates", "cert"),
+    ("suite", "Report"): ("test_oracle_rejects_doctored_reports", "report"),
+    ("suite", "ReportItem"): ("test_oracle_rejects_doctored_reports", "item"),
+}
+
+
+def test_only_the_bench_pinned_records_are_dataclasses():
+    importers, decorated = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                importers.add(path.stem)
+            elif isinstance(node, ast.Import) and "dataclasses" in {a.name for a in node.names}:
+                importers.add(path.stem)
+            elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+                for d in node.decorator_list
+            ):
+                decorated.add((path.stem, node.name))
+    assert importers == {module for module, _ in DATACLASSES}
+    assert decorated == DATACLASSES.keys()
+
+
+def test_every_dataclass_has_its_bench_replace():
+    # When the bench stops calling replace on a record, it can become a
+    # named tuple: this names it.
+    calls = {
+        (func.name, node.args[0].id)
+        for func in ast.parse(BENCH_TESTS.read_text(encoding="utf-8")).body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "replace"
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+    }
+    assert [record for record, call in DATACLASSES.items() if call not in calls] == []
 
 
 def test_sources_parse_at_the_python_floor():

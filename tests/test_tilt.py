@@ -322,7 +322,7 @@ def test_twisted_polys_match_pointwise_twist():
 def _twisted_by_products(v):
     # Reference built by BivariatePoly products, not from the coefficient table.
     b = BivariatePoly.beta()
-    c0, c1, c2, c3 = (BivariatePoly.constant(c) for c in v.as_tuple())
+    c0, c1, c2, c3 = (BivariatePoly.constant(c) for c in v)
     return (
         c0,
         c1 - b * v.ch0,
@@ -358,7 +358,7 @@ def test_closed_forms_match_product_chain_and_pointwise(v, s):
     # Degrees are <= 3 in each variable, so 4 x 4 grid agreement is identity.
     for beta in (F(-1), F(0), F(1, 3), F(2)):
         t = twist(v, beta)
-        assert tuple(poly_eval(p, 0, beta) for p in twisted) == t.as_tuple()
+        assert tuple(poly_eval(p, 0, beta) for p in twisted) == tuple(t)
         for alpha in (F(1, 4), F(1, 2), F(1), F(3)):
             z = central_charge(v, TiltParams(alpha, beta, s))
             assert (poly_eval(re_poly, alpha, beta), poly_eval(im_poly, alpha, beta)) == z
