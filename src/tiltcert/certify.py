@@ -5,6 +5,8 @@ A claim asserts a sign for a product of polynomial factors over a region
 half-plane alpha <= -beta or alpha >= -beta).  The certifier reads only
 the claim's product and its overall sign: the factors, their targets and
 their strategies are checked when the claim is built, and select no code.
+Regions, factors, claims and pieces are named tuples; _replace re-runs the
+constructor's checks.
 certify_sign orients the product once, negating it for "<0" and "<=0",
 so the engine below only certifies poly > 0 (strict) or poly >= 0.
 
@@ -96,13 +98,12 @@ class Region(namedtuple("Region", "beta alpha beta_open alpha_open side")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, beta, alpha, beta_open=(False, False), alpha_open=(False, False), side=None):
-        # Tuples keep a region hashable: the geometry caches key on it.
-        beta_open, alpha_open = tuple(beta_open), tuple(alpha_open)
         if beta.width <= 0 or alpha.width <= 0:
             raise ValueError("region box must be full-dimensional")
         if side not in (None, *SIDE_SIGNS):
             raise ValueError(f"unknown side constraint {side!r}")
-        return super().__new__(cls, beta, alpha, beta_open, alpha_open, side)
+        # Tuples keep a region hashable: the geometry caches key on it.
+        return super().__new__(cls, beta, alpha, tuple(beta_open), tuple(alpha_open), side)
 
     def side_ok(self, alpha, beta):
         return self.side is None or SIDE_SIGNS[self.side] * (alpha + beta) >= 0

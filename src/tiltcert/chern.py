@@ -5,6 +5,8 @@ and ch3 is the rational degree of the 0-cycle (point-class coefficient,
 already an intersection number).  The mixed normalization keeps central
 charges dimensionless; the degree d = H^3 = DEGREE enters exactly where
 an H^3 is produced, so twisting threads d through the ch3 component.
+ChernCharacter is a named tuple of Fractions: its + and - act by
+component, and * scales by a number, in place of the tuple's + and *.
 """
 
 import json
@@ -19,9 +21,6 @@ DEGREE = 2
 
 
 class ChernCharacter(namedtuple("ChernCharacter", "ch0 ch1 ch2 ch3")):
-    """(ch0, ch1, ch2, ch3) as exact Fractions.  The tuple's + and * are
-    replaced: + and - act componentwise, and * scales by a number."""
-
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 

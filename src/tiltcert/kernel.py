@@ -1,9 +1,10 @@
 """Exact arithmetic substrate: rationals, rational intervals, bivariate polynomials.
 
-Everything here is exact.  No floats enter any computation path; decimal
-strings are produced only at the rendering edge (see svg.py).  Polynomials
-live in Q[a, b] where `a` is the tilt parameter alpha and `b` is beta, stored
-as a sparse map (i, j) -> coefficient with zero coefficients dropped.
+Everything here is exact: no float enters a computation, and decimals are
+written only at the rendering edge (svg.py).  RationalInterval is a named
+tuple whose constructor, which _replace reuses, refuses floats and empty
+intervals.  Polynomials live in Q[a, b], a = alpha and b = beta, as a
+sparse map (i, j) -> coefficient with zero coefficients dropped.
 
 The certifier's inner loops run on Python ints.  Where only a sign, a zero
 or the position of a maximum matters, a value is carried as an integer
