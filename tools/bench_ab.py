@@ -45,7 +45,10 @@ def parse_run(stdout):
     last line's JSON object, or None when that line is not a result;
     fingerprint is the text after "fingerprint ", or None."""
     lines = stdout.strip().splitlines()
-    fingerprint = next((line[12:] for line in lines if line.startswith("fingerprint ")), None)
+    fingerprint = next(
+        (line.removeprefix("fingerprint ") for line in lines if line.startswith("fingerprint ")),
+        None,
+    )
     try:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
