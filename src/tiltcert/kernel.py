@@ -73,6 +73,8 @@ class RationalInterval(namedtuple("RationalInterval", "lo hi")):
     def contains(self, x):
         return self.lo <= x <= self.hi
 
+    __contains__ = contains
+
     def __str__(self):
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 

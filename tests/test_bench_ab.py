@@ -4,6 +4,7 @@ no benchmark runs here."""
 import ast
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -125,6 +126,40 @@ def test_an_incorrect_or_missing_run_fails_the_record():
     summary, ok = bench_ab.summarize(SPEC, runs)
     assert not ok
     assert summary["proof"]["bad_runs"] == {"base": 1, "change": 2}
+
+
+def test_a_zero_base_median_has_no_ratio():
+    outputs = {"base": iter([_stdout(0.0)] * 2), "change": iter([_stdout(0.0), _stdout(0.1)])}
+    runs = bench_ab.record(["proof"], 2, lambda side, workload: next(outputs[side]))
+    summary, ok = bench_ab.summarize(SPEC, runs)
+    op = summary["proof"]["metrics"]["op_rel"]
+    assert ok and op["ratio"] is None and op["base_rel_iqr"] is None
+    assert op["verdict"] == "unresolved"
+    assert "op_rel: base 0 change 0.05 x, ratio n/a, base IQR/median n/a" in "\n".join(
+        bench_ab._table(summary)
+    )
+
+
+def test_main_runs_the_benchmark_settings(monkeypatch, tmp_path):
+    # The run length is BENCHMARK.json's, the seed is 7, and there are at
+    # least 10 pairs per workload.
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((argv, cwd))
+        return subprocess.CompletedProcess(argv, 0, stdout=_stdout(1.0), stderr="")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    out = tmp_path / "ab.json"
+    argv = ["--base", str(tmp_path / "a"), "--change", str(tmp_path / "b"), "--out", str(out)]
+    assert bench_ab.main(argv) == 0
+    assert len(calls) == 2 * 10 * len(spec["workloads"])
+    tail = ["--seed", "7", "--seconds", f"{spec['run_seconds']:g}", "--trace", "0"]
+    assert all(a[:2] == spec["command"] and a[-6:] == tail for a, _ in calls)
+    assert json.loads(out.read_text(encoding="utf-8"))["pairs"] == 10
+    with pytest.raises(SystemExit):
+        bench_ab.main([*argv, "--pairs", "9"])
 
 
 def test_the_recorder_imports_only_the_standard_library():

@@ -69,6 +69,13 @@ RECORDS = [
 ]
 
 
+def test_in_tests_interval_containment():
+    # Containment, not tuple membership: 1/2 is not an endpoint.
+    interval = RationalInterval(0, 1)
+    assert Fraction(1, 2) in interval and 0 in interval and 1 in interval
+    assert 2 not in interval and Fraction(-1, 3) not in interval
+
+
 @pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
 def test_no_field_can_be_set(record):
     name = record._fields[0]

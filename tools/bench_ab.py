@@ -2,13 +2,13 @@
 """A/B recorder: run the benchmark in two checkouts, alternately, and write
 one JSON summary of its end-to-end metrics.
 
-    python3 tools/bench_ab.py --base DIR --change DIR --pairs 10 \\
-        --seconds 4 --seed 7 --out BENCH_<n>.json
+    python3 tools/bench_ab.py --base DIR --change DIR --out BENCH_<n>.json
 
 For every workload named in BENCHMARK.json it runs the benchmark's own
-command, `python3 bench/run.py --workload W --seed N --seconds S --trace 0`,
-with each checkout's root as the working directory, PAIRS times on each
-side; in each pair the side that runs first alternates.  From every run it
+command, `python3 bench/run.py --workload W --seed 7 --seconds S --trace 0`
+with S the benchmark's `run_seconds`, with each checkout's root as the
+working directory, PAIRS times on each side (10 unless --pairs asks for
+more); in each pair the side that runs first alternates.  From every run it
 reads the last line of standard output (the result JSON) and the
 `fingerprint` line.
 
@@ -38,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+SEED = 7
+MIN_PAIRS = 10
 
 
 def parse_run(stdout):
@@ -150,9 +152,13 @@ def _table(summary):
             if "base" not in m:
                 lines.append(f"  {name}: {m['verdict']}")
                 continue
+            if m["ratio"] is None:  # a base median of 0
+                ratio = rel_iqr = "n/a"
+            else:
+                ratio, rel_iqr = f"{m['ratio']:.3f}", f"{m['base_rel_iqr']:.3f}"
             line = (
                 f"  {name}: base {m['base']['median']:.4g} change {m['change']['median']:.4g} "
-                f"{m['unit']}, ratio {m['ratio']:.3f}, base IQR/median {m['base_rel_iqr']:.3f}, "
+                f"{m['unit']}, ratio {ratio}, base IQR/median {rel_iqr}, "
                 f"bound {m['bound']}: {m['verdict']}"
             )
             if name == "peak_rss_mb" and len(entry["attempted"]) == 2:
@@ -166,16 +172,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path, help="root of the base checkout")
     parser.add_argument("--change", required=True, type=Path, help="root of the changed checkout")
-    parser.add_argument("--pairs", required=True, type=int)
-    parser.add_argument("--seconds", required=True, type=float)
-    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS, help=f"at least {MIN_PAIRS}")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     roots = {"base": args.base, "change": args.change}
-    tail = ["--seed", str(args.seed), "--seconds", f"{args.seconds:g}", "--trace", "0"]
+    tail = ["--seed", str(SEED), "--seconds", f"{seconds:g}", "--trace", "0"]
 
     def run(side, workload):
         argv = [*spec["command"], "--workload", workload, *tail]
@@ -183,7 +188,7 @@ def main(argv=None):
         try:
             proc = subprocess.run(
                 argv, cwd=roots[side], capture_output=True, text=True,
-                timeout=600 + 20 * args.seconds,
+                timeout=600 + 20 * seconds,
             )
         except subprocess.TimeoutExpired:
             return ""
