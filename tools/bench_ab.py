@@ -7,8 +7,8 @@ one JSON summary of its end-to-end metrics.
 For every workload named in BENCHMARK.json it runs the benchmark's own
 command, `python3 bench/run.py --workload W --seed 7 --seconds S --trace 0`
 with S the benchmark's `run_seconds`, with each checkout's root as the
-working directory, PAIRS times on each side (10 unless --pairs asks for
-more); in each pair the side that runs first alternates.  From every run it
+working directory, 10 times on each side; in each pair the side that
+runs first alternates.  From every run it
 reads the last line of standard output (the result JSON) and the
 `fingerprint` line.
 
@@ -39,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
 SEED = 7
-MIN_PAIRS = 10
+PAIRS = 10
 
 
 def parse_run(stdout):
@@ -172,11 +172,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path, help="root of the base checkout")
     parser.add_argument("--change", required=True, type=Path, help="root of the changed checkout")
-    parser.add_argument("--pairs", type=int, default=MIN_PAIRS, help=f"at least {MIN_PAIRS}")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < MIN_PAIRS:
-        parser.error(f"--pairs must be at least {MIN_PAIRS}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     roots = {"base": args.base, "change": args.change}
@@ -195,10 +192,10 @@ def main(argv=None):
         return proc.stdout
 
     workloads = [w["name"] for w in spec["workloads"]]
-    summary, ok = summarize(spec, record(workloads, args.pairs, run))
+    summary, ok = summarize(spec, record(workloads, PAIRS, run))
     out = {
         "command": [*spec["command"], "--workload", "W", *tail],
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "pair k runs base first when k is even, change first when k is odd",
         "checkouts": {side: root.resolve().name for side, root in roots.items()},
         "host": {
