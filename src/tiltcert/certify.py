@@ -215,18 +215,10 @@ def _violates(value, strict):
 def polytope_vertices(region):
     """Vertices of the closed box cut by the side half-plane, as a sorted
     tuple.  Cached by region value (at most 64 regions)."""
-    points = set()
-    for a in (region.alpha.lo, region.alpha.hi):
-        for b in (region.beta.lo, region.beta.hi):
-            if region.side_ok(a, b):
-                points.add((a, b))
+    points = {(a, b) for a in region.alpha for b in region.beta if region.side_ok(a, b)}
     if region.side is not None:
-        for a in (region.alpha.lo, region.alpha.hi):
-            if region.beta.contains(-a):
-                points.add((a, -a))
-        for b in (region.beta.lo, region.beta.hi):
-            if region.alpha.contains(-b):
-                points.add((-b, b))
+        points.update((a, -a) for a in region.alpha if -a in region.beta)
+        points.update((-b, b) for b in region.beta if -b in region.alpha)
     return tuple(sorted(points))
 
 
