@@ -72,7 +72,6 @@ from .kernel import (
     BivariatePoly,
     RationalInterval,
     bernstein_coefficients,
-    format_rational,
     grid_form,
     poly_eval,
     poly_format,
@@ -103,7 +102,10 @@ class Region(namedtuple("Region", "beta alpha beta_open alpha_open side")):
         if side not in (None, *SIDE_SIGNS):
             raise ValueError(f"unknown side constraint {side!r}")
         # Tuples keep a region hashable: the geometry caches key on it.
-        return super().__new__(cls, beta, alpha, tuple(beta_open), tuple(alpha_open), side)
+        flags = tuple(beta_open), tuple(alpha_open)
+        if any(len(f) != 2 or not all(type(x) is bool for x in f) for f in flags):
+            raise ValueError(f"openness flags must be pairs of bools, not {flags!r}")
+        return super().__new__(cls, beta, alpha, *flags, side)
 
     def side_ok(self, alpha, beta):
         return self.side is None or SIDE_SIGNS[self.side] * (alpha + beta) >= 0
@@ -117,13 +119,9 @@ class Region(namedtuple("Region", "beta alpha beta_open alpha_open side")):
         return a_lo and a_hi and b_lo and b_hi and self.side_ok(alpha, beta)
 
     def describe(self):
-        b_l = "(" if self.beta_open[0] else "["
-        b_r = ")" if self.beta_open[1] else "]"
-        a_l = "(" if self.alpha_open[0] else "["
-        a_r = ")" if self.alpha_open[1] else "]"
         text = (
-            f"beta in {b_l}{format_rational(self.beta.lo)}, {format_rational(self.beta.hi)}{b_r}, "
-            f"alpha in {a_l}{format_rational(self.alpha.lo)}, {format_rational(self.alpha.hi)}{a_r}"
+            f"beta in {self.beta.text(self.beta_open)}, "
+            f"alpha in {self.alpha.text(self.alpha_open)}"
         )
         if self.side:
             text += f", {self.side}"

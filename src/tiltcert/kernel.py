@@ -12,7 +12,8 @@ positive multiple of itself: Bernstein grids (bernstein_coefficients
 returns (den, grid) with grid / den the exact coefficients and
 gcd(den, *grid) == 1; split_grid) and grid values (grid_form returns
 grid_axis's integer coordinates and the rows of values there, summed from
-a corner block's forward differences).
+a corner block's forward differences).  grid_axis is the one integer view
+of an interval; grid_axis(box, 1) is its ends over their common denominator.
 """
 
 import re
@@ -48,14 +49,13 @@ def as_fraction(x):
 
 
 def format_rational(q):
-    q = as_fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """'p' or 'p/q', in lowest terms: str of q as a Fraction."""
+    return str(as_fraction(q))
 
 
 class RationalInterval(namedtuple("RationalInterval", "lo hi")):
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints.  str() writes
+    '[lo, hi]'; text(open_ends) writes '(' or ')' at an end marked open."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -75,8 +75,12 @@ class RationalInterval(namedtuple("RationalInterval", "lo hi")):
 
     __contains__ = contains
 
-    def __str__(self):
-        return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
+    def text(self, open_ends=(False, False)):
+        left = "(" if open_ends[0] else "["
+        right = ")" if open_ends[1] else "]"
+        return f"{left}{format_rational(self.lo)}, {format_rational(self.hi)}{right}"
+
+    __str__ = text
 
 
 def _term_sort_key(key):
@@ -228,23 +232,14 @@ def _integer_terms(p):
     return scale, [(key, c.numerator * (scale // c.denominator)) for key, c in p.terms.items()]
 
 
-def _integer_endpoints(box):
-    # (lo, hi, den): ints with box == [lo / den, hi / den].
-    den = lcm(box.lo.denominator, box.hi.denominator)
-    return (
-        box.lo.numerator * (den // box.lo.denominator),
-        box.hi.numerator * (den // box.hi.denominator),
-        den,
-    )
-
-
 def grid_axis(box, g):
     """Integer coordinates of the g + 1 grid points on an interval.
 
     Returns (nums, den): the point lo + width * k / g equals nums[k] / den,
     with den > 0 the same for every k.
     """
-    lo, hi, den = _integer_endpoints(box)
+    den = lcm(box.lo.denominator, box.hi.denominator)
+    lo, hi = (x.numerator * (den // x.denominator) for x in box)
     return [lo * (g - k) + hi * k for k in range(g + 1)], den * g
 
 
@@ -309,15 +304,7 @@ def poly_format(p):
     for key in sorted(p.terms, key=_term_sort_key):
         i, j = key
         c = p.terms[key]
-        mono = []
-        if i == 1:
-            mono.append("a")
-        elif i > 1:
-            mono.append(f"a^{i}")
-        if j == 1:
-            mono.append("b")
-        elif j > 1:
-            mono.append(f"b^{j}")
+        mono = [x if e == 1 else f"{x}^{e}" for x, e in (("a", i), ("b", j)) if e]
         mag = abs(c)
         if mono and mag == 1:
             body = "*".join(mono)
@@ -372,7 +359,7 @@ def _bernstein_1d(rows, d, box):
     # den^(d - e), Taylor-shift by lo, weight the u^k entry by
     # w^k k! (d - k)!, then sum with binomials, since
     # d! C(i, k) / C(d, k) = C(i, k) k! (d - k)!.
-    lo, hi, den = _integer_endpoints(box)
+    (lo, hi), den = grid_axis(box, 1)
     w = hi - lo
     up, down, den_powers = [1] * (d + 1), [1] * (d + 1), [1] * (d + 1)
     for k in range(1, d + 1):

@@ -192,14 +192,13 @@ def verify_lemma_computation():
     central charges.  Any mismatch fails, naming the identity."""
     items = []
     component_names = ("ch0", "ch1", "ch2", "ch3")
-    for label in ("O(-1)", "O", "O(1)", "S(-1)"):
+    for label, expected in REFERENCE_TWISTED.items():
         ch = catalog_lookup(label).ch
         computed = twisted_ch_polynomials(ch)
-        expected = REFERENCE_TWISTED[label]
         bad = [name for name, c, e in zip(component_names, computed, expected) if c != e]
         notes = [f"component {name} differs" for name in bad]
         items.append(_identity_item(f"twisted-ch {label}", not bad, notes))
-    for label in ("O(-1)", "O", "O(1)", "S(-1)"):
+    for label in REFERENCE_TWISTED:
         ch = catalog_lookup(label).ch
         _, t1, t2, _ = twisted_ch_polynomials(ch)
         num, den = REFERENCE_MU[label]
@@ -211,7 +210,7 @@ def verify_lemma_computation():
         num, den = REFERENCE_NU[label]
         ok = nu_num * den == num * nu_den
         items.append(_identity_item(f"nu {label}", ok))
-    for label in ("O(-1)", "O", "O(1)", "S(-1)"):
+    for label in REFERENCE_TWISTED:
         ch = catalog_lookup(label).ch
         re, im = z_polynomials(ch, S_DEFAULT)
         re_ref, im_ref = REFERENCE_Z[label]

@@ -43,6 +43,18 @@ def _svg_header():
     )
 
 
+def _line(cls, ends, style):
+    """One <line> element: ends is (x1, y1, x2, y2) as pixel text."""
+    x1, y1, x2, y2 = ends
+    return f'  <line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>\n'
+
+
+def _write_svg(path, parts):
+    """Close the figure whose elements are parts and write it to path."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(parts) + "</svg>\n")
+
+
 def emit_zvectors_svg(p, path):
     """Draw Z of the four shifted heart generators as arrows from the origin.
 
@@ -67,45 +79,29 @@ def emit_zvectors_svg(p, path):
         'refY="3" orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="black"/>'
         "</marker></defs>\n"
     )
-    parts.append(
-        f'  <line class="axis" x1="{decimal6(MARGIN)}" y1="{decimal6(cy)}" '
-        f'x2="{decimal6(WIDTH - MARGIN)}" y2="{decimal6(cy)}" '
-        'stroke="#cccccc" stroke-width="1"/>\n'
-    )
-    parts.append(
-        f'  <line class="axis" x1="{decimal6(cx)}" y1="{decimal6(MARGIN)}" '
-        f'x2="{decimal6(cx)}" y2="{decimal6(HEIGHT - MARGIN)}" '
-        'stroke="#cccccc" stroke-width="1"/>\n'
-    )
+    axis = 'stroke="#cccccc" stroke-width="1"'
+    parts.append(_line("axis", map(decimal6, (MARGIN, cy, WIDTH - MARGIN, cy)), axis))
+    parts.append(_line("axis", map(decimal6, (cx, MARGIN, cx, HEIGHT - MARGIN)), axis))
     # The divider's direction; TiltParams keeps alpha > 0, so Z(O[1]) != 0.
     if p.alpha >= -p.beta:
         dx, dy = 0, 1
     else:
         dx, dy = next((re, im) for label, re, im in charges if label == "O[1]")
     stretch = extent / max(abs(dx), abs(dy))
-    x1, y1 = to_px(dx * stretch, dy * stretch)
-    x2, y2 = to_px(-dx * stretch, -dy * stretch)
-    parts.append(
-        f'  <line class="divider" x1="{decimal6(x1)}" y1="{decimal6(y1)}" '
-        f'x2="{decimal6(x2)}" y2="{decimal6(y2)}" '
-        'stroke="#8888ff" stroke-width="1" stroke-dasharray="6,4"/>\n'
-    )
+    ends = (*to_px(dx * stretch, dy * stretch), *to_px(-dx * stretch, -dy * stretch))
+    dashed = 'stroke="#8888ff" stroke-width="1" stroke-dasharray="6,4"'
+    parts.append(_line("divider", map(decimal6, ends), dashed))
+    arrow = 'stroke="black" stroke-width="2" marker-end="url(#tip)"'
     for label, re, im in charges:
         x, y = to_px(re, im)
-        parts.append(
-            f'  <line class="zvector" x1="{decimal6(cx)}" y1="{decimal6(cy)}" '
-            f'x2="{decimal6(x)}" y2="{decimal6(y)}" '
-            'stroke="black" stroke-width="2" marker-end="url(#tip)"/>\n'
-        )
+        parts.append(_line("zvector", map(decimal6, (cx, cy, x, y)), arrow))
         lx = x + (8 if x >= cx else -8)
         anchor = "start" if x >= cx else "end"
         parts.append(
             f'  <text class="zlabel" x="{decimal6(lx)}" y="{decimal6(y)}" '
             f'font-size="14" text-anchor="{anchor}">Z({label})</text>\n'
         )
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("".join(parts))
+    _write_svg(path, parts)
 
 
 # Marching squares: corner bit k set when the value there is >= 0, bits
@@ -199,19 +195,14 @@ def emit_wall_svg(v, w, grid, path, box_beta, box_alpha):
     )
     parts.append(
         f'  <text x="{WIDTH // 2}" y="{HEIGHT - 8}" font-size="13" '
-        f'text-anchor="middle">beta in [{box_beta.lo}, {box_beta.hi}]</text>\n'
+        f'text-anchor="middle">beta in {box_beta}</text>\n'
     )
     parts.append(
         f'  <text x="14" y="{HEIGHT // 2}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 14 {HEIGHT // 2})">'
-        f"alpha in [{box_alpha.lo}, {box_alpha.hi}]</text>\n"
+        f"alpha in {box_alpha}</text>\n"
     )
+    stroke = 'stroke="black" stroke-width="1.5"'
     for (b0, a0), (b1, a1) in segments:
-        parts.append(
-            f'  <line class="wall" x1="{x_px(b0)}" y1="{y_px(a0)}" '
-            f'x2="{x_px(b1)}" y2="{y_px(a1)}" '
-            'stroke="black" stroke-width="1.5"/>\n'
-        )
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("".join(parts))
+        parts.append(_line("wall", (x_px(b0), y_px(a0), x_px(b1), y_px(a1)), stroke))
+    _write_svg(path, parts)

@@ -420,6 +420,20 @@ def test_grid_form_matches_per_point_reference(p, box_a, box_b):
                     assert Fraction(row[j], scale) == exact
 
 
+@settings(max_examples=100, deadline=None)
+@given(signed_intervals)
+@example(RationalInterval(Fraction(1, 3), Fraction(1, 3)))
+@example(RationalInterval(Fraction(-7, 6), Fraction(5, 4)))
+def test_grid_axis_is_exact(box):
+    # g = 1 is the integer view of an interval's own ends that
+    # bernstein_coefficients and the wall figure read.
+    for g in (1, 2, 4, 32):
+        nums, den = grid_axis(box, g)
+        assert den > 0 and len(nums) == g + 1
+        for k, x in enumerate(nums):
+            assert Fraction(x, den) == box.lo + box.width * Fraction(k, g)
+
+
 def _read_with_sympy(text):
     # The polynomial that poly_format's text denotes, as sympy reads it.
     expr = sympy.sympify(text.replace("^", "**"), locals={"a": SA, "b": SB})

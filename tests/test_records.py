@@ -38,6 +38,18 @@ def test_replace_reruns_the_checks(record, fields, error):
         record._replace(**fields)
 
 
+@pytest.mark.parametrize("flags", [(True,), (True, False, True), ("no", 0), (1, 0)], ids=repr)
+@pytest.mark.parametrize("field", ["beta_open", "alpha_open"])
+def test_region_refuses_malformed_openness_flags(field, flags):
+    # Two bools per axis: contains and describe index both ends, and a
+    # truthy non-bool such as "no" would silently read as open.
+    region = default_region()
+    with pytest.raises(ValueError):
+        Region(region.beta, region.alpha, **{field: flags})
+    with pytest.raises(ValueError):
+        region._replace(**{field: flags})
+
+
 def test_replace_converts():
     assert type(ChernCharacter(1, 0, 0, 0)._replace(ch0=2).ch0) is Fraction
     assert type(RationalInterval(0, 1)._replace(hi=2).hi) is Fraction
