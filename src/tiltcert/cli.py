@@ -10,6 +10,7 @@ import argparse
 import re
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 
 from .certify import default_region
 from .chern import DEGREE, catalog_lookup, load_chern, quadric_catalog
@@ -211,7 +212,9 @@ def _cmd_plot_wall(args):
     return 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """Built once, on the first main() call, when the handlers are bound; defaults are immutable."""
     parser = _Parser(
         prog="tiltcert",
         description="Exact certificates for tilt-stability computations on the quadric threefold.",

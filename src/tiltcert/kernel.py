@@ -12,15 +12,19 @@ positive multiple of itself: Bernstein grids (bernstein_coefficients
 returns (den, grid) with grid / den the exact coefficients and
 gcd(den, *grid) == 1; split_grid) and grid values (grid_form returns
 grid_axis's integer coordinates and the rows of values there, summed from
-a corner block's forward differences).  grid_axis is the one integer view
-of an interval; grid_axis(box, 1) is its ends over their common denominator.
+a corner block's forward differences).  A root box's grid is two integer
+matrix products with a basis-change matrix per (degree, box), cached with
+at most 64 kept.  grid_axis is the one integer view of an interval;
+grid_axis(box, 1) is its ends over their common denominator.
 """
 
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
+from operator import mul
 
 RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -332,53 +336,46 @@ def bernstein_coefficients(p, box_alpha, box_beta):
       * corner entries are den times the values of p at the box corners;
       * the entries of a face of the box are exactly the sub-grid of
         indices with i in {0}/{m} or j in {0}/{n}, and restrict p to it.
-    Requires a non-degenerate box (positive widths).  The certifier calls
-    this once per root box; boxes below it inherit their grids through
-    split_grid.
+    Requires a non-degenerate box (positive widths).  grid is two integer
+    products, a . power . b^T, with the axes' basis-change matrices, cached
+    per (degree, box) with at most 64 kept.  The certifier calls this once
+    per root box; boxes below it inherit their grids through split_grid.
     """
     if box_alpha.hi <= box_alpha.lo or box_beta.hi <= box_beta.lo:
         raise ValueError("bernstein_coefficients needs a full-dimensional box")
     m, n = p.degree_alpha(), p.degree_beta()
     scale, terms = _integer_terms(p)
-    power = [[0] * (n + 1) for _ in range(m + 1)]
-    for (i, j), c in terms:
-        power[i][j] = c
-    # The basis change is a tensor product: convert along alpha for each
-    # power of beta, then along beta for each alpha index.
-    columns, a_multiple = _bernstein_1d(zip(*power), m, box_alpha)
-    rows, b_multiple = _bernstein_1d(zip(*columns), n, box_beta)
+    terms = dict(terms)
+    power = [[terms.get((i, j), 0) for j in range(n + 1)] for i in range(m + 1)]
+    (a_ends, a_den), (b_ends, b_den) = grid_axis(box_alpha, 1), grid_axis(box_beta, 1)
+    a, a_multiple = _bernstein_matrix(m, *a_ends, a_den)
+    b, b_multiple = _bernstein_matrix(n, *b_ends, b_den)
+    # Convert each alpha power's row along beta, then each column along alpha.
+    columns = list(zip(*[[sum(map(mul, row, b_row)) for b_row in b] for row in power]))
+    rows = [[sum(map(mul, a_row, column)) for column in columns] for a_row in a]
     den = scale * a_multiple * b_multiple
     g = gcd(den, *(x for row in rows for x in row))
     return den // g, [[x // g for x in row] for row in rows]
 
 
-def _bernstein_1d(rows, d, box):
-    # Each row c of d + 1 power coefficients (c[e] of x^e) to d! den^d times
-    # its Bernstein coefficients on box = [lo / den, hi / den]; also returns
-    # d! den^d.  With x = (lo + w u) / den, w = hi - lo: scale c[e] by
-    # den^(d - e), Taylor-shift by lo, weight the u^k entry by
-    # w^k k! (d - k)!, then sum with binomials, since
-    # d! C(i, k) / C(d, k) = C(i, k) k! (d - k)!.
-    (lo, hi), den = grid_axis(box, 1)
+@lru_cache(maxsize=64)
+def _bernstein_matrix(d, lo, hi, den):
+    # (matrix, d! den^d): matrix[k][e] is d! den^d times the k-th degree-d
+    # Bernstein coefficient of x^e on [lo / den, hi / den].  With w = hi - lo,
+    #   matrix[k][e] = den^(d - e) * sum_i C(k, i) i! (d - i)! C(e, i) lo^(e - i) w^i:
+    # x = (lo + w u) / den, shift x^e by lo, and d! C(i, k) / C(d, k) = C(i, k) k! (d - k)!.
     w = hi - lo
-    up, down, den_powers = [1] * (d + 1), [1] * (d + 1), [1] * (d + 1)
-    for k in range(1, d + 1):
-        up[k] = up[k - 1] * k * w  # k! w^k
-        down[d - k] = down[d - k + 1] * k  # down[e] = (d - e)!
-        den_powers[d - k] = den_powers[d - k + 1] * den  # den^(d - e)
-    weights = [x * y for x, y in zip(up, down)]
-    out = []
-    for row in rows:
-        c = [x * y for x, y in zip(row, den_powers)]
-        for i in range(d):
-            for k in range(d - 1, i - 1, -1):
-                c[k] += lo * c[k + 1]
-        c = [x * y for x, y in zip(c, weights)]
-        for i in range(d):
-            for k in range(d, i, -1):
-                c[k] += c[k - 1]
-        out.append(c)
-    return out, down[0] * den_powers[0]
+    weights = [factorial(i) * factorial(d - i) * w**i for i in range(d + 1)]
+    matrix = tuple(
+        tuple(
+            den ** (d - e) * sum(
+                comb(k, i) * weights[i] * comb(e, i) * lo ** (e - i) for i in range(min(k, e) + 1)
+            )
+            for e in range(d + 1)
+        )
+        for k in range(d + 1)
+    )
+    return matrix, factorial(d) * den**d
 
 
 def split_grid(grid, axis):

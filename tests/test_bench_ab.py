@@ -85,6 +85,59 @@ def test_verdicts(base, change, better, expected):
     assert verdict == expected
 
 
+BASE10 = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # q3 - q1 = 0.045
+
+
+def _op_rel_of_pairs(base, change):
+    """The op_rel summary of canned pairs; a value of None is a run that
+    gave no result line."""
+    outputs = {
+        side: iter(["" if x is None else _stdout(x) for x in values])
+        for side, values in (("base", base), ("change", change))
+    }
+    runs = bench_ab.record(["proof"], len(base), lambda side, workload: next(outputs[side]))
+    summary, _ = bench_ab.summarize(SPEC, runs)
+    return summary, summary["proof"]["metrics"]["op_rel"]
+
+
+def test_a_gain_wins_nine_in_ten_pairs_by_more_than_the_base_spread():
+    summary, op = _op_rel_of_pairs(BASE10, [x - 0.2 for x in BASE10])
+    assert (op["pairs_won"], op["gain"]) == (10, True)
+    assert "pairs won 10/10, gain True" in "\n".join(bench_ab._table(summary))
+
+
+def test_eight_pairs_in_ten_are_no_gain():
+    change = [x - 0.2 for x in BASE10[:8]] + [x + 0.2 for x in BASE10[8:]]
+    _, op = _op_rel_of_pairs(BASE10, change)
+    assert (op["pairs_won"], op["gain"]) == (8, False)
+    # The medians alone would pass: only the share of pairs fails.
+    assert op["base"]["median"] - op["change"]["median"] > op["base"]["q3"] - op["base"]["q1"]
+
+
+def test_every_pair_won_inside_the_base_spread_is_no_gain():
+    _, op = _op_rel_of_pairs(BASE10, [x - 0.005 for x in BASE10])
+    assert (op["pairs_won"], op["gain"]) == (10, False)
+
+
+def test_a_tie_is_won_by_neither_side():
+    assert bench_ab.pairs_won([1.0, 2.0, 3.0], [1.0, 1.0, 4.0], "lower") == 1
+    assert bench_ab.pairs_won([1.0, 2.0, 3.0], [1.0, 1.0, 4.0], "higher") == 1
+    _, op = _op_rel_of_pairs(BASE10, BASE10)
+    assert (op["pairs_won"], op["gain"]) == (0, False)
+    _, op = _op_rel_of_pairs(BASE10, [x - 0.2 for x in BASE10[:9]] + BASE10[9:])
+    assert (op["pairs_won"], op["gain"]) == (9, True)
+
+
+def test_a_pair_with_a_missing_result_is_not_won():
+    assert bench_ab.pairs_won([1.0, None, 3.0], [0.5, 0.5, None], "lower") == 1
+    change = [x - 0.2 for x in BASE10]
+    summary, op = _op_rel_of_pairs(BASE10[:3] + [None] + BASE10[4:], change)
+    assert summary["proof"]["bad_runs"] == {"base": 1, "change": 0}
+    assert (op["pairs_won"], op["gain"]) == (9, True)
+    _, op = _op_rel_of_pairs(BASE10, change[:2] + [None, None] + change[4:])
+    assert (op["pairs_won"], op["gain"]) == (8, False)
+
+
 def test_record_alternates_which_side_runs_first():
     calls = []
 

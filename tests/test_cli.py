@@ -670,3 +670,31 @@ def test_plot_wall_coarse_grid_is_input_error(tmp_path, capsys):
     assert code == 2
     assert "must be between 16 and 512, got 8" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_a_reused_parser_keeps_no_value_between_parses():
+    parser = _build_parser()
+    args = parser.parse_args(["verify", "--max-depth", "3", "--region", "-1/2:0,0:1/4"])
+    assert (args.max_depth, args.region is None) == (3, False)
+    args = parser.parse_args(["verify"])
+    assert (args.max_depth, args.region) == (16, None)
+    wall = ["plot", "wall", "--chern1", "O", "--chern2", "S(-1)"]
+    assert parser.parse_args([*wall, "--grid", "32"]).grid == 32
+    assert parser.parse_args(wall).grid == 64
+
+
+def test_usage_errors_and_help_between_calls_move_no_byte(tmp_path, capsys):
+    out_path = tmp_path / "z.svg"
+    argv = ["plot", "zvectors", "--alpha", "1/4", "--beta", "-1/8", "-o", str(out_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out, out_path.read_bytes()
+    out_path.unlink()
+    assert main(["plot", "zvectors", "--alpha", "1/4"]) == 2
+    assert main(["plot", "zvectors", "--help"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert (capsys.readouterr().out, out_path.read_bytes()) == first

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tiltcert import kernel
 from tiltcert.kernel import (
     BivariatePoly,
     RationalInterval,
@@ -22,6 +23,7 @@ from tiltcert.kernel import (
     split_grid,
     substitute,
 )
+from tiltcert.suite import verify_all
 from tiltcert.svg import decimal6
 
 A = BivariatePoly.alpha()
@@ -185,6 +187,16 @@ def test_bernstein_coefficients_refuse_a_zero_width_box():
         bernstein_coefficients(p, box, point)
 
 
+def test_root_boxes_share_basis_change_matrices():
+    # Each root box looks up one matrix per axis, keyed by (degree, box).
+    # The default suite's root boxes use only 8 such pairs, so all but 8
+    # lookups reuse a cached matrix.
+    kernel._bernstein_matrix.cache_clear()
+    verify_all()
+    info = kernel._bernstein_matrix.cache_info()
+    assert info.misses <= 8 and info.hits >= 50
+
+
 # --- integer kernel against Fraction references ------------------------------
 
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -272,6 +284,12 @@ signed_intervals = st.builds(
 @example(BivariatePoly(), RationalInterval(-1, 1), RationalInterval(0, 1))
 @example(BivariatePoly.constant(Fraction(-7, 3)), RationalInterval(1, 2), RationalInterval(-3, 0))
 @example(BivariatePoly.constant(6), RationalInterval(0, Fraction(1, 3)), RationalInterval(2, 5))
+@example(B**4 - 2, RationalInterval(Fraction(1, 3), 2), RationalInterval(-1, Fraction(1, 2)))
+@example(
+    A**4 * B - 3 * A**2 + B**2 - Fraction(1, 7),
+    RationalInterval(Fraction(-1, 2), Fraction(1, 3)),
+    RationalInterval(-2, Fraction(3, 4)),
+)
 def test_bernstein_coefficients_match_power_basis_reference(p, box_a, box_b):
     # The grid is the primitive integer form of the exact coefficients.
     den, grid = bernstein_coefficients(p, box_a, box_b)

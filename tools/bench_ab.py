@@ -19,6 +19,11 @@ medians, the metric's bound from BENCHMARK.json, and a verdict:
     median, exceeds the bound, unless every change run beats every base run;
   - otherwise "worse beyond bound" when the ratio is worse than 1 by more
     than the bound, and "within bound" when it is not.
+Each metric also records `pairs_won`, the pairs k in which change run k
+beats base run k in the metric's better direction (a tie, or a pair with a
+missing run, is won by neither side), and `gain`: true when the change wins
+at least 9 of 10 pairs and its median beats the base's by more than the
+base's q3 - q1.  That is the rule a claimed gain must pass.
 peak_rss_mb grows with the operations a run attempts, so the median
 `attempted` of each side is printed beside it.
 
@@ -34,12 +39,14 @@ import platform
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
 SEED = 7
 PAIRS = 10
+GAIN_SHARE = Fraction(9, 10)
 
 
 def parse_run(stdout):
@@ -78,6 +85,25 @@ def verdict(base, change, bound, better):
     ratio = change["median"] / base["median"]
     worse = ratio > 1 + bound if better == "lower" else ratio < 1 - bound
     return "worse beyond bound" if worse else "within bound"
+
+
+def pairs_won(base, change, better):
+    """How many pairs (base[k], change[k]) the change wins: its value is
+    strictly better, in the direction `better`.  A None on either side, a
+    run with no result, wins nothing."""
+    sign = 1 if better == "lower" else -1
+    return sum(
+        b is not None and c is not None and sign * c < sign * b for b, c in zip(base, change)
+    )
+
+
+def gain(base, change, won, pairs, better):
+    """Whether the change claims a gain on one metric: it wins at least
+    GAIN_SHARE of the pairs, and its median beats the base's by more than the
+    base's q3 - q1.  base and change are spread() records."""
+    sign = 1 if better == "lower" else -1
+    margin = sign * (base["median"] - change["median"])
+    return won >= GAIN_SHARE * pairs and margin > base["q3"] - base["q1"]
 
 
 def record(workloads, pairs, run):
@@ -119,14 +145,19 @@ def summarize(spec, runs):
         }
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            values = {
-                side: [r["metrics"][name]["value"] for r in results[side] if name in r["metrics"]]
+            paired = {
+                side: [
+                    r["metrics"][name]["value"] if r is not None and name in r["metrics"] else None
+                    for r, _ in sides[side]
+                ]
                 for side in SIDES
             }
+            values = {side: [x for x in paired[side] if x is not None] for side in SIDES}
             if not all(values.values()):
                 entry["metrics"][name] = {"bound": metric["bound"], "verdict": "no samples"}
                 continue
             base, change = spread(values["base"]), spread(values["change"])
+            won = pairs_won(paired["base"], paired["change"], metric["better"])
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -138,6 +169,8 @@ def summarize(spec, runs):
                     (base["q3"] - base["q1"]) / base["median"] if base["median"] else None
                 ),
                 "verdict": verdict(base, change, metric["bound"], metric["better"]),
+                "pairs_won": won,
+                "gain": gain(base, change, won, len(paired["base"]), metric["better"]),
             }
         summary[workload] = entry
     return summary, ok
@@ -159,7 +192,8 @@ def _table(summary):
             line = (
                 f"  {name}: base {m['base']['median']:.4g} change {m['change']['median']:.4g} "
                 f"{m['unit']}, ratio {ratio}, base IQR/median {rel_iqr}, "
-                f"bound {m['bound']}: {m['verdict']}"
+                f"bound {m['bound']}: {m['verdict']}; "
+                f"pairs won {m['pairs_won']}/{entry['runs']['base']}, gain {m['gain']}"
             )
             if name == "peak_rss_mb" and len(entry["attempted"]) == 2:
                 att = entry["attempted"]
