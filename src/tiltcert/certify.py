@@ -90,6 +90,7 @@ SIDE_SIGNS = {SIDE_LEFT: -1, SIDE_RIGHT: 1}
 # >= 0 when not strict.
 _SIGN_PARTS = {">0": (1, True), ">=0": (1, False), "<0": (-1, True), "<=0": (-1, False)}
 STRATEGIES = ("affine-vertex", "interval-subdivision", "region-atom")
+DEFAULT_MAX_DEPTH = 16  # deepest bisection level unless a caller sets max_depth
 
 
 class Region(namedtuple("Region", "beta alpha beta_open alpha_open side")):
@@ -423,7 +424,7 @@ def _witness_search(poly, strict, region):
     return Fraction(a_nums[i], a_den), Fraction(b_nums[j], b_den)
 
 
-def certify_sign(claim, region, max_depth=16):
+def certify_sign(claim, region, max_depth=DEFAULT_MAX_DEPTH):
     """Certify, refute (with witness), or give up on the sign of a claim's
     product; max_depth < 1 skips the bisection of a region with pieces.
     The witness is the face centre the bisection stopped at, or else the

@@ -106,35 +106,28 @@ def shift(v, k):
 CatalogObject = namedtuple("CatalogObject", "label ch heart_shift mu_stable")
 
 
-def spinor_ch_minus_one():
-    # Rank-2 spinor bundle twisted down once.  Forced by the short exact
-    # sequence 0 -> S(-1) -> O^4 -> S -> 0 with S = S(-1) tensor O(1):
-    # solving ch(S(-1)) + tensor_line(ch(S(-1)), 1) = 4*ch(O) gives
-    # (2, -1, 0, d/12).
-    return ChernCharacter(2, -1, 0, Fraction(DEGREE, 12))
+# Rank-2 spinor bundle twisted down once.  Forced by the short exact
+# sequence 0 -> S(-1) -> O^4 -> S -> 0 with S = S(-1) tensor O(1):
+# solving ch(S(-1)) + tensor_line(ch(S(-1)), 1) = 4*ch(O) gives
+# (2, -1, 0, d/12).
+_SPINOR_MINUS_ONE = ChernCharacter(2, -1, 0, Fraction(DEGREE, 12))
 
-
-# Built once at import.  The character of k(x) is the alternating sum
-# over 0 -> O(-1) -> S(-1)^2 -> O^4 -> O(1) -> k(x) -> 0.
-_CATALOG = (
+# The exceptional-collection generators with their heart shifts, the spinor
+# bundle, and a point, whose character is the alternating sum over
+# 0 -> O(-1) -> S(-1)^2 -> O^4 -> O(1) -> k(x) -> 0.
+CATALOG = (
     CatalogObject("O(-1)", line_bundle_ch(-1), 3, True),
-    CatalogObject("S(-1)", spinor_ch_minus_one(), 2, True),
+    CatalogObject("S(-1)", _SPINOR_MINUS_ONE, 2, True),
     CatalogObject("O", line_bundle_ch(0), 1, True),
     CatalogObject("O(1)", line_bundle_ch(1), 0, True),
-    CatalogObject("S", tensor_line(spinor_ch_minus_one(), 1), None, True),
+    CatalogObject("S", tensor_line(_SPINOR_MINUS_ONE, 1), None, True),
     CatalogObject("k(x)", ChernCharacter(0, 0, 0, 1), None, False),
 )
 _ALIASES = {
     "O(-1)": ("O-1",), "S(-1)": ("S-1",), "O": ("O(0)",), "O(1)": ("O1",), "k(x)": ("kx", "k"),
 }
 # Each label and each of its aliases, spaces removed, to its object.
-_LOOKUP = {name: obj for obj in _CATALOG for name in (obj.label, *_ALIASES.get(obj.label, ()))}
-
-
-def quadric_catalog():
-    """The standard objects on the quadric: the four exceptional-collection
-    generators with their heart shifts, the spinor bundle, and a point."""
-    return _CATALOG
+_LOOKUP = {name: obj for obj in CATALOG for name in (obj.label, *_ALIASES.get(obj.label, ()))}
 
 
 def catalog_lookup(label):

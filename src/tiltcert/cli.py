@@ -12,16 +12,14 @@ import sys
 from contextlib import nullcontext
 from functools import lru_cache
 
-from .certify import default_region
-from .chern import DEGREE, catalog_lookup, load_chern, quadric_catalog
+from .certify import DEFAULT_MAX_DEPTH, default_region
+from .chern import CATALOG, catalog_lookup, load_chern
 from .heart import reduce_candidates, skyscraper_candidates
 from .kernel import (
-    BivariatePoly,
     RationalInterval,
     format_rational,
     parse_rational,
     poly_format,
-    substitute,
 )
 from .suite import verify_all
 from .svg import MIN_GRID, emit_wall_svg, emit_zvectors_svg
@@ -32,8 +30,8 @@ from .tilt import (
     lambda_slope,
     mu,
     nu,
+    nu_zero_locus,
     twist,
-    twisted_ch_polynomials,
 )
 
 
@@ -103,7 +101,7 @@ def _resolve_character(text, flag):
 
 
 def _cmd_catalog(args):
-    for obj in quadric_catalog():
+    for obj in CATALOG:
         shift = "-" if obj.heart_shift is None else f"[{obj.heart_shift}]"
         stable = "yes" if obj.mu_stable else "no"
         print(f"{obj.label:6}  ch = {obj.ch}  heart shift {shift:>3}  mu-stable {stable}")
@@ -165,24 +163,9 @@ def _cmd_subobjects(args):
     return 0
 
 
-def _nu_zero_locus(ch, s):
-    """The nu = 0 locus of ch and the margin s*d*alpha^2*t1 - t3 on it.
-    ch0 != 0: (alpha^2, margin) in b = beta, alpha^2 = 2*t2/ch0.  ch0 = 0 !=
-    ch1: (beta, margin in a), as nu = t2/(alpha*t1) is 0 on beta = ch2/ch1.
-    ch0 = ch1 = 0: None.  The t_k are the twisted components of ch."""
-    _, t1, t2, t3 = twisted_ch_polynomials(ch)
-    if ch.ch0 != 0:
-        squared = t2 * (2 / ch.ch0)
-        return squared, s * DEGREE * squared * t1 - t3
-    if ch.ch1 != 0:
-        beta = BivariatePoly.constant(ch.ch2 / ch.ch1)
-        return beta, substitute(s * DEGREE * BivariatePoly.alpha() ** 2 * t1 - t3, beta)
-    return None
-
-
 def _cmd_bg(args):
     ch = _resolve_character(args.chern, "--chern")
-    locus = _nu_zero_locus(ch, args.s)
+    locus = nu_zero_locus(ch, args.s)
     if locus is None:
         print("ch0 = ch1 = 0: nu = inf everywhere, so there is no nu = 0 locus")
     elif ch.ch0 == 0:
@@ -232,7 +215,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_slopes)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--max-depth", type=_bounded_int(0, 32), default=16)
+    p.add_argument("--max-depth", type=_bounded_int(0, 32), default=DEFAULT_MAX_DEPTH)
     p.add_argument("--region", type=_region_arg, default=None, metavar="blo:bhi,alo:ahi")
     p.add_argument("--json", default=None, metavar="PATH", help="write the JSON report here")
     p.set_defaults(handler=_cmd_verify)

@@ -12,14 +12,14 @@ or "... on <side>".
 """
 
 from .certify import SIDE_LEFT, SIDE_RIGHT, SIDE_SIGNS, sign_parts
-from .chern import ChernCharacter, quadric_catalog, shift
+from .chern import CATALOG, ChernCharacter, shift
 
 
 # Label -> character of the shifted object for each heart generator, in
 # heart order, from the catalog objects that carry a heart shift.
 GENERATORS = {
     obj.label + (f"[{obj.heart_shift}]" if obj.heart_shift else ""): shift(obj.ch, obj.heart_shift)
-    for obj in quadric_catalog()
+    for obj in CATALOG
     if obj.heart_shift is not None
 }
 # One row per Chern component, holding that component of each generator.

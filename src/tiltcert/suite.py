@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certify import (
+    DEFAULT_MAX_DEPTH,
     SIDE_LEFT,
     SIDE_RIGHT,
     Factor,
@@ -397,7 +398,7 @@ def _bg_equality_item():
     return _identity_item("bg line-bundle equality", margin.is_zero(), notes)
 
 
-def verify_all(max_depth=16, region=None):
+def verify_all(max_depth=DEFAULT_MAX_DEPTH, region=None):
     """Full verification: structural identities, closed forms, half-plane
     containment, skyscraper positivity, slope signs, degree-3 equality.
     Each section returns its items; this is the one Report of a run.  The

@@ -35,12 +35,11 @@ def _decimal6_ratio(num, den):
     return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
-def _svg_header():
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
-    )
+_HEADER = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+)
 
 
 def _line(cls, ends, style):
@@ -73,7 +72,7 @@ def emit_zvectors_svg(p, path):
     def to_px(re, im):
         return cx + re * scale, cy - im * scale
 
-    parts = [_svg_header()]
+    parts = [_HEADER]
     parts.append(
         '  <defs><marker id="tip" markerWidth="8" markerHeight="8" refX="6" '
         'refY="3" orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="black"/>'
@@ -188,7 +187,7 @@ def emit_wall_svg(v, w, grid, path, box_beta, box_alpha):
         return px
 
     x_px, y_px = to_px(box_beta, MARGIN, 1), to_px(box_alpha, HEIGHT - MARGIN, -1)
-    parts = [_svg_header()]
+    parts = [_HEADER]
     parts.append(
         f'  <rect class="frame" x="{MARGIN}" y="{MARGIN}" width="{span}" '
         f'height="{span}" fill="none" stroke="#888888" stroke-width="1"/>\n'

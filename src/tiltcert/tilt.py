@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .chern import DEGREE, twist
-from .kernel import BivariatePoly, as_fraction, poly_eval  # poly_eval: kept for a bench patch
+from .kernel import BivariatePoly, as_fraction, poly_eval, substitute  # poly_eval: bench patch
 
 # Default of the parameter s in Z and in the degree-3 margin.
 S_DEFAULT = Fraction(1, 6)
@@ -106,19 +106,24 @@ def bg_margin(v, p):
     """Margin s*omega^2*ch1^B - ch3^B of the degree-3 inequality.
 
     Nonnegative at nu = 0 for s = 1/6 (strict for s > 1/6) is the
-    conjectural inequality this toolkit probes; equals Re Z by design.
+    conjectural inequality this toolkit probes.  It is Re Z at p.
     """
-    return bg_margin_from_squared(v, p.alpha**2, p.beta, p.s)
+    return central_charge(v, p)[0]
 
 
-def bg_margin_from_squared(v, alpha_squared, beta, s=S_DEFAULT):
-    """Degree-3 margin as a function of alpha^2.
-
-    The margin only sees alpha through its square, so the nu = 0 locus
-    (where alpha^2 is rational but alpha usually is not) stays exact.
-    """
-    t = twist(v, beta)
-    return as_fraction(s) * DEGREE * as_fraction(alpha_squared) * t.ch1 - t.ch3
+def nu_zero_locus(ch, s):
+    """The nu = 0 locus of ch and the margin s*d*alpha^2*t1 - t3 on it.
+    ch0 != 0: (alpha^2, margin) in b = beta, alpha^2 = 2*t2/ch0.  ch0 = 0 !=
+    ch1: (beta, margin in a), as nu = t2/(alpha*t1) is 0 on beta = ch2/ch1.
+    ch0 = ch1 = 0: None.  The t_k are the twisted components of ch."""
+    _, t1, t2, t3 = twisted_ch_polynomials(ch)
+    if ch.ch0 != 0:
+        squared = t2 * (2 / ch.ch0)
+        return squared, s * DEGREE * squared * t1 - t3
+    if ch.ch1 != 0:
+        beta = BivariatePoly.constant(ch.ch2 / ch.ch1)
+        return beta, substitute(s * DEGREE * BivariatePoly.alpha() ** 2 * t1 - t3, beta)
+    return None
 
 
 def wall_polynomial(v, w):

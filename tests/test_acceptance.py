@@ -24,7 +24,7 @@ from tiltcert.certify import (
     certify_sign,
     default_region,
 )
-from tiltcert.chern import catalog_lookup, line_bundle_ch, quadric_catalog
+from tiltcert.chern import CATALOG, catalog_lookup, line_bundle_ch
 from tiltcert.cli import main
 from tiltcert.kernel import BivariatePoly, poly_eval
 from tiltcert.suite import (
@@ -79,7 +79,7 @@ def test_acceptance_01_closed_form_identities(capsys):
 
 def test_acceptance_02_structural_identities(capsys):
     problems = []
-    ch = {obj.label: obj.ch for obj in quadric_catalog()}
+    ch = {obj.label: obj.ch for obj in CATALOG}
     resolution = ch["O(-1)"] - 2 * ch["S(-1)"] + 4 * ch["O"] - ch["O(1)"]
     if (-resolution) != ch["k(x)"]:
         problems.append(f"resolution alternating sum gives {-resolution}")
@@ -311,7 +311,7 @@ def test_acceptance_06_certifier_soundness(capsys):
 def test_acceptance_07_two_path_agreement(capsys):
     problems = []
     rng = random.Random(7)
-    for obj in quadric_catalog():
+    for obj in CATALOG:
         re_poly, im_poly = z_polynomials(obj.ch, F(1, 6))
         for _ in range(100):
             alpha = F(rng.randrange(1, 500), rng.randrange(1, 500))

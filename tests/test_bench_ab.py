@@ -213,6 +213,37 @@ def test_main_runs_the_benchmark_settings(monkeypatch, tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["pairs"] == 10
 
 
+def test_src_lines_counts_each_checkouts_package_like_wc(monkeypatch, tmp_path, capsys):
+    # Two checkouts: 3 + 2 lines in the base, one file without a final
+    # newline in the change; files outside src/tiltcert/*.py do not count.
+    files = {
+        "base/src/tiltcert/__init__.py": "a\nb\nc\n",
+        "base/src/tiltcert/cli.py": "x\n\n",
+        "base/src/tiltcert/notes.txt": "1\n2\n",
+        "base/tests/test_x.py": "1\n",
+        "change/src/tiltcert/__init__.py": "a\nb",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    base, change = tmp_path / "base", tmp_path / "change"
+    assert (bench_ab.src_lines(base), bench_ab.src_lines(change)) == (5, 1)
+    wc = subprocess.run(
+        ["wc", "-l", *map(str, sorted((base / "src/tiltcert").glob("*.py")))],
+        capture_output=True, text=True, check=True,
+    )
+    assert wc.stdout.splitlines()[-1].split()[0] == "5"
+
+    def fake_run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=_stdout(1.0), stderr="")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    out = tmp_path / "ab.json"
+    assert bench_ab.main(["--base", str(base), "--change", str(change), "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["src_lines"] == {"base": 5, "change": 1}
+    assert "src_lines: base 5 change 1" in capsys.readouterr().out
+
+
 def test_the_recorder_imports_only_the_standard_library():
     # It times tiltcert from outside, so it must not import it.
     imported = set()

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltcert.chern import (
+    CATALOG,
     DEGREE,
     ChernCharacter,
     catalog_lookup,
     line_bundle_ch,
     load_chern,
-    quadric_catalog,
     shift,
-    spinor_ch_minus_one,
     tensor_line,
     twist,
 )
@@ -37,14 +36,14 @@ def test_line_bundle_values():
 
 
 def test_catalog_frozen_values():
-    table = {obj.label: obj for obj in quadric_catalog()}
+    table = {obj.label: obj for obj in CATALOG}
     assert table["O(-1)"].ch == ch(1, -1, F(1, 2), F(-1, 3))
     assert table["S(-1)"].ch == ch(2, -1, 0, F(1, 6))
     assert table["O"].ch == ch(1, 0, 0, 0)
     assert table["O(1)"].ch == ch(1, 1, F(1, 2), F(1, 3))
     assert table["S"].ch == ch(2, 1, 0, F(-1, 6))
     assert table["k(x)"].ch == ch(0, 0, 0, 1)
-    assert [obj.heart_shift for obj in quadric_catalog()] == [3, 2, 1, 0, None, None]
+    assert [obj.heart_shift for obj in CATALOG] == [3, 2, 1, 0, None, None]
     assert not table["k(x)"].mu_stable
 
 
@@ -54,13 +53,12 @@ def test_catalog_lookup_aliases():
     assert catalog_lookup("kx").label == "k(x)"
     assert catalog_lookup("O1").label == "O(1)"
     assert catalog_lookup("nope") is None
-    # The catalog is built once: every call and lookup returns its objects.
-    assert quadric_catalog() is quadric_catalog()
-    assert catalog_lookup(" S - 1 ") is quadric_catalog()[1]
+    # A lookup returns the catalog's own objects.
+    assert catalog_lookup(" S - 1 ") is CATALOG[1]
 
 
 def test_resolution_alternating_sum():
-    table = {obj.label: obj.ch for obj in quadric_catalog()}
+    table = {obj.label: obj.ch for obj in CATALOG}
     total = (
         table["O(-1)"]
         - 2 * table["S(-1)"]
@@ -72,8 +70,8 @@ def test_resolution_alternating_sum():
 
 
 def test_spinor_identities():
-    assert spinor_ch_minus_one() == ch(2, -1, 0, F(1, 6))
-    table = {obj.label: obj.ch for obj in quadric_catalog()}
+    assert catalog_lookup("S(-1)").ch == ch(2, -1, 0, F(1, 6))
+    table = {obj.label: obj.ch for obj in CATALOG}
     assert table["S(-1)"] + table["S"] == 4 * table["O"]
     assert tensor_line(table["S(-1)"], 1) == table["S"]
 

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 import tiltcert
 from tiltcert.chern import DEGREE, ChernCharacter, catalog_lookup, load_chern
-from tiltcert.cli import _build_parser, _nu_zero_locus, main
+from tiltcert.cli import _build_parser, main
 from tiltcert.kernel import BivariatePoly, format_rational, poly_eval, poly_format
 from tiltcert.suite import verify_all
-from tiltcert.tilt import S_DEFAULT, TiltParams, bg_margin_from_squared, nu
+from tiltcert.tilt import S_DEFAULT, TiltParams, bg_margin, nu, nu_zero_locus
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -380,12 +380,12 @@ def test_bg_alpha_squared_values(capsys):
     for label, beta, squared in [
         ("O", F(-1, 4), F(1, 16)), ("O(1)", F(-1, 2), F(9, 4)), ("S(-1)", F(-1, 4), F(-3, 16))
     ]:
-        where, _ = _nu_zero_locus(catalog_lookup(label).ch, S_DEFAULT)
+        where, _ = nu_zero_locus(catalog_lookup(label).ch, S_DEFAULT)
         assert poly_eval(where, 0, beta) == squared
         assert main(["bg", "--chern", label]) == 0
         assert f"alpha^2 = {poly_format(where)}, " in capsys.readouterr().out
     # test_bg_accepts_catalog_labels checks the line bg prints for k(x)
-    assert _nu_zero_locus(catalog_lookup("k(x)").ch, S_DEFAULT) is None
+    assert nu_zero_locus(catalog_lookup("k(x)").ch, S_DEFAULT) is None
 
 
 rationals = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 5, 7)))
@@ -420,7 +420,7 @@ def _on_locus(label, alpha, beta):
 def test_bg_locus_polynomials_agree_with_nu_and_the_margin(case, s):
     v, alpha, beta = case
     p = TiltParams(alpha, beta, s)
-    locus = _nu_zero_locus(v, s)
+    locus = nu_zero_locus(v, s)
     if locus is None:
         assert v.ch0 == v.ch1 == 0 and nu(v, p) is None
         return
@@ -428,12 +428,12 @@ def test_bg_locus_polynomials_agree_with_nu_and_the_margin(case, s):
     if v.ch0 == 0:
         # the line beta = ch2/ch1, every alpha on it, margin in a alone
         assert where == beta and margin.degree_beta() == 0
-        assert poly_eval(margin, alpha, 0) == bg_margin_from_squared(v, alpha**2, beta, s)
+        assert poly_eval(margin, alpha, 0) == bg_margin(v, p)
     else:
         # alpha^2 and the margin as polynomials in b alone
         assert where.degree_alpha() == margin.degree_alpha() == 0
         assert poly_eval(where, 0, beta) == alpha**2
-        assert poly_eval(margin, 0, beta) == bg_margin_from_squared(v, alpha**2, beta, s)
+        assert poly_eval(margin, 0, beta) == bg_margin(v, p)
     if v.ch1 != beta * v.ch0:
         assert nu(v, p) == 0
     else:
@@ -445,7 +445,7 @@ def test_bg_locus_polynomials_agree_with_nu_and_the_margin(case, s):
 def test_bg_margin_cubic_coefficient_vanishes_at_one_sixth(ch0, ch1, ch2, ch3, s):
     # alpha^2 = b^2 + ..., ch1^B = -ch0*b + ... and ch3^B = -d*ch0*b^3/6 + ...,
     # so the b^3 coefficient of s*d*alpha^2*ch1^B - ch3^B is d*ch0*(1/6 - s).
-    _, margin = _nu_zero_locus(ChernCharacter(ch0, ch1, ch2, ch3), s)
+    _, margin = nu_zero_locus(ChernCharacter(ch0, ch1, ch2, ch3), s)
     assert margin.degree_beta() <= 3
     assert margin.terms.get((0, 3), 0) == DEGREE * ch0 * (F(1, 6) - s)
 
@@ -453,8 +453,8 @@ def test_bg_margin_cubic_coefficient_vanishes_at_one_sixth(ch0, ch1, ch2, ch3, s
 def test_bg_margin_at_one_sixth_on_the_catalog():
     b = BivariatePoly.beta()
     for label in ("O(-1)", "O", "O(1)"):
-        assert _nu_zero_locus(catalog_lookup(label).ch, S_DEFAULT)[1].is_zero()
-    assert _nu_zero_locus(catalog_lookup("S(-1)").ch, S_DEFAULT)[1] == -(2 * b + 1) * F(1, 6)
+        assert nu_zero_locus(catalog_lookup(label).ch, S_DEFAULT)[1].is_zero()
+    assert nu_zero_locus(catalog_lookup("S(-1)").ch, S_DEFAULT)[1] == -(2 * b + 1) * F(1, 6)
 
 
 def _readme_command_lines():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltcert.certify import SIDE_LEFT, SIDE_RIGHT, SIDE_SIGNS, sign_parts
-from tiltcert.chern import ChernCharacter, catalog_lookup, quadric_catalog, shift
+from tiltcert.chern import CATALOG, ChernCharacter, catalog_lookup, shift
 from tiltcert.heart import (
     BASE_VECTORS,
     DEFAULT_SIGN_FACTS,
@@ -27,7 +27,7 @@ F = Fraction
 
 def test_generator_characters_are_shifted_catalog_entries():
     assert tuple(GENERATORS) == ("O(-1)[3]", "S(-1)[2]", "O[1]", "O(1)")
-    shifts = [(o.label, o.heart_shift) for o in quadric_catalog() if o.heart_shift is not None]
+    shifts = [(o.label, o.heart_shift) for o in CATALOG if o.heart_shift is not None]
     assert shifts == [("O(-1)", 3), ("S(-1)", 2), ("O", 1), ("O(1)", 0)]
     assert GENERATORS["O(-1)[3]"] == shift(catalog_lookup("O(-1)").ch, 3)
     assert GENERATORS["S(-1)[2]"] == shift(catalog_lookup("S(-1)").ch, 2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tiltcert.certify import Factor, FactoredClaim, Region, default_region, side_pieces
-from tiltcert.chern import ChernCharacter, quadric_catalog
+from tiltcert.chern import CATALOG, ChernCharacter
 from tiltcert.kernel import BivariatePoly, RationalInterval
 from tiltcert.tilt import TiltParams
 
@@ -76,7 +76,7 @@ RECORDS = [
     FactoredClaim((FACTOR,), ">0"),
     side_pieces(default_region())[0],
     ChernCharacter(1, 0, 0, 0),
-    quadric_catalog()[0],
+    CATALOG[0],
     TiltParams(1, 0),
 ]
 

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 import tiltcert
 from tiltcert.chern import (
+    CATALOG,
     DEGREE,
     ChernCharacter,
     catalog_lookup,
     line_bundle_ch,
-    quadric_catalog,
     shift,
     tensor_line,
     twist,
@@ -28,12 +28,12 @@ from tiltcert.tilt import (
     S_DEFAULT,
     TiltParams,
     bg_margin,
-    bg_margin_from_squared,
     central_charge,
     cross_polynomial,
     lambda_slope,
     mu,
     nu,
+    nu_zero_locus,
     twisted_ch_polynomials,
     wall_polynomial,
     z_polynomials,
@@ -72,7 +72,6 @@ def test_float_values_are_refused():
         lambda: TiltParams(0.1, 0),
         lambda: TiltParams(1, 0.5),
         lambda: TiltParams(1, 0, 0.5),
-        lambda: bg_margin_from_squared(obj("O"), 0.25, 0),
         lambda: z_polynomials(obj("O"), 0.5),
     ):
         with pytest.raises(TypeError):
@@ -84,7 +83,7 @@ def test_float_values_are_refused():
 def test_point_values_are_plain_fractions():
     # +infinity is None; every other slope, and both parts of Z, is a Fraction.
     for p in (TiltParams(F(1, 4), F(0)), TiltParams(F(1, 4), F(-1, 4))):
-        for entry in quadric_catalog():
+        for entry in CATALOG:
             for slope in (mu, nu, lambda_slope):
                 value = slope(entry.ch, p)
                 assert value is None or type(value) is Fraction
@@ -240,12 +239,12 @@ def test_bg_margin_frozen_examples():
     assert bg_margin(obj("k(x)"), p) == -1
     # O + O(1) at alpha^2 = 1/2 - beta + beta^2 gives (2*beta - 1)/6.
     v = obj("O") + obj("O(1)")
+    where, margin = nu_zero_locus(v, S_DEFAULT)
     rng = random.Random(30)
     for _ in range(20):
         beta = F(rng.randrange(-24, 25), 24)
-        alpha_sq = F(1, 2) - beta + beta**2
-        margin = bg_margin_from_squared(v, alpha_sq, beta)
-        assert margin == (2 * beta - 1) / 6
+        assert poly_eval(where, 0, beta) == F(1, 2) - beta + beta**2
+        assert poly_eval(margin, 0, beta) == (2 * beta - 1) / 6
 
 
 def test_bg_margin_line_bundles_zero():
@@ -258,11 +257,21 @@ def test_bg_margin_line_bundles_zero():
 
 
 def test_bg_margin_matches_re_z():
+    # Re Z is the degree-3 margin s*d*alpha^2*ch1^B - ch3^B, written out here
+    # from chern.twist alone.
     rng = random.Random(77)
-    for label in ("O(-1)", "O", "O(1)", "S(-1)", "k(x)"):
-        for _ in range(20):
-            p = TiltParams(F(rng.randrange(1, 20), 12), F(rng.randrange(-20, 21), 12))
-            assert bg_margin(obj(label), p) == central_charge(obj(label), p)[0]
+
+    def rational():
+        return F(rng.randrange(-24, 25), rng.randrange(1, 13))
+
+    randoms = [ChernCharacter(*(rational() for _ in range(4))) for _ in range(20)]
+    for v in [entry.ch for entry in CATALOG] + randoms:
+        for s in (F(1, 6), F(1, 5), F(1, 3)):
+            for _ in range(10):
+                alpha, beta = F(rng.randrange(1, 20), 12), rational()
+                t = twist(v, beta)
+                expected = s * DEGREE * alpha**2 * t.ch1 - t.ch3
+                assert bg_margin(v, TiltParams(alpha, beta, s)) == expected
 
 
 def test_wall_polynomial_frozen():

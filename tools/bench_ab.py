@@ -25,7 +25,9 @@ missing run, is won by neither side), and `gain`: true when the change wins
 at least 9 of 10 pairs and its median beats the base's by more than the
 base's q3 - q1.  That is the rule a claimed gain must pass.
 peak_rss_mb grows with the operations a run attempts, so the median
-`attempted` of each side is printed beside it.
+`attempted` of each side is printed beside it.  The summary also holds
+`src_lines`, each checkout's line count of src/tiltcert/*.py (as `wc -l`
+counts it), and prints it above the table.
 
 Standard library only, and nothing from tiltcert: it times from outside.
 It runs no git commands and never changes a bound.  It exits 1 when any
@@ -104,6 +106,11 @@ def gain(base, change, won, pairs, better):
     sign = 1 if better == "lower" else -1
     margin = sign * (base["median"] - change["median"])
     return won >= GAIN_SHARE * pairs and margin > base["q3"] - base["q1"]
+
+
+def src_lines(root):
+    """Newlines in root's src/tiltcert/*.py, the total `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src/tiltcert").glob("*.py"))
 
 
 def record(workloads, pairs, run):
@@ -232,6 +239,7 @@ def main(argv=None):
         "pairs": PAIRS,
         "order": "pair k runs base first when k is even, change first when k is odd",
         "checkouts": {side: root.resolve().name for side, root in roots.items()},
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -241,6 +249,8 @@ def main(argv=None):
         "workloads": summary,
     }
     args.out.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    lines = out["src_lines"]
+    print(f"src_lines: base {lines['base']} change {lines['change']}")
     print("\n".join(_table(summary)))
     return 0 if ok else 1
 
