@@ -2,7 +2,8 @@
 
 The heart is generated by O(-1)[3], S(-1)[2], O[1], O(1); an object is
 recorded by its multiplicity vector, an int 4-tuple (a, b, c, d) against
-those simple generators.  This module enumerates the subobject
+those simple generators; heart_ch, a typed lru_cache of at most 64
+results, gives its character.  This module enumerates the subobject
 candidates for the skyscraper vector (1, 2, 4, 1) and reduces them to the
 two base cases via Im Z dominance.  A sign fact is a row
 (generator, side, sign), with side None for the whole region.  The
@@ -10,6 +11,8 @@ reduction is text: one "vec: base" or "vec: edge[; edge]" line per
 candidate, where an edge reads "base [remove n x G, add m x H] on full"
 or "... on <side>".
 """
+
+from functools import lru_cache
 
 from .certify import SIDE_LEFT, SIDE_RIGHT, SIDE_SIGNS, sign_parts
 from .chern import CATALOG, ChernCharacter, shift
@@ -34,6 +37,7 @@ def vector_text(v):
     return "(" + ",".join(map(str, v)) + ")"
 
 
+@lru_cache(maxsize=64, typed=True)
 def heart_ch(v):
     """Additive extension: -a*ch(O(-1)) + b*ch(S(-1)) - c*ch(O) + d*ch(O(1))."""
     return ChernCharacter(*(sum(m * x for m, x in zip(v, row)) for row in _GENERATOR_ROWS))

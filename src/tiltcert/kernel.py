@@ -4,7 +4,8 @@ Everything here is exact: no float enters a computation, and decimals are
 written only at the rendering edge (svg.py).  RationalInterval is a named
 tuple whose constructor, which _replace reuses, refuses floats and empty
 intervals.  Polynomials live in Q[a, b], a = alpha and b = beta, as a
-sparse map (i, j) -> coefficient with zero coefficients dropped.
+sparse map .terms, (i, j) -> Fraction with zeros dropped, never changed
+after __init__; a product multiplies the two _integer_terms views as ints.
 
 The certifier's inner loops run on Python ints.  Where only a sign, a zero
 or the position of a maximum matters, a value is carried as an integer
@@ -174,12 +175,13 @@ class BivariatePoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        (s1, t1), (s2, t2) = _integer_terms(self), _integer_terms(other)
         out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        for (i1, j1), c1 in t1:
+            for (i2, j2), c2 in t2:
                 key = (i1 + i2, j1 + j2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return BivariatePoly(out)
+        return BivariatePoly({key: Fraction(c, s1 * s2) for key, c in out.items()})
 
     __rmul__ = __mul__
 

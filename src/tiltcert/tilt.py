@@ -8,11 +8,14 @@ where a_B, b_B are the twisted ch1, ch2 coordinates, c_B is the twisted
 ch3 degree, and d = H^3.  Division by zero means +infinity throughout,
 returned as None; a finite slope is a Fraction and Z is the pair
 (Re Z, Im Z).  Every quantity exists both numerically (exact rational at
-a point) and symbolically (BivariatePoly in a = alpha, b = beta).
+a point) and symbolically (BivariatePoly in a = alpha, b = beta).  Each of
+twisted_ch_polynomials, z_polynomials and cross_polynomial is a typed
+lru_cache of at most 64 results, shared by every caller with equal arguments.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .chern import DEGREE, twist
 from .kernel import BivariatePoly, as_fraction, poly_eval, substitute  # poly_eval: bench patch
@@ -60,6 +63,7 @@ def lambda_slope(v, p):
     return -re / im
 
 
+@lru_cache(maxsize=64, typed=True)
 def twisted_ch_polynomials(v):
     """The four components of e^{-bH}*ch(v) as polynomials in b.
 
@@ -75,6 +79,7 @@ def twisted_ch_polynomials(v):
     return tuple(BivariatePoly({(0, k): c for k, c in enumerate(row)}) for row in rows)
 
 
+@lru_cache(maxsize=64, typed=True)
 def z_polynomials(v, s=S_DEFAULT):
     """(Re, Im) of the central charge as polynomials in (a, b).
 
@@ -91,6 +96,7 @@ def z_polynomials(v, s=S_DEFAULT):
     return BivariatePoly(re), BivariatePoly(im)
 
 
+@lru_cache(maxsize=64, typed=True)
 def cross_polynomial(v, w, s=S_DEFAULT):
     """Cross product Re Z(v)*Im Z(w) - Im Z(v)*Re Z(w) as a polynomial.
 

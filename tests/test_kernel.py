@@ -491,3 +491,35 @@ def test_arithmetic_stores_only_nonzero_fractions(p, q, k, beta):
     for r in (p, p + q, p - q, p * q, p - p, p + k, k - p, k * p, -p, p**2,
               substitute(p, beta)):
         _assert_normalized(r)
+
+
+def _schoolbook(p_terms, q_terms):
+    # The product as two {(i, j): Fraction} dicts, term by term in Fraction
+    # arithmetic, with the keys whose sum is 0 dropped.
+    out = {}
+    for (i1, j1), c1 in p_terms.items():
+        for (i2, j2), c2 in q_terms.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+# Primes: the two operands' denominators share no factor.
+COPRIME = BivariatePoly({(1, 0): Fraction(1, 2**61 - 1), (0, 0): Fraction(3, 10**9 + 7)})
+COPRIME_TOO = BivariatePoly({(0, 1): Fraction(5, 998244353), (2, 0): Fraction(-7, 2**31 - 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polys, mixed_polys, raw_values)
+@example(BivariatePoly(), A + B, Fraction(1, 3))
+@example(A + B, A - B, 0)  # the a*b terms cancel, and k = 0 cancels every term
+@example(COPRIME, COPRIME_TOO, Fraction(11, 1000003))
+def test_integer_product_matches_the_fraction_schoolbook(p, q, k):
+    k_terms = {(0, 0): Fraction(k)} if k else {}
+    for product, expected in (
+        (p * q, _schoolbook(p.terms, q.terms)),
+        (k * p, _schoolbook(k_terms, p.terms)),
+        (p * k, _schoolbook(p.terms, k_terms)),
+    ):
+        assert product.terms == expected
+        assert all(type(c) is Fraction and c != 0 for c in product.terms.values())

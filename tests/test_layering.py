@@ -6,10 +6,11 @@ outside the standard library is imported, no module imports a name it
 does not use, every module-level private name is read in its module,
 every public name is read somewhere in the package or exported from its
 root, only the CLI's main writes to stderr, every file open names its
-encoding, no function mutates its parameters, every functools cache has
-a bound, each exemption above still has the bench patch that needs it,
-only the records that the bench's dataclasses.replace calls need are
-dataclasses, and the sources parse as the oldest Python that
+encoding, no function mutates its parameters, nothing outside
+BivariatePoly.__init__ writes a polynomial's .terms, every functools
+cache has a bound, each exemption above still has the bench patch that
+needs it, only the records that the bench's dataclasses.replace calls
+need are dataclasses, and the sources parse as the oldest Python that
 pyproject.toml allows."""
 
 import ast
@@ -261,6 +262,42 @@ def test_no_function_mutates_its_parameters():
                     for t in targets
                     if isinstance(t, ast.Name) and t.id in params
                 )
+    assert offenders == []
+
+
+# The dict methods that change a dict in place.
+DICT_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def test_only_the_constructor_writes_terms():
+    # The cached builders hand one polynomial to every caller, so after
+    # BivariatePoly.__init__ its .terms dict is only read: no item store,
+    # del or in-place dict method on a .terms, and no rebinding of one.
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constructor = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "BivariatePoly"
+            for func in cls.body
+            if isinstance(func, ast.FunctionDef) and func.name == "__init__"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if id(node) in constructor:
+                continue
+            if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+                written = node.value if isinstance(node, ast.Subscript) else node
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                written = node.func.value if node.func.attr in DICT_MUTATORS else None
+            else:
+                continue
+            if is_terms(written):
+                offenders.append(f"{path.name}:{node.lineno} writes .terms")
     assert offenders == []
 
 

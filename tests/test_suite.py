@@ -407,6 +407,18 @@ def test_each_claim_is_certified_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_reports_share_no_lists():
+    # Polynomials are shared across runs, but each report owns its lists:
+    # no notes or factors list is held by two items, in one report or two.
+    lists = [
+        id(owned)
+        for report in (verify_all(), verify_all())
+        for item in report.items
+        for owned in (item.notes, item.factors)
+    ]
+    assert len(set(lists)) == len(lists)
+
+
 def test_every_claim_goes_through_the_run_certifier():
     # The three certifying sections name each claim to the certifier they
     # are given: 27 claims, in report order, holding 25 distinct

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiltcert
+from tiltcert.certify import Region
 from tiltcert.chern import (
     CATALOG,
     DEGREE,
@@ -23,7 +24,9 @@ from tiltcert.chern import (
     tensor_line,
     twist,
 )
-from tiltcert.kernel import BivariatePoly, poly_eval, substitute
+from tiltcert.heart import heart_ch
+from tiltcert.kernel import BivariatePoly, RationalInterval, poly_eval, substitute
+from tiltcert.suite import verify_all
 from tiltcert.tilt import (
     S_DEFAULT,
     TiltParams,
@@ -78,6 +81,48 @@ def test_float_values_are_refused():
             build()
     p = TiltParams(1, F(1, 2))
     assert all(type(x) is Fraction for x in (p.alpha, p.beta, p.s))
+
+
+def test_cached_builders_still_refuse_floats():
+    # The caches are typed: a float s, or a plain tuple for a character,
+    # never finds the entry of an equal Fraction or ChernCharacter.
+    o, o1 = obj("O"), obj("O(1)")
+    z_polynomials(o, F(1, 2))
+    cross_polynomial(o, o1, F(1, 2))
+    twisted_ch_polynomials(ChernCharacter(1, 0, 0, 0))
+    for build in (
+        lambda: z_polynomials(o, 0.5),
+        lambda: cross_polynomial(o, o1, 0.5),
+        lambda: twisted_ch_polynomials((1, 0, 0, 0)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+BUILDERS = (twisted_ch_polynomials, z_polynomials, cross_polynomial, heart_ch)
+
+
+def test_proof_polynomials_are_built_once_per_character():
+    # The closed-form builders are cached by value.  A default run builds
+    # the polynomials of 19 characters, 16 central charges, 3 cross products
+    # and 11 heart characters once each, and reuses them for 27 calls; runs
+    # on another depth or region build nothing again.
+    for builder in BUILDERS:
+        builder.cache_clear()
+    verify_all()
+    infos = [builder.cache_info() for builder in BUILDERS]
+    assert all(isinstance(info.maxsize, int) for info in infos)
+    assert all(info.misses <= bound for info, bound in zip(infos, (19, 16, 3, 11)))
+    assert sum(info.hits for info in infos) >= 27
+    widened = Region(
+        beta=RationalInterval(F(-1, 2), F(1, 2)),
+        alpha=RationalInterval(F(0), F(1, 3)),
+        beta_open=(False, False),
+        alpha_open=(True, True),
+    )
+    assert verify_all(max_depth=0).status == "inconclusive"
+    assert verify_all(region=widened).status == "failed"
+    assert [builder.cache_info().misses for builder in BUILDERS] == [i.misses for i in infos]
 
 
 def test_point_values_are_plain_fractions():
