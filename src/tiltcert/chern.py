@@ -6,7 +6,8 @@ already an intersection number).  The mixed normalization keeps central
 charges dimensionless; the degree d = H^3 = DEGREE enters exactly where
 an H^3 is produced, so twisting threads d through the ch3 component.
 ChernCharacter is a named tuple of Fractions: its + and - act by
-component, and * scales by a number, in place of the tuple's + and *.
+component, and * scales by a number, in place of the tuple's + and *.  Its
+constructor is the one exactness check, so a float scale is refused there.
 """
 
 import json
@@ -37,7 +38,6 @@ class ChernCharacter(namedtuple("ChernCharacter", "ch0 ch1 ch2 ch3")):
         return ChernCharacter(*(-x for x in self))
 
     def __mul__(self, scalar):
-        scalar = as_fraction(scalar)
         return ChernCharacter(*(x * scalar for x in self))
 
     __rmul__ = __mul__

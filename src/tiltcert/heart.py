@@ -3,7 +3,8 @@
 The heart is generated by O(-1)[3], S(-1)[2], O[1], O(1); an object is
 recorded by its multiplicity vector, an int 4-tuple (a, b, c, d) against
 those simple generators; heart_ch, a typed lru_cache of at most 64
-results, gives its character.  This module enumerates the subobject
+results, gives its character and refuses any other vector, so a float or a
+Fraction multiplicity is never cached.  This module enumerates the subobject
 candidates for the skyscraper vector (1, 2, 4, 1) and reduces them to the
 two base cases via Im Z dominance.  A sign fact is a row
 (generator, side, sign), with side None for the whole region.  The
@@ -25,8 +26,6 @@ GENERATORS = {
     for obj in CATALOG
     if obj.heart_shift is not None
 }
-# One row per Chern component, holding that component of each generator.
-_GENERATOR_ROWS = tuple(zip(*GENERATORS.values()))
 
 SKYSCRAPER_VECTOR = (1, 2, 4, 1)
 BASE_VECTORS = ((0, 2, 4, 1), (0, 1, 0, 1))
@@ -39,8 +38,11 @@ def vector_text(v):
 
 @lru_cache(maxsize=64, typed=True)
 def heart_ch(v):
-    """Additive extension: -a*ch(O(-1)) + b*ch(S(-1)) - c*ch(O) + d*ch(O(1))."""
-    return ChernCharacter(*(sum(m * x for m, x in zip(v, row)) for row in _GENERATOR_ROWS))
+    """Additive extension: -a*ch(O(-1)) + b*ch(S(-1)) - c*ch(O) + d*ch(O(1)).
+    Raises TypeError unless v is four ints."""
+    if [type(m) for m in v] != [int] * 4:
+        raise TypeError(f"not a vector of four ints: {v!r}")
+    return sum((m * ch for m, ch in zip(v, GENERATORS.values())), ChernCharacter(0, 0, 0, 0))
 
 
 # --- candidate enumeration ---------------------------------------------------

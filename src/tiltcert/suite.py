@@ -47,8 +47,7 @@ A = BivariatePoly.alpha()
 B = BivariatePoly.beta()
 
 
-def C(x):
-    return BivariatePoly.constant(Fraction(x))
+C = BivariatePoly.constant
 
 
 # --- frozen reference closed forms (quadric, s = 1/6) ------------------------
@@ -192,11 +191,10 @@ def verify_lemma_computation():
     """Symbolic check of every closed form: twisted characters, slopes,
     central charges.  Any mismatch fails, naming the identity."""
     items = []
-    component_names = ("ch0", "ch1", "ch2", "ch3")
     for label, expected in REFERENCE_TWISTED.items():
         ch = catalog_lookup(label).ch
         computed = twisted_ch_polynomials(ch)
-        bad = [name for name, c, e in zip(component_names, computed, expected) if c != e]
+        bad = [name for name, c, e in zip(ChernCharacter._fields, computed, expected) if c != e]
         notes = [f"component {name} differs" for name in bad]
         items.append(_identity_item(f"twisted-ch {label}", not bad, notes))
     for label in REFERENCE_TWISTED:

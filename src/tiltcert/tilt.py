@@ -11,13 +11,15 @@ returned as None; a finite slope is a Fraction and Z is the pair
 a point) and symbolically (BivariatePoly in a = alpha, b = beta).  Each of
 twisted_ch_polynomials, z_polynomials and cross_polynomial is a typed
 lru_cache of at most 64 results, shared by every caller with equal arguments.
+Their one gate: twisted_ch_polynomials, run on every miss of the other two,
+refuses a v that is not a ChernCharacter, so no float in a tuple is cached.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .chern import DEGREE, twist
+from .chern import DEGREE, ChernCharacter, twist
 from .kernel import BivariatePoly, as_fraction, poly_eval, substitute  # poly_eval: bench patch
 
 # Default of the parameter s in Z and in the degree-3 margin.
@@ -71,8 +73,11 @@ def twisted_ch_polynomials(v):
     twist, row k holding the b^0, b^1, ... coefficients of component k:
       (r), (c1, -r), (c2, -c1, r/2), (c3, -d*c2, d*c1/2, -d*r/6).
     It never calls chern.twist, so the two are independent paths that
-    the suite's bg item and the tests compare.
+    the suite's bg item and the tests compare.  Raises TypeError unless v
+    is a ChernCharacter.
     """
+    if type(v) is not ChernCharacter:
+        raise TypeError(f"not a ChernCharacter: {v!r}")
     d = DEGREE
     r, c1, c2, c3 = v
     rows = ((r,), (c1, -r), (c2, -c1, r / 2), (c3, -d * c2, d * c1 / 2, -d * r / 6))
@@ -81,19 +86,12 @@ def twisted_ch_polynomials(v):
 
 @lru_cache(maxsize=64, typed=True)
 def z_polynomials(v, s=S_DEFAULT):
-    """(Re, Im) of the central charge as polynomials in (a, b).
-
+    """(Re, Im) of the central charge as polynomials in (a, b):
     Re = -t3 + s*d*a^2*t1 and Im = d*a*t2 - (d*ch0/2)*a^3, with t_k the
-    twisted components; each term only shifts the a-exponent of a t_k
-    term, so the two dicts are written out without polynomial products.
-    """
+    twisted components."""
     _, t1, t2, t3 = twisted_ch_polynomials(v)
-    sd = as_fraction(s) * DEGREE
-    re = {(0, j): -c for (_, j), c in t3.terms.items()}
-    re.update(((2, j), sd * c) for (_, j), c in t1.terms.items())
-    im = {(1, j): DEGREE * c for (_, j), c in t2.terms.items()}
-    im[(3, 0)] = -DEGREE * v.ch0 / 2
-    return BivariatePoly(re), BivariatePoly(im)
+    a = BivariatePoly.alpha()
+    return as_fraction(s) * DEGREE * a**2 * t1 - t3, DEGREE * a * t2 - DEGREE * v.ch0 / 2 * a**3
 
 
 @lru_cache(maxsize=64, typed=True)

@@ -131,8 +131,10 @@ def test_float_values_are_refused():
     # Fraction(0.1) would store the binary approximation of 0.1.
     with pytest.raises(TypeError):
         ChernCharacter(1, 0.1, 0, 0)
-    with pytest.raises(TypeError):
-        ch(1, 0, 0, 0) * 0.5
+    with pytest.raises(TypeError, match="not an exact value: 0.5"):
+        ChernCharacter(1, 0, 0, 0) * 0.5
+    with pytest.raises(TypeError, match="not an exact value: 0.5"):
+        0.5 * ChernCharacter(1, 0, 0, 0)
     with pytest.raises(TypeError):
         twist(ch(1, 0, 0, 0), 0.5)
     with pytest.raises(TypeError):

@@ -49,6 +49,19 @@ def test_heart_ch_skyscraper():
         assert heart_ch(unit) == expected
 
 
+def test_heart_ch_refuses_other_vectors():
+    # A Fraction or float multiplicity, or a vector of another length (zip
+    # would truncate it), is refused, and a refused vector caches nothing.
+    for vec in ((F(1, 2), 0, 0, 0), (0.5, 0, 0, 0), (1, 0, 0), (1, 0, 0, 0, 7)):
+        with pytest.raises(TypeError, match="not a vector of four ints"):
+            heart_ch(vec)
+    # An integral float or a bool equals an int, so only a cold cache sees it.
+    heart_ch.cache_clear()
+    for vec in ((1.0, 0, 0, 0), (True, 0, 0, 0)):
+        with pytest.raises(TypeError):
+            heart_ch(vec)
+
+
 def test_heart_ch_additive():
     v = (0, 1, 2, 1)
     w = (1, 1, 1, 0)

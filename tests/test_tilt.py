@@ -84,9 +84,12 @@ def test_float_values_are_refused():
 
 
 def test_cached_builders_still_refuse_floats():
-    # The caches are typed: a float s, or a plain tuple for a character,
-    # never finds the entry of an equal Fraction or ChernCharacter.
+    # The caches are typed: a float s never finds the entry of an equal
+    # Fraction.  A character must be a ChernCharacter: a plain tuple, whose
+    # floats equal and hash as Fractions, is refused even after an equal
+    # ChernCharacter or tuple was asked for, so no call caches one.
     o, o1 = obj("O"), obj("O(1)")
+    o_floats = (1.0, 0.0, 0.0, 0.0)
     z_polynomials(o, F(1, 2))
     cross_polynomial(o, o1, F(1, 2))
     twisted_ch_polynomials(ChernCharacter(1, 0, 0, 0))
@@ -94,9 +97,20 @@ def test_cached_builders_still_refuse_floats():
         lambda: z_polynomials(o, 0.5),
         lambda: cross_polynomial(o, o1, 0.5),
         lambda: twisted_ch_polynomials((1, 0, 0, 0)),
+        lambda: twisted_ch_polynomials((F(1), F(0), F(0), F(0))),
+        lambda: twisted_ch_polynomials(o_floats),
+        lambda: twisted_ch_polynomials((F(1), 0, 0, 0)),
+        lambda: twisted_ch_polynomials(o_floats),
+        lambda: z_polynomials(tuple(o), F(1, 2)),
+        lambda: z_polynomials(o_floats, F(1, 2)),
+        lambda: cross_polynomial(tuple(o), o1, F(1, 2)),
+        lambda: cross_polynomial(o_floats, o1, F(1, 2)),
+        lambda: cross_polynomial(o1, o_floats, F(1, 2)),
     ):
         with pytest.raises(TypeError):
             build()
+    with pytest.raises(TypeError, match="not a ChernCharacter"):
+        z_polynomials((F(1), F(0), F(0), F(0)))
 
 
 BUILDERS = (twisted_ch_polynomials, z_polynomials, cross_polynomial, heart_ch)
