@@ -72,6 +72,7 @@ from .kernel import (
     BivariatePoly,
     RationalInterval,
     bernstein_coefficients,
+    checked_namedtuple,
     grid_form,
     poly_eval,
     poly_format,
@@ -93,9 +94,8 @@ STRATEGIES = ("affine-vertex", "interval-subdivision", "region-atom")
 DEFAULT_MAX_DEPTH = 16  # deepest bisection level unless a caller sets max_depth
 
 
-class Region(namedtuple("Region", "beta alpha beta_open alpha_open side")):
+class Region(checked_namedtuple("Region", "beta alpha beta_open alpha_open side")):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, beta, alpha, beta_open=(False, False), alpha_open=(False, False), side=None):
         if beta.width <= 0 or alpha.width <= 0:
@@ -140,13 +140,12 @@ def default_region(side=None):
     )
 
 
-class Factor(namedtuple("Factor", "expr target strategy")):
+class Factor(checked_namedtuple("Factor", "expr target strategy")):
     """One factor of a claim.  The target and the strategy are checked on
     construction, but select no code: certify_sign reads the claim's
     product and overall sign only."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, expr, target, strategy):
         sign_parts(target)
@@ -157,12 +156,11 @@ class Factor(namedtuple("Factor", "expr target strategy")):
         return super().__new__(cls, expr, target, strategy)
 
 
-class FactoredClaim(namedtuple("FactoredClaim", "factors overall_sign")):
+class FactoredClaim(checked_namedtuple("FactoredClaim", "factors overall_sign")):
     """overall_sign claimed for the product of the factors.  The factor
     targets must imply it, which is checked on construction."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, factors, overall_sign):
         factors = tuple(factors)

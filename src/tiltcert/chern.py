@@ -14,16 +14,15 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .kernel import as_fraction, format_rational, parse_rational
+from .kernel import as_fraction, checked_namedtuple, format_rational, parse_rational
 
 
 # Degree d = H^3 of the quadric threefold, Pic = Z*H.
 DEGREE = 2
 
 
-class ChernCharacter(namedtuple("ChernCharacter", "ch0 ch1 ch2 ch3")):
+class ChernCharacter(checked_namedtuple("ChernCharacter", "ch0 ch1 ch2 ch3")):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, ch0, ch1, ch2, ch3):
         return super().__new__(cls, *map(as_fraction, (ch0, ch1, ch2, ch3)))

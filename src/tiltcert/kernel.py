@@ -1,10 +1,10 @@
 """Exact arithmetic substrate: rationals, rational intervals, bivariate polynomials.
 
 Everything here is exact: no float enters a computation, and decimals are
-written only at the rendering edge (svg.py).  RationalInterval is a named
-tuple whose constructor, which _replace reuses, refuses floats and empty
-intervals.  Polynomials live in Q[a, b], a = alpha and b = beta, as a
-sparse map .terms, (i, j) -> Fraction with zeros dropped, never changed
+written only at the rendering edge (svg.py).  RationalInterval is a
+checked_namedtuple: its constructor, which _replace reuses, refuses floats
+and empty intervals.  Polynomials live in Q[a, b], a = alpha and b = beta,
+as a sparse map .terms, (i, j) -> Fraction with zeros dropped, never changed
 after __init__; a product multiplies the two _integer_terms views as ints.
 
 The certifier's inner loops run on Python ints.  Where only a sign, a zero
@@ -22,7 +22,7 @@ grid_axis(box, 1) is its ends over their common denominator.
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 from operator import mul
@@ -58,12 +58,19 @@ def format_rational(q):
     return str(as_fraction(q))
 
 
-class RationalInterval(namedtuple("RationalInterval", "lo hi")):
+def checked_namedtuple(typename, field_names):
+    """A namedtuple base for a record whose __new__ checks its fields: its
+    _make, and so _replace, builds through the subclass's constructor."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
+class RationalInterval(checked_namedtuple("RationalInterval", "lo hi")):
     """Closed interval [lo, hi] with exact rational endpoints.  str() writes
     '[lo, hi]'; text(open_ends) writes '(' or ')' at an end marked open."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, lo, hi):
         lo, hi = as_fraction(lo), as_fraction(hi)
@@ -91,6 +98,22 @@ class RationalInterval(namedtuple("RationalInterval", "lo hi")):
 def _term_sort_key(key):
     i, j = key
     return (-(i + j), -i)
+
+
+def _poly_operand(method):
+    """method(self, other) with other read as a polynomial: an int or a
+    Fraction is the constant polynomial, and anything else NotImplemented."""
+
+    @wraps(method)
+    def with_operand(self, other):
+        # BivariatePoly first: isinstance against Fraction goes through ABCMeta.
+        if not isinstance(other, BivariatePoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = BivariatePoly.constant(other)
+        return method(self, other)
+
+    return with_operand
 
 
 class BivariatePoly:
@@ -134,24 +157,12 @@ class BivariatePoly:
     def total_degree(self):
         return max((i + j for i, j in self.terms), default=0)
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, BivariatePoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BivariatePoly.constant(other)
-        return NotImplemented
-
+    @_poly_operand
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.terms == other.terms
 
+    @_poly_operand
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         merged = dict(self.terms)
         for key, c in other.terms.items():
             merged[key] = merged.get(key, 0) + c
@@ -162,19 +173,15 @@ class BivariatePoly:
     def __neg__(self):
         return BivariatePoly({k: -c for k, c in self.terms.items()})
 
+    @_poly_operand
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_poly_operand
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         (s1, t1), (s2, t2) = _integer_terms(self), _integer_terms(other)
         out = {}
         for (i1, j1), c1 in t1:

@@ -112,21 +112,11 @@ class ReportItem:
     notes: list = field(default_factory=list)
 
     def to_json_dict(self):
-        witness = None
-        if self.witness is not None:
-            witness = {
-                "alpha": format_rational(self.witness[0]),
-                "beta": format_rational(self.witness[1]),
-            }
-        return {
-            "name": self.name,
-            "status": self.status,
-            "factors": self.factors,
-            "witness": witness,
-            "boxes": self.boxes,
-            "depth": self.depth,
-            "notes": self.notes,
-        }
+        """The fields in their order, the witness as {"alpha", "beta"} text."""
+        witness = self.witness
+        if witness is not None:
+            witness = {"alpha": format_rational(witness[0]), "beta": format_rational(witness[1])}
+        return dict(vars(self), witness=witness)
 
 
 @dataclass
@@ -190,32 +180,25 @@ def _certifier(region, max_depth):
 def verify_lemma_computation():
     """Symbolic check of every closed form: twisted characters, slopes,
     central charges.  Any mismatch fails, naming the identity."""
-    items = []
+    twisted, slopes, charges = [], [], []
     for label, expected in REFERENCE_TWISTED.items():
         ch = catalog_lookup(label).ch
         computed = twisted_ch_polynomials(ch)
         bad = [name for name, c, e in zip(ChernCharacter._fields, computed, expected) if c != e]
         notes = [f"component {name} differs" for name in bad]
-        items.append(_identity_item(f"twisted-ch {label}", not bad, notes))
-    for label in REFERENCE_TWISTED:
-        ch = catalog_lookup(label).ch
-        _, t1, t2, _ = twisted_ch_polynomials(ch)
+        twisted.append(_identity_item(f"twisted-ch {label}", not bad, notes))
+        _, t1, t2, _ = computed
         num, den = REFERENCE_MU[label]
         # mu = t1/(alpha*ch0) must equal num/den: cross-multiplied identity.
-        ok = t1 * den == num * (A * ch.ch0)
-        items.append(_identity_item(f"mu {label}", ok))
+        slopes.append(_identity_item(f"mu {label}", t1 * den == num * (A * ch.ch0)))
         nu_num = t2 - A**2 * Fraction(ch.ch0, 2)
-        nu_den = A * t1
         num, den = REFERENCE_NU[label]
-        ok = nu_num * den == num * nu_den
-        items.append(_identity_item(f"nu {label}", ok))
-    for label in REFERENCE_TWISTED:
-        ch = catalog_lookup(label).ch
+        slopes.append(_identity_item(f"nu {label}", nu_num * den == num * (A * t1)))
         re, im = z_polynomials(ch, S_DEFAULT)
         re_ref, im_ref = REFERENCE_Z[label]
-        items.append(_identity_item(f"Z {label} real part", re == re_ref))
-        items.append(_identity_item(f"Z {label} imaginary part", im == im_ref))
-    return items
+        charges.append(_identity_item(f"Z {label} real part", re == re_ref))
+        charges.append(_identity_item(f"Z {label} imaginary part", im == im_ref))
+    return twisted + slopes + charges
 
 
 def _structural_items():

@@ -15,20 +15,19 @@ Their one gate: twisted_ch_polynomials, run on every miss of the other two,
 refuses a v that is not a ChernCharacter, so no float in a tuple is cached.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .chern import DEGREE, ChernCharacter, twist
-from .kernel import BivariatePoly, as_fraction, poly_eval, substitute  # poly_eval: bench patch
+from .kernel import BivariatePoly, as_fraction, checked_namedtuple, substitute
+from .kernel import poly_eval  # unread: bench/tracing.py's kernel.poly_eval patches it
 
 # Default of the parameter s in Z and in the degree-3 margin.
 S_DEFAULT = Fraction(1, 6)
 
 
-class TiltParams(namedtuple("TiltParams", "alpha beta s")):
+class TiltParams(checked_namedtuple("TiltParams", "alpha beta s")):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, alpha, beta, s=S_DEFAULT):
         alpha, beta, s = as_fraction(alpha), as_fraction(beta), as_fraction(s)

@@ -1,5 +1,6 @@
 """Exact-arithmetic substrate: rationals, intervals, bivariate polynomials."""
 
+import operator
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -103,13 +104,26 @@ def test_poly_ring_identities():
 
 
 def test_poly_operators_refuse_what_they_cannot_mean():
-    # Q[a, b] has no a^-1; a string is no polynomial, so == answers False
-    # and arithmetic raises, as for any unsupported operand.
+    # Q[a, b] has no a^-1.  On either side of ==, +, - and *, an int or a
+    # Fraction is the equal constant polynomial; a float, a string or None
+    # is no polynomial, so == answers False and arithmetic raises.
     with pytest.raises(ValueError, match="negative exponent"):
         A**-1
-    assert (A == "a") is False
-    with pytest.raises(TypeError):
-        A - "a"
+    p = A * A - 3 * B + Fraction(1, 2)
+    ops = (operator.eq, operator.add, operator.sub, operator.mul)
+    for c in (0, -2, Fraction(3, 7)):
+        k = BivariatePoly.constant(c)
+        assert (k == c) is True and (c == k) is True
+        for op in ops:
+            assert op(p, c) == op(p, k)
+            assert op(c, p) == op(k, p)
+    for bad in (0.5, "a", None):
+        assert (p == bad) is False and (bad == p) is False
+        for op in ops[1:]:
+            with pytest.raises(TypeError):
+                op(p, bad)
+            with pytest.raises(TypeError):
+                op(bad, p)
 
 
 def test_float_values_are_refused():

@@ -10,7 +10,8 @@ encoding, no function mutates its parameters, nothing outside
 BivariatePoly.__init__ writes a polynomial's .terms, every functools
 cache has a bound, each exemption above still has the bench patch that
 needs it, only the records that the bench's dataclasses.replace calls
-need are dataclasses, and the sources parse as the oldest Python that
+need are dataclasses, a record with its own constructor derives from
+checked_namedtuple, and the sources parse as the oldest Python that
 pyproject.toml allows."""
 
 import ast
@@ -382,6 +383,25 @@ def test_every_dataclass_has_its_bench_replace():
         and isinstance(node.args[0], ast.Name)
     }
     assert [record for record, call in DATACLASSES.items() if call not in calls] == []
+
+
+def test_checked_records_derive_from_checked_namedtuple():
+    # A plain namedtuple's _make, which _replace calls, builds through
+    # tuple.__new__ and skips a subclass's checks; checked_namedtuple's
+    # builds through the subclass.  So a record with its own __new__
+    # derives from checked_namedtuple, not from a namedtuple(...) call.
+    offenders = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(base, ast.Call) and ast.unparse(base.func).split(".")[-1] == "namedtuple"
+            for base in node.bases
+        )
+        and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__new__" for stmt in node.body)
+    ]
+    assert offenders == []
 
 
 def test_sources_parse_at_the_python_floor():

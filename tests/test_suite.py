@@ -7,6 +7,7 @@ modes: max_depth = 0 (inconclusive, never falsely failed) and a widened
 region (failed, with concrete witnesses).
 """
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction as F
@@ -136,16 +137,11 @@ def test_report_json_schema():
     assert set(payload) == {"status", "items"}
     assert payload["status"] == "certified"
     assert len(payload["items"]) == 55
+    # The keys are ReportItem's fields, in their order.
+    keys = [f.name for f in dataclasses.fields(ReportItem)]
+    assert keys == ["name", "status", "factors", "witness", "boxes", "depth", "notes"]
     for entry in payload["items"]:
-        assert set(entry) == {
-            "name",
-            "status",
-            "factors",
-            "witness",
-            "boxes",
-            "depth",
-            "notes",
-        }
+        assert list(entry) == keys
         assert entry["witness"] is None
         assert isinstance(entry["boxes"], int) and isinstance(entry["depth"], int)
         # The item carries the certificate; a factor is only the claim.
