@@ -13,7 +13,7 @@ so the engine below only certifies poly > 0 (strict) or poly >= 0.
 One engine decides every claim: recursive bisection of each side piece
 (below), alternating between alpha and t, alpha first, each box decided
 by its Bernstein coefficients alone.  Boxes are integer cells of their
-piece, with rational points built only for a violating face (below).
+piece, with a rational point built only for the face returned (below).
 Coefficients are formed from the power basis once, on a piece's root
 box, as the integer grid of bernstein_coefficients' (den, grid), a
 positive multiple of them (signs need no den); each split derives its
@@ -35,13 +35,14 @@ Face rule: a box's nine faces are its 4 corners, its 4 edges and the
 whole cell.  When every Bernstein coefficient of a face breaks the sign,
 poly breaks it on the whole face, as poly there is a convex combination
 of them.  The side line crosses no piece, so a face meets the piece
-exactly when its centre does.  The bisection stops at the first face
-whose coefficients all break the sign and whose centre lies in the
-piece, and that centre is the claim's witness.  Otherwise a box with no
-negative coefficient certifies, and one with a negative coefficient
-splits.  This keeps a strict sign sound on open boundaries: on a box
-whose coefficients are all >= 0, poly's zeros lie on faces whose
-coefficients all vanish, and each such face misses the piece.
+exactly when its centre does, which a table built with each piece gives
+by cell index.  The bisection stops at the first face whose coefficients
+all break the sign and whose centre lies in the piece, and that centre
+is the claim's witness.  Otherwise a box with no negative coefficient
+certifies, and one with a negative coefficient splits.  This keeps a
+strict sign sound on open boundaries: on a box whose coefficients are
+all >= 0, poly's zeros lie on faces whose coefficients all vanish, and
+each such face misses the piece.
 
 Soundness contract: status "certified" is only reported when the sign
 holds at every region point; "failed" always carries a witness point in
@@ -62,7 +63,6 @@ violating allowed point wins, and with none the search returns None.
 """
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -222,16 +222,24 @@ def polytope_vertices(region):
 # --- side pieces -------------------------------------------------------------
 
 
-class Piece(namedtuple("Piece", "region alpha t lift", defaults=(None,))):
+class Piece(checked_namedtuple("Piece", "region alpha t lift faces")):
     """A plain box of a region, in coordinates (alpha, t).
 
     lift is beta as a polynomial in (alpha, t), or None where t is beta
     itself.  Membership of a point of the box asks the original region at
     the lifted point, so the side line, the cuts between pieces and an
     edge the lift collapses to one point all take their openness from it.
+    faces[x][y] is the membership of the piece's own face at centre
+    offsets (x, y) (see _FACES), built with the piece.
     """
 
     __slots__ = ()
+
+    def __new__(cls, region, alpha, t, lift=None, *_):
+        # faces is derived: the table _replace hands back is rebuilt.
+        bare = super().__new__(cls, region, alpha, t, lift, ())
+        faces = [[bare.contains(*_point(bare, 0, 0, 0, x, y)) for y in range(3)] for x in range(3)]
+        return super().__new__(cls, region, alpha, t, lift, tuple(map(tuple, faces)))
 
     def point(self, alpha, t):
         """The region point (alpha, beta) at piece coordinates (alpha, t)."""
@@ -312,6 +320,11 @@ def _point(piece, i, j, depth, x, y):
     )
 
 
+def _face_class(x, k, last):
+    """Offset on one axis of the piece face holding cell k's face at offset x."""
+    return 0 if x == 0 and k == 0 else 2 if x == 2 and k == last else 1
+
+
 def _certify_box(poly, strict, piece, i, j, depth, grid):
     """Try to certify poly > 0 (strict) or poly >= 0 on one box of a piece.
 
@@ -331,19 +344,19 @@ def _certify_box(poly, strict, piece, i, j, depth, grid):
     # Every face holds a corner, so without a violating corner no face
     # breaks the sign.
     if _violates(min(grid[0][0], grid[0][n], grid[m][0], grid[m][n]), strict):
+        last_i, last_j = (1 << (depth + 1) // 2) - 1, (1 << depth // 2) - 1
         for x, y in _FACES:
             # Corners go by axis end, not index: along an axis of degree 0
             # both ends are index 0.
             rows = range(m + 1) if x == 1 else (m * x // 2,)
             cols = range(n + 1) if y == 1 else (n * y // 2,)
-            if all(_violates(grid[k][l], strict) for k in rows for l in cols):
-                # The side line crosses no piece, so along a face's relative
-                # interior every region bound is tight everywhere or nowhere:
-                # the face meets the piece exactly when its centre does.
-                # That keeps the zeros of a box certified below off the piece.
-                point = _point(piece, i, j, depth, x, y)
-                if piece.contains(*point):
-                    return "violated", grid, point
+            # The side line crosses no piece, so along a face's relative
+            # interior every region bound is tight everywhere or nowhere: the
+            # centre lies in one piece face, whose membership piece.faces holds.
+            # That keeps the zeros of a box certified below off the piece.
+            inside = piece.faces[_face_class(x, i, last_i)][_face_class(y, j, last_j)]
+            if inside and all(_violates(grid[k][l], strict) for k in rows for l in cols):
+                return "violated", grid, _point(piece, i, j, depth, x, y)
     return ("split" if min(map(min, grid)) < 0 else "certified"), grid, None
 
 

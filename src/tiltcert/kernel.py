@@ -128,7 +128,8 @@ class BivariatePoly:
                 raise TypeError(f"exponents must be ints in term {(i, j)}")
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term {(i, j)}")
-            c = as_fraction(c)
+            # A Fraction as is: isinstance against Fraction goes through ABCMeta.
+            c = c if type(c) is Fraction else as_fraction(c)
             if c:
                 clean[(i, j)] = c
         self.terms = clean
@@ -195,8 +196,8 @@ class BivariatePoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative exponent")
-        out = BivariatePoly.constant(1)
-        for _ in range(n):
+        out = self if n else BivariatePoly.constant(1)
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -316,19 +317,14 @@ def poly_format(p):
     parts = []
     for key in sorted(p.terms, key=_term_sort_key):
         i, j = key
-        c = p.terms[key]
+        num, den = p.terms[key].numerator, p.terms[key].denominator
         mono = [x if e == 1 else f"{x}^{e}" for x, e in (("a", i), ("b", j)) if e]
-        mag = abs(c)
-        if mono and mag == 1:
-            body = "*".join(mono)
-        elif mono:
-            body = "*".join([format_rational(mag)] + mono)
-        else:
-            body = format_rational(mag)
+        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
+        body = "*".join(mono if mag == "1" and mono else [mag, *mono])
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(parts)
 
 

@@ -153,13 +153,13 @@ def _certifier(region, max_depth):
     status, witness, boxes and depth.  Each distinct (poly, sign, side) is
     certified once, keyed by the poly's canonical text, which hashes cheaply."""
     certs = {}
+    regions = {None: region, **{s: region._replace(side=s) for s in (SIDE_LEFT, SIDE_RIGHT)}}
 
     def certify(name, poly, sign, side=None, notes=()):
         key = (poly_format(poly), sign, side)
         if key not in certs:
             claim = FactoredClaim((Factor(poly, sign, "interval-subdivision"),), sign)
-            on = region if side is None else region._replace(side=side)
-            certs[key] = certify_sign(claim, on, max_depth)
+            certs[key] = certify_sign(claim, regions[side], max_depth)
         cert = certs[key]
         return ReportItem(
             name=name,

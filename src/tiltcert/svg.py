@@ -125,6 +125,8 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
     identically-zero polynomial gives an empty contour.  A crossing between
     values va and vb at grid numerators x and x + step over den lies at
     (x * d + va * step) / (den * d), d = va - vb: one Fraction per coordinate.
+    A crossing is a grid corner exactly when the value there is 0; a segment
+    from a corner to itself, or joining two corners joined before, is dropped.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}")
@@ -145,9 +147,16 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
         va, d = values[i][j], values[i][j] - values[i][j + 1]
         return betas[i], Fraction(a_nums[j] * d + va * a_step, a_den * d)
 
-    segments = []
+    def corner(edge, i, j):
+        # The grid corner a crossing lies on, the end of its edge valued 0, or None.
+        di, dj, along_beta = _EDGES[edge]
+        start, stop = (i + di, j + dj), (i + di + along_beta, j + dj + (not along_beta))
+        return next((c for c in (start, stop) if values[c[0]][c[1]] == 0), None)
+
+    segments, joined = [], set()
     for i in range(grid):
         low, high = signs[i], signs[i + 1]
+        near, far = values[i], values[i + 1]
         # Bit j set when cell (i, j) has corners of both sign classes.
         mixed = low ^ high
         mixed = (mixed | mixed >> 1 | low ^ low >> 1) & ((1 << grid) - 1)
@@ -161,7 +170,15 @@ def wall_contour_segments(poly, box_beta, box_alpha, grid):
                 a_mid = Fraction(a_nums[j] + a_nums[j + 1], 2 * a_den)
                 center = poly_eval(poly, a_mid, Fraction(b_nums[i] + b_nums[i + 1], 2 * b_den))
                 pairs = [(0, 1), (2, 3)] if (index == 5) == (center >= 0) else [(0, 3), (1, 2)]
+            # Only a cell with a zero corner has a crossing on a corner.
+            zero = not (near[j] and near[j + 1] and far[j] and far[j + 1])
             for ea, eb in pairs:
+                ends = zero and frozenset((corner(ea, i, j), corner(eb, i, j)))
+                if ends and None not in ends:
+                    # Both ends are grid corners: skip one corner, or two joined before.
+                    if len(ends) == 1 or ends in joined:
+                        continue
+                    joined.add(ends)
                 segments.append((crossing(ea, i, j), crossing(eb, i, j)))
     return segments
 

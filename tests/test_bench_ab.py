@@ -195,7 +195,8 @@ def test_a_zero_base_median_has_no_ratio():
 
 def test_main_runs_the_benchmark_settings(monkeypatch, tmp_path):
     # The run length is BENCHMARK.json's, the seed is 7, and there are 10
-    # pairs per workload.
+    # pairs per workload.  The host record says whether the runs, which
+    # inherit the environment, may write .pyc files.
     spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
     calls = []
 
@@ -204,13 +205,18 @@ def test_main_runs_the_benchmark_settings(monkeypatch, tmp_path):
         return subprocess.CompletedProcess(argv, 0, stdout=_stdout(1.0), stderr="")
 
     monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     out = tmp_path / "ab.json"
     argv = ["--base", str(tmp_path / "a"), "--change", str(tmp_path / "b"), "--out", str(out)]
     assert bench_ab.main(argv) == 0
     assert len(calls) == 2 * 10 * len(spec["workloads"])
     tail = ["--seed", "7", "--seconds", f"{spec['run_seconds']:g}", "--trace", "0"]
     assert all(a[:2] == spec["command"] and a[-6:] == tail for a, _ in calls)
-    assert json.loads(out.read_text(encoding="utf-8"))["pairs"] == 10
+    summary = json.loads(out.read_text(encoding="utf-8"))
+    assert summary["pairs"] == 10 and summary["host"]["bytecode_cache"] is True
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_ab.main(argv) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["host"]["bytecode_cache"] is False
 
 
 def test_src_lines_counts_each_checkouts_package_like_wc(monkeypatch, tmp_path, capsys):

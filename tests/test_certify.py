@@ -20,6 +20,8 @@ from tiltcert.certify import (
     Piece,
     _certify_box,
     _cut,
+    _face_class,
+    _point,
     _violates,
     _witness_search,
     certify_sign,
@@ -454,6 +456,28 @@ def test_one_verify_all_builds_each_region_once():
         assert isinstance(cached.cache_info().maxsize, int)
 
 
+def test_a_warm_verify_all_asks_no_region_and_makes_81_products(monkeypatch):
+    # Box faces read their piece's face table, and the suite's identity
+    # and claim arithmetic makes 81 products, `**` starting from its base.
+    verify_all()
+    calls = {"contains": 0, "mul": 0}
+
+    def counted(owner, name, key):
+        original = owner.__dict__[name]
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Region, "contains", "contains")
+    counted(BivariatePoly, "__mul__", "mul")
+    counted(BivariatePoly, "__rmul__", "mul")
+    verify_all()
+    assert calls == {"contains": 0, "mul": 81}
+
+
 def test_equal_regions_share_one_cache_entry():
     side_pieces.cache_clear()
     first = side_pieces(default_region(SIDE_LEFT))
@@ -805,6 +829,43 @@ def test_side_pieces_cover_the_region_exactly(region):
             for piece, pre in preimages
         )
         assert covered == region.contains(alpha, beta)
+
+
+# Cells (depth, i, j); i and j are cut to the depth's last cell, so the
+# pieces' end cells come up often.
+cells = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 31), st.integers(0, 15)), min_size=1, max_size=4
+)
+SOME_CELLS = [(0, 0, 0), (1, 1, 0), (4, 2, 3), (9, 31, 0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(regions(), cells)
+# A collapsed alpha = 0 edge, open and closed; a one-point region; a
+# region the side line misses (neither has pieces).
+@example(default_region(SIDE_RIGHT), SOME_CELLS)
+@example(default_region(SIDE_RIGHT)._replace(alpha_open=(False, True)), SOME_CELLS)
+@example(
+    Region(
+        RationalInterval(F(-2, 5), F(3, 5)), RationalInterval(F(2, 5), F(17, 5)), side=SIDE_LEFT
+    ),
+    SOME_CELLS,
+)
+@example(Region(RationalInterval(1, 2), RationalInterval(1, 2), side=SIDE_LEFT), SOME_CELLS)
+def test_piece_face_tables_match_membership(region, cells):
+    # Each entry of a piece's table is membership at the centre of that
+    # piece face, and the class rule picks, for every face of a cell, the
+    # entry that membership at the face's own centre gives.
+    for piece in side_pieces(region):
+        for x, y in _FACES:
+            centre = (_cut(piece.alpha, x, 1), _cut(piece.t, y, 1))
+            assert piece.faces[x][y] == piece.contains(*centre)
+        for depth, i, j in cells:
+            last_i, last_j = (1 << (depth + 1) // 2) - 1, (1 << depth // 2) - 1
+            i, j = min(i, last_i), min(j, last_j)
+            for x, y in _FACES:
+                inside = piece.faces[_face_class(x, i, last_i)][_face_class(y, j, last_j)]
+                assert inside == piece.contains(*_point(piece, i, j, depth, x, y))
 
 
 @st.composite

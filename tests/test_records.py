@@ -58,6 +58,11 @@ def test_replace_converts():
     assert region.alpha_open == (False, True) and hash(region) == hash(region._replace())
     claim = FactoredClaim([FACTOR], ">0")._replace(factors=[FACTOR, FACTOR])
     assert claim.factors == (FACTOR, FACTOR)
+    # A piece's face table is derived: _replace rebuilds it from the region.
+    (piece,) = side_pieces(default_region())
+    assert piece.faces[0] == (False,) * 3
+    closed = piece._replace(region=region._replace(alpha_open=(False, False)))
+    assert closed.faces[0] == (True,) * 3 and closed._replace() == closed
 
 
 def test_keyword_and_default_constructors():

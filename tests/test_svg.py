@@ -115,6 +115,28 @@ def test_contour_empty_cases():
     assert wall_contour_segments(zero, UNIT_BOX, ALPHA_BOX, 16) == []
 
 
+def test_contour_drops_corner_and_repeated_edge_segments():
+    # A crossing lies on a grid corner exactly when the value there is 0.
+    # The wall of O and (-1, 4, -1/2, 0), -2a^2 - 2b^2 - 1/2*b, meets the
+    # alpha = 0 edge in beta = -1/4 and 0: at grid 32 two cells each ended
+    # at the corner (0, 0) alone, and at grid 64 two more such cells
+    # flanked the edge segment between the two zeros.
+    wall = wall_polynomial(catalog_lookup("O").ch, ChernCharacter(-1, 4, F(-1, 2), 0))
+    box_beta, box_alpha = RationalInterval(F(-15, 2), F(17, 2)), RationalInterval(0, 8)
+    assert wall_contour_segments(wall, box_beta, box_alpha, 32) == []
+    assert wall_contour_segments(wall, box_beta, box_alpha, 64) == [((F(-1, 4), 0), (0, 0))]
+    # A double zero along a grid line: the cells on both sides share each
+    # edge, drawn once (32 segments before).
+    segments = wall_contour_segments(-((B - F(1, 4)) ** 2), UNIT_BOX, ALPHA_BOX, 16)
+    assert [(b0, b1) for (b0, _), (b1, _) in segments] == [(F(1, 4), F(1, 4))] * 16
+    # A double zero along the cells' diagonals: each saddle pairs its edges
+    # both ways into one diagonal, and the cells beside it touch it in one
+    # corner (62 segments before).
+    segments = wall_contour_segments(-((B - F(5, 3) * A) ** 2), UNIT_BOX, ALPHA_BOX, 16)
+    corners = [(F(k, 16), F(3 * k, 80)) for k in range(17)]
+    assert segments == list(zip(corners, corners[1:]))
+
+
 def test_contour_grid_minimum():
     with pytest.raises(ValueError):
         wall_contour_segments(B, UNIT_BOX, ALPHA_BOX, 8)
@@ -279,9 +301,10 @@ def _ref_contour(poly, box_beta, box_alpha, grid):
                 else:
                     pairs = [(0, 3), (1, 2)] if center >= 0 else [(0, 1), (2, 3)]
             for ea, eb in pairs:
-                segments.append(
-                    (_ref_edge_point(ea, corners, vals), _ref_edge_point(eb, corners, vals))
-                )
+                segment = (_ref_edge_point(ea, corners, vals), _ref_edge_point(eb, corners, vals))
+                # No zero-length segment, and no segment twice in either direction.
+                if segment[0] != segment[1] and {segment, segment[::-1]}.isdisjoint(segments):
+                    segments.append(segment)
     return segments
 
 
@@ -341,6 +364,10 @@ def _contour_cases(draw):
 @given(_contour_cases())
 # A saddle cell whose centre value is exactly zero.
 @example(((A - F(3, 32)) * (B - F(7, 32)), UNIT_BOX, ALPHA_BOX, 16))
+# Zeros on grid corners, along a grid line and along cell diagonals.
+@example(((A - F(3, 80)) * (B - F(1, 4)), UNIT_BOX, ALPHA_BOX, 16))
+@example((-((B - F(1, 4)) ** 2), UNIT_BOX, ALPHA_BOX, 16))
+@example((-((B - F(5, 3) * A) ** 2), UNIT_BOX, ALPHA_BOX, 16))
 def test_contour_matches_fraction_reference(case):
     poly, box_beta, box_alpha, grid = case
     assert wall_contour_segments(poly, box_beta, box_alpha, grid) == _ref_contour(

@@ -27,7 +27,9 @@ base's q3 - q1.  That is the rule a claimed gain must pass.
 peak_rss_mb grows with the operations a run attempts, so the median
 `attempted` of each side is printed beside it.  The summary also holds
 `src_lines`, each checkout's line count of src/tiltcert/*.py (as `wc -l`
-counts it), and prints it above the table.
+counts it), and prints it above the table.  `host.bytecode_cache` is false
+when the runs inherit PYTHONDONTWRITEBYTECODE, so every start compiles
+tiltcert: that shows in proof's `pass_rel` and in `setup_s`.
 
 Standard library only, and nothing from tiltcert: it times from outside.
 It runs no git commands and never changes a bound.  It exits 1 when any
@@ -244,6 +246,8 @@ def main(argv=None):
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            # Runs without .pyc files compile tiltcert on every start.
+            "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
         "all_runs_correct": ok,
         "workloads": summary,
