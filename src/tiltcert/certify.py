@@ -16,8 +16,8 @@ by its Bernstein coefficients alone.  Boxes are integer cells of their
 piece, with a rational point built only for the face returned (below).
 Coefficients are formed from the power basis once, on a piece's root
 box, as the integer grid of bernstein_coefficients' (den, grid), a
-positive multiple of them (signs need no den); each split derives its
-children's grids by midpoint de Casteljau subdivision.
+positive multiple of them (signs need no den), flat and row-major; each
+split derives its children's grids by midpoint de Casteljau subdivision.
 
 Side pieces: no box the bisection tries is crossed by the side line.  A
 side-cut region splits into at most two boxes in the closed half-plane
@@ -34,15 +34,17 @@ negative Bernstein coefficient lo*hi (inconclusive, 21 boxes, depth 16).
 Face rule: a box's nine faces are its 4 corners, its 4 edges and the
 whole cell.  When every Bernstein coefficient of a face breaks the sign,
 poly breaks it on the whole face, as poly there is a convex combination
-of them.  The side line crosses no piece, so a face meets the piece
-exactly when its centre does, which a table built with each piece gives
-by cell index.  The bisection stops at the first face whose coefficients
-all break the sign and whose centre lies in the piece, and that centre
-is the claim's witness.  Otherwise a box with no negative coefficient
-certifies, and one with a negative coefficient splits.  This keeps a
-strict sign sound on open boundaries: on a box whose coefficients are
-all >= 0, poly's zeros lie on faces whose coefficients all vanish, and
-each such face misses the piece.
+of them.  A face is one slice of the flat grid (a corner, a row, a
+column or all of it), and breaks the sign exactly when its largest
+coefficient does.  The side line crosses no piece, so a face meets the
+piece exactly when its centre does, which a table built with each piece
+gives by cell index.  The bisection stops at the first face whose
+coefficients all break the sign and whose centre lies in the piece, and
+that centre is the claim's witness.  Otherwise a box with no negative
+coefficient certifies, and one with a negative coefficient splits.  This
+keeps a strict sign sound on open boundaries: on a box whose
+coefficients are all >= 0, poly's zeros lie on faces whose coefficients
+all vanish, and each such face misses the piece.
 
 Soundness contract: status "certified" is only reported when the sign
 holds at every region point; "failed" always carries a witness point in
@@ -325,39 +327,40 @@ def _face_class(x, k, last):
     return 0 if x == 0 and k == 0 else 2 if x == 2 and k == last else 1
 
 
-def _certify_box(poly, strict, piece, i, j, depth, grid):
+def _certify_box(poly, strict, piece, i, j, depth, grid, w):
     """Try to certify poly > 0 (strict) or poly >= 0 on one box of a piece.
 
     The box is cell i of 2^ceil(depth/2) equal cells along the piece's
-    alpha range by cell j of 2^floor(depth/2) along its t range.
-    grid is the integer Bernstein grid inherited from the parent box (a
-    positive multiple of the coefficients on this box), or None on a
-    piece's root box, where it is computed from the power basis.
+    alpha range by cell j of 2^floor(depth/2) along its t range.  grid is
+    the flat integer Bernstein grid, w entries a row, inherited from the
+    parent box (a positive multiple of the coefficients on this box), or
+    None on a piece's root box, where it is computed from the power basis.
     Returns (verdict, grid, point): verdict "violated" at the centre of
     the first face in _FACES whose coefficients all break the sign and
     whose centre lies in the piece, else "certified" when no coefficient
     is negative and "split" (undecided, bisect further) otherwise; the
-    box's grid; and the violated piece point, else None."""
+    box's grid; and the violated piece point, else None.  A face is one
+    slice of grid, and breaks the sign exactly when its largest
+    coefficient does: _violates holds at or below any value it holds at."""
     if grid is None:
         grid = bernstein_coefficients(poly, piece.alpha, piece.t)[1]
-    m, n = len(grid) - 1, len(grid[0]) - 1
+    end = len(grid) - w  # the start of the last row
     # Every face holds a corner, so without a violating corner no face
     # breaks the sign.
-    if _violates(min(grid[0][0], grid[0][n], grid[m][0], grid[m][n]), strict):
+    if _violates(min(grid[0], grid[end], grid[w - 1], grid[-1]), strict):
         last_i, last_j = (1 << (depth + 1) // 2) - 1, (1 << depth // 2) - 1
-        for x, y in _FACES:
-            # Corners go by axis end, not index: along an axis of degree 0
-            # both ends are index 0.
-            rows = range(m + 1) if x == 1 else (m * x // 2,)
-            cols = range(n + 1) if y == 1 else (n * y // 2,)
+        # _FACES as slices: corners by index, rows at the alpha ends, columns at the t ends.
+        faces = (slice(0, 1), slice(end, end + 1), slice(w - 1, w), slice(-1, None), slice(0, w),
+                 slice(end, None), slice(0, None, w), slice(w - 1, None, w), slice(None))
+        for (x, y), face in zip(_FACES, faces):
             # The side line crosses no piece, so along a face's relative
             # interior every region bound is tight everywhere or nowhere: the
             # centre lies in one piece face, whose membership piece.faces holds.
             # That keeps the zeros of a box certified below off the piece.
             inside = piece.faces[_face_class(x, i, last_i)][_face_class(y, j, last_j)]
-            if inside and all(_violates(grid[k][l], strict) for k in rows for l in cols):
+            if inside and _violates(max(grid[face]), strict):
                 return "violated", grid, _point(piece, i, j, depth, x, y)
-    return ("split" if min(map(min, grid)) < 0 else "certified"), grid, None
+    return ("split" if min(grid) < 0 else "certified"), grid, None
 
 
 def _bisect_side_pieces(poly, strict, pieces, max_depth):
@@ -379,19 +382,20 @@ def _bisect_side_pieces(poly, strict, pieces, max_depth):
     boxes = deepest = 0
     for piece in pieces:
         piece_poly = poly if piece.lift is None else substitute(poly, piece.lift)
+        w = piece_poly.degree_beta() + 1  # the grid's row width, one per piece
         stack = [(0, 0, 0, None)]
         while stack:
             i, j, depth, grid = stack.pop()
             boxes += 1
             deepest = max(deepest, depth)
-            verdict, grid, point = _certify_box(piece_poly, strict, piece, i, j, depth, grid)
+            verdict, grid, point = _certify_box(piece_poly, strict, piece, i, j, depth, grid, w)
             if verdict == "certified":
                 continue
             if verdict == "violated":
                 return False, piece.point(*point), boxes, deepest
             if depth >= max_depth:
                 return False, None, boxes, deepest
-            lo, hi = split_grid(grid, depth % 2)
+            lo, hi = split_grid(grid, w, depth % 2)
             # Push the high half first so the low half is explored first.
             if depth % 2:
                 stack += (i, 2 * j + 1, depth + 1, hi), (i, 2 * j, depth + 1, lo)

@@ -11,21 +11,24 @@ The certifier's inner loops run on Python ints.  Where only a sign, a zero
 or the position of a maximum matters, a value is carried as an integer
 positive multiple of itself: Bernstein grids (bernstein_coefficients
 returns (den, grid) with grid / den the exact coefficients and
-gcd(den, *grid) == 1; split_grid) and grid values (grid_form returns
-grid_axis's integer coordinates and the rows of values there, summed from
-a corner block's forward differences).  A root box's grid is two integer
-matrix products with a basis-change matrix per (degree, box), cached with
-at most 64 kept.  grid_axis is the one integer view of an interval;
-grid_axis(box, 1) is its ends over their common denominator.
+gcd(den, *grid) == 1; split_grid's halves are 2^d multiples) and grid
+values (grid_form returns grid_axis's integer coordinates and the rows of
+values there, summed from a corner block's forward differences).  A
+Bernstein grid of bidegree (m, n) is one flat list, row-major with alpha
+the row index: entry (i, j) is grid[i * w + j], w = n + 1.  A root box's
+grid is two integer matrix products with a basis-change matrix per
+(degree, box), cached with at most 64 kept.  grid_axis is the one integer
+view of an interval; grid_axis(box, 1) is its ends over their common
+denominator.
 """
 
 import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
-from operator import mul
+from operator import add, lshift, mul
 
 RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -331,11 +334,12 @@ def poly_format(p):
 def bernstein_coefficients(p, box_alpha, box_beta):
     """Tensor Bernstein coefficients of p on a box, on ints.
 
-    Returns (den, grid): grid[i][j], 0 <= i <= m, 0 <= j <= n, are ints and
-    grid[i][j] / den is the coefficient of p in the Bernstein basis of
-    bidegree (m, n) = (degree in alpha, degree in beta) on the box (alpha
-    direction first).  den > 0 and gcd(den, *grid) == 1, so grid is the
-    primitive integer positive multiple of the coefficients.  Key
+    Returns (den, grid): grid is a flat list of ints, row-major with alpha
+    the row index, and grid[i * w + j] / den, 0 <= i <= m, 0 <= j <= n and
+    w = n + 1, is the coefficient of p in the Bernstein basis of bidegree
+    (m, n) = (degree in alpha, degree in beta) on the box.  den > 0 and
+    gcd(den, *grid) == 1, so grid is the primitive integer positive
+    multiple of the coefficients.  Key
     properties used by the certifier:
       * p on the box lies in [min grid, max grid] / den;
       * corner entries are den times the values of p at the box corners;
@@ -348,7 +352,7 @@ def bernstein_coefficients(p, box_alpha, box_beta):
     """
     if box_alpha.hi <= box_alpha.lo or box_beta.hi <= box_beta.lo:
         raise ValueError("bernstein_coefficients needs a full-dimensional box")
-    m, n = p.degree_alpha(), p.degree_beta()
+    m, n = map(max, zip((0, 0), *p.terms))  # both degrees, in one pass
     scale, terms = _integer_terms(p)
     terms = dict(terms)
     power = [[terms.get((i, j), 0) for j in range(n + 1)] for i in range(m + 1)]
@@ -357,10 +361,10 @@ def bernstein_coefficients(p, box_alpha, box_beta):
     b, b_multiple = _bernstein_matrix(n, *b_ends, b_den)
     # Convert each alpha power's row along beta, then each column along alpha.
     columns = list(zip(*[[sum(map(mul, row, b_row)) for b_row in b] for row in power]))
-    rows = [[sum(map(mul, a_row, column)) for column in columns] for a_row in a]
+    grid = [sum(map(mul, a_row, column)) for a_row in a for column in columns]
     den = scale * a_multiple * b_multiple
-    g = gcd(den, *(x for row in rows for x in row))
-    return den // g, [[x // g for x in row] for row in rows]
+    g = gcd(den, *grid)
+    return den // g, [x // g for x in grid]
 
 
 @lru_cache(maxsize=64)
@@ -383,25 +387,27 @@ def _bernstein_matrix(d, lo, hi, den):
     return matrix, factorial(d) * den**d
 
 
-def split_grid(grid, axis):
+def split_grid(grid, width, axis):
     """Integer Bernstein grids of the two halves of a box.
 
     grid is a positive multiple of the Bernstein coefficients of a
-    polynomial on a box, rows along alpha as in bernstein_coefficients.
-    axis 0 halves alpha, axis 1 halves beta.  Each half comes back as a
-    positive multiple of the coefficients on its half box: one midpoint de
-    Casteljau over whole rows, with sums in place of averages, so the
-    halves are 2^d times the grid's own multiple, d the degree along the
-    split axis.  Axis 1 runs it on the transpose.
+    polynomial on a box, flat and row-major with width = n + 1 as in
+    bernstein_coefficients.  axis 0 halves alpha, axis 1 halves beta.  Each
+    half comes back in that layout as a positive multiple of the
+    coefficients on its half box: one midpoint de Casteljau with sums in
+    place of averages, so the halves are 2^d times the grid's own multiple,
+    d the degree along the split axis.  A level sums whole rows (axis 0) or
+    neighbours, whose sums across row ends are never read (axis 1, read and
+    written by stride-width slices).
     """
-    if axis:
-        lo, hi = split_grid(list(zip(*grid)), 0)
-        return list(zip(*lo)), list(zip(*hi))
-    # Level r of the de Casteljau triangle holds 2^r times the averages;
-    # its first and last rows are the halves' rows r and d - r.
-    lo, hi, level = [], [], grid
-    for shift in reversed(range(len(grid))):
-        lo.append([x << shift for x in level[0]])
-        hi.append([x << shift for x in level[-1]])
-        level = [[x + y for x, y in zip(u, v)] for u, v in zip(level, level[1:])]
-    return lo, hi[::-1]
+    step, stop = (1, width) if axis else (width, len(grid))
+    at = [slice(k, None, width) if axis else slice(k, k + width) for k in range(0, stop, step)]
+    # Level r of the de Casteljau triangle holds 2^r times the averages; its
+    # first and last positions, times 2^(d - r), are the halves' r and d - r.
+    lo, hi, level = grid[:], grid[:], grid
+    for r, shift in enumerate(reversed(range(1, len(at)))):
+        lo[at[r]] = map(lshift, level[at[0]], repeat(shift))
+        hi[at[shift]] = map(lshift, level[at[shift]], repeat(shift))
+        level = list(map(add, level, level[step:]))
+    lo[at[-1]] = hi[at[0]] = level[at[0]]
+    return lo, hi

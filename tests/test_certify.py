@@ -40,6 +40,7 @@ from tiltcert.kernel import (
     substitute,
 )
 from tiltcert.suite import verify_all
+from test_kernel import _rows
 
 F = Fraction
 A = BivariatePoly.alpha()
@@ -1097,13 +1098,18 @@ class _OnePoint:
 # one grid index but are different points.
 @example({(0, 1): F(1), (0, 0): F(-1, 2)}, RationalInterval(0, 1), RationalInterval(0, 1), True)
 @example({(1, 0): F(1), (0, 0): F(-1, 2)}, RationalInterval(0, 1), RationalInterval(0, 1), True)
+# Bidegree (0, 2), then (2, 0): a grid of one row, then of one column,
+# where both ends of the degree-0 axis are index 0 of each face slice.
+@example({(0, 2): F(1), (0, 0): F(-1, 2)}, RationalInterval(0, 1), RationalInterval(0, 1), True)
+@example({(2, 0): F(1), (0, 0): F(-1, 2)}, RationalInterval(0, 1), RationalInterval(0, 1), True)
 def test_a_face_of_violating_coefficients_violates_at_its_centre(terms, box_alpha, box_t, strict):
     # The face rule's premise, face by face: when every Bernstein
     # coefficient of a face breaks the sign, so does poly at the face's
     # centre.  A piece whose region holds that centre alone makes
     # _certify_box read that one face.
     poly = BivariatePoly(terms)
-    grid = bernstein_coefficients(poly, box_alpha, box_t)[1]
+    w = poly.degree_beta() + 1
+    grid = _rows(bernstein_coefficients(poly, box_alpha, box_t)[1], w)
     m, n = len(grid) - 1, len(grid[0]) - 1
     for x, y in _FACES:
         centre = (_cut(box_alpha, x, 1), _cut(box_t, y, 1))
@@ -1111,7 +1117,7 @@ def test_a_face_of_violating_coefficients_violates_at_its_centre(terms, box_alph
         cols = range(n + 1) if y == 1 else (n * y // 2,)
         breaks = all(_violates(grid[k][l], strict) for k in rows for l in cols)
         piece = Piece(_OnePoint(centre), box_alpha, box_t)
-        verdict, _, point = _certify_box(poly, strict, piece, 0, 0, 0, None)
+        verdict, _, point = _certify_box(poly, strict, piece, 0, 0, 0, None, w)
         assert (verdict == "violated") == breaks
         if breaks:
             assert point == centre
@@ -1127,11 +1133,13 @@ def _halves(interval):
     return RationalInterval(interval.lo, mid), RationalInterval(mid, interval.hi)
 
 
-def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, grid):
+def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, flat, w):
     """_certify_box on a box given by its rational intervals, as it was
-    before boxes became integer cells: (verdict, grid, point)."""
-    if grid is None:
-        grid = bernstein_coefficients(poly, box_alpha, box_beta)[1]
+    before boxes became integer cells: (verdict, grid, point).  It reads
+    the flat grid index by index, through its rows."""
+    if flat is None:
+        flat = bernstein_coefficients(poly, box_alpha, box_beta)[1]
+    grid = _rows(flat, w)
     m, n = len(grid) - 1, len(grid[0]) - 1
     if _violates(min(grid[0][0], grid[m][0], grid[0][n], grid[m][n]), strict):
         # The nine faces in _certify_box's order: corners, the two alpha-end
@@ -1151,8 +1159,8 @@ def _interval_certify_box(poly, strict, piece, box_alpha, box_beta, grid):
         )
         for center, indices in faces:
             if all(_violates(grid[i][j], strict) for i, j in indices) and piece.contains(*center):
-                return "violated", grid, center
-    return ("split" if min(map(min, grid)) < 0 else "certified"), grid, None
+                return "violated", flat, center
+    return ("split" if min(map(min, grid)) < 0 else "certified"), flat, None
 
 
 def _width_ratio_certify(claim, region, max_depth):
@@ -1173,13 +1181,14 @@ def _width_ratio_certify(claim, region, max_depth):
     ok = max_depth >= 1
     for piece in pieces if ok else ():
         piece_poly = poly if piece.lift is None else substitute(poly, piece.lift)
+        w = piece_poly.degree_beta() + 1
         stack = [(piece.alpha, piece.t, 0, None)]
         while stack:
             box_alpha, box_t, depth, grid = stack.pop()
             boxes += 1
             deepest = max(deepest, depth)
             verdict, grid, point = _interval_certify_box(
-                piece_poly, strict, piece, box_alpha, box_t, grid
+                piece_poly, strict, piece, box_alpha, box_t, grid, w
             )
             if verdict == "certified":
                 continue
@@ -1190,7 +1199,7 @@ def _width_ratio_certify(claim, region, max_depth):
             rel_alpha = box_alpha.width / piece.alpha.width
             rel_t = box_t.width / piece.t.width
             axis = 0 if rel_alpha >= rel_t else 1
-            lo_grid, hi_grid = split_grid(grid, axis)
+            lo_grid, hi_grid = split_grid(grid, w, axis)
             if axis == 0:
                 lo_half, hi_half = _halves(box_alpha)
                 lo_box, hi_box = (lo_half, box_t), (hi_half, box_t)

@@ -169,6 +169,7 @@ def test_bernstein_corner_coefficients_are_corner_values():
     box_a = RationalInterval(Fraction(0), Fraction(1, 3))
     box_b = RationalInterval(Fraction(-1, 2), Fraction(0))
     den, grid = bernstein_coefficients(p, box_a, box_b)
+    grid = _rows(grid, p.degree_beta() + 1)
     m, n = len(grid) - 1, len(grid[0]) - 1
     corners = {
         (0, 0): (box_a.lo, box_b.lo),
@@ -188,6 +189,7 @@ def test_bernstein_sharper_than_monomial_hull():
     box_b = RationalInterval(Fraction(-1, 2), Fraction(0))
     assert _hull_reference(p, box_a, box_b).hi == Fraction(1, 4)
     _, grid = bernstein_coefficients(p, box_a, box_b)
+    grid = _rows(grid, p.degree_beta() + 1)
     assert max(c for row in grid for c in row) == 0
 
 
@@ -268,6 +270,11 @@ def _hull_reference(p, box_alpha, box_beta):
     return RationalInterval(lo, hi)
 
 
+def _rows(grid, w):
+    """The rows of a flat row-major grid with w entries a row."""
+    return [grid[k : k + w] for k in range(0, len(grid), w)]
+
+
 def _assert_positive_multiple(grid, coeffs):
     flat_grid = [x for row in grid for x in row]
     flat = [c for row in coeffs for c in row]
@@ -307,6 +314,7 @@ signed_intervals = st.builds(
 def test_bernstein_coefficients_match_power_basis_reference(p, box_a, box_b):
     # The grid is the primitive integer form of the exact coefficients.
     den, grid = bernstein_coefficients(p, box_a, box_b)
+    grid = _rows(grid, p.degree_beta() + 1)
     assert den > 0
     assert gcd(den, *(x for row in grid for x in row)) == 1
     assert (len(grid) - 1, len(grid[0]) - 1) == (p.degree_alpha(), p.degree_beta())
@@ -335,6 +343,7 @@ def test_bernstein_lies_inside_the_hull_on_one_sign_boxes(p, box_a, box_b):
     # products of endpoint values, inside its range, so the Bernstein
     # enclosure never exceeds the monomial hull: the certifier needs no hull.
     den, grid = bernstein_coefficients(p, box_a, box_b)
+    grid = _rows(grid, p.degree_beta() + 1)
     hull = _hull_reference(p, box_a, box_b)
     assert all(hull.contains(Fraction(x, den)) for row in grid for x in row)
 
@@ -343,6 +352,7 @@ def test_bernstein_dips_below_the_hull_across_zero():
     # b^2 on beta in [-1, 1]: Bernstein coefficients 1, -1, 1, while the
     # hull clamps the even power at 0.  Hence the certifier's cuts at 0.
     den, grid = bernstein_coefficients(B**2, RationalInterval(0, 1), RationalInterval(-1, 1))
+    grid = _rows(grid, 3)
     assert [Fraction(x, den) for x in grid[0]] == [1, -1, 1]
     assert _hull_reference(B**2, RationalInterval(0, 1), RationalInterval(-1, 1)).lo == 0
 
@@ -357,20 +367,63 @@ def test_bernstein_dips_below_the_hull_across_zero():
 )
 def test_split_grid_halves_are_multiples_of_bernstein(p, box_a, box_b, axes, highs):
     # Four splits along each axis, down one random half at a time.
-    grid = bernstein_coefficients(p, box_a, box_b)[1]
+    grid, w = bernstein_coefficients(p, box_a, box_b)[1], p.degree_beta() + 1
     for axis, high in zip(axes, highs):
-        halves = split_grid(grid, axis)
+        halves = split_grid(grid, w, axis)
         box = box_a if axis == 0 else box_b
         mid = (box.lo + box.hi) / 2
         boxes = RationalInterval(box.lo, mid), RationalInterval(mid, box.hi)
         for half_grid, half in zip(halves, boxes):
             sub = (half, box_b) if axis == 0 else (box_a, half)
-            _assert_positive_multiple(half_grid, bernstein_coefficients(p, *sub)[1])
+            _assert_positive_multiple(
+                _rows(half_grid, w), _rows(bernstein_coefficients(p, *sub)[1], w)
+            )
         grid = halves[high]
         if axis == 0:
             box_a = boxes[high]
         else:
             box_b = boxes[high]
+
+
+def _row_split_reference(rows, axis):
+    # split_grid on a list of rows: the midpoint de Casteljau over whole
+    # rows, on the transpose for axis 1.
+    if axis:
+        lo, hi = _row_split_reference(list(zip(*rows)), 0)
+        return list(zip(*lo)), list(zip(*hi))
+    lo, hi, level = [], [], rows
+    for shift in reversed(range(len(rows))):
+        lo.append([x << shift for x in level[0]])
+        hi.append([x << shift for x in level[-1]])
+        level = [[x + y for x, y in zip(u, v)] for u, v in zip(level, level[1:])]
+    return lo, hi[::-1]
+
+
+@st.composite
+def flat_grids(draw):
+    # (grid, w): a flat integer grid of bidegree up to (8, 8), w = n + 1 entries a row.
+    rows, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    return draw(st.lists(st.integers(-(10**12), 10**12), min_size=rows * w, max_size=rows * w)), w
+
+
+split_chains = st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=4, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_grids(), split_chains)
+@example(([5, -3, 0, 7, -1], 5), [(1, False), (0, True), (1, True), (0, False)])
+@example(([5, -3, 0, 7, -1], 1), [(0, True), (1, False), (0, False), (1, True)])
+def test_split_grid_matches_the_row_reference(case, chain):
+    # A chain of splits, down one half at a time: each flat half is the
+    # row-major flattening of the row algorithm's half.  The examples are
+    # one row (m = 0) and one column (w = 1).
+    grid, w = case
+    rows = _rows(grid, w)
+    for axis, high in chain:
+        halves = split_grid(grid, w, axis)
+        reference = _row_split_reference(rows, axis)
+        assert list(halves) == [[x for row in half for x in row] for half in reference]
+        grid, rows = halves[high], reference[high]
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,6 +435,7 @@ def test_split_grid_halves_are_multiples_of_bernstein(p, box_a, box_b, axes, hig
 )
 def test_bernstein_encloses_range(p, box_a, box_b, offsets):
     den, grid = bernstein_coefficients(p, box_a, box_b)
+    grid = _rows(grid, p.degree_beta() + 1)
     flat = [Fraction(x, den) for row in grid for x in row]
     lo, hi = min(flat), max(flat)
     for s, t in offsets:
